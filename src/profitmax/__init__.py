@@ -20,9 +20,9 @@ from .optimize import (ModularFunction, SelectionResult, baseline, greedy,
 from .oracle import (ExactEvaluation, ExactEvaluator, LiveEdgeWorld,
                      enumerate_worlds, exact_evaluate, exact_marginal,
                      exhaustive_optimum, reachable_in_world, simulate_spread)
-from .prune import Lattice, PruneStep, iterative_prune, project, trivial_lattice
+from .prune import Lattice, PruneStep, iterative_prune, trivial_lattice
 from .rrsets import (AliasTable, ProfitEstimator, RRCollection, chernoff_a,
-                     confidence_bounds, coverage, estimate, generate,
+                     confidence_bounds, coverage, generate,
                      load_collection, marginal_coverage, sampling_error_limit,
                      save_collection, theta_for_relative_error)
 
@@ -35,13 +35,13 @@ __all__ = [
     "ProfitCertificate", "ProfitEstimator", "ProfitMaxError", "PruneStep",
     "RRCollection", "SelectionResult", "WeightTotals", "WeightedGraph",
     "assign_weights", "baseline", "certify", "chernoff_a", "confidence_bounds",
-    "coverage", "enumerate_worlds", "epsilon_mu", "estimate", "exact_evaluate",
+    "coverage", "enumerate_worlds", "epsilon_mu", "exact_evaluate",
     "exact_marginal", "exhaustive_optimum", "generate", "greedy",
     "iterative_prune", "k_sweep", "load_collection", "load_edge_list",
     "load_graph_json", "load_weights", "make_permutation",
     "marginal_coverage", "maximize_modular_difference", "modmod",
     "modular_lower", "modular_upper", "mu_bound", "normalize_weights",
-    "project", "reachable_in_world", "sampling_error_limit", "save_collection",
+    "reachable_in_world", "sampling_error_limit", "save_collection",
     "save_edge_list", "save_graph_json", "save_weights", "simulate_spread",
     "sweep_sizes", "theta_for_relative_error", "trivial_lattice",
 ]

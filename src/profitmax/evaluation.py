@@ -3,15 +3,45 @@
 Pruning, seed selection and certification are written against this interface
 so they run unchanged on the exact oracle (small graphs) and on the
 reverse-reachable sampling estimator (any scale).  Subclasses must implement
-``value``; the batched helpers have generic fallbacks that subclasses may
-override with faster paths.
+``value``; the batched helpers and the coverage state have generic fallbacks
+that subclasses may override with faster paths.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainError
 
 METRICS = ("benefit", "cost", "profit")
+KINDS = ("benefit", "cost")
+
+
+class CoverageState:
+    """One side's value and every node's marginal for a growing seed set S.
+
+    ``value`` is f(S), ``gains[v]`` is f(v | S) (zero on S itself) and
+    ``add(v)`` puts v into S.  This generic version recomputes both with
+    ``marginal_many`` after each addition; an evaluator with incremental
+    structure returns its own object with these three members.
+    """
+
+    def __init__(self, evaluator, metric: str, base=()):
+        self.evaluator, self.metric = evaluator, metric
+        self.seeds = {int(v) for v in base}
+        self._refresh()
+
+    def add(self, v) -> None:
+        self.seeds.add(int(v))
+        self._refresh()
+
+    def _refresh(self):
+        ev, base = self.evaluator, frozenset(self.seeds)
+        rest = [v for v in range(ev.node_count) if v not in base]
+        marginals = ev.marginal_many(rest, base, self.metric)
+        self.value = ev.value(base, self.metric)
+        self.gains = np.zeros(ev.node_count)
+        self.gains[rest] = [marginals[v] for v in rest]
 
 
 class MarginalEvaluator:
@@ -55,7 +85,7 @@ class MarginalEvaluator:
         """For each v, the marginal against whole minus v itself.
 
         This is the smallest marginal v can have inside ``whole`` under
-        submodularity, so it doubles as a floor in lazy selection.
+        submodularity, so it doubles as a floor in pruning.
         """
         self._check_metric(metric)
         whole = frozenset(whole)
@@ -76,6 +106,16 @@ class MarginalEvaluator:
             incs.append(cur - prev)
             prev = cur
         return incs
+
+    def coverage_state(self, metric: str, base=()) -> CoverageState:
+        """Incremental f(S) and marginals f(v | S) for a benefit or cost side."""
+        self._check_kind(metric)
+        return CoverageState(self, metric, base)
+
+    @staticmethod
+    def _check_kind(metric):
+        if metric not in KINDS:
+            raise DomainError(f"coverage states track one side; expected one of {KINDS}")
 
     @staticmethod
     def _check_metric(metric):

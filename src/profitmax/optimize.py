@@ -17,8 +17,9 @@ the benefit collection.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, InternalError
 from .evaluation import MarginalEvaluator
@@ -197,67 +198,35 @@ def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
     return frozenset(chosen)
 
 
-def greedy(evaluator: MarginalEvaluator, lat: Lattice, lazy: bool = True) -> SelectionResult:
+def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
     """Hill-climb the profit marginal from A* within B*.
 
-    Each round adds the candidate with the largest marginal profit (ties by
-    smallest id) and stops as soon as the best marginal is not positive.
-    The lazy path keeps a priority queue of upper bounds
-    benefit(v | S) - cost(v | B* - v): the benefit term only shrinks as S
-    grows and the cost term is the smallest the cost marginal can get inside
-    the lattice, so stale keys never underestimate and candidates whose
-    bound falls below the incumbent champion need no re-evaluation.
+    Each round adds the free node with the largest marginal profit
+    benefit(v | S) - cost(v | S), ties to the smallest id, and the climb
+    stops as soon as that marginal is not positive.  The marginals of all
+    nodes come from one coverage state per side
+    (``MarginalEvaluator.coverage_state``), updated as S grows; on RR
+    estimates a round is one vectorised argmax over the free nodes.
     """
     seeds = set(lat.must_include)
+    benefit = evaluator.coverage_state("benefit", seeds)
+    cost = evaluator.coverage_state("cost", seeds)
+    free = np.array(sorted(lat.free_nodes), dtype=np.int64)
     trajectory = []
-    candidates = sorted(lat.free_nodes)
-    if candidates:
-        if lazy:
-            cost_floor = evaluator.marginal_vs_rest(candidates, lat.may_include, "cost")
-            first_benefit = evaluator.marginal_many(candidates, frozenset(seeds), "benefit")
-            heap = [(-(first_benefit[v] - cost_floor[v]), v) for v in candidates]
-            heapq.heapify(heap)
-            while heap:
-                base = frozenset(seeds)
-                champion, champion_gain = None, 0.0
-                round_entries = []
-                while heap:
-                    neg_bound, v = heap[0]
-                    if champion is not None and champion_gain > -neg_bound:
-                        break
-                    if champion is None and -neg_bound <= 0.0:
-                        break
-                    heapq.heappop(heap)
-                    gain_b = evaluator.marginal(v, base, "benefit")
-                    gain = gain_b - evaluator.marginal(v, base, "cost")
-                    round_entries.append((-(gain_b - cost_floor[v]), v))
-                    if gain > champion_gain or (gain == champion_gain
-                                                and champion is not None and v < champion
-                                                and gain > 0.0):
-                        champion, champion_gain = v, gain
-                if champion is None or champion_gain <= 0.0:
-                    break
-                seeds.add(champion)
-                trajectory.append({"added": champion, "marginal": champion_gain,
-                                   "profit": evaluator.profit(seeds)})
-                for entry in round_entries:
-                    if entry[1] != champion:
-                        heapq.heappush(heap, entry)
-        else:
-            remaining = set(candidates)
-            while remaining:
-                base = frozenset(seeds)
-                gains = evaluator.marginal_many(sorted(remaining), base, "profit")
-                champion = min(gains, key=lambda v: (-gains[v], v))
-                if gains[champion] <= 0.0:
-                    break
-                seeds.add(champion)
-                remaining.discard(champion)
-                trajectory.append({"added": champion, "marginal": gains[champion],
-                                   "profit": evaluator.profit(seeds)})
+    while free.size:
+        gains = benefit.gains[free] - cost.gains[free]
+        best = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
+        if gains[best] <= 0.0:
+            break
+        v = int(free[best])
+        seeds.add(v)
+        benefit.add(v)
+        cost.add(v)
+        free = np.delete(free, best)
+        trajectory.append({"added": v, "marginal": float(gains[best]),
+                           "profit": benefit.value - cost.value})
     result = frozenset(seeds)
-    return SelectionResult(algorithm="greedy", params={"lazy": lazy},
-                           seeds=result,
+    return SelectionResult(algorithm="greedy", params={}, seeds=result,
                            estimated_profit=evaluator.profit(result),
                            trajectory=trajectory)
 
@@ -336,19 +305,31 @@ def baseline(kind: str, g: WeightedGraph, k: int, evaluator: MarginalEvaluator,
                                estimated_profit=evaluator.profit(seeds),
                                trajectory=[])
 
-    seeds = set()
-    trajectory = []
-    for _ in range(k):
-        pool = sorted(v for v in range(g.node_count) if v not in seeds)
-        gains = evaluator.marginal_many(pool, frozenset(seeds), "benefit")
-        best = min(gains, key=lambda v: (-gains[v], v))
-        seeds.add(best)
-        trajectory.append({"added": best, "marginal": gains[best]})
-    seeds = frozenset(seeds)
-    return SelectionResult(algorithm="benefitmax", params={"k": k},
-                           seeds=seeds,
-                           estimated_profit=evaluator.profit(seeds),
-                           trajectory=trajectory)
+    return _benefitmax(evaluator, g.node_count, [k])[0]
+
+
+def _benefitmax(evaluator: MarginalEvaluator, node_count: int, sizes) -> list:
+    """The benefitmax selection for each k in sizes.
+
+    Greedy on the benefit marginal alone (ties to the smallest id) picks the
+    same nodes whatever k is, so each k takes a prefix of one run.
+    """
+    state = evaluator.coverage_state("benefit")
+    free = np.arange(node_count, dtype=np.int64)
+    picks = []
+    for _ in range(max(sizes)):
+        gains = state.gains[free]
+        best = int(np.argmax(gains))
+        picks.append({"added": int(free[best]), "marginal": float(gains[best])})
+        state.add(picks[-1]["added"])
+        free = np.delete(free, best)
+    results = []
+    for k in sizes:
+        seeds = frozenset(p["added"] for p in picks[:k])
+        results.append(SelectionResult(algorithm="benefitmax", params={"k": k}, seeds=seeds,
+                                       estimated_profit=evaluator.profit(seeds),
+                                       trajectory=[dict(p) for p in picks[:k]]))
+    return results
 
 
 def sweep_sizes(node_count: int) -> list:
@@ -367,12 +348,15 @@ def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
             seed: int = 0) -> SelectionResult:
     """Run a baseline across the k schedule and keep its best profit.
 
-    Ties keep the first (largest) k.
+    Ties keep the first (largest) k.  Greedy picks do not depend on k, so
+    every benefitmax selection is a prefix of one run to the largest k.
     """
+    sizes = sweep_sizes(g.node_count)
+    results = (_benefitmax(evaluator, g.node_count, sizes) if kind == "benefitmax"
+               else (baseline(kind, g, k, evaluator, seed) for k in sizes))
     best = None
     swept = []
-    for k in sweep_sizes(g.node_count):
-        result = baseline(kind, g, k, evaluator, seed)
+    for k, result in zip(sizes, results):
         swept.append({"k": k, "profit": result.estimated_profit})
         if best is None or result.estimated_profit > best.estimated_profit:
             best = result

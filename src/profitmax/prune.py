@@ -144,7 +144,3 @@ def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
     raise InternalError("pruning did not converge within the iteration bound; "
                         "the evaluator is inconsistent")
 
-
-def project(seeds, lattice: Lattice) -> frozenset:
-    """Map a seed set into the lattice: keep its B* part, add all of A*."""
-    return lattice.project(seeds)

@@ -13,6 +13,15 @@ Collections are frozen after generation; every downstream algorithm sees a
 fixed, deterministic function of (seed, theta), which is what makes the
 pruning and selection loops terminate.
 
+A collection is one CSR store: the members of all sets in one flat array
+with per-set offsets, and the inverted index (the sets containing each
+node) built from it by one stable argsort.  Every estimator query is a few
+vectorised passes over that store.  Greedy selection uses an incremental
+coverage state instead: a mask of the sets the seed set covers and, per
+node, the count of its sets still uncovered, decremented only for the sets
+a new seed covers (the node-selection scheme of IMM, Tang, Shi and Xiao,
+SIGMOD 2015), so a whole greedy run touches each member of each set once.
+
 Generation is chunked: each block of sets gets its own generator derived from
 (seed, kind, block index), so the output is identical no matter how blocks
 would be distributed over workers.
@@ -22,16 +31,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import MarginalEvaluator
+from .evaluation import KINDS, MarginalEvaluator
 from .graph import WeightedGraph
 from .rng import UniformStream, derive_seed, make_rng
 
-KINDS = ("benefit", "cost")
 GENERATION_CHUNK = 8192
 
 
@@ -76,53 +83,130 @@ class AliasTable:
         return np.where(take, idx, self.alias[idx])
 
 
-@dataclass
-class RRCollection:
-    """A frozen batch of RR sets of one weight kind.
+def _spans(ptr, rows) -> np.ndarray:
+    """Positions in a CSR data array of the rows ``rows``, concatenated."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1] if len(ends) else 0)
 
-    ``sets[i]`` lists the members of set i with its root first; ``index[v]``
-    lists the set ids containing node v.  ``total_weight`` is the Upsilon of
-    the kind the collection was sampled under.
+
+def _row_sums(ptr, flags) -> np.ndarray:
+    """Per row of a CSR array, the sum of ``flags`` over the row's positions."""
+    acc = np.zeros(len(flags) + 1, dtype=np.int64)
+    np.cumsum(flags, out=acc[1:])
+    return acc[ptr[1:]] - acc[ptr[:-1]]
+
+
+def _row_of(ptr, dtype=np.int64) -> np.ndarray:
+    """For each position of a CSR data array, the row it belongs to."""
+    return np.repeat(np.arange(len(ptr) - 1, dtype=dtype), np.diff(ptr))
+
+
+def _node_array(nodes, node_count) -> np.ndarray:
+    """Node ids as an int64 array; any id outside 0..node_count-1 raises."""
+    arr = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+    bad = arr[(arr < 0) | (arr >= node_count)]
+    if bad.size:
+        raise DomainError(f"node {int(bad[0])} outside 0..{node_count - 1}")
+    return arr
+
+
+def _rows(ptr, data) -> list:
+    """The rows of a CSR pair as views: row i is data[ptr[i]:ptr[i+1]]."""
+    return np.split(data, ptr[1:-1]) if len(ptr) > 1 else []
+
+
+class RRCollection:
+    """A frozen batch of RR sets of one weight kind, stored as one CSR pair.
+
+    Set i holds ``members[set_ptr[i]:set_ptr[i+1]]``, root first; the sets
+    containing node v are ``set_ids[node_ptr[v]:node_ptr[v+1]]``, ascending.
+    ``sets`` and ``index`` show the two sides as lists of read-only views.
+    ``total_weight`` is the Upsilon of the kind the collection was sampled
+    under.
     """
 
-    kind: str
-    node_count: int
-    total_weight: float
-    seed: int
-    sets: list = field(repr=False)
-    index: list = field(init=False, repr=False)
-    theta: int = field(init=False)
+    def __init__(self, kind: str, node_count: int, total_weight: float, seed: int, sets):
+        rows = [np.asarray(s, dtype=np.int32) for s in sets]
+        set_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=set_ptr[1:])
+        members = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
+        self._store(kind, node_count, total_weight, seed, set_ptr, members)
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown RR kind {self.kind!r}; expected one of {KINDS}")
-        self.sets = [np.asarray(s, dtype=np.int32) for s in self.sets]
-        for i, s in enumerate(self.sets):
-            if len(s) == 0:
-                raise DomainError(f"RR set {i} is empty")
-        self.theta = len(self.sets)
-        self.index = self._build_index()
-        for arr in self.sets:
-            arr.setflags(write=False)
-        for arr in self.index:
+    @classmethod
+    def _from_csr(cls, kind, node_count, total_weight, seed, set_ptr, members) -> "RRCollection":
+        """A collection over the flat arrays of its sets, taken over without a copy."""
+        coll = cls.__new__(cls)
+        coll._store(kind, node_count, total_weight, seed, set_ptr, members)
+        return coll
+
+    def _store(self, kind, node_count, total_weight, seed, set_ptr, members):
+        if kind not in KINDS:
+            raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
+        self.kind, self.node_count = kind, int(node_count)
+        self.total_weight, self.seed = total_weight, seed
+        self.theta = len(set_ptr) - 1
+        empty = np.flatnonzero(set_ptr[1:] == set_ptr[:-1])
+        if empty.size:
+            raise DomainError(f"RR set {int(empty[0])} is empty")
+        if members.size and not (0 <= members.min() and members.max() < self.node_count):
+            raise DomainError(f"RR set members must lie in 0..{self.node_count - 1}")
+        self.set_ptr, self.members = set_ptr, members
+        self.node_ptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
+        # a stable sort keeps each node's set ids ascending
+        self.set_ids = _row_of(set_ptr, np.int32)[np.argsort(members, kind="stable")]
+        for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
             arr.setflags(write=False)
 
-    def _build_index(self):
-        buckets = [[] for _ in range(self.node_count)]
-        for i, members in enumerate(self.sets):
-            for v in members.tolist():
-                buckets[v].append(i)
-        return [np.asarray(b, dtype=np.int64) for b in buckets]
+    @property
+    def sets(self) -> list:
+        return _rows(self.set_ptr, self.members)
+
+    @property
+    def index(self) -> list:
+        return _rows(self.node_ptr, self.set_ids)
 
     def check_consistent(self) -> None:
-        """Audit: the inverted index must reconstruct exactly from the sets."""
-        rebuilt = self._build_index()
-        for v in range(self.node_count):
-            if not np.array_equal(rebuilt[v], self.index[v]):
-                raise DomainError(f"index inconsistent at node {v}")
+        """Audit: the inverted index must hold exactly the (node, set) pairs of the sets."""
+        from_sets = np.sort(self.members * np.int64(self.theta) + _row_of(self.set_ptr))
+        from_index = _row_of(self.node_ptr) * self.theta + self.set_ids
+        wrong = np.flatnonzero(from_sets != from_index)
+        if wrong.size:
+            node = int(from_sets[wrong[0]] // self.theta)
+            raise DomainError(f"index inconsistent at node {node}")
 
     def roots(self) -> np.ndarray:
-        return np.array([int(s[0]) for s in self.sets], dtype=np.int64)
+        return self.members[self.set_ptr[:-1]].astype(np.int64)
+
+    # -- coverage counts; node ids are int64 arrays the caller has checked --
+
+    def covered(self, seeds) -> np.ndarray:
+        """Mask over the sets: which ones the seed set intersects."""
+        mask = np.zeros(self.theta, dtype=bool)
+        mask[self.set_ids[_spans(self.node_ptr, seeds)]] = True
+        return mask
+
+    def uncovered_counts(self, covered) -> np.ndarray:
+        """Per node, how many of its sets the ``covered`` mask leaves out."""
+        return _row_sums(self.node_ptr, ~covered[self.set_ids])
+
+    def rest_counts(self, whole) -> np.ndarray:
+        """Per node v, how many of its sets whole - v leaves uncovered."""
+        whole = np.unique(whole)
+        hits = np.bincount(self.set_ids[_spans(self.node_ptr, whole)], minlength=self.theta)
+        inside = np.zeros(self.node_count, dtype=np.int64)
+        inside[whole] = 1
+        # inside whole, v's own membership is the single allowed hit
+        return _row_sums(self.node_ptr, hits[self.set_ids] == inside[_row_of(self.node_ptr)])
+
+    def chain_counts(self, order) -> np.ndarray:
+        """Per position i, how many sets order[i] reaches first along the prefix chain."""
+        first = np.full(self.node_count, len(order), dtype=np.int64)
+        first[order[::-1]] = np.arange(len(order) - 1, -1, -1)
+        reached = np.minimum.reduceat(first[self.members], self.set_ptr[:-1])
+        return np.bincount(reached, minlength=len(order) + 1)[:len(order)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,7 +232,8 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
 
     Each set draws its root proportionally to the node weights of the kind,
     then walks the graph backwards, flipping each incoming edge at most once
-    and keeping every node whose live path reaches the root.
+    and keeping every node whose live path reaches the root.  Members go
+    straight into the collection's flat member array.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
@@ -162,7 +247,8 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     alias = AliasTable(weights)
     rev = g.reverse_lists()
 
-    sets = []
+    members = []
+    ends = [0]
     seed = int(seed)
     for block_start in range(0, theta, GENERATION_CHUNK):
         block_len = min(GENERATION_CHUNK, theta - block_start)
@@ -171,35 +257,23 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
         coins = UniformStream(rng)
         next_coin = coins.next
         for root in roots:
-            members = [root]
+            qi = len(members)
+            members.append(root)
             seen = {root}
-            qi = 0
             while qi < len(members):
                 for u, p in rev[members[qi]]:
                     if u not in seen and next_coin() < p:
                         seen.add(u)
                         members.append(u)
                 qi += 1
-            sets.append(np.array(members, dtype=np.int32))
-    return RRCollection(kind=kind, node_count=g.node_count,
-                        total_weight=total, seed=seed, sets=sets)
-
-
-def _check_nodes(coll: RRCollection, nodes) -> None:
-    for v in nodes:
-        if not (0 <= int(v) < coll.node_count):
-            raise DomainError(f"node {v} outside 0..{coll.node_count - 1}")
+            ends.append(len(members))
+    return RRCollection._from_csr(kind, g.node_count, total, seed, np.array(ends, dtype=np.int64),
+                                 np.array(members, dtype=np.int32))
 
 
 def coverage(coll: RRCollection, seeds) -> int:
     """Lambda(S): how many of the collection's sets S intersects."""
-    _check_nodes(coll, seeds)
-    if not seeds:
-        return 0
-    mask = np.zeros(coll.theta, dtype=bool)
-    for v in seeds:
-        mask[coll.index[int(v)]] = True
-    return int(mask.sum())
+    return int(np.count_nonzero(coll.covered(_node_array(seeds, coll.node_count))))
 
 
 def marginal_coverage(coll: RRCollection, seeds, v) -> int:
@@ -208,13 +282,7 @@ def marginal_coverage(coll: RRCollection, seeds, v) -> int:
     seeds = frozenset(int(x) for x in seeds)
     if v in seeds:
         raise DomainError(f"node {v} already in the seed set")
-    _check_nodes(coll, seeds | {v})
-    if not seeds:
-        return int(len(coll.index[v]))
-    mask = np.zeros(coll.theta, dtype=bool)
-    for u in seeds:
-        mask[coll.index[u]] = True
-    return int(np.count_nonzero(~mask[coll.index[v]]))
+    return coverage(coll, seeds | {v}) - coverage(coll, seeds)
 
 
 def chernoff_a(delta: float) -> float:
@@ -277,15 +345,46 @@ def theta_for_relative_error(upsilon: float, value: float, rel_err: float,
     return int(math.ceil(chernoff_a(delta) * upsilon / (rel_err ** 2 * value)))
 
 
+class RRCoverage:
+    """Incremental coverage of one RR collection by a growing seed set S.
+
+    ``covered`` masks the sets S intersects and ``uncovered[v]`` counts the
+    sets containing v that S leaves uncovered, so ``gains`` (rho times those
+    counts) are the marginals f(v | S).
+    """
+
+    def __init__(self, coll: RRCollection, rho: float, base):
+        self.coll, self.rho = coll, rho
+        self.covered = coll.covered(base)
+        self.uncovered = coll.uncovered_counts(self.covered)
+        self.count = int(np.count_nonzero(self.covered))
+
+    @property
+    def gains(self) -> np.ndarray:
+        return self.rho * self.uncovered
+
+    @property
+    def value(self) -> float:
+        return self.rho * float(self.count)
+
+    def add(self, v) -> None:
+        coll = self.coll
+        v = int(_node_array([v], coll.node_count)[0])
+        sids = coll.set_ids[coll.node_ptr[v]:coll.node_ptr[v + 1]]
+        fresh = sids[~self.covered[sids]]
+        self.covered[fresh] = True
+        self.count += len(fresh)
+        self.uncovered -= np.bincount(coll.members[_spans(coll.set_ptr, fresh)],
+                                      minlength=coll.node_count)
+
+
 class ProfitEstimator(MarginalEvaluator):
     """Benefit and cost estimates from two frozen RR collections.
 
     A weight kind whose total is zero needs no samples; its collection slot
-    is None and every estimate on that side is exactly zero.
+    is None and every estimate on that side is exactly zero.  Every query is
+    a few vectorised passes over the collections' CSR arrays.
     """
-
-    _MASK_MEMO = 8
-    _COUNT_MEMO = 4
 
     def __init__(self, benefit_rr, cost_rr, graph: WeightedGraph):
         totals = graph.totals()
@@ -295,8 +394,9 @@ class ProfitEstimator(MarginalEvaluator):
         self.cost_rr = cost_rr
         self.graph = graph
         self.node_count = graph.node_count
-        self._masks = {}
-        self._counts = {}
+        # a side without samples is queried as an empty collection
+        self._colls = {kind: coll or RRCollection(kind, self.node_count, 0.0, 0, [])
+                       for kind, coll in zip(KINDS, (benefit_rr, cost_rr))}
 
     @staticmethod
     def _validate_side(coll, kind, upsilon, graph):
@@ -323,131 +423,48 @@ class ProfitEstimator(MarginalEvaluator):
                    if totals.upsilon_c > 0 else None)
         return cls(benefit_rr, cost_rr, g)
 
-    def _side(self, metric):
-        return self.benefit_rr if metric == "benefit" else self.cost_rr
-
     def rho(self, metric) -> float:
         """Scale factor Upsilon / theta converting counts to weight units."""
-        coll = self._side(metric)
-        return coll.total_weight / coll.theta if coll is not None else 0.0
+        coll = self._colls[metric]
+        return coll.total_weight / coll.theta if coll.theta else 0.0
 
-    def _memo_get(self, memo, key, build, cap):
-        hit = memo.get(key)
-        if hit is None:
-            hit = build()
-            if len(memo) >= cap:
-                memo.pop(next(iter(memo)))
-            memo[key] = hit
-        return hit
-
-    def _covered(self, metric, base: frozenset) -> np.ndarray:
-        coll = self._side(metric)
-
-        def build():
-            mask = np.zeros(coll.theta, dtype=bool)
-            for v in base:
-                mask[coll.index[v]] = True
-            return mask
-
-        return self._memo_get(self._masks, (metric, base), build, self._MASK_MEMO)
-
-    def _member_counts(self, metric, whole: frozenset) -> np.ndarray:
-        coll = self._side(metric)
-
-        def build():
-            counts = np.zeros(coll.theta, dtype=np.int32)
-            for v in whole:
-                counts[coll.index[v]] += 1
-            return counts
-
-        return self._memo_get(self._counts, (metric, whole), build, self._COUNT_MEMO)
+    def _scaled(self, metric, counts):
+        """rho * counts(collection) for one metric; benefit minus cost for profit."""
+        self._check_metric(metric)
+        if metric == "profit":
+            return self._scaled("benefit", counts) - self._scaled("cost", counts)
+        return self.rho(metric) * counts(self._colls[metric])
 
     # -- MarginalEvaluator interface --------------------------------------
 
     def value(self, seeds, metric: str) -> float:
-        self._check_metric(metric)
-        if metric == "profit":
-            return self.value(seeds, "benefit") - self.value(seeds, "cost")
-        coll = self._side(metric)
-        if coll is None:
-            return 0.0
-        seeds = seeds if isinstance(seeds, frozenset) else frozenset(seeds)
-        _check_nodes(coll, seeds)
-        return self.rho(metric) * float(self._covered(metric, seeds).sum())
+        seeds = _node_array(seeds, self.node_count)
+        return self._scaled(metric, lambda c: int(np.count_nonzero(c.covered(seeds))))
 
     def marginal(self, v, base, metric: str) -> float:
-        self._check_metric(metric)
         v = int(v)
         if v in base:
             raise DomainError(f"node {v} already in the base set")
-        if metric == "profit":
-            return (self.marginal(v, base, "benefit")
-                    - self.marginal(v, base, "cost"))
-        coll = self._side(metric)
-        if coll is None:
-            return 0.0
-        base = base if isinstance(base, frozenset) else frozenset(base)
-        mask = self._covered(metric, base)
-        idx = coll.index[v]
-        return self.rho(metric) * float(np.count_nonzero(~mask[idx]))
+        return self.marginal_many([v], base, metric)[v]
 
     def marginal_many(self, nodes, base, metric: str) -> dict:
-        self._check_metric(metric)
-        if metric == "profit":
-            b = self.marginal_many(nodes, base, "benefit")
-            c = self.marginal_many(nodes, base, "cost")
-            return {v: b[v] - c[v] for v in b}
-        coll = self._side(metric)
-        if coll is None:
-            return {int(v): 0.0 for v in nodes}
-        base = base if isinstance(base, frozenset) else frozenset(base)
-        mask = self._covered(metric, base)
-        rho = self.rho(metric)
-        out = {}
-        for v in nodes:
-            v = int(v)
-            out[v] = rho * float(np.count_nonzero(~mask[coll.index[v]]))
-        return out
+        nodes, base = _node_array(nodes, self.node_count), _node_array(base, self.node_count)
+        gains = self._scaled(metric, lambda c: c.uncovered_counts(c.covered(base))[nodes])
+        return dict(zip(nodes.tolist(), gains.tolist()))
 
     def marginal_vs_rest(self, nodes, whole, metric: str) -> dict:
-        self._check_metric(metric)
-        if metric == "profit":
-            b = self.marginal_vs_rest(nodes, whole, "benefit")
-            c = self.marginal_vs_rest(nodes, whole, "cost")
-            return {v: b[v] - c[v] for v in b}
-        coll = self._side(metric)
-        if coll is None:
-            return {int(v): 0.0 for v in nodes}
-        whole = whole if isinstance(whole, frozenset) else frozenset(whole)
-        counts = self._member_counts(metric, whole)
-        rho = self.rho(metric)
-        out = {}
-        for v in nodes:
-            v = int(v)
-            picked = counts[coll.index[v]]
-            # inside `whole`, v's own membership is the single allowed hit
-            want = 1 if v in whole else 0
-            out[v] = rho * float(np.count_nonzero(picked == want))
-        return out
+        nodes, whole = _node_array(nodes, self.node_count), _node_array(whole, self.node_count)
+        gains = self._scaled(metric, lambda c: c.rest_counts(whole)[nodes])
+        return dict(zip(nodes.tolist(), gains.tolist()))
 
     def chain_increments(self, order, metric: str) -> list:
-        self._check_metric(metric)
-        if metric == "profit":
-            b = self.chain_increments(order, "benefit")
-            c = self.chain_increments(order, "cost")
-            return [x - y for x, y in zip(b, c)]
-        coll = self._side(metric)
-        if coll is None:
-            return [0.0 for _ in order]
-        mask = np.zeros(coll.theta, dtype=bool)
-        rho = self.rho(metric)
-        incs = []
-        for v in order:
-            idx = coll.index[int(v)]
-            fresh = ~mask[idx]
-            incs.append(rho * float(np.count_nonzero(fresh)))
-            mask[idx] = True
-        return incs
+        order = _node_array(order, self.node_count)
+        return self._scaled(metric, lambda c: c.chain_counts(order)).tolist()
+
+    def coverage_state(self, metric: str, base=()) -> RRCoverage:
+        self._check_kind(metric)
+        return RRCoverage(self._colls[metric], self.rho(metric),
+                          _node_array(base, self.node_count))
 
     def estimate(self, seeds):
         """(estimated benefit, estimated cost, estimated profit)."""
@@ -457,14 +474,7 @@ class ProfitEstimator(MarginalEvaluator):
 
     def coverage_counts(self, seeds):
         """(Lambda_beta, Lambda_gamma) coverage counts for the seed set."""
-        lb = coverage(self.benefit_rr, seeds) if self.benefit_rr is not None else 0
-        lc = coverage(self.cost_rr, seeds) if self.cost_rr is not None else 0
-        return lb, lc
-
-
-def estimate(estimator: ProfitEstimator, seeds):
-    """(benefit, cost, profit) estimates for a seed set."""
-    return estimator.estimate(seeds)
+        return coverage(self._colls["benefit"], seeds), coverage(self._colls["cost"], seeds)
 
 
 def save_collection(coll: RRCollection, path) -> None:

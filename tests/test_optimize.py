@@ -196,21 +196,45 @@ class TestGreedy:
         assert result.seeds == {0, 1}
         assert result.trajectory == []
 
-    def test_lazy_matches_naive(self):
+    @staticmethod
+    def reference_greedy(ev, lat):
+        """Greedy written out: argmax of the profit marginals, smallest id on ties."""
+        seeds = set(lat.must_include)
+        free = set(lat.free_nodes)
+        added = []
+        while free:
+            gains = ev.marginal_many(sorted(free), frozenset(seeds), "profit")
+            best = min(gains, key=lambda v: (-gains[v], v))
+            if gains[best] <= 0.0:
+                break
+            seeds.add(best)
+            free.discard(best)
+            added.append((best, gains[best]))
+        return frozenset(seeds), added
+
+    def check_against_reference(self, ev, lat):
+        result = greedy(ev, lat)
+        seeds, added = self.reference_greedy(ev, lat)
+        assert result.seeds == seeds
+        assert [(t["added"], t["marginal"]) for t in result.trajectory] == added
+        assert result.estimated_profit == ev.profit(seeds)
+
+    def test_matches_reference_greedy(self):
         rng = np.random.default_rng(223)
         for _ in range(40):
             g = random_graph(rng, max_nodes=7, max_edges=11)
             ev = ExactEvaluator(g)
-            lat = iterative_prune(ev)
-            fast = greedy(ev, lat, lazy=True)
-            slow = greedy(ev, lat, lazy=False)
-            assert fast.seeds == slow.seeds
-            assert fast.estimated_profit == pytest.approx(slow.estimated_profit, abs=1e-12)
+            self.check_against_reference(ev, iterative_prune(ev))
 
-    def test_lazy_matches_naive_on_estimates(self, demo_graph):
+    def test_matches_reference_greedy_on_estimates(self, demo_graph):
+        rng = np.random.default_rng(224)
+        for i in range(10):
+            g = random_graph(rng, max_nodes=12, max_edges=30)
+            est = ProfitEstimator.build(g, 2000, 2000, seed=i)
+            self.check_against_reference(est, trivial_lattice(g.node_count))
+            self.check_against_reference(est, iterative_prune(est))
         est = ProfitEstimator.build(demo_graph, 2000, 2000, seed=77)
-        lat = iterative_prune(est)
-        assert greedy(est, lat, lazy=True).seeds == greedy(est, lat, lazy=False).seeds
+        self.check_against_reference(est, iterative_prune(est))
 
     def test_tie_breaks_to_smallest_id(self):
         g = edgeless_graph([3.0, 3.0, 3.0])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from profitmax import (ExactEvaluator, InternalError, Lattice, ProfitEstimator,
                        exhaustive_optimum, iterative_prune, normalize_weights,
-                       project, trivial_lattice)
+                       trivial_lattice)
 from profitmax.evaluation import MarginalEvaluator
 
 from conftest import (DEMO_LOWER_MARGINS, DEMO_UPPER_MARGINS, brute_optimum,
@@ -78,21 +78,21 @@ class TestEdgeCases:
 
 class TestProject:
     def test_demo_projection(self, demo_lattice):
-        assert project({1, 3}, demo_lattice) == {1, 2}
+        assert demo_lattice.project({1, 3}) == {1, 2}
 
     def test_inside_lattice_unchanged(self, demo_lattice):
-        assert project({1, 2}, demo_lattice) == {1, 2}
-        assert project({0, 1, 2}, demo_lattice) == {0, 1, 2}
+        assert demo_lattice.project({1, 2}) == {1, 2}
+        assert demo_lattice.project({0, 1, 2}) == {0, 1, 2}
 
     def test_empty_maps_to_floor(self, demo_lattice):
-        assert project(set(), demo_lattice) == demo_lattice.must_include
+        assert demo_lattice.project(set()) == demo_lattice.must_include
 
     def test_idempotent(self, demo_lattice):
         rng = np.random.default_rng(3)
         for _ in range(20):
             s = random_subset(rng, 4)
-            once = project(s, demo_lattice)
-            assert project(once, demo_lattice) == once
+            once = demo_lattice.project(s)
+            assert demo_lattice.project(once) == once
             assert demo_lattice.contains(once)
 
     @settings(max_examples=100, deadline=None)
@@ -103,9 +103,9 @@ class TestProject:
         must = frozenset(data.draw(st.sets(st.sampled_from(sorted(may))))) if may else frozenset()
         lat = Lattice(must, may)
         s = frozenset(data.draw(st.sets(st.sampled_from(range(8)))))
-        projected = project(s, lat)
+        projected = lat.project(s)
         assert lat.contains(projected)
-        assert project(projected, lat) == projected
+        assert lat.project(projected) == projected
         assert projected == s & may | must
         assert (projected == s) == lat.contains(s)
 
@@ -139,7 +139,7 @@ class TestTheoremProperties:
                 if lat.contains(s):
                     continue
                 checked += 1
-                assert brute_profit(g, project(s, lat)) > brute_profit(g, s)
+                assert brute_profit(g, lat.project(s)) > brute_profit(g, s)
         assert checked >= 20
 
     def test_every_optimum_inside_lattice(self):

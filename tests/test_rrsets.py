@@ -6,9 +6,10 @@ import pytest
 
 from profitmax import (AliasTable, DomainError, ProfitEstimator, RRCollection,
                        WeightedGraph, chernoff_a, confidence_bounds, coverage,
-                       estimate, generate, load_collection, marginal_coverage,
+                       generate, load_collection, marginal_coverage,
                        normalize_weights, sampling_error_limit, save_collection,
                        theta_for_relative_error)
+from profitmax.evaluation import CoverageState
 from profitmax.rng import derive_seed
 
 from conftest import brute_evaluate, make_demo_graph, random_graph, random_subset
@@ -81,6 +82,27 @@ class TestGenerate:
         g = WeightedGraph(2, [(0, 1, 0.5)], benefit=[1, 1])
         with pytest.raises(DomainError, match="no sampleable roots"):
             generate(g, "cost", 10, seed=0)
+
+    def test_index_matches_loop_built_index(self, demo_graph):
+        coll = generate(demo_graph, "cost", 700, seed=7)
+        buckets = [[] for _ in range(coll.node_count)]
+        for i, members in enumerate(coll.sets):
+            for v in members.tolist():
+                buckets[v].append(i)
+        assert [s.tolist() for s in coll.index] == buckets
+        assert not any(a.flags.writeable for a in (*coll.sets, *coll.index))
+        coll.check_consistent()
+
+    def test_corrupt_index_detected(self):
+        coll = collection_from_sets([[0, 1], [1]], node_count=2)
+        coll.set_ids = np.array([1, 0, 1], dtype=np.int32)
+        with pytest.raises(DomainError, match="index inconsistent at node 0"):
+            coll.check_consistent()
+
+    @pytest.mark.parametrize("sets", [[[0, 2]], [[-1]], [[0], []]])
+    def test_malformed_sets_rejected(self, sets):
+        with pytest.raises(DomainError):
+            collection_from_sets(sets, node_count=2)
 
     def test_reverse_reachability_semantics(self):
         # sure chain 0 -> 1 -> 2: an RR set rooted at 2 contains everything
@@ -221,7 +243,7 @@ class TestEstimator:
 
     def test_demo_estimates_close_to_exact(self, demo_graph):
         est = ProfitEstimator.build(demo_graph, 100_000, 100_000, seed=13)
-        b, c, p = estimate(est, {1, 2})
+        b, c, p = est.estimate({1, 2})
         assert b == pytest.approx(5.88, rel=0.03)
         assert c == pytest.approx(4.20, rel=0.03)
         assert p == pytest.approx(1.68, rel=0.10)
@@ -282,6 +304,53 @@ class TestEstimator:
         other = normalize_weights(demo_graph)
         with pytest.raises(DomainError):
             ProfitEstimator(benefit, generate(other, "cost", 10, seed=1), demo_graph)
+
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("query", [
+        lambda est, v: est.value({0, v}, "benefit"),
+        lambda est, v: est.marginal(v, set(), "benefit"),
+        lambda est, v: est.marginal(0, {v}, "profit"),
+        lambda est, v: est.marginal_many([0, v], set(), "cost"),
+        lambda est, v: est.marginal_vs_rest([v], {0, 1}, "profit"),
+        lambda est, v: est.marginal_vs_rest([0], {1, v}, "benefit"),
+        lambda est, v: est.chain_increments([0, v], "benefit"),
+        lambda est, v: est.coverage_state("cost").add(v),
+    ], ids=["value", "marginal", "marginal-base", "marginal_many", "marginal_vs_rest",
+            "marginal_vs_rest-whole", "chain_increments", "coverage_state"])
+    def test_node_ids_outside_the_graph_rejected(self, demo_graph, query, bad):
+        est = ProfitEstimator.build(demo_graph, 200, 200, seed=21)
+        with pytest.raises(DomainError, match=f"node {bad} outside 0..3"):
+            query(est, bad)
+
+
+class TestCoverageState:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), base=st.lists(st.integers(0, 7), max_size=3),
+           adds=st.lists(st.integers(0, 7), max_size=8),
+           metric=st.sampled_from(["benefit", "cost"]))
+    def test_gains_match_recomputed_marginals(self, seed, base, adds, metric):
+        g = random_graph(np.random.default_rng(seed), max_nodes=8, max_edges=16)
+        n = g.node_count
+        est = ProfitEstimator.build(g, 300, 300, seed=seed)
+        seeds = {v % n for v in base}
+        states = [est.coverage_state(metric, seeds), CoverageState(est, metric, seeds)]
+        for v in [None] + [v % n for v in adds]:
+            if v is not None:
+                seeds.add(v)
+                for state in states:
+                    state.add(v)
+            rest = [u for u in range(n) if u not in seeds]
+            fresh = est.marginal_many(rest, seeds, metric)
+            for state in states:
+                assert state.gains[rest].tolist() == [fresh[u] for u in rest]
+                assert not state.gains[sorted(seeds)].any()
+                assert state.value == est.value(seeds, metric)
+
+    def test_profit_is_not_a_side(self, demo_graph):
+        est = ProfitEstimator.build(demo_graph, 100, 100, seed=22)
+        with pytest.raises(DomainError):
+            est.coverage_state("profit")
 
 
 class TestErrorLimitFormulas:
