@@ -17,31 +17,26 @@ from .graph import (WeightedGraph, WeightTotals, assign_weights, load_edge_list,
 from .optimize import (ModularFunction, SelectionResult, baseline, greedy,
                        k_sweep, make_permutation, maximize_modular_difference,
                        modmod, modular_lower, modular_upper, sweep_sizes)
-from .oracle import (ExactEvaluation, ExactEvaluator, LiveEdgeWorld,
-                     enumerate_worlds, exact_evaluate, exact_marginal,
-                     exhaustive_optimum, reachable_in_world, simulate_spread)
+from .oracle import ExactEvaluator, exhaustive_optimum, simulate_spread
 from .prune import Lattice, PruneStep, iterative_prune, trivial_lattice
 from .rrsets import (AliasTable, ProfitEstimator, RRCollection, chernoff_a,
-                     confidence_bounds, coverage, generate,
-                     load_collection, marginal_coverage, sampling_error_limit,
-                     save_collection, theta_for_relative_error)
+                     confidence_bounds, generate, load_collection,
+                     sampling_error_limit, save_collection,
+                     theta_for_relative_error)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AliasTable", "CapacityError", "ConfigError", "DomainError",
-    "ExactEvaluation", "ExactEvaluator", "InternalError", "Lattice",
-    "LiveEdgeWorld", "MarginalEvaluator", "ModularFunction", "ParseError",
-    "ProfitCertificate", "ProfitEstimator", "ProfitMaxError", "PruneStep",
-    "RRCollection", "SelectionResult", "WeightTotals", "WeightedGraph",
-    "assign_weights", "baseline", "certify", "chernoff_a", "confidence_bounds",
-    "coverage", "enumerate_worlds", "epsilon_mu", "exact_evaluate",
-    "exact_marginal", "exhaustive_optimum", "generate", "greedy",
-    "iterative_prune", "k_sweep", "load_collection", "load_edge_list",
-    "load_graph_json", "load_weights", "make_permutation",
-    "marginal_coverage", "maximize_modular_difference", "modmod",
-    "modular_lower", "modular_upper", "mu_bound", "normalize_weights",
-    "reachable_in_world", "sampling_error_limit", "save_collection",
+    "ExactEvaluator", "InternalError", "Lattice", "MarginalEvaluator",
+    "ModularFunction", "ParseError", "ProfitCertificate", "ProfitEstimator",
+    "ProfitMaxError", "PruneStep", "RRCollection", "SelectionResult",
+    "WeightTotals", "WeightedGraph", "assign_weights", "baseline", "certify",
+    "chernoff_a", "confidence_bounds", "epsilon_mu", "exhaustive_optimum",
+    "generate", "greedy", "iterative_prune", "k_sweep", "load_collection",
+    "load_edge_list", "load_graph_json", "load_weights", "make_permutation",
+    "maximize_modular_difference", "modmod", "modular_lower", "modular_upper",
+    "mu_bound", "normalize_weights", "sampling_error_limit", "save_collection",
     "save_edge_list", "save_graph_json", "save_weights", "simulate_spread",
     "sweep_sizes", "theta_for_relative_error", "trivial_lattice",
 ]

@@ -165,7 +165,7 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
                                                totals.upsilon_b, delta)
     gamma_lower, gamma_upper = confidence_bounds(lambda_gamma, theta_gamma,
                                                  totals.upsilon_c, delta)
-    _, _, phi_estimate = estimator.estimate(seeds)
+    phi_estimate = estimator.profit(seeds)
 
     mu_estimate = min(
         mu_bound(estimator, seeds, lat, variant=3, pi_policy=pi_policy, seed=seed),

@@ -56,7 +56,6 @@ class RunConfig:
     cost_dist: str = "degree"
     r: float = 1.0
     default_prob: str = "wic"
-    model: str = "ic"
     theta_exp: list = field(default_factory=lambda: [6])
     theta: list = None
     validation_theta: int = None
@@ -81,8 +80,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.graph is None:
             raise ConfigError("field 'graph': a graph file is required")
-        if self.model != "ic":
-            raise ConfigError(f"field 'model': only 'ic' is supported, got {self.model!r}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"field 'delta': must lie in (0,1), got {self.delta}")
         if self.r <= 0:
@@ -133,22 +130,25 @@ def _parse_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: boolean expected")
                 values["normalize" if key == "no_norm" else "prune"] = not flag
                 continue
-            if not hasattr(RunConfig(), key):
+            if key not in RunConfig.__dataclass_fields__:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in _FLAG_KEYS:
                 flag = _BOOL_WORDS.get(value.lower())
                 if flag is None:
                     raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
                 values[key] = flag
-            elif key in _LIST_KEYS:
-                parts = [p for p in value.replace(",", " ").split() if p]
-                values[key] = [int(p) for p in parts] if key != "algo" else parts
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+                continue
+            try:
+                if key in _LIST_KEYS:
+                    values[key] = _int_list(value) if key != "algo" else _name_list(value)
+                elif key in _INT_KEYS:
+                    values[key] = int(value)
+                elif key in _FLOAT_KEYS:
+                    values[key] = float(value)
+                else:
+                    values[key] = value
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return values
 
 
@@ -176,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["uniform", "degree"])
         p.add_argument("--r", type=float)
         p.add_argument("--default-prob", dest="default_prob")
-        p.add_argument("--model")
         p.add_argument("--theta-exp", dest="theta_exp", type=_int_list,
                        help="exponents i; theta = 2^i * 10000 (comma separated)")
         p.add_argument("--theta", type=_int_list,
@@ -234,10 +233,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _load_weighted_graph(cfg: RunConfig) -> WeightedGraph:
-    default_prob = cfg.default_prob
-    if default_prob != "wic":
-        default_prob = float(default_prob)
-    g = load_edge_list(cfg.graph, default_prob=default_prob)
+    g = load_edge_list(cfg.graph, default_prob=cfg.default_prob)
     return assign_weights(g, benefit_dist=cfg.benefit_dist, cost_dist=cfg.cost_dist,
                           r=cfg.r, weights_path=cfg.weights)
 

@@ -18,6 +18,7 @@ renumbered 0..n-1 in order of first appearance and the mapping is retained.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -74,14 +75,7 @@ class WeightedGraph:
             seen.add((u, v))
             src[k], dst[k], prob[k] = u, v, p
         self._src, self._dst, self._prob = src, dst, prob
-
-        self._benefit = self._check_weights(benefit, "benefit")
-        self._cost = self._check_weights(cost, "cost")
-        self._normalized = bool(normalized)
-        if self._normalized:
-            overlap = np.minimum(self._benefit, self._cost)
-            if np.any(overlap != 0.0):
-                raise DomainError("normalized graphs require min(benefit, cost) == 0 per node")
+        self._set_weights(benefit, cost, normalized)
 
         if external_ids is None:
             external_ids = list(range(n))
@@ -97,11 +91,22 @@ class WeightedGraph:
         self._in_degree = np.diff(self._rev_ptr).astype(np.int64)
         self._rev_lists = None
 
-        for arr in (self._src, self._dst, self._prob, self._benefit, self._cost,
+        for arr in (self._src, self._dst, self._prob,
                     self._fwd_ptr, self._fwd_dst, self._fwd_prob,
                     self._rev_ptr, self._rev_src, self._rev_prob,
                     self._out_degree, self._in_degree):
             arr.setflags(write=False)
+
+    def _set_weights(self, benefit, cost, normalized):
+        self._benefit = self._check_weights(benefit, "benefit")
+        self._cost = self._check_weights(cost, "cost")
+        self._normalized = bool(normalized)
+        if self._normalized:
+            overlap = np.minimum(self._benefit, self._cost)
+            if np.any(overlap != 0.0):
+                raise DomainError("normalized graphs require min(benefit, cost) == 0 per node")
+        self._benefit.setflags(write=False)
+        self._cost.setflags(write=False)
 
     def _check_weights(self, w, name):
         if w is None:
@@ -202,10 +207,14 @@ class WeightedGraph:
         return WeightTotals(float(self._benefit.sum()), float(self._cost.sum()))
 
     def with_weights(self, benefit, cost, normalized=False) -> "WeightedGraph":
-        """New graph view sharing this edge structure with replaced weights."""
-        edges = zip(self._src.tolist(), self._dst.tolist(), self._prob.tolist())
-        return WeightedGraph(self._n, edges, benefit, cost,
-                             external_ids=self._external_ids, normalized=normalized)
+        """New graph view sharing this edge structure with replaced weights.
+
+        The edge arrays, CSRs and id maps are shared read-only; only the new
+        weights are validated.
+        """
+        view = copy.copy(self)
+        view._set_weights(benefit, cost, normalized)
+        return view
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
@@ -218,9 +227,6 @@ class WeightedGraph:
                 and np.array_equal(self._prob, other._prob)
                 and np.array_equal(self._benefit, other._benefit)
                 and np.array_equal(self._cost, other._cost))
-
-    def __hash__(self):
-        return id(self)
 
     def __repr__(self):
         return (f"WeightedGraph(n={self._n}, m={self.edge_count}, "

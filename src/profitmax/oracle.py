@@ -15,9 +15,6 @@ by the world's probability.  Size caps keep accidental blowups out.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, DomainError
@@ -30,23 +27,6 @@ DEFAULT_NODE_CAP = 16
 
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-
-
-@dataclass(frozen=True)
-class LiveEdgeWorld:
-    """One deterministic diffusion outcome: which edges are live, and its mass."""
-
-    live_mask: tuple
-    probability: float
-
-
-@dataclass(frozen=True)
-class ExactEvaluation:
-    """Exact expected benefit, cost and profit of one seed set."""
-
-    benefit: float
-    cost: float
-    profit: float
 
 
 def _check_seeds(g: WeightedGraph, seeds) -> frozenset:
@@ -62,43 +42,6 @@ def _check_edge_cap(g: WeightedGraph, edge_cap: int) -> None:
         raise CapacityError(
             f"exact enumeration needs 2^{g.edge_count} worlds; "
             f"the edge cap is {edge_cap}")
-
-
-def enumerate_worlds(g: WeightedGraph, edge_cap: int = DEFAULT_EDGE_CAP):
-    """Yield every live-edge world with positive probability.
-
-    The probabilities of the yielded worlds sum to 1: impossible worlds
-    (those requiring a 0-probability edge live, or a sure edge dead) carry
-    zero mass and are skipped.
-    """
-    _check_edge_cap(g, edge_cap)
-    _, _, prob = g.edge_arrays()
-    probs = prob.tolist()
-    for bits in itertools.product((False, True), repeat=g.edge_count):
-        p = 1.0
-        for live, pe in zip(bits, probs):
-            p *= pe if live else 1.0 - pe
-        if p > 0.0:
-            yield LiveEdgeWorld(bits, p)
-
-
-def reachable_in_world(g: WeightedGraph, live_mask, seeds) -> frozenset:
-    """Nodes reachable from the seeds over the world's live edges."""
-    seeds = _check_seeds(g, seeds)
-    src, dst, _ = g.edge_arrays()
-    adj = {}
-    for k, live in enumerate(live_mask):
-        if live:
-            adj.setdefault(int(src[k]), []).append(int(dst[k]))
-    active = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in active:
-                active.add(v)
-                stack.append(v)
-    return frozenset(active)
 
 
 def simulate_spread(g: WeightedGraph, seeds, rng) -> set:
@@ -136,8 +79,7 @@ class ExactEvaluator(MarginalEvaluator):
 
     All 2^m worlds are tabulated once (probability, plus a reachability
     bitmask per node incident to an edge); each subsequent query is a few
-    vectorized passes.  Results are memoized per seed set, so iterative
-    algorithms can query freely on fixture-scale graphs.
+    vectorized passes over that table, for the one side it asks about.
 
     Memory grows as 2^m * (#nodes touching edges), which the edge cap keeps
     in check.
@@ -147,7 +89,6 @@ class ExactEvaluator(MarginalEvaluator):
         _check_edge_cap(g, edge_cap)
         self.graph = g
         self.node_count = g.node_count
-        self._memo = {}
 
         src, dst, prob = g.edge_arrays()
         m = g.edge_count
@@ -207,51 +148,24 @@ class ExactEvaluator(MarginalEvaluator):
             total = total + table[(masks >> (_LIMB_BITS * i)) & _LIMB_MASK]
         return total
 
-    def evaluate(self, seeds) -> ExactEvaluation:
-        beta, gamma = self._eval(_check_seeds(self.graph, seeds))
-        return ExactEvaluation(beta, gamma, beta - gamma)
-
-    def _eval(self, seeds: frozenset):
-        hit = self._memo.get(seeds)
-        if hit is not None:
-            return hit
-        g = self.graph
-        beta = gamma = 0.0
+    def value(self, seeds, metric: str) -> float:
+        self._check_metric(metric)
+        if metric == "profit":
+            return self.value(seeds, "benefit") - self.value(seeds, "cost")
+        weights, tables = ((self.graph.benefit, self._tables_b) if metric == "benefit"
+                           else (self.graph.cost, self._tables_c))
+        total = 0.0
         active_cols = []
-        for v in seeds:
+        for v in _check_seeds(self.graph, seeds):
             pos = self._active_pos.get(v)
             if pos is None:
-                beta += float(g.benefit[v])
-                gamma += float(g.cost[v])
+                total += float(weights[v])
             else:
                 active_cols.append(pos)
         if active_cols:
             union = np.bitwise_or.reduce(self._reach[:, active_cols], axis=1)
-            beta += float(self._prob @ self._mask_weight(union, self._tables_b))
-            gamma += float(self._prob @ self._mask_weight(union, self._tables_c))
-        self._memo[seeds] = (beta, gamma)
-        return beta, gamma
-
-    def value(self, seeds, metric: str) -> float:
-        self._check_metric(metric)
-        beta, gamma = self._eval(_check_seeds(self.graph, seeds))
-        if metric == "benefit":
-            return beta
-        if metric == "cost":
-            return gamma
-        return beta - gamma
-
-
-def exact_evaluate(g: WeightedGraph, seeds,
-                   edge_cap: int = DEFAULT_EDGE_CAP) -> ExactEvaluation:
-    """Exact benefit, cost and profit of one seed set (2^m enumeration)."""
-    return ExactEvaluator(g, edge_cap=edge_cap).evaluate(seeds)
-
-
-def exact_marginal(g: WeightedGraph, base, v, metric: str,
-                   edge_cap: int = DEFAULT_EDGE_CAP) -> float:
-    """Exact f(base + v) - f(base) for f in benefit/cost/profit."""
-    return ExactEvaluator(g, edge_cap=edge_cap).marginal(int(v), frozenset(base), metric)
+            total += float(self._prob @ self._mask_weight(union, tables))
+        return total
 
 
 def exhaustive_optimum(g: WeightedGraph, objective: str = "profit",

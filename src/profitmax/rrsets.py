@@ -271,20 +271,6 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
                                  np.array(members, dtype=np.int32))
 
 
-def coverage(coll: RRCollection, seeds) -> int:
-    """Lambda(S): how many of the collection's sets S intersects."""
-    return int(np.count_nonzero(coll.covered(_node_array(seeds, coll.node_count))))
-
-
-def marginal_coverage(coll: RRCollection, seeds, v) -> int:
-    """Sets containing v that S leaves uncovered; equals Lambda(S+v) - Lambda(S)."""
-    v = int(v)
-    seeds = frozenset(int(x) for x in seeds)
-    if v in seeds:
-        raise DomainError(f"node {v} already in the seed set")
-    return coverage(coll, seeds | {v}) - coverage(coll, seeds)
-
-
 def chernoff_a(delta: float) -> float:
     """The concentration constant a = 4(e-2) ln(2/delta)."""
     delta = float(delta)
@@ -466,15 +452,10 @@ class ProfitEstimator(MarginalEvaluator):
         return RRCoverage(self._colls[metric], self.rho(metric),
                           _node_array(base, self.node_count))
 
-    def estimate(self, seeds):
-        """(estimated benefit, estimated cost, estimated profit)."""
-        b = self.value(seeds, "benefit")
-        c = self.value(seeds, "cost")
-        return b, c, b - c
-
     def coverage_counts(self, seeds):
-        """(Lambda_beta, Lambda_gamma) coverage counts for the seed set."""
-        return coverage(self._colls["benefit"], seeds), coverage(self._colls["cost"], seeds)
+        """(Lambda_beta, Lambda_gamma): how many sets of each side the seed set covers."""
+        seeds = _node_array(seeds, self.node_count)
+        return tuple(int(np.count_nonzero(self._colls[kind].covered(seeds))) for kind in KINDS)
 
 
 def save_collection(coll: RRCollection, path) -> None:

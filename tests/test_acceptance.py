@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from profitmax import (ExactEvaluator, ProfitEstimator, WeightedGraph,
-                       assign_weights, chernoff_a, confidence_bounds, coverage,
+                       assign_weights, chernoff_a, confidence_bounds,
                        exhaustive_optimum, generate, greedy, iterative_prune,
                        k_sweep, make_permutation, modmod, modular_lower,
                        modular_upper, mu_bound, normalize_weights,
@@ -184,7 +184,8 @@ def test_criterion_3_theorem_property_suite():
 
 def test_criterion_4_estimator_accuracy(demo_estimator_1m):
     start = time.perf_counter()
-    b, c, p = demo_estimator_1m.estimate(DEMO_OPTIMUM)
+    est = demo_estimator_1m
+    b, c, p = est.benefit(DEMO_OPTIMUM), est.cost(DEMO_OPTIMUM), est.profit(DEMO_OPTIMUM)
     assert abs(b - 5.88) / 5.88 <= 0.01
     assert abs(c - 4.20) / 4.20 <= 0.01
     assert abs(p - 1.68) / 1.68 <= 0.01
@@ -204,7 +205,7 @@ def test_criterion_5_confidence_coverage(demo_graph_m):
     for i in range(runs):
         coll = generate(demo_graph_m, "benefit", theta,
                         seed=derive_seed(555, "coverage", i))
-        lam = coverage(coll, DEMO_OPTIMUM)
+        lam = int(np.count_nonzero(coll.covered(np.array(sorted(DEMO_OPTIMUM)))))
         lower, upper = confidence_bounds(lam, theta, upsilon, delta)
         hits += lower <= exact_benefit <= upper
     # one-sided exact binomial test at significance 0.001: reject only if

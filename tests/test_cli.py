@@ -217,6 +217,23 @@ class TestConfigFile:
         config.write_text("nonsense = 1\n", encoding="utf-8")
         assert main(["prune", "--config", str(config), "--graph", edges]) == 2
 
+    @pytest.mark.parametrize("line", ["model = ic", "validate = 1", "thetas = 2"])
+    def test_non_field_keys_rejected(self, demo_files, tmp_path, capsys, line):
+        edges, _ = demo_files
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# header\n{line}\n", encoding="utf-8")
+        assert main(["prune", "--config", str(config), "--graph", edges]) == 2
+        assert f"{config}:2: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["seed = abc", "theta = 100, x", "delta = small",
+                                      "validation_theta = 1.5", "theta_exp = 2 y"])
+    def test_bad_values_carry_the_line(self, demo_files, tmp_path, capsys, line):
+        edges, _ = demo_files
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"graph = {edges}\n\n{line}\n", encoding="utf-8")
+        assert main(["prune", "--config", str(config), "--exact"]) == 2
+        assert f"{config}:3: bad value" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_graph_file(self, tmp_path):
@@ -234,6 +251,23 @@ class TestExitCodes:
         big.write_text(lines + "\n", encoding="utf-8")
         assert main(["prune", "--graph", big.as_posix(), "--exact",
                      "--cost-dist", "uniform", "--seed", "1"]) == 4
+
+    @pytest.mark.parametrize("prob", ["abc", "1.5"])
+    def test_bad_default_prob_is_input_error(self, demo_files, capsys, prob):
+        edges, _ = demo_files
+        assert main(["prune", "--graph", edges, "--default-prob", prob,
+                     "--exact", "--seed", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_model_flag_is_gone(self, demo_files, tmp_path):
+        edges, weights = demo_files
+        out = tmp_path / "lattice.json"
+        with pytest.raises(SystemExit) as info:
+            main(["prune", "--graph", edges, "--exact", "--model", "ic"])
+        assert info.value.code == 2
+        assert main(["prune", "--graph", edges, "--weights", weights, "--exact",
+                     "--out", str(out)]) == 0
+        assert "model" not in json.loads(out.read_text())["config"]
 
     def test_malformed_graph_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.edges"

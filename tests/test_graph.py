@@ -7,7 +7,7 @@ from profitmax import (DomainError, ParseError, WeightedGraph, assign_weights,
                        load_edge_list, load_graph_json, load_weights,
                        normalize_weights, save_edge_list, save_graph_json,
                        save_weights)
-from profitmax.oracle import exact_evaluate
+from profitmax.oracle import ExactEvaluator
 
 from conftest import DEMO_BENEFIT, DEMO_COST, DEMO_EDGES, make_demo_graph, random_graph
 
@@ -122,6 +122,30 @@ class TestGraphValidation:
         assert t.upsilon_b == pytest.approx(8.5)
         assert t.upsilon_c == pytest.approx(8.0)
 
+    def test_with_weights_shares_the_edge_structure(self):
+        g = make_demo_graph()
+        view = g.with_weights([1.0] * 4, [0.0] * 4)
+        for mine, theirs in ((g.edge_arrays(), view.edge_arrays()),
+                             (g.forward_csr(), view.forward_csr()),
+                             (g.reverse_csr(), view.reverse_csr())):
+            assert all(a is b for a, b in zip(mine, theirs))
+        assert view.benefit.tolist() == [1.0] * 4 and not view.benefit.flags.writeable
+        assert g.benefit.tolist() == DEMO_BENEFIT
+        with pytest.raises(DomainError):
+            g.with_weights([1.0, -1.0, 0.0, 0.0], [0.0] * 4)
+        with pytest.raises(DomainError):
+            g.with_weights([1.0] * 3, [0.0] * 4)
+        with pytest.raises(DomainError):
+            g.with_weights(DEMO_BENEFIT, DEMO_COST, normalized=True)
+
+    def test_equal_graphs_are_unhashable(self):
+        # __eq__ compares values, so an identity hash would let two equal
+        # graphs sit in one set; without a hash they cannot be set members
+        g, h = make_demo_graph(), make_demo_graph()
+        assert g == h
+        with pytest.raises(TypeError):
+            {g, h}
+
 
 class TestAssignWeights:
     def path_graph(self):
@@ -205,9 +229,9 @@ class TestNormalize:
             g = random_graph(rng, max_nodes=5, max_edges=8)
             gn = normalize_weights(g)
             seeds = {int(v) for v in range(g.node_count) if rng.random() < 0.5}
-            raw = exact_evaluate(g, seeds)
-            norm = exact_evaluate(gn, seeds)
-            assert norm.profit == pytest.approx(raw.profit, abs=1e-12)
+            raw = ExactEvaluator(g).profit(seeds)
+            norm = ExactEvaluator(gn).profit(seeds)
+            assert norm == pytest.approx(raw, abs=1e-12)
 
     def test_normalized_flag_validated(self):
         with pytest.raises(DomainError):

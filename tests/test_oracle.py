@@ -2,54 +2,12 @@ import numpy as np
 import pytest
 
 from profitmax import (CapacityError, DomainError, ExactEvaluator, WeightedGraph,
-                       enumerate_worlds, exact_evaluate, exact_marginal,
-                       exhaustive_optimum, reachable_in_world, simulate_spread)
+                       exhaustive_optimum, simulate_spread)
 from profitmax.rng import UniformStream
 
 from conftest import (DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT, brute_evaluate,
                       brute_optimum, edgeless_graph, make_demo_graph,
                       random_graph, random_subset)
-
-
-class TestWorlds:
-    def test_probabilities_sum_to_one(self, demo_graph):
-        worlds = list(enumerate_worlds(demo_graph))
-        assert len(worlds) == 2 ** 4
-        assert sum(w.probability for w in worlds) == pytest.approx(1.0, abs=1e-9)
-        assert all(w.probability > 0 for w in worlds)
-
-    def test_impossible_worlds_are_skipped(self):
-        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 0.5)], benefit=[1, 1, 1])
-        worlds = list(enumerate_worlds(g))
-        # the p=1 edge is live in every possible world
-        assert len(worlds) == 2
-        assert all(w.live_mask[0] for w in worlds)
-        assert sum(w.probability for w in worlds) == pytest.approx(1.0)
-
-    def test_sum_to_one_on_random_graphs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            g = random_graph(rng, max_nodes=5, max_edges=9)
-            total = sum(w.probability for w in enumerate_worlds(g))
-            assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_edge_cap(self):
-        edges = [(0, i + 1, 0.5) for i in range(21)]
-        g = WeightedGraph(22, edges, benefit=[1.0] * 22)
-        with pytest.raises(CapacityError, match="20"):
-            list(enumerate_worlds(g))
-
-    def test_reachability_monotone_in_seeds(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            g = random_graph(rng, max_nodes=5, max_edges=8)
-            for world in enumerate_worlds(g):
-                small = random_subset(rng, g.node_count)
-                extra = random_subset(rng, g.node_count)
-                big = small | extra
-                r_small = reachable_in_world(g, world.live_mask, small)
-                r_big = reachable_in_world(g, world.live_mask, big)
-                assert r_small <= r_big
 
 
 class TestSimulate:
@@ -88,27 +46,28 @@ class TestSimulate:
                 beta_sum += benefit[v]
                 gamma_sum += cost[v]
         assert hits_v4 / runs == pytest.approx(0.6052, abs=2e-3)
-        exact = exact_evaluate(demo_graph, {0, 2})
-        assert beta_sum / runs == pytest.approx(exact.benefit, rel=5e-3)
-        assert gamma_sum / runs == pytest.approx(exact.cost, rel=5e-3)
+        exact = ExactEvaluator(demo_graph)
+        assert beta_sum / runs == pytest.approx(exact.benefit({0, 2}), rel=5e-3)
+        assert gamma_sum / runs == pytest.approx(exact.cost({0, 2}), rel=5e-3)
 
 
 class TestExactEvaluate:
     def test_demo_values(self, demo_graph):
-        res = exact_evaluate(demo_graph, {1, 2})
-        assert res.benefit == pytest.approx(5.88, abs=1e-9)
-        assert res.cost == pytest.approx(4.20, abs=1e-9)
-        assert res.profit == pytest.approx(1.68, abs=1e-9)
-        assert exact_evaluate(demo_graph, {1, 3}).profit == pytest.approx(-2.0, abs=1e-9)
-        assert exact_evaluate(demo_graph, {1, 2, 3}).profit == pytest.approx(0.0, abs=1e-9)
+        ev = ExactEvaluator(demo_graph)
+        assert ev.benefit({1, 2}) == pytest.approx(5.88, abs=1e-9)
+        assert ev.cost({1, 2}) == pytest.approx(4.20, abs=1e-9)
+        assert ev.profit({1, 2}) == pytest.approx(1.68, abs=1e-9)
+        assert ev.profit({1, 3}) == pytest.approx(-2.0, abs=1e-9)
+        assert ev.profit({1, 2, 3}) == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_seeds(self, demo_graph):
-        res = exact_evaluate(demo_graph, set())
-        assert res.benefit == res.cost == res.profit == 0.0
+        ev = ExactEvaluator(demo_graph)
+        assert ev.benefit(set()) == ev.cost(set()) == ev.profit(set()) == 0.0
 
     def test_profit_is_benefit_minus_cost(self, demo_graph):
-        res = exact_evaluate(demo_graph, {0, 3})
-        assert res.profit == res.benefit - res.cost
+        ev = ExactEvaluator(demo_graph)
+        assert ev.profit({0, 3}) == ev.benefit({0, 3}) - ev.cost({0, 3})
+        assert ev.value({0, 3}, "profit") == ev.profit({0, 3})
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -116,9 +75,9 @@ class TestExactEvaluate:
             g = random_graph(rng, max_nodes=6, max_edges=9)
             seeds = random_subset(rng, g.node_count)
             expected_b, expected_c = brute_evaluate(g, seeds)
-            res = exact_evaluate(g, seeds)
-            assert res.benefit == pytest.approx(expected_b, abs=1e-9)
-            assert res.cost == pytest.approx(expected_c, abs=1e-9)
+            ev = ExactEvaluator(g)
+            assert ev.benefit(seeds) == pytest.approx(expected_b, abs=1e-9)
+            assert ev.cost(seeds) == pytest.approx(expected_c, abs=1e-9)
 
     def test_matches_brute_force_with_deterministic_edges(self):
         rng = np.random.default_rng(33)
@@ -137,57 +96,60 @@ class TestExactEvaluate:
                               benefit=g.benefit, cost=g.cost)
             seeds = random_subset(rng, g.node_count)
             expected_b, expected_c = brute_evaluate(g, seeds)
-            res = exact_evaluate(g, seeds)
-            assert res.benefit == pytest.approx(expected_b, abs=1e-9)
-            assert res.cost == pytest.approx(expected_c, abs=1e-9)
+            ev = ExactEvaluator(g)
+            assert ev.benefit(seeds) == pytest.approx(expected_b, abs=1e-9)
+            assert ev.cost(seeds) == pytest.approx(expected_c, abs=1e-9)
 
     def test_isolated_nodes_contribute_when_seeded(self):
         g = WeightedGraph(3, [(0, 1, 0.5)], benefit=[1, 1, 7], cost=[0, 0, 2])
-        assert exact_evaluate(g, {2}).profit == pytest.approx(5.0)
-        assert exact_evaluate(g, set()).profit == 0.0
+        ev = ExactEvaluator(g)
+        assert ev.profit({2}) == pytest.approx(5.0)
+        assert ev.profit(set()) == 0.0
 
     def test_edge_cap_error(self):
         edges = [(0, i + 1, 0.5) for i in range(21)]
         g = WeightedGraph(22, edges, benefit=[1.0] * 22)
         with pytest.raises(CapacityError, match="20"):
-            exact_evaluate(g, {0})
+            ExactEvaluator(g)
 
     def test_cap_is_configurable(self, demo_graph):
         with pytest.raises(CapacityError):
-            exact_evaluate(demo_graph, {0}, edge_cap=3)
+            ExactEvaluator(demo_graph, edge_cap=3)
 
     def test_cost_charged_for_activated_sinks(self):
         # a sink's cost is charged whenever it activates, even with nothing
         # downstream to push to
         g = WeightedGraph(2, [(0, 1, 0.25)], benefit=[0, 0], cost=[0, 4])
-        assert exact_evaluate(g, {0}).cost == pytest.approx(1.0)
+        assert ExactEvaluator(g).cost({0}) == pytest.approx(1.0)
 
 
 class TestExactMarginal:
     def test_composite_demo_value(self, demo_graph):
-        value = (exact_marginal(demo_graph, {1, 2, 3}, 0, "benefit")
-                 - exact_marginal(demo_graph, set(), 0, "cost"))
+        ev = ExactEvaluator(demo_graph)
+        value = ev.marginal(0, {1, 2, 3}, "benefit") - ev.marginal(0, set(), "cost")
         assert value == pytest.approx(-1.98, abs=1e-9)
 
     def test_profit_marginal_demo(self, demo_graph):
         # benefit marginal 2.28 minus cost marginal 1.70
-        assert exact_marginal(demo_graph, {2}, 1, "benefit") == pytest.approx(2.28, abs=1e-9)
-        assert exact_marginal(demo_graph, {2}, 1, "cost") == pytest.approx(1.70, abs=1e-9)
-        assert exact_marginal(demo_graph, {2}, 1, "profit") == pytest.approx(0.58, abs=1e-9)
+        ev = ExactEvaluator(demo_graph)
+        assert ev.marginal(1, {2}, "benefit") == pytest.approx(2.28, abs=1e-9)
+        assert ev.marginal(1, {2}, "cost") == pytest.approx(1.70, abs=1e-9)
+        assert ev.marginal(1, {2}, "profit") == pytest.approx(0.58, abs=1e-9)
 
     def test_edgeless_profit_marginal_is_net_weight(self):
         g = edgeless_graph([2.0, -1.0, 3.0])
+        ev = ExactEvaluator(g)
         for base in (set(), {0}, {0, 1}):
             v = max(set(range(3)) - base)
-            assert exact_marginal(g, base, v, "profit") == pytest.approx(g.net_weight[v])
+            assert ev.marginal(v, base, "profit") == pytest.approx(g.net_weight[v])
 
     def test_rejects_member_node(self, demo_graph):
         with pytest.raises(DomainError):
-            exact_marginal(demo_graph, {1}, 1, "benefit")
+            ExactEvaluator(demo_graph).marginal(1, {1}, "benefit")
 
     def test_rejects_unknown_metric(self, demo_graph):
         with pytest.raises(DomainError):
-            exact_marginal(demo_graph, set(), 1, "spread")
+            ExactEvaluator(demo_graph).marginal(1, set(), "spread")
 
 
 class TestSubmodularity:
@@ -206,8 +168,9 @@ class TestSubmodularity:
 
     def test_profit_non_monotone_on_demo(self, demo_graph):
         # adding v4 alone is worse than seeding nothing
-        assert exact_evaluate(demo_graph, {3}).profit == pytest.approx(-3.0, abs=1e-9)
-        assert exact_evaluate(demo_graph, set()).profit == 0.0
+        ev = ExactEvaluator(demo_graph)
+        assert ev.profit({3}) == pytest.approx(-3.0, abs=1e-9)
+        assert ev.profit(set()) == 0.0
 
 
 class TestExhaustiveOptimum:
@@ -246,7 +209,7 @@ class TestExhaustiveOptimum:
 
 
 class TestEvaluatorReuse:
-    def test_memoized_queries_are_consistent(self, demo_graph):
+    def test_repeated_queries_are_consistent(self, demo_graph):
         ev = ExactEvaluator(demo_graph)
         first = ev.profit({1, 2})
         assert ev.profit({1, 2}) == first

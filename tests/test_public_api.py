@@ -1,0 +1,38 @@
+"""The library surface the benchmark harness and outside callers rely on."""
+
+import importlib
+
+import numpy as np
+
+import profitmax
+from profitmax import ProfitEstimator, RRCollection
+
+
+def test_every_exported_name_resolves():
+    assert len(profitmax.__all__) == len(set(profitmax.__all__))
+    for name in profitmax.__all__:
+        assert getattr(profitmax, name) is not None, name
+
+
+def test_estimator_queries_are_its_own_methods():
+    # the harness wraps these in place on the class, so each must be defined
+    # on ProfitEstimator itself rather than inherited
+    for method in ("value", "marginal", "marginal_many", "marginal_vs_rest",
+                   "chain_increments"):
+        assert callable(ProfitEstimator.__dict__[method]), method
+    assert isinstance(ProfitEstimator.__dict__["build"], classmethod)
+
+
+def test_certify_module_exposes_mu_bound():
+    # ``profitmax.certify`` is the function; the module is reached by name
+    assert callable(importlib.import_module("profitmax.certify").mu_bound)
+
+
+def test_collection_from_keyword_arguments():
+    coll = RRCollection(kind="benefit", node_count=3, total_weight=2.0, seed=5,
+                        sets=[[0, 1], [2]])
+    assert [s.tolist() for s in coll.sets] == [[0, 1], [2]]
+    assert [s.tolist() for s in coll.index] == [[0], [0], [1]]
+    assert all(isinstance(s, np.ndarray) for s in (*coll.sets, *coll.index))
+    assert (coll.kind, coll.node_count, coll.total_weight, coll.seed, coll.theta) == \
+        ("benefit", 3, 2.0, 5, 2)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from profitmax import (AliasTable, DomainError, ProfitEstimator, RRCollection,
-                       WeightedGraph, chernoff_a, confidence_bounds, coverage,
-                       generate, load_collection, marginal_coverage,
-                       normalize_weights, sampling_error_limit, save_collection,
-                       theta_for_relative_error)
+                       WeightedGraph, chernoff_a, confidence_bounds, generate,
+                       load_collection, normalize_weights, sampling_error_limit,
+                       save_collection, theta_for_relative_error)
 from profitmax.evaluation import CoverageState
 from profitmax.rng import derive_seed
 
@@ -18,6 +17,21 @@ from conftest import brute_evaluate, make_demo_graph, random_graph, random_subse
 def collection_from_sets(sets, node_count, kind="benefit", total=1.0):
     return RRCollection(kind=kind, node_count=node_count, total_weight=total,
                         seed=0, sets=sets)
+
+
+def counting_estimator(sets, node_count) -> ProfitEstimator:
+    """Estimator over the sets as its benefit side with rho = 1 and no cost.
+
+    Its benefit values and marginals are plain coverage counts, and its
+    ``coverage_counts(S)[0]`` is Lambda(S).
+    """
+    theta = len(sets)
+    g = WeightedGraph(node_count, [], benefit=[theta] + [0] * (node_count - 1))
+    return ProfitEstimator(collection_from_sets(sets, node_count, total=theta), None, g)
+
+
+def estimates(est, seeds):
+    return est.benefit(seeds), est.cost(seeds), est.profit(seeds)
 
 
 class TestAliasTable:
@@ -113,31 +127,31 @@ class TestGenerate:
 
 class TestCoverage:
     def test_direct_count(self):
-        coll = collection_from_sets([[1], [2, 4], [3]], node_count=5)
-        assert coverage(coll, {4}) == 1
-        assert coverage(coll, {1, 3}) == 2
+        est = counting_estimator([[1], [2, 4], [3]], node_count=5)
+        assert est.coverage_counts({4}) == (1, 0)
+        assert est.coverage_counts({1, 3}) == (2, 0)
 
     def test_all_nodes_cover_everything(self):
-        coll = collection_from_sets([[1], [2, 4], [3]], node_count=5)
-        assert coverage(coll, set(range(5))) == coll.theta
+        est = counting_estimator([[1], [2, 4], [3]], node_count=5)
+        assert est.coverage_counts(set(range(5)))[0] == est.benefit_rr.theta
 
     def test_empty_set_covers_nothing(self):
-        coll = collection_from_sets([[1], [2]], node_count=3)
-        assert coverage(coll, set()) == 0
+        est = counting_estimator([[1], [2]], node_count=3)
+        assert est.coverage_counts(set()) == (0, 0)
 
     def test_out_of_range_node(self):
-        coll = collection_from_sets([[0]], node_count=1)
+        est = counting_estimator([[0]], node_count=1)
         with pytest.raises(DomainError):
-            coverage(coll, {5})
+            est.coverage_counts({5})
 
     def test_monotone_and_submodular_exhaustively(self):
         rng = np.random.default_rng(17)
         g = random_graph(rng, max_nodes=6, max_edges=10)
-        coll = generate(g, "benefit", 60, seed=8)
         n = g.node_count
+        est = counting_estimator(generate(g, "benefit", 60, seed=8).sets, n)
         subsets = [frozenset(s) for r in range(n + 1)
                    for s in itertools.combinations(range(n), r)]
-        lam = {s: coverage(coll, s) for s in subsets}
+        lam = {s: est.coverage_counts(s)[0] for s in subsets}
         for s in subsets:
             for t in subsets:
                 if s <= t:
@@ -154,32 +168,32 @@ class TestCoverage:
 
 class TestMarginalCoverage:
     def test_example_counts(self):
-        coll = collection_from_sets([[1, 2], [2]], node_count=3)
-        assert marginal_coverage(coll, {1}, 2) == 1
-        assert marginal_coverage(coll, set(), 2) == 2
+        est = counting_estimator([[1, 2], [2]], node_count=3)
+        assert est.marginal(2, {1}, "benefit") == 1.0
+        assert est.marginal(2, set(), "benefit") == 2.0
 
     def test_empty_base_is_index_degree(self):
-        coll = collection_from_sets([[1], [2, 4], [3]], node_count=5)
+        est = counting_estimator([[1], [2, 4], [3]], node_count=5)
         for v in range(5):
-            assert marginal_coverage(coll, set(), v) == len(coll.index[v])
+            assert est.marginal(v, set(), "benefit") == len(est.benefit_rr.index[v])
 
     def test_identity_with_coverage_difference(self):
         rng = np.random.default_rng(23)
         g = random_graph(rng, max_nodes=6, max_edges=10)
-        coll = generate(g, "benefit", 200, seed=9)
+        est = counting_estimator(generate(g, "benefit", 200, seed=9).sets, g.node_count)
         for _ in range(30):
             s = random_subset(rng, g.node_count)
             outside = [v for v in range(g.node_count) if v not in s]
             if not outside:
                 continue
             v = int(rng.choice(outside))
-            assert (marginal_coverage(coll, s, v)
-                    == coverage(coll, s | {v}) - coverage(coll, s))
+            assert (est.marginal(v, s, "benefit")
+                    == est.coverage_counts(s | {v})[0] - est.coverage_counts(s)[0])
 
     def test_rejects_member(self):
-        coll = collection_from_sets([[0]], node_count=2)
+        est = counting_estimator([[0]], node_count=2)
         with pytest.raises(DomainError):
-            marginal_coverage(coll, {0}, 0)
+            est.marginal(0, {0}, "benefit")
 
 
 from hypothesis import given, settings
@@ -230,20 +244,20 @@ class TestEstimator:
     def test_zero_coverage_gives_zero(self):
         g = WeightedGraph(2, [(0, 1, 0.5)], benefit=[1, 1], cost=[1, 1])
         est = ProfitEstimator.build(g, 50, 50, seed=11)
-        assert est.estimate(set()) == (0.0, 0.0, 0.0)
+        assert estimates(est, set()) == (0.0, 0.0, 0.0)
 
     def test_single_node_graph_is_exact_for_any_theta(self):
         g = WeightedGraph(1, [], benefit=[5.0], cost=[0.0])
         for theta in (1, 7, 100):
             est = ProfitEstimator.build(g, theta, theta, seed=12)
-            b, c, p = est.estimate({0})
+            b, c, p = estimates(est, {0})
             assert b == pytest.approx(5.0, abs=1e-12)
             assert c == 0.0
             assert p == pytest.approx(5.0, abs=1e-12)
 
     def test_demo_estimates_close_to_exact(self, demo_graph):
         est = ProfitEstimator.build(demo_graph, 100_000, 100_000, seed=13)
-        b, c, p = est.estimate({1, 2})
+        b, c, p = estimates(est, {1, 2})
         assert b == pytest.approx(5.88, rel=0.03)
         assert c == pytest.approx(4.20, rel=0.03)
         assert p == pytest.approx(1.68, rel=0.10)
@@ -399,4 +413,4 @@ class TestSerialization:
         est = ProfitEstimator(load_collection(str(tmp_path / "b.json")),
                               load_collection(str(tmp_path / "c.json")), demo_graph)
         direct = ProfitEstimator.build(demo_graph, 400, 400, seed=20)
-        assert est.estimate({1, 2}) == direct.estimate({1, 2})
+        assert estimates(est, {1, 2}) == estimates(direct, {1, 2})
