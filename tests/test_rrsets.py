@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from profitmax import (AliasTable, DomainError, ProfitEstimator, RRCollection,
+from profitmax import (AliasTable, DomainError, ExactEvaluator, ProfitEstimator, RRCollection,
                        WeightedGraph, chernoff_a, confidence_bounds, generate,
                        load_collection, normalize_weights, sampling_error_limit,
                        save_collection, theta_for_relative_error)
@@ -123,6 +123,22 @@ class TestGenerate:
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], benefit=[0, 0, 1])
         coll = generate(g, "benefit", 50, seed=6)
         assert all(sorted(s.tolist()) == [0, 1, 2] for s in coll.sets)
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_hit_rates_match_the_exact_oracle(self, case):
+        # Pr[S meets an RR set] = f(S) / Upsilon exactly, so the coverage
+        # count of every small S is Binomial(theta, f(S) / Upsilon).
+        g = make_demo_graph() if case == 0 else random_graph(np.random.default_rng(800 + case))
+        exact = ExactEvaluator(g)
+        theta = 20_000
+        for kind in ("benefit", "cost"):
+            coll = generate(g, kind, theta, seed=derive_seed(case, kind))
+            for size in range(4):
+                for seeds in itertools.combinations(range(g.node_count), size):
+                    p = exact.value(seeds, kind) / coll.total_weight
+                    hits = np.count_nonzero(coll.covered(np.array(seeds, dtype=np.int64)))
+                    spread = 5 * math.sqrt(max(theta * p * (1 - p), 0.0))
+                    assert abs(hits - theta * p) <= spread + 1e-6 * theta, (kind, seeds)
 
 
 class TestCoverage:
