@@ -242,6 +242,21 @@ def _graph_view(g: WeightedGraph, normalize: bool) -> WeightedGraph:
     return normalize_weights(g) if normalize else g
 
 
+def _read_json(path, read):
+    """``read(doc)`` for the JSON document at ``path``; malformed input raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    try:
+        return read(doc)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed document: {exc}") from None
+
+
 def _selection_evaluator(cfg: RunConfig, g_view: WeightedGraph, theta: int,
                          norm: bool):
     """(evaluator, rr generation time in ms)."""
@@ -381,14 +396,10 @@ def cmd_certify(args) -> int:
         raise ConfigError("field 'seeds': certify needs a seeds JSON file")
     raw = _load_weighted_graph(cfg)
     g = _graph_view(raw, cfg.normalize)
-    with open(cfg.seeds, "r", encoding="utf-8") as fh:
-        seeds_doc = json.load(fh)
-    seeds = frozenset(g.internal_id(v) for v in seeds_doc["seeds"])
-    if cfg.lattice:
-        with open(cfg.lattice, "r", encoding="utf-8") as fh:
-            lattice = Lattice.from_json_dict(json.load(fh), g)
-    else:
-        lattice = trivial_lattice(g.node_count)
+    seeds, algo = _read_json(cfg.seeds, lambda doc: (
+        frozenset(g.internal_id(v) for v in doc["seeds"]), doc.get("algorithm", "unknown")))
+    lattice = (_read_json(cfg.lattice, lambda doc: Lattice.from_json_dict(doc, g))
+               if cfg.lattice else trivial_lattice(g.node_count))
     theta = cfg.validation_theta or cfg.thetas()[0]
     cert = certify_seeds(seeds, g, lattice, theta, delta=cfg.delta,
                          seed=derive_seed(cfg.seed, "certify"))
@@ -398,7 +409,6 @@ def cmd_certify(args) -> int:
         doc["config"] = asdict(cfg)
         doc["config_hash"] = cfg.config_hash()
         Path(cfg.out).write_text(json.dumps(doc), encoding="utf-8")
-    algo = seeds_doc.get("algorithm", "unknown")
     result = SelectionResult(algorithm=algo, params={}, seeds=seeds,
                              estimated_profit=cert.phi_estimate)
     rows = [_row(cfg, algo, theta, cfg.lattice is not None, cfg.normalize,

@@ -46,7 +46,6 @@ class WeightedGraph:
         "_n", "_src", "_dst", "_prob", "_benefit", "_cost", "_normalized",
         "_external_ids", "_id_map", "_fwd_ptr", "_fwd_dst", "_fwd_prob",
         "_rev_ptr", "_rev_src", "_rev_prob", "_out_degree", "_in_degree",
-        "_rev_lists",
     )
 
     def __init__(self, node_count, edges, benefit=None, cost=None,
@@ -89,7 +88,6 @@ class WeightedGraph:
         self._rev_ptr, self._rev_src, self._rev_prob = self._csr(dst, src, prob)
         self._out_degree = np.diff(self._fwd_ptr).astype(np.int64)
         self._in_degree = np.diff(self._rev_ptr).astype(np.int64)
-        self._rev_lists = None
 
         for arr in (self._src, self._dst, self._prob,
                     self._fwd_ptr, self._fwd_dst, self._fwd_prob,
@@ -178,21 +176,6 @@ class WeightedGraph:
     def reverse_csr(self):
         """(ptr, src, prob) arrays; in-edges of v are slice ptr[v]:ptr[v+1]."""
         return self._rev_ptr, self._rev_src, self._rev_prob
-
-    def reverse_lists(self):
-        """In-edges of each node as plain Python lists of (source, prob).
-
-        Cached; used by the sampling hot loops where numpy scalar access is
-        slower than list indexing.
-        """
-        if self._rev_lists is None:
-            ptr, srcs, probs = self._rev_ptr, self._rev_src, self._rev_prob
-            lists = []
-            for v in range(self._n):
-                lo, hi = int(ptr[v]), int(ptr[v + 1])
-                lists.append(list(zip(srcs[lo:hi].tolist(), probs[lo:hi].tolist())))
-            self._rev_lists = lists
-        return self._rev_lists
 
     def internal_id(self, external: int) -> int:
         try:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .evaluation import MarginalEvaluator
 from .graph import WeightedGraph
-from .rng import UniformStream, make_rng
+from .rng import make_rng
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_NODE_CAP = 16
@@ -49,10 +49,10 @@ def simulate_spread(g: WeightedGraph, seeds, rng) -> set:
 
     Activation proceeds breadth first; each edge's coin is flipped at most
     once, lazily, when its source first activates.  The result always
-    contains the seeds.
+    contains the seeds.  ``rng`` is a seed or a ``numpy.random.Generator``.
     """
     seeds = _check_seeds(g, seeds)
-    rand = rng.next if isinstance(rng, UniformStream) else make_rng(rng).random
+    rand = make_rng(rng).random
     ptr, dst, prob = g.forward_csr()
     dst_l = dst.tolist()
     prob_l = prob.tolist()

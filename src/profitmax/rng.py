@@ -31,27 +31,3 @@ def make_rng(seed) -> np.random.Generator:
         raise DomainError("an explicit seed is required for stochastic operations")
     return np.random.default_rng(int(seed))
 
-
-class UniformStream:
-    """Buffered supply of uniform(0,1) floats drawn from one generator.
-
-    Scalar draws through ``Generator.random()`` dominate tight sampling loops;
-    pulling blocks and handing out plain Python floats is several times faster
-    while consuming the generator stream in the identical order.
-    """
-
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 15):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block).tolist()
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(self._block).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value

@@ -37,9 +37,11 @@ import numpy as np
 from .errors import DomainError
 from .evaluation import KINDS, MarginalEvaluator
 from .graph import WeightedGraph
-from .rng import UniformStream, derive_seed, make_rng
+from .rng import derive_seed, make_rng
 
 GENERATION_CHUNK = 8192
+# bytes of the (set, node) visited bitmap that one batch of sets may use
+VISITED_BUDGET = 1 << 20
 
 
 class AliasTable:
@@ -50,8 +52,8 @@ class AliasTable:
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights < 0):
-            raise DomainError("alias table weights must be nonnegative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise DomainError("alias table weights must be finite and nonnegative")
         total = float(weights.sum())
         if total <= 0:
             raise DomainError("alias table needs positive total weight")
@@ -156,7 +158,13 @@ class RRCollection:
         self.node_ptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
         # a stable sort keeps each node's set ids ascending
-        self.set_ids = _row_of(set_ptr, np.int32)[np.argsort(members, kind="stable")]
+        order = np.argsort(members, kind="stable")
+        self.set_ids = _row_of(set_ptr, np.int32)[order]
+        nodes = members[order]
+        twice = np.flatnonzero((nodes[1:] == nodes[:-1]) & (self.set_ids[1:] == self.set_ids[:-1]))
+        if twice.size:
+            raise DomainError(f"RR set {int(self.set_ids[twice[0]])} holds node "
+                              f"{int(nodes[twice[0]])} twice")
         for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
             arr.setflags(write=False)
 
@@ -227,13 +235,48 @@ class RRCollection:
         return c
 
 
+def _reverse_reach(roots, rng, rev, visited):
+    """Grow one RR set per root together, one BFS level per vectorised pass.
+
+    Every in-edge of every new member gets one coin from a single
+    ``rng.random`` draw per level; live edges become ``set * n + node`` keys,
+    keys already in ``visited`` (a bitmap over set-in-batch by node, cleared
+    again before returning) are dropped, and the rest are sorted and
+    deduplicated (a sort and an adjacent-difference mask; ``np.unique``
+    hashes first and is several times slower).  Returns the members as
+    ``(set, node)`` arrays grouped by set, each set root first and then level
+    by level, ascending within a level.
+    """
+    ptr, src, prob = rev
+    n = len(ptr) - 1
+    frontier = np.arange(len(roots), dtype=np.int64) * n + roots
+    visited[frontier] = True
+    levels = [frontier]
+    while frontier.size:
+        sets, nodes = np.divmod(frontier, n)
+        pos = _spans(ptr, nodes)
+        live = rng.random(len(pos)) < prob[pos]
+        keys = np.repeat(sets, ptr[nodes + 1] - ptr[nodes])[live] * n + src[pos[live]]
+        fresh = np.sort(keys[~visited[keys]])
+        frontier = fresh[np.diff(fresh, prepend=-1) > 0]
+        visited[frontier] = True
+        levels.append(frontier)
+    keys = np.concatenate(levels)
+    visited[keys] = False
+    keys = keys[np.argsort(keys // n, kind="stable")]
+    return np.divmod(keys, n)
+
+
 def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection:
     """Sample theta RR sets of the given weight kind.
 
     Each set draws its root proportionally to the node weights of the kind,
-    then walks the graph backwards, flipping each incoming edge at most once
-    and keeping every node whose live path reaches the root.  Members go
-    straight into the collection's flat member array.
+    then walks the graph backwards, flipping each incoming edge of each
+    member once and keeping every node whose live path reaches the root.
+    The sets of a block grow together, one BFS level per numpy pass, in
+    batches of ``VISITED_BUDGET // n`` sets so the visited bitmap stays
+    within the budget; every batch continues the block's generator.
+    Members go straight into the collection's flat member array.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
@@ -245,30 +288,25 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     if total <= 0:
         raise DomainError(f"no sampleable roots: total {kind} weight is zero")
     alias = AliasTable(weights)
-    rev = g.reverse_lists()
+    n = g.node_count
+    rev = g.reverse_csr()
+    batch = max(1, VISITED_BUDGET // n)
+    visited = np.zeros(min(batch, GENERATION_CHUNK, theta) * n, dtype=bool)
 
-    members = []
-    ends = [0]
+    sizes, members = [], []
     seed = int(seed)
     for block_start in range(0, theta, GENERATION_CHUNK):
         block_len = min(GENERATION_CHUNK, theta - block_start)
         rng = make_rng(derive_seed(seed, "rr", kind, block_start // GENERATION_CHUNK))
-        roots = alias.sample(rng, block_len).tolist()
-        coins = UniformStream(rng)
-        next_coin = coins.next
-        for root in roots:
-            qi = len(members)
-            members.append(root)
-            seen = {root}
-            while qi < len(members):
-                for u, p in rev[members[qi]]:
-                    if u not in seen and next_coin() < p:
-                        seen.add(u)
-                        members.append(u)
-                qi += 1
-            ends.append(len(members))
-    return RRCollection._from_csr(kind, g.node_count, total, seed, np.array(ends, dtype=np.int64),
-                                 np.array(members, dtype=np.int32))
+        roots = alias.sample(rng, block_len)
+        for lo in range(0, block_len, batch):
+            part = roots[lo:lo + batch]
+            sets, nodes = _reverse_reach(part, rng, rev, visited)
+            sizes.append(np.bincount(sets, minlength=len(part)))
+            members.append(nodes.astype(np.int32))
+    set_ptr = np.zeros(theta + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=set_ptr[1:])
+    return RRCollection._from_csr(kind, n, total, seed, set_ptr, np.concatenate(members))
 
 
 def chernoff_a(delta: float) -> float:

@@ -146,6 +146,25 @@ class TestCertify:
                      "--seeds", str(tmp_path / "absent.json"),
                      "--seed", "1"]) == 3
 
+    @pytest.mark.parametrize("seeds_text, lattice_text, expected", [
+        ('{"seeds": [2, 3', None, "seeds.json:1: "),
+        ('{"algorithm": "greedy"}', None, "seeds.json: missing key 'seeds'"),
+        ('{"seeds": [2, 3]}', '{"must_include": [3]}', "lattice.json: missing key 'may_include'"),
+    ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key"])
+    def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
+                                           seeds_text, lattice_text, expected):
+        edges, weights = demo_files
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(seeds_text, encoding="utf-8")
+        args = ["certify", "--graph", edges, "--weights", weights, "--seeds", str(seeds),
+                "--theta", "100", "--seed", "1"]
+        if lattice_text is not None:
+            lattice = tmp_path / "lattice.json"
+            lattice.write_text(lattice_text, encoding="utf-8")
+            args += ["--lattice", str(lattice)]
+        assert main(args) == 2
+        assert expected in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_full_matrix_row_count(self, demo_files, tmp_path):

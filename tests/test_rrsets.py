@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -52,6 +53,11 @@ class TestAliasTable:
     def test_rejects_zero_total(self):
         with pytest.raises(DomainError):
             AliasTable([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            AliasTable([bad, 1.0])
 
 
 class TestGenerate:
@@ -117,6 +123,17 @@ class TestGenerate:
     def test_malformed_sets_rejected(self, sets):
         with pytest.raises(DomainError):
             collection_from_sets(sets, node_count=2)
+
+    def test_repeated_member_rejected(self):
+        with pytest.raises(DomainError, match="RR set 0 holds node 0 twice"):
+            collection_from_sets([[1, 0, 0], [1]], node_count=2)
+
+    def test_loaded_repeated_member_rejected(self, tmp_path):
+        path = tmp_path / "rr.json"
+        path.write_text(json.dumps({"kind": "benefit", "node_count": 3, "total_weight": 1.0,
+                                    "seed": 0, "theta": 3, "sets": [[0], [2], [1, 2, 1]]}))
+        with pytest.raises(DomainError, match="RR set 2 holds node 1 twice"):
+            load_collection(str(path))
 
     def test_reverse_reachability_semantics(self):
         # sure chain 0 -> 1 -> 2: an RR set rooted at 2 contains everything
