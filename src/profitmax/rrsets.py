@@ -22,9 +22,10 @@ node, the count of its sets still uncovered, decremented only for the sets
 a new seed covers (the node-selection scheme of IMM, Tang, Shi and Xiao,
 SIGMOD 2015), so a whole greedy run touches each member of each set once.
 
-Generation is chunked: each block of sets gets its own generator derived from
-(seed, kind, block index), so the output is identical no matter how blocks
-would be distributed over workers.
+Sampling is block-frontier: the sets of a block grow together, one BFS level
+per numpy pass (see ``generate``).  Each block gets its own generator derived
+from (seed, kind, block index), so the output is identical no matter how
+blocks would be distributed over workers.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class AliasTable:
         self.alias = np.arange(n, dtype=np.int64)
         small = [i for i in range(n) if scaled[i] < 1.0]
         large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
         while small and large:
             s = small.pop()
             l = large.pop()
@@ -160,11 +160,9 @@ class RRCollection:
         # a stable sort keeps each node's set ids ascending
         order = np.argsort(members, kind="stable")
         self.set_ids = _row_of(set_ptr, np.int32)[order]
-        nodes = members[order]
-        twice = np.flatnonzero((nodes[1:] == nodes[:-1]) & (self.set_ids[1:] == self.set_ids[:-1]))
+        twice = np.flatnonzero((np.diff(members[order]) == 0) & (np.diff(self.set_ids) == 0))
         if twice.size:
-            raise DomainError(f"RR set {int(self.set_ids[twice[0]])} holds node "
-                              f"{int(nodes[twice[0]])} twice")
+            raise DomainError(f"RR set {int(self.set_ids[twice[0]])} repeats a node")
         for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
             arr.setflags(write=False)
 
@@ -236,16 +234,12 @@ class RRCollection:
 
 
 def _reverse_reach(roots, rng, rev, visited):
-    """Grow one RR set per root together, one BFS level per vectorised pass.
+    """(set, node) of the members of one RR set per root, grown level by level.
 
-    Every in-edge of every new member gets one coin from a single
-    ``rng.random`` draw per level; live edges become ``set * n + node`` keys,
-    keys already in ``visited`` (a bitmap over set-in-batch by node, cleared
-    again before returning) are dropped, and the rest are sorted and
-    deduplicated (a sort and an adjacent-difference mask; ``np.unique``
-    hashes first and is several times slower).  Returns the members as
-    ``(set, node)`` arrays grouped by set, each set root first and then level
-    by level, ascending within a level.
+    Live in-edges of a level's new members become ``set * n + node`` keys;
+    those in the ``visited`` bitmap (cleared again on return) are dropped and
+    the rest sorted and deduplicated (``np.unique`` hashes first and is
+    several times slower).  Each set lists its root, then level by level.
     """
     ptr, src, prob = rev
     n = len(ptr) - 1
@@ -273,10 +267,10 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     Each set draws its root proportionally to the node weights of the kind,
     then walks the graph backwards, flipping each incoming edge of each
     member once and keeping every node whose live path reaches the root.
-    The sets of a block grow together, one BFS level per numpy pass, in
-    batches of ``VISITED_BUDGET // n`` sets so the visited bitmap stays
-    within the budget; every batch continues the block's generator.
-    Members go straight into the collection's flat member array.
+    The sets of a block grow together, one numpy pass per BFS level over the
+    reverse CSR with one coin vector, in batches of ``VISITED_BUDGET // n``
+    sets that continue the block's generator.  Members go straight into the
+    collection's flat member array.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
@@ -289,7 +283,6 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
         raise DomainError(f"no sampleable roots: total {kind} weight is zero")
     alias = AliasTable(weights)
     n = g.node_count
-    rev = g.reverse_csr()
     batch = max(1, VISITED_BUDGET // n)
     visited = np.zeros(min(batch, GENERATION_CHUNK, theta) * n, dtype=bool)
 
@@ -301,7 +294,7 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
         roots = alias.sample(rng, block_len)
         for lo in range(0, block_len, batch):
             part = roots[lo:lo + batch]
-            sets, nodes = _reverse_reach(part, rng, rev, visited)
+            sets, nodes = _reverse_reach(part, rng, g.reverse_csr(), visited)
             sizes.append(np.bincount(sets, minlength=len(part)))
             members.append(nodes.astype(np.int32))
     set_ptr = np.zeros(theta + 1, dtype=np.int64)

@@ -125,14 +125,14 @@ class TestGenerate:
             collection_from_sets(sets, node_count=2)
 
     def test_repeated_member_rejected(self):
-        with pytest.raises(DomainError, match="RR set 0 holds node 0 twice"):
+        with pytest.raises(DomainError, match="RR set 0 repeats a node"):
             collection_from_sets([[1, 0, 0], [1]], node_count=2)
 
     def test_loaded_repeated_member_rejected(self, tmp_path):
         path = tmp_path / "rr.json"
         path.write_text(json.dumps({"kind": "benefit", "node_count": 3, "total_weight": 1.0,
                                     "seed": 0, "theta": 3, "sets": [[0], [2], [1, 2, 1]]}))
-        with pytest.raises(DomainError, match="RR set 2 holds node 1 twice"):
+        with pytest.raises(DomainError, match="RR set 2 repeats a node"):
             load_collection(str(path))
 
     def test_reverse_reachability_semantics(self):
