@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,16 @@ class TestGraphValidation:
     def test_rejects_negative_weights(self):
         with pytest.raises(DomainError):
             WeightedGraph(2, [(0, 1, 0.5)], benefit=[1, -1], cost=[0, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["benefit", "cost"])
+    def test_rejects_non_finite_weights(self, side, bad):
+        weights = {"benefit": list(DEMO_BENEFIT), "cost": list(DEMO_COST)}
+        weights[side][1] = bad
+        with pytest.raises(DomainError, match=f"{side} weights must be finite"):
+            WeightedGraph(4, DEMO_EDGES, **weights)
+        with pytest.raises(DomainError, match=f"{side} weights must be finite"):
+            make_demo_graph().with_weights(**weights)
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(DomainError):
