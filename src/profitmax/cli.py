@@ -31,7 +31,8 @@ from pathlib import Path
 from .certify import certify as certify_seeds
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
-from .graph import WeightedGraph, assign_weights, load_edge_list, normalize_weights, save_weights
+from .graph import (WeightedGraph, _read_json, assign_weights, load_edge_list,
+                    normalize_weights, save_weights)
 from .optimize import BASELINES, SelectionResult, greedy, k_sweep, modmod
 from .oracle import ExactEvaluator
 from .prune import Lattice, iterative_prune, trivial_lattice
@@ -240,21 +241,6 @@ def _load_weighted_graph(cfg: RunConfig) -> WeightedGraph:
 
 def _graph_view(g: WeightedGraph, normalize: bool) -> WeightedGraph:
     return normalize_weights(g) if normalize else g
-
-
-def _read_json(path, read):
-    """``read(doc)`` for the JSON document at ``path``; malformed input raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
-    try:
-        return read(doc)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed document: {exc}") from None
 
 
 def _selection_evaluator(cfg: RunConfig, g_view: WeightedGraph, theta: int,

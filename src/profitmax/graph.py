@@ -246,6 +246,21 @@ def _data_lines(path):
             yield lineno, line
 
 
+def _read_json(path, read):
+    """``read(doc)`` for the JSON document at ``path``; malformed input raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    try:
+        return read(doc)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed document: {exc}") from None
+
+
 def load_edge_list(path, default_prob="wic") -> WeightedGraph:
     """Read a ``u v [p]`` edge-list file into a graph with zero weights.
 
@@ -401,5 +416,4 @@ def save_graph_json(g: WeightedGraph, path) -> None:
 
 
 def load_graph_json(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return WeightedGraph.from_json_dict(json.load(fh))
+    return _read_json(path, WeightedGraph.from_json_dict)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import KINDS, MarginalEvaluator
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _read_json
 from .rng import derive_seed, make_rng
 
 GENERATION_CHUNK = 8192
@@ -495,5 +495,4 @@ def save_collection(coll: RRCollection, path) -> None:
 
 
 def load_collection(path) -> RRCollection:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RRCollection.from_json_dict(json.load(fh))
+    return _read_json(path, RRCollection.from_json_dict)

@@ -282,6 +282,17 @@ class TestRoundTrips:
         save_graph_json(g, path)
         assert load_graph_json(str(path)) == g
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:len(text) // 2], r"g\.json:1: "),
+        (lambda text: text.replace('"benefit"', '"profit"'), "missing key 'benefit'"),
+    ], ids=["truncated", "missing-key"])
+    def test_malformed_graph_json_is_parse_error(self, tmp_path, damage, message):
+        path = tmp_path / "g.json"
+        save_graph_json(make_demo_graph(), path)
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            load_graph_json(str(path))
+
     def test_full_load_save_load(self, tmp_path):
         g = make_demo_graph()
         epath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from profitmax import (AliasTable, DomainError, ExactEvaluator, ProfitEstimator, RRCollection,
-                       WeightedGraph, chernoff_a, confidence_bounds, generate,
+from profitmax import (AliasTable, DomainError, ExactEvaluator, ParseError, ProfitEstimator,
+                       RRCollection, WeightedGraph, chernoff_a, confidence_bounds, generate,
                        load_collection, normalize_weights, sampling_error_limit,
                        save_collection, theta_for_relative_error)
 from profitmax import rrsets
@@ -444,6 +444,16 @@ class TestSerialization:
         assert loaded.total_weight == coll.total_weight
         assert all(np.array_equal(a, b) for a, b in zip(loaded.sets, coll.sets))
         loaded.check_consistent()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "benefit", "node_count": 2, "sets": [[0], [1', r"rr\.json:1: "),
+        ('{"kind": "benefit", "node_count": 2}', "missing key 'total_weight'"),
+    ], ids=["truncated", "missing-key"])
+    def test_malformed_document_is_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "rr.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            load_collection(str(path))
 
     def test_estimator_from_loaded_collections(self, demo_graph, tmp_path):
         b = generate(demo_graph, "benefit", 400, seed=derive_seed(20, "benefit"))
