@@ -168,15 +168,12 @@ class ExactEvaluator(MarginalEvaluator):
         return total
 
 
-def exhaustive_optimum(g: WeightedGraph, objective: str = "profit",
-                       node_cap: int = DEFAULT_NODE_CAP,
+def exhaustive_optimum(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP,
                        edge_cap: int = DEFAULT_EDGE_CAP):
     """Best seed set by trying all 2^n subsets; ties go lexicographically.
 
-    Returns (seed set, exact objective value).
+    Returns (seed set, exact profit).
     """
-    if objective != "profit":
-        raise DomainError(f"unsupported objective {objective!r}; only 'profit'")
     n = g.node_count
     if n > node_cap:
         raise CapacityError(

@@ -202,10 +202,6 @@ class TestExhaustiveOptimum:
             assert value == pytest.approx(expected_value, abs=1e-9)
             assert seeds == expected_set
 
-    def test_rejects_unknown_objective(self, demo_graph):
-        with pytest.raises(DomainError):
-            exhaustive_optimum(demo_graph, objective="benefit")
-
 
 class TestEvaluatorReuse:
     def test_repeated_queries_are_consistent(self, demo_graph):
