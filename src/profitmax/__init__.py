@@ -19,7 +19,7 @@ from .optimize import (ModularFunction, SelectionResult, baseline, greedy,
                        modmod, modular_lower, modular_upper, sweep_sizes)
 from .oracle import ExactEvaluator, exhaustive_optimum, simulate_spread
 from .prune import Lattice, PruneStep, iterative_prune, trivial_lattice
-from .rrsets import (AliasTable, ProfitEstimator, RRCollection, chernoff_a,
+from .rrsets import (ProfitEstimator, RRCollection, chernoff_a,
                      confidence_bounds, generate, load_collection,
                      sampling_error_limit, save_collection,
                      theta_for_relative_error)
@@ -27,7 +27,7 @@ from .rrsets import (AliasTable, ProfitEstimator, RRCollection, chernoff_a,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasTable", "CapacityError", "ConfigError", "DomainError",
+    "CapacityError", "ConfigError", "DomainError",
     "ExactEvaluator", "InternalError", "Lattice", "MarginalEvaluator",
     "ModularFunction", "ParseError", "ProfitCertificate", "ProfitEstimator",
     "ProfitMaxError", "PruneStep", "RRCollection", "SelectionResult",

@@ -22,10 +22,9 @@ node, the count of its sets still uncovered, decremented only for the sets
 a new seed covers (the node-selection scheme of IMM, Tang, Shi and Xiao,
 SIGMOD 2015), so a whole greedy run touches each member of each set once.
 
-Sampling is block-frontier: the sets of a block grow together, one BFS level
-per numpy pass (see ``generate``).  Each block gets its own generator derived
-from (seed, kind, block index), so the output is identical no matter how
-blocks would be distributed over workers.
+Sampling is batch-frontier: the sets of a batch grow together, one BFS level
+per numpy pass (see ``generate``), all from one generator derived from
+(seed, kind).
 """
 
 from __future__ import annotations
@@ -40,49 +39,8 @@ from .evaluation import KINDS, MarginalEvaluator
 from .graph import WeightedGraph, _read_json
 from .rng import derive_seed, make_rng
 
-GENERATION_CHUNK = 8192
 # bytes of the (set, node) visited bitmap that one batch of sets may use
 VISITED_BUDGET = 1 << 20
-
-
-class AliasTable:
-    """Walker alias sampler over nonnegative weights; O(1) per draw.
-
-    Entries with zero weight are never returned.
-    """
-
-    def __init__(self, weights):
-        weights = np.asarray(weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise DomainError("alias table weights must be finite and nonnegative")
-        total = float(weights.sum())
-        if total <= 0:
-            raise DomainError("alias table needs positive total weight")
-        n = len(weights)
-        scaled = weights * (n / total)
-        self.prob = np.ones(n, dtype=np.float64)
-        self.alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in small + large:
-            # leftovers are 1.0 up to rounding
-            self.prob[i] = 1.0
-        # a zero-weight entry always aliases away
-        zero = weights == 0
-        self.prob[zero] = 0.0
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.integers(0, len(self.prob), size=size)
-        u = rng.random(size)
-        take = u < self.prob[idx]
-        return np.where(take, idx, self.alias[idx])
 
 
 def _spans(ptr, rows) -> np.ndarray:
@@ -267,10 +225,10 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     Each set draws its root proportionally to the node weights of the kind,
     then walks the graph backwards, flipping each incoming edge of each
     member once and keeping every node whose live path reaches the root.
-    The sets of a block grow together, one numpy pass per BFS level over the
-    reverse CSR with one coin vector, in batches of ``VISITED_BUDGET // n``
-    sets that continue the block's generator.  Members go straight into the
-    collection's flat member array.
+    One generator draws all roots up front, then the coins: the sets grow
+    together in batches of ``VISITED_BUDGET // n``, one numpy pass per BFS
+    level over the reverse CSR with one coin vector.  Members go straight
+    into the collection's flat member array.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
@@ -281,22 +239,20 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     total = float(weights.sum())
     if total <= 0:
         raise DomainError(f"no sampleable roots: total {kind} weight is zero")
-    alias = AliasTable(weights)
     n = g.node_count
+    seed = int(seed)
+    rng = make_rng(derive_seed(seed, "rr", kind))
+    # choice searches the CDF of p with side="right", so zero-weight nodes never root
+    roots = rng.choice(n, size=theta, p=weights / total)
     batch = max(1, VISITED_BUDGET // n)
-    visited = np.zeros(min(batch, GENERATION_CHUNK, theta) * n, dtype=bool)
+    visited = np.zeros(min(batch, theta) * n, dtype=bool)
 
     sizes, members = [], []
-    seed = int(seed)
-    for block_start in range(0, theta, GENERATION_CHUNK):
-        block_len = min(GENERATION_CHUNK, theta - block_start)
-        rng = make_rng(derive_seed(seed, "rr", kind, block_start // GENERATION_CHUNK))
-        roots = alias.sample(rng, block_len)
-        for lo in range(0, block_len, batch):
-            part = roots[lo:lo + batch]
-            sets, nodes = _reverse_reach(part, rng, g.reverse_csr(), visited)
-            sizes.append(np.bincount(sets, minlength=len(part)))
-            members.append(nodes.astype(np.int32))
+    for lo in range(0, theta, batch):
+        part = roots[lo:lo + batch]
+        sets, nodes = _reverse_reach(part, rng, g.reverse_csr(), visited)
+        sizes.append(np.bincount(sets, minlength=len(part)))
+        members.append(nodes.astype(np.int32))
     set_ptr = np.zeros(theta + 1, dtype=np.int64)
     np.cumsum(np.concatenate(sizes), out=set_ptr[1:])
     return RRCollection._from_csr(kind, n, total, seed, set_ptr, np.concatenate(members))

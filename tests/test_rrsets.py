@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from profitmax import (AliasTable, DomainError, ExactEvaluator, ParseError, ProfitEstimator,
+from profitmax import (DomainError, ExactEvaluator, ParseError, ProfitEstimator,
                        RRCollection, WeightedGraph, chernoff_a, confidence_bounds, generate,
                        load_collection, normalize_weights, sampling_error_limit,
                        save_collection, theta_for_relative_error)
@@ -50,31 +50,6 @@ def check_hit_rates(case):
                 hits = np.count_nonzero(coll.covered(np.array(seeds, dtype=np.int64)))
                 spread = 5 * math.sqrt(max(theta * p * (1 - p), 0.0))
                 assert abs(hits - theta * p) <= spread + 1e-6 * theta, (kind, seeds)
-
-
-class TestAliasTable:
-    def test_distribution(self):
-        weights = [1.5, 2.0, 3.0, 2.0]
-        table = AliasTable(weights)
-        rng = np.random.default_rng(10)
-        draws = table.sample(rng, 200_000)
-        freq = np.bincount(draws, minlength=4) / len(draws)
-        expected = np.array(weights) / sum(weights)
-        assert np.allclose(freq, expected, atol=5e-3)
-
-    def test_zero_weight_never_drawn(self):
-        table = AliasTable([0.0, 1.0, 0.0, 2.0])
-        draws = table.sample(np.random.default_rng(3), 50_000)
-        assert set(np.unique(draws).tolist()) <= {1, 3}
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(DomainError):
-            AliasTable([0.0, 0.0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(DomainError, match="finite"):
-            AliasTable([bad, 1.0])
 
 
 class TestGenerate:
