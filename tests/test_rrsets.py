@@ -36,22 +36,6 @@ def estimates(est, seeds):
     return est.benefit(seeds), est.cost(seeds), est.profit(seeds)
 
 
-def check_hit_rates(case):
-    """Pr[S meets an RR set] = f(S) / Upsilon exactly, so the coverage count
-    of every small S is Binomial(theta, f(S) / Upsilon)."""
-    g = make_demo_graph() if case == 0 else random_graph(np.random.default_rng(800 + case))
-    exact = ExactEvaluator(g)
-    theta = 20_000
-    for kind in ("benefit", "cost"):
-        coll = generate(g, kind, theta, seed=derive_seed(case, kind))
-        for size in range(4):
-            for seeds in itertools.combinations(range(g.node_count), size):
-                p = exact.value(seeds, kind) / coll.total_weight
-                hits = np.count_nonzero(coll.covered(np.array(seeds, dtype=np.int64)))
-                spread = 5 * math.sqrt(max(theta * p * (1 - p), 0.0))
-                assert abs(hits - theta * p) <= spread + 1e-6 * theta, (kind, seeds)
-
-
 class TestGenerate:
     def test_invariants(self, demo_graph):
         coll = generate(demo_graph, "benefit", 500, seed=1)
@@ -131,13 +115,26 @@ class TestGenerate:
 
     @pytest.mark.parametrize("case", range(9))
     def test_hit_rates_match_the_exact_oracle(self, case):
-        check_hit_rates(case)
+        # Pr[S meets an RR set] = f(S) / Upsilon exactly, so the coverage
+        # count of every small S is Binomial(theta, f(S) / Upsilon).
+        g = make_demo_graph() if case == 0 else random_graph(np.random.default_rng(800 + case))
+        exact = ExactEvaluator(g)
+        theta = 20_000
+        for kind in ("benefit", "cost"):
+            coll = generate(g, kind, theta, seed=derive_seed(case, kind))
+            for size in range(4):
+                for seeds in itertools.combinations(range(g.node_count), size):
+                    p = exact.value(seeds, kind) / coll.total_weight
+                    hits = np.count_nonzero(coll.covered(np.array(seeds, dtype=np.int64)))
+                    spread = 5 * math.sqrt(max(theta * p * (1 - p), 0.0))
+                    assert abs(hits - theta * p) <= spread + 1e-6 * theta, (kind, seeds)
 
     @pytest.mark.parametrize("case", range(9))
     def test_hit_rates_hold_across_batches(self, case, monkeypatch):
-        # a 256-byte visited budget splits each draw into batches of 32-128 sets
+        # n <= 8 puts every draw above in one batch; a 256-byte visited
+        # budget splits it into batches of 32-128 sets
         monkeypatch.setattr(rrsets, "VISITED_BUDGET", 256)
-        check_hit_rates(case)
+        self.test_hit_rates_match_the_exact_oracle(case)
 
 
 class TestCoverage:
