@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -34,6 +35,34 @@ def counting_estimator(sets, node_count) -> ProfitEstimator:
 
 def estimates(est, seeds):
     return est.benefit(seeds), est.cost(seeds), est.profit(seeds)
+
+
+def wic_graph(n, m, seed) -> WeightedGraph:
+    """Random directed graph with weighted-cascade probabilities 1 / in-degree."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(m, 2)) if u != v}
+    edges = sorted(pairs)
+    in_deg = np.bincount([v for _, v in edges], minlength=n)
+    return WeightedGraph(n, [(u, v, 1.0 / in_deg[v]) for u, v in edges],
+                         benefit=rng.uniform(0.0, 2.0, size=n),
+                         cost=rng.uniform(0.0, 2.0, size=n))
+
+
+def store_digest(coll) -> str:
+    """sha256 over the bytes of a collection's four CSR arrays."""
+    h = hashlib.sha256()
+    for arr in (coll.set_ptr, coll.members, coll.node_ptr, coll.set_ids):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def assert_index_matches_loop(coll):
+    """The inverted index equals one built by appending set ids node by node."""
+    buckets = [[] for _ in range(coll.node_count)]
+    for i, members in enumerate(coll.sets):
+        for v in members.tolist():
+            buckets[v].append(i)
+    assert [s.tolist() for s in coll.index] == buckets
 
 
 class TestGenerate:
@@ -81,11 +110,7 @@ class TestGenerate:
 
     def test_index_matches_loop_built_index(self, demo_graph):
         coll = generate(demo_graph, "cost", 700, seed=7)
-        buckets = [[] for _ in range(coll.node_count)]
-        for i, members in enumerate(coll.sets):
-            for v in members.tolist():
-                buckets[v].append(i)
-        assert [s.tolist() for s in coll.index] == buckets
+        assert_index_matches_loop(coll)
         assert not any(a.flags.writeable for a in (*coll.sets, *coll.index))
         coll.check_consistent()
 
@@ -112,6 +137,36 @@ class TestGenerate:
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], benefit=[0, 0, 1])
         coll = generate(g, "benefit", 50, seed=6)
         assert all(sorted(s.tolist()) == [0, 1, 2] for s in coll.sets)
+
+    def test_members_listed_root_then_level_by_level(self):
+        # sure chain 0 -> 1 -> 2 -> 3, and root 8 with level-1 parents
+        # {6, 7} and level-2 parents {4, 5}; 4 reaches 8 along two paths
+        edges = [(0, 1), (1, 2), (2, 3), (7, 8), (6, 8), (5, 7), (4, 6), (4, 7)]
+        g = WeightedGraph(9, [(u, v, 1.0) for u, v in edges], benefit=[1] * 9)
+        expected = {0: [0], 1: [1, 0], 2: [2, 1, 0], 3: [3, 2, 1, 0],
+                    4: [4], 5: [5], 6: [6, 4], 7: [7, 4, 5], 8: [8, 6, 7, 4, 5]}
+        coll = generate(g, "benefit", 400, seed=8)
+        assert set(coll.roots().tolist()) == set(expected)
+        for root, members in zip(coll.roots().tolist(), coll.sets):
+            assert members.tolist() == expected[root]
+
+    # sha256 of (set_ptr, members, node_ptr, set_ids) of the benefit, then
+    # the cost collection; 4096 bytes split theta = 3000 into batches of 13
+    @pytest.mark.parametrize("budget, digests", [
+        (None, ("2b16014c4077cef22a50e1b4d6bb9f8f0124e3e970feca4ebfaa74d8f16e612e",
+                "db0c607f7eb8b8c78751c58f58a90678b07ff48f9ba259b9d951e531a5ba703b")),
+        (4096, ("7d9ecd55130fac21e7165270504f15aa15542a6cab0544b964c976f6aeaaea33",
+                "2c342127780278e2abab0c5f4401cb468b2d6919a3ab41ce745c81526056f649")),
+    ], ids=["one-batch", "multi-batch"])
+    def test_sampled_store_is_frozen(self, budget, digests, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(rrsets, "VISITED_BUDGET", budget)
+        g = wic_graph(300, 1500, seed=61)
+        colls = [generate(g, kind, 3000, seed=derive_seed(62, kind))
+                 for kind in ("benefit", "cost")]
+        assert tuple(store_digest(c) for c in colls) == digests
+        if budget is not None:
+            assert_index_matches_loop(colls[1])
 
     @pytest.mark.parametrize("case", range(9))
     def test_hit_rates_match_the_exact_oracle(self, case):
