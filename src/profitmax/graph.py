@@ -118,13 +118,13 @@ class WeightedGraph:
         return w
 
     def _csr(self, key, val, prob):
-        # stable sort keeps edge insertion order within each bucket, which
-        # pins the coin-flip order of every sampler
-        order = np.argsort(key, kind="stable")
+        # sorting key * m + edge index keeps edge insertion order within each
+        # bucket, which pins the coin-flip order of every sampler
+        m = max(len(key), 1)
+        order = np.sort(key * np.int64(m) + np.arange(len(key))) % m
         ptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.add.at(ptr, key + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        return ptr, val[order].copy(), prob[order].copy()
+        np.cumsum(np.bincount(key, minlength=self._n), out=ptr[1:])
+        return ptr, val[order], prob[order]
 
     # -- basic accessors -------------------------------------------------
 

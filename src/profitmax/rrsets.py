@@ -15,12 +15,13 @@ pruning and selection loops terminate.
 
 A collection is one CSR store: the members of all sets in one flat array
 with per-set offsets, and the inverted index (the sets containing each
-node) built from it by one stable argsort.  Every estimator query is a few
-vectorised passes over that store.  Greedy selection uses an incremental
-coverage state instead: a mask of the sets the seed set covers and, per
-node, the count of its sets still uncovered, decremented only for the sets
-a new seed covers (the node-selection scheme of IMM, Tang, Shi and Xiao,
-SIGMOD 2015), so a whole greedy run touches each member of each set once.
+node) built from it by one sort of packed (member, set) keys.  Every
+estimator query is a few vectorised passes over that store.  Greedy
+selection uses an incremental coverage state instead: a mask of the sets
+the seed set covers and, per node, the count of its sets still uncovered,
+decremented only for the sets a new seed covers (the node-selection
+scheme of IMM, Tang, Shi and Xiao, SIGMOD 2015), so a whole greedy run
+touches each member of each set once.
 
 Sampling is batch-frontier: the sets of a batch grow together, one BFS level
 per numpy pass (see ``generate``), all from one generator derived from
@@ -58,9 +59,9 @@ def _row_sums(ptr, flags) -> np.ndarray:
     return acc[ptr[1:]] - acc[ptr[:-1]]
 
 
-def _row_of(ptr, dtype=np.int64) -> np.ndarray:
+def _row_of(ptr) -> np.ndarray:
     """For each position of a CSR data array, the row it belongs to."""
-    return np.repeat(np.arange(len(ptr) - 1, dtype=dtype), np.diff(ptr))
+    return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
 
 
 def _node_array(nodes, node_count) -> np.ndarray:
@@ -115,10 +116,11 @@ class RRCollection:
         self.set_ptr, self.members = set_ptr, members
         self.node_ptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
-        # a stable sort keeps each node's set ids ascending
-        order = np.argsort(members, kind="stable")
-        self.set_ids = _row_of(set_ptr, np.int32)[order]
-        twice = np.flatnonzero((np.diff(members[order]) == 0) & (np.diff(self.set_ids) == 0))
+        # sorted (member, set) pairs list each node's set ids ascending
+        width = max(self.theta, 1)
+        pairs = np.sort(members * np.int64(width) + _row_of(set_ptr))
+        self.set_ids = (pairs % width).astype(np.int32)
+        twice = np.flatnonzero(pairs[1:] == pairs[:-1])
         if twice.size:
             raise DomainError(f"RR set {int(self.set_ids[twice[0]])} repeats a node")
         for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
@@ -191,32 +193,41 @@ class RRCollection:
         return c
 
 
-def _reverse_reach(roots, rng, rev, visited):
+def _reverse_reach(roots, rng, g, visited):
     """(set, node) of the members of one RR set per root, grown level by level.
 
-    Live in-edges of a level's new members become ``set * n + node`` keys;
-    those in the ``visited`` bitmap (cleared again on return) are dropped and
-    the rest sorted and deduplicated (``np.unique`` hashes first and is
-    several times slower).  Each set lists its root, then level by level.
+    Each level draws one coin per in-edge of its new members and keeps the
+    live ones as ``set * n + node`` keys; those in the ``visited`` bitmap
+    (cleared again on return) are dropped and the rest sorted and
+    deduplicated (``np.unique`` hashes first and is several times slower).
+    One sort of ``set * span + level * n + node`` then lists each set's
+    root, then its members level by level, ascending within a level.
     """
-    ptr, src, prob = rev
+    ptr, src, prob = g.reverse_csr()
     n = len(ptr) - 1
     frontier = np.arange(len(roots), dtype=np.int64) * n + roots
     visited[frontier] = True
     levels = [frontier]
     while frontier.size:
         sets, nodes = np.divmod(frontier, n)
-        pos = _spans(ptr, nodes)
-        live = rng.random(len(pos)) < prob[pos]
-        keys = np.repeat(sets, ptr[nodes + 1] - ptr[nodes])[live] * n + src[pos[live]]
-        fresh = np.sort(keys[~visited[keys]])
-        frontier = fresh[np.diff(fresh, prepend=-1) > 0]
+        degree = g.in_degree[nodes]
+        ends = np.cumsum(degree)
+        pos = np.repeat(ptr[nodes] + degree - ends, degree) + np.arange(ends[-1])
+        live = np.flatnonzero(rng.random(len(pos)) < prob[pos])
+        # the set of live edge i is that of the member whose in-edges span i
+        keys = sets[np.searchsorted(ends, live, side="right")] * n + src[pos[live]]
+        keys = np.sort(keys[~visited[keys]])
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        frontier = keys[first]
         visited[frontier] = True
         levels.append(frontier)
     keys = np.concatenate(levels)
     visited[keys] = False
-    keys = keys[np.argsort(keys // n, kind="stable")]
-    return np.divmod(keys, n)
+    span = n * len(levels)
+    level = np.repeat(np.arange(len(levels), dtype=np.int64), [len(f) for f in levels])
+    keys = np.sort(keys + keys // n * (span - n) + level * n)
+    return keys // span, keys % n
 
 
 def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection:
@@ -227,8 +238,9 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     member once and keeping every node whose live path reaches the root.
     One generator draws all roots up front, then the coins: the sets grow
     together in batches of ``VISITED_BUDGET // n``, one numpy pass per BFS
-    level over the reverse CSR with one coin vector.  Members go straight
-    into the collection's flat member array.
+    level over the reverse CSR with one coin vector; only the live edges'
+    sources and sets are gathered.  Members go straight into the
+    collection's flat member array.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
@@ -250,7 +262,7 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     sizes, members = [], []
     for lo in range(0, theta, batch):
         part = roots[lo:lo + batch]
-        sets, nodes = _reverse_reach(part, rng, g.reverse_csr(), visited)
+        sets, nodes = _reverse_reach(part, rng, g, visited)
         sizes.append(np.bincount(sets, minlength=len(part)))
         members.append(nodes.astype(np.int32))
     set_ptr = np.zeros(theta + 1, dtype=np.int64)
