@@ -230,6 +230,8 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightedGraph":
+        _check_int_ids((x for edge in d["edges"] for x in edge[:2]), "edge endpoint")
+        _check_int_ids(d["external_ids"], "external id")
         return cls(d["node_count"], d["edges"], d["benefit"], d["cost"],
                    external_ids=d["external_ids"], normalized=d["normalized"])
 
@@ -244,6 +246,13 @@ def _data_lines(path):
             if not line or line.startswith("#"):
                 continue
             yield lineno, line
+
+
+def _check_int_ids(ids, what) -> None:
+    """Raise ValueError unless every JSON value in ``ids`` is an integer."""
+    for v in ids:
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} is not an integer node id")
 
 
 def _read_json(path, read):

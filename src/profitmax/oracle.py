@@ -25,6 +25,8 @@ from .rng import make_rng
 DEFAULT_EDGE_CAP = 20
 DEFAULT_NODE_CAP = 16
 
+# reach sets are int64 bitmasks over the nodes that touch an edge
+_MASK_BITS = 63
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -96,6 +98,10 @@ class ExactEvaluator(MarginalEvaluator):
         active_nodes = [v for v in range(g.node_count) if degree[v] > 0]
         self._active_pos = {v: i for i, v in enumerate(active_nodes)}
         n_act = len(active_nodes)
+        if n_act > _MASK_BITS:
+            raise CapacityError(
+                f"exact enumeration packs reach sets into {_MASK_BITS}-bit masks; "
+                f"{n_act} nodes touch an edge")
 
         world_count = 1 << m
         self._prob = np.empty(world_count, dtype=np.float64)

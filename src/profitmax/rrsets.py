@@ -30,6 +30,7 @@ per numpy pass (see ``generate``), all from one generator derived from
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import KINDS, MarginalEvaluator
-from .graph import WeightedGraph, _read_json
+from .graph import WeightedGraph, _check_int_ids, _read_json
 from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
@@ -186,8 +187,9 @@ class RRCollection:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RRCollection":
-        c = cls(kind=d["kind"], node_count=d["node_count"],
-                total_weight=d["total_weight"], seed=d["seed"], sets=d["sets"])
+        args = {key: d[key] for key in ("kind", "node_count", "total_weight", "seed", "sets")}
+        _check_int_ids(itertools.chain.from_iterable(args["sets"]), "RR set member")
+        c = cls(**args)
         if c.theta != d["theta"]:
             raise DomainError("collection theta does not match its sets")
         return c

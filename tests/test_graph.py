@@ -285,7 +285,9 @@ class TestRoundTrips:
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:len(text) // 2], r"g\.json:1: "),
         (lambda text: text.replace('"benefit"', '"profit"'), "missing key 'benefit'"),
-    ], ids=["truncated", "missing-key"])
+        (lambda text: text.replace("[0, 1, 0.3]", "[0.6, 1.2, 0.3]"),
+         r"g\.json: .*edge endpoint 0\.6 is not an integer"),
+    ], ids=["truncated", "missing-key", "float-id"])
     def test_malformed_graph_json_is_parse_error(self, tmp_path, damage, message):
         path = tmp_path / "g.json"
         save_graph_json(make_demo_graph(), path)

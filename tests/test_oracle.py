@@ -115,6 +115,13 @@ class TestExactEvaluate:
         with pytest.raises(CapacityError):
             ExactEvaluator(demo_graph, edge_cap=3)
 
+    def test_more_active_nodes_than_mask_bits(self):
+        # 33 disjoint edges touch 66 nodes: more than an int64 mask holds,
+        # refused before the 2^33-world tables are allocated
+        g = WeightedGraph(66, [(2 * i, 2 * i + 1, 0.5) for i in range(33)])
+        with pytest.raises(CapacityError, match="66 nodes"):
+            ExactEvaluator(g, edge_cap=33)
+
     def test_cost_charged_for_activated_sinks(self):
         # a sink's cost is charged whenever it activates, even with nothing
         # downstream to push to

@@ -475,7 +475,9 @@ class TestSerialization:
     @pytest.mark.parametrize("text, message", [
         ('{"kind": "benefit", "node_count": 2, "sets": [[0], [1', r"rr\.json:1: "),
         ('{"kind": "benefit", "node_count": 2}', "missing key 'total_weight'"),
-    ], ids=["truncated", "missing-key"])
+        ('{"kind": "benefit", "node_count": 3, "total_weight": 1.0, "seed": 0, "theta": 2,'
+         ' "sets": [[0.9], [2.7]]}', r"rr\.json: .*RR set member 0\.9 is not an integer"),
+    ], ids=["truncated", "missing-key", "float-id"])
     def test_malformed_document_is_parse_error(self, tmp_path, text, message):
         path = tmp_path / "rr.json"
         path.write_text(text, encoding="utf-8")
