@@ -5,6 +5,11 @@ so they run unchanged on the exact oracle (small graphs) and on the
 reverse-reachable sampling estimator (any scale).  Subclasses must implement
 ``value``; the batched helpers and the coverage state have generic fallbacks
 that subclasses may override with faster paths.
+
+The batched queries (``marginal_many``, ``marginal_vs_rest`` and
+``chain_increments``) return float64 arrays aligned with the nodes asked
+for: entry i answers for the i-th node.  ``marginal`` and ``value`` return
+Python floats.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ class CoverageState:
     def _refresh(self):
         ev, base = self.evaluator, frozenset(self.seeds)
         rest = [v for v in range(ev.node_count) if v not in base]
-        marginals = ev.marginal_many(rest, base, self.metric)
         self.value = ev.value(base, self.metric)
         self.gains = np.zeros(ev.node_count)
-        self.gains[rest] = [marginals[v] for v in rest]
+        self.gains[rest] = ev.marginal_many(rest, base, self.metric)
 
 
 class MarginalEvaluator:
@@ -76,26 +80,27 @@ class MarginalEvaluator:
         base = frozenset(base)
         return self.value(base | {v}, metric) - self.value(base, metric)
 
-    def marginal_many(self, nodes, base, metric: str) -> dict:
-        """Marginals of several nodes against one fixed base set."""
+    def marginal_many(self, nodes, base, metric: str) -> np.ndarray:
+        """f(v | base) for each v in ``nodes``, as a float64 array in their order."""
         base = frozenset(base)
-        return {v: self.marginal(v, base, metric) for v in nodes}
+        return np.array([self.marginal(v, base, metric) for v in nodes], dtype=np.float64)
 
-    def marginal_vs_rest(self, nodes, whole, metric: str) -> dict:
-        """For each v, the marginal against whole minus v itself.
+    def marginal_vs_rest(self, nodes, whole, metric: str) -> np.ndarray:
+        """f(v | whole - v) for each v in ``nodes``, as a float64 array in their order.
 
         This is the smallest marginal v can have inside ``whole`` under
         submodularity, so it doubles as a floor in pruning.
         """
         self._check_metric(metric)
         whole = frozenset(whole)
-        out = {}
-        for v in nodes:
-            out[v] = self.marginal(v, whole - {v}, metric)
-        return out
+        return np.array([self.marginal(v, whole - {v}, metric) for v in nodes],
+                        dtype=np.float64)
 
-    def chain_increments(self, order, metric: str) -> list:
-        """Increments f(first i items) - f(first i-1 items) along an ordering."""
+    def chain_increments(self, order, metric: str) -> np.ndarray:
+        """f(first i items) - f(first i-1 items) for each position i of ``order``.
+
+        The increments come as a float64 array aligned with ``order``.
+        """
         self._check_metric(metric)
         incs = []
         prefix = frozenset()
@@ -105,7 +110,7 @@ class MarginalEvaluator:
             cur = self.value(prefix, metric)
             incs.append(cur - prev)
             prev = cur
-        return incs
+        return np.array(incs, dtype=np.float64)
 
     def coverage_state(self, metric: str, base=()) -> CoverageState:
         """Incremental f(S) and marginals f(v | S) for a benefit or cost side."""

@@ -230,6 +230,7 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightedGraph":
+        _check_int_fields(d, ("node_count",))
         _check_int_ids((x for edge in d["edges"] for x in edge[:2]), "edge endpoint")
         _check_int_ids(d["external_ids"], "external id")
         return cls(d["node_count"], d["edges"], d["benefit"], d["cost"],
@@ -253,6 +254,13 @@ def _check_int_ids(ids, what) -> None:
     for v in ids:
         if type(v) is not int:
             raise ValueError(f"{what} {v!r} is not an integer node id")
+
+
+def _check_int_fields(doc, keys) -> None:
+    """Raise ValueError unless ``doc[key]`` is a JSON integer for every key."""
+    for key in keys:
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} {doc[key]!r} is not an integer")
 
 
 def _read_json(path, read):

@@ -86,6 +86,18 @@ def _require_lattice_member(X, lat: Lattice, what: str) -> frozenset:
     return X
 
 
+def _ceiling(lat: Lattice) -> np.ndarray:
+    """The lattice ceiling B* as a sorted int64 array."""
+    return np.array(sorted(lat.may_include), dtype=np.int64)
+
+
+def _member_mask(ceiling: np.ndarray, nodes) -> np.ndarray:
+    """Which entries of ``ceiling`` lie in ``nodes``, a subset of it."""
+    mask = np.zeros(len(ceiling), dtype=bool)
+    mask[np.searchsorted(ceiling, np.fromiter(nodes, dtype=np.int64, count=len(nodes)))] = True
+    return mask
+
+
 def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
                   lat: Lattice) -> ModularFunction:
     """Modular upper bound on a submodular metric, tight at X.
@@ -100,6 +112,19 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
 
     Variants 3 and 4 sharpen 1 and 2 by exploiting that only lattice sets
     matter; they require A* <= X <= B*.
+
+    Half of each bound does not depend on X.  It is computed over all of B*
+    (B* - A* for variant 4, whose A* lies inside every lattice X), and the
+    X-dependent half then overwrites the nodes on its side of X:
+
+        variant  fixed half             per-X half
+        1        f(v | V - v)           f(v | X)      outside X
+        2        f(v | empty)           f(v | X - v)  inside X
+        3        f(v | B* - v)          f(v | X)      outside X
+        4        f(v | A*) on B* - A*   f(v | X - v)  inside X
+
+    ``modmod`` computes the fixed half once per run and adds the per-X half
+    each round.
     """
     if variant not in (1, 2, 3, 4):
         raise DomainError(f"unknown modular upper bound variant {variant}")
@@ -108,28 +133,41 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         X = _require_lattice_member(X, lat, "X")
     elif not X <= lat.may_include:
         raise DomainError("X must lie inside the lattice ceiling")
-    inside = sorted(X)
-    outside = sorted(lat.may_include - X)
+    ceiling = _ceiling(lat)
+    fixed = _upper_fixed(evaluator, metric, variant, lat, ceiling)
+    return _upper_at(evaluator, metric, X, variant, ceiling, fixed)
 
+
+def _upper_fixed(evaluator: MarginalEvaluator, metric: str, variant: int,
+                 lat: Lattice, ceiling: np.ndarray) -> np.ndarray:
+    """The X-independent half of ``modular_upper``, aligned with ``ceiling``.
+
+    Variant 4 leaves A* at zero: the per-X half covers it.
+    """
     if variant == 1:
-        universe = frozenset(range(evaluator.node_count))
-        in_vals = evaluator.marginal_vs_rest(inside, universe, metric)
-        out_vals = evaluator.marginal_many(outside, X, metric)
-    elif variant == 2:
-        in_vals = evaluator.marginal_vs_rest(inside, X, metric)
-        out_vals = evaluator.marginal_many(outside, frozenset(), metric)
-    elif variant == 3:
-        in_vals = evaluator.marginal_vs_rest(inside, lat.may_include, metric)
-        out_vals = evaluator.marginal_many(outside, X, metric)
-    else:
-        in_vals = evaluator.marginal_vs_rest(inside, X, metric)
-        out_vals = evaluator.marginal_many(outside, lat.must_include, metric)
+        return evaluator.marginal_vs_rest(ceiling, range(evaluator.node_count), metric)
+    if variant == 2:
+        return evaluator.marginal_many(ceiling, (), metric)
+    if variant == 3:
+        return evaluator.marginal_vs_rest(ceiling, lat.may_include, metric)
+    fixed = np.zeros(len(ceiling))
+    free = ~_member_mask(ceiling, lat.must_include)
+    fixed[free] = evaluator.marginal_many(ceiling[free], lat.must_include, metric)
+    return fixed
 
-    per_node = {}
-    per_node.update(in_vals)
-    per_node.update(out_vals)
-    base = evaluator.value(X, metric) - sum(in_vals[v] for v in inside)
-    return ModularFunction(base=base, per_node=per_node)
+
+def _upper_at(evaluator: MarginalEvaluator, metric: str, X: frozenset, variant: int,
+              ceiling: np.ndarray, fixed: np.ndarray) -> ModularFunction:
+    """``modular_upper`` at X from its fixed half: add the per-X half."""
+    inside = _member_mask(ceiling, X)
+    per_node = fixed.copy()
+    if variant in (1, 3):
+        per_node[~inside] = evaluator.marginal_many(ceiling[~inside], X, metric)
+    else:
+        per_node[inside] = evaluator.marginal_vs_rest(ceiling[inside], X, metric)
+    # Python's sequential sum over the sorted inside nodes; np.sum would round differently
+    base = evaluator.value(X, metric) - sum(per_node[inside].tolist())
+    return ModularFunction(base=base, per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
 
 
 def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator,
@@ -143,24 +181,36 @@ def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator,
     yields valid bounds, only their tightness away from X differs.
     """
     X = _require_lattice_member(X, lat, "X")
-    blocks = [sorted(lat.must_include), sorted(X - lat.must_include),
-              sorted(lat.may_include - X)]
+    ceiling = _ceiling(lat)
+    return _order(lat, X, ceiling, _singletons(evaluator, ceiling, policy), seed)
+
+
+def _singletons(evaluator: MarginalEvaluator, ceiling: np.ndarray, policy: str):
+    """What a permutation policy orders by, aligned with ``ceiling``.
+
+    The ``marginal`` policy orders by the profit singletons f(v | empty);
+    the ``random`` policy needs nothing (None).
+    """
     if policy == "random":
+        return None
+    if policy != "marginal":
+        raise DomainError(f"unknown permutation policy {policy!r}")
+    return evaluator.marginal_many(ceiling, (), "profit")
+
+
+def _order(lat: Lattice, X: frozenset, ceiling: np.ndarray, singleton, seed) -> list:
+    """``make_permutation`` from the singletons ``_singletons`` gave."""
+    if singleton is None:
         rng = make_rng(derive_seed(int(seed), "permutation"))
         out = []
-        for block in blocks:
-            block = list(block)
+        for block in (sorted(lat.must_include), sorted(X - lat.must_include),
+                      sorted(lat.may_include - X)):
             rng.shuffle(block)
             out.extend(int(v) for v in block)
         return out
-    if policy != "marginal":
-        raise DomainError(f"unknown permutation policy {policy!r}")
-    singleton = evaluator.marginal_many(
-        sorted(lat.may_include), frozenset(), "profit")
-    out = []
-    for block in blocks:
-        out.extend(sorted(block, key=lambda v: (-singleton[v], v)))
-    return out
+    block = 2 - _member_mask(ceiling, X) - _member_mask(ceiling, lat.must_include)
+    # lexsort's last key sorts first: block, then descending singleton, then id
+    return ceiling[np.lexsort((ceiling, -singleton, block))].tolist()
 
 
 def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
@@ -181,7 +231,7 @@ def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
             or set(pi[:k2]) != set(X)):
         raise DomainError("permutation must order A*, then X - A*, then B* - X")
     incs = evaluator.chain_increments(pi, metric)
-    return ModularFunction(base=0.0, per_node=dict(zip(pi, incs)))
+    return ModularFunction(base=0.0, per_node=dict(zip(pi, incs.tolist())))
 
 
 def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
@@ -209,22 +259,23 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
     estimates a round is one vectorised argmax over the free nodes.
     """
     seeds = set(lat.must_include)
-    benefit = evaluator.coverage_state("benefit", seeds)
-    cost = evaluator.coverage_state("cost", seeds)
     free = np.array(sorted(lat.free_nodes), dtype=np.int64)
     trajectory = []
-    while free.size:
-        gains = benefit.gains[free] - cost.gains[free]
-        best = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
-        if gains[best] <= 0.0:
-            break
-        v = int(free[best])
-        seeds.add(v)
-        benefit.add(v)
-        cost.add(v)
-        free = np.delete(free, best)
-        trajectory.append({"added": v, "marginal": float(gains[best]),
-                           "profit": benefit.value - cost.value})
+    if free.size:  # a lattice with nothing to choose needs no coverage states
+        benefit = evaluator.coverage_state("benefit", seeds)
+        cost = evaluator.coverage_state("cost", seeds)
+        while free.size:
+            gains = benefit.gains[free] - cost.gains[free]
+            best = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
+            if gains[best] <= 0.0:
+                break
+            v = int(free[best])
+            seeds.add(v)
+            benefit.add(v)
+            cost.add(v)
+            free = np.delete(free, best)
+            trajectory.append({"added": v, "marginal": float(gains[best]),
+                               "profit": benefit.value - cost.value})
     result = frozenset(seeds)
     return SelectionResult(algorithm="greedy", params={}, seeds=result,
                            estimated_profit=evaluator.profit(result),
@@ -248,12 +299,16 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     incumbent = frozenset(lat.must_include)
     cap = max_iterations if max_iterations is not None else 100 * max(1, len(lat.free_nodes))
     trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
+    # what the bounds take from the lattice alone, computed once per run
+    ceiling = _ceiling(lat)
+    singleton = _singletons(evaluator, ceiling, pi_policy)
+    cost_fixed = _upper_fixed(evaluator, "cost", gamma_bound_variant, lat, ceiling)
     for round_no in range(cap):
-        pi = make_permutation(lat, incumbent, evaluator, policy=pi_policy,
-                              seed=derive_seed(int(seed), "pi", round_no))
+        pi = _order(lat, incumbent, ceiling, singleton,
+                    seed=derive_seed(int(seed), "pi", round_no))
         benefit_floor = modular_lower(evaluator, "benefit", incumbent, pi, lat)
-        cost_ceiling = modular_upper(evaluator, "cost", incumbent,
-                                     gamma_bound_variant, lat)
+        cost_ceiling = _upper_at(evaluator, "cost", incumbent, gamma_bound_variant,
+                                 ceiling, cost_fixed)
         nxt = maximize_modular_difference(benefit_floor, cost_ceiling, lat)
         if nxt == incumbent:
             name = "modmod1" if gamma_bound_variant == 3 else "modmod2"

@@ -129,8 +129,8 @@ def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
         cost_floor = evaluator.marginal_vs_rest(undecided, may, "cost")
         benefit_ceiling = evaluator.marginal_many(undecided, must, "benefit")
         cost_ceiling = evaluator.marginal_many(undecided, must, "cost")
-        lower = {v: benefit_floor[v] - cost_ceiling[v] for v in undecided}
-        upper = {v: benefit_ceiling[v] - cost_floor[v] for v in undecided}
+        lower = dict(zip(undecided, (benefit_floor - cost_ceiling).tolist()))
+        upper = dict(zip(undecided, (benefit_ceiling - cost_floor).tolist()))
         next_must = must | {v for v in undecided if lower[v] > 0.0}
         next_may = may - {v for v in undecided if upper[v] < 0.0}
         if not (must <= next_must <= next_may <= may):

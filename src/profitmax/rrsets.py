@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evaluation import KINDS, MarginalEvaluator
-from .graph import WeightedGraph, _check_int_ids, _read_json
+from .graph import WeightedGraph, _check_int_fields, _check_int_ids, _read_json
 from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
@@ -67,11 +67,19 @@ def _row_of(ptr) -> np.ndarray:
 
 def _node_array(nodes, node_count) -> np.ndarray:
     """Node ids as an int64 array; any id outside 0..node_count-1 raises."""
-    arr = np.fromiter((int(v) for v in nodes), dtype=np.int64)
+    if isinstance(nodes, np.ndarray):
+        arr = nodes.astype(np.int64, copy=False)
+    else:
+        count = len(nodes) if hasattr(nodes, "__len__") else -1
+        arr = np.fromiter(nodes, dtype=np.int64, count=count)
     bad = arr[(arr < 0) | (arr >= node_count)]
     if bad.size:
-        raise DomainError(f"node {int(bad[0])} outside 0..{node_count - 1}")
+        raise _outside(int(bad[0]), node_count)
     return arr
+
+
+def _outside(v: int, node_count) -> DomainError:
+    return DomainError(f"node {v} outside 0..{node_count - 1}")
 
 
 def _rows(ptr, data) -> list:
@@ -188,6 +196,7 @@ class RRCollection:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RRCollection":
         args = {key: d[key] for key in ("kind", "node_count", "total_weight", "seed", "sets")}
+        _check_int_fields(d, ("node_count", "seed", "theta"))
         _check_int_ids(itertools.chain.from_iterable(args["sets"]), "RR set member")
         c = cls(**args)
         if c.theta != d["theta"]:
@@ -356,7 +365,9 @@ class RRCoverage:
 
     def add(self, v) -> None:
         coll = self.coll
-        v = int(_node_array([v], coll.node_count)[0])
+        v = int(v)
+        if not 0 <= v < coll.node_count:
+            raise _outside(v, coll.node_count)
         sids = coll.set_ids[coll.node_ptr[v]:coll.node_ptr[v + 1]]
         fresh = sids[~self.covered[sids]]
         self.covered[fresh] = True
@@ -432,21 +443,19 @@ class ProfitEstimator(MarginalEvaluator):
         v = int(v)
         if v in base:
             raise DomainError(f"node {v} already in the base set")
-        return self.marginal_many([v], base, metric)[v]
+        return float(self.marginal_many([v], base, metric)[0])
 
-    def marginal_many(self, nodes, base, metric: str) -> dict:
+    def marginal_many(self, nodes, base, metric: str) -> np.ndarray:
         nodes, base = _node_array(nodes, self.node_count), _node_array(base, self.node_count)
-        gains = self._scaled(metric, lambda c: c.uncovered_counts(c.covered(base))[nodes])
-        return dict(zip(nodes.tolist(), gains.tolist()))
+        return self._scaled(metric, lambda c: c.uncovered_counts(c.covered(base))[nodes])
 
-    def marginal_vs_rest(self, nodes, whole, metric: str) -> dict:
+    def marginal_vs_rest(self, nodes, whole, metric: str) -> np.ndarray:
         nodes, whole = _node_array(nodes, self.node_count), _node_array(whole, self.node_count)
-        gains = self._scaled(metric, lambda c: c.rest_counts(whole)[nodes])
-        return dict(zip(nodes.tolist(), gains.tolist()))
+        return self._scaled(metric, lambda c: c.rest_counts(whole)[nodes])
 
-    def chain_increments(self, order, metric: str) -> list:
+    def chain_increments(self, order, metric: str) -> np.ndarray:
         order = _node_array(order, self.node_count)
-        return self._scaled(metric, lambda c: c.chain_counts(order)).tolist()
+        return self._scaled(metric, lambda c: c.chain_counts(order))
 
     def coverage_state(self, metric: str, base=()) -> RRCoverage:
         self._check_kind(metric)

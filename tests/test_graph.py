@@ -295,6 +295,15 @@ class TestRoundTrips:
         with pytest.raises(ParseError, match=message):
             load_graph_json(str(path))
 
+    def test_float_node_count_is_parse_error(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_graph_json(make_demo_graph(), path)
+        text = path.read_text(encoding="utf-8")
+        assert '"node_count": 4,' in text
+        path.write_text(text.replace('"node_count": 4,', '"node_count": 4.9,'), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"g\.json: .*node_count 4\.9 is not an integer"):
+            load_graph_json(str(path))
+
     def test_full_load_save_load(self, tmp_path):
         g = make_demo_graph()
         epath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"

@@ -196,6 +196,19 @@ class TestGreedy:
         assert result.seeds == {0, 1}
         assert result.trajectory == []
 
+    def test_no_free_nodes_builds_no_coverage_state(self, demo_graph, monkeypatch):
+        est = ProfitEstimator.build(demo_graph, 500, 500, seed=5)
+        lat = Lattice(frozenset({0, 2}), frozenset({0, 2}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coverage state built for a lattice with no free nodes")
+
+        monkeypatch.setattr(est, "coverage_state", refuse)
+        result = greedy(est, lat)
+        assert result.seeds == {0, 2}
+        assert result.trajectory == []
+        assert result.estimated_profit == est.profit({0, 2})
+
     @staticmethod
     def reference_greedy(ev, lat):
         """Greedy written out: argmax of the profit marginals, smallest id on ties."""
@@ -203,7 +216,8 @@ class TestGreedy:
         free = set(lat.free_nodes)
         added = []
         while free:
-            gains = ev.marginal_many(sorted(free), frozenset(seeds), "profit")
+            nodes = sorted(free)
+            gains = dict(zip(nodes, ev.marginal_many(nodes, frozenset(seeds), "profit")))
             best = min(gains, key=lambda v: (-gains[v], v))
             if gains[best] <= 0.0:
                 break
@@ -292,6 +306,28 @@ class TestModMod:
         ev, lat = demo_setup
         with pytest.raises(DomainError):
             modmod(ev, lat, gamma_bound_variant=1)
+
+    @pytest.mark.parametrize("pi_policy", ["marginal", "random"])
+    @pytest.mark.parametrize("variant, anchor, per_x", [
+        (3, "marginal_vs_rest", "marginal_many"),
+        (4, "marginal_many", "marginal_vs_rest"),
+    ])
+    def test_lattice_anchors_computed_once(self, monkeypatch, variant, anchor, per_x, pi_policy):
+        g = random_graph(np.random.default_rng(5), max_nodes=12, max_edges=30)
+        est = ProfitEstimator.build(g, 2000, 2000, seed=0)
+        calls = []
+        for name in ("marginal_many", "marginal_vs_rest", "chain_increments"):
+            def counted(*args, _query=getattr(est, name), _name=name):
+                calls.append((_name, args[-1]))
+                return _query(*args)
+            monkeypatch.setattr(est, name, counted)
+        result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant,
+                        pi_policy=pi_policy)
+        rounds = len(result.trajectory)  # each move, then the round that repeats
+        assert rounds >= 2
+        singletons = [("marginal_many", "profit")] if pi_policy == "marginal" else []
+        assert calls == (singletons + [(anchor, "cost")]
+                         + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
 
 
 class TestBaselines:

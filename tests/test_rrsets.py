@@ -11,7 +11,7 @@ from profitmax import (DomainError, ExactEvaluator, ParseError, ProfitEstimator,
                        load_collection, normalize_weights, sampling_error_limit,
                        save_collection, theta_for_relative_error)
 from profitmax import rrsets
-from profitmax.evaluation import CoverageState
+from profitmax.evaluation import CoverageState, MarginalEvaluator
 from profitmax.rng import derive_seed
 
 from conftest import brute_evaluate, make_demo_graph, random_graph, random_subset
@@ -405,6 +405,51 @@ class TestEstimator:
             query(est, bad)
 
 
+class TestQueryArrays:
+    """The estimator's vectorised queries against the generic fallbacks."""
+
+    NODES = [3, 0, 2]  # unsorted, so alignment with the input order shows
+    CALLS = {
+        "marginal_many": lambda query, ev, metric: query(ev, TestQueryArrays.NODES, {1}, metric),
+        "marginal_vs_rest": lambda query, ev, metric: query(ev, TestQueryArrays.NODES,
+                                                            {0, 1, 2}, metric),
+        "chain_increments": lambda query, ev, metric: query(ev, TestQueryArrays.NODES, metric),
+    }
+
+    @staticmethod
+    def check_array(out):
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (len(TestQueryArrays.NODES),)
+
+    # theta 1088 and 1024 make rho = Upsilon / theta exactly 1/128 on both sides
+    # (8.5 / 1088, 8 / 1024), so every prefix value the chain fallback
+    # subtracts is exact; the marginal queries agree bit for bit at any rho
+    @pytest.mark.parametrize("thetas", [(1088, 1024), (500, 700)], ids=["dyadic", "any"])
+    @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_fast_path_equals_fallback(self, demo_graph, name, metric, thetas):
+        est = ProfitEstimator.build(demo_graph, *thetas, seed=24)
+        call = self.CALLS[name]
+        fast = call(getattr(ProfitEstimator, name), est, metric)
+        slow = call(getattr(MarginalEvaluator, name), est, metric)
+        self.check_array(fast)
+        self.check_array(slow)
+        if name == "chain_increments" and thetas != (1088, 1024):
+            # the fallback differences rounded prefix values: equal to an ulp or so
+            assert fast.tolist() == pytest.approx(slow.tolist(), abs=1e-12)
+        else:
+            assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_exact_evaluator_returns_aligned_arrays(self, demo_graph, name, metric):
+        ev = ExactEvaluator(demo_graph)
+        out = self.CALLS[name](getattr(ExactEvaluator, name), ev, metric)
+        self.check_array(out)
+        if name == "marginal_many":
+            assert out.tolist() == [ev.marginal(v, {1}, metric) for v in self.NODES]
+
+
 class TestCoverageState:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32), base=st.lists(st.integers(0, 7), max_size=3),
@@ -422,7 +467,7 @@ class TestCoverageState:
                 for state in states:
                     state.add(v)
             rest = [u for u in range(n) if u not in seeds]
-            fresh = est.marginal_many(rest, seeds, metric)
+            fresh = dict(zip(rest, est.marginal_many(rest, seeds, metric)))
             for state in states:
                 assert state.gains[rest].tolist() == [fresh[u] for u in rest]
                 assert not state.gains[sorted(seeds)].any()
@@ -482,6 +527,16 @@ class TestSerialization:
         path = tmp_path / "rr.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=message):
+            load_collection(str(path))
+
+    @pytest.mark.parametrize("field, value", [("node_count", 2.9), ("seed", 0.5),
+                                              ("theta", 2.0)])
+    def test_float_count_is_parse_error(self, tmp_path, field, value):
+        doc = {"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0,
+               "theta": 2, "sets": [[0], [1]], field: value}
+        path = tmp_path / "rr.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"rr\.json: .*{field} {value} is not an integer"):
             load_collection(str(path))
 
     def test_estimator_from_loaded_collections(self, demo_graph, tmp_path):
