@@ -3,8 +3,8 @@
 Pruning, seed selection and certification are written against this interface
 so they run unchanged on the exact oracle (small graphs) and on the
 reverse-reachable sampling estimator (any scale).  Subclasses must implement
-``value``; the batched helpers and the coverage state have generic fallbacks
-that subclasses may override with faster paths.
+``value``; the batched helpers, the coverage state and the lattice state
+have generic fallbacks that subclasses may override with faster paths.
 
 The batched queries (``marginal_many``, ``marginal_vs_rest`` and
 ``chain_increments``) return float64 arrays aligned with the nodes asked
@@ -46,6 +46,32 @@ class CoverageState:
         self.value = ev.value(base, self.metric)
         self.gains = np.zeros(ev.node_count)
         self.gains[rest] = ev.marginal_many(rest, base, self.metric)
+
+
+class LatticeState:
+    """One side's pruning anchors for a lattice [A, B] that tightens.
+
+    ``ceiling(nodes)`` is f(v | A) and ``floor(nodes)`` is f(v | B - v),
+    for v in B, as float64 arrays aligned with ``nodes``;
+    ``tighten(added, removed)`` puts ``added`` into A and takes ``removed``
+    out of B.  This generic version asks ``marginal_many`` and
+    ``marginal_vs_rest`` on every query; an evaluator with incremental
+    structure returns its own object with these three members.
+    """
+
+    def __init__(self, evaluator, metric: str, must, may):
+        self.evaluator, self.metric = evaluator, metric
+        self.must, self.may = frozenset(must), frozenset(may)
+
+    def floor(self, nodes) -> np.ndarray:
+        return self.evaluator.marginal_vs_rest(nodes, self.may, self.metric)
+
+    def ceiling(self, nodes) -> np.ndarray:
+        return self.evaluator.marginal_many(nodes, self.must, self.metric)
+
+    def tighten(self, added, removed) -> None:
+        self.must |= frozenset(added)
+        self.may -= frozenset(removed)
 
 
 class MarginalEvaluator:
@@ -117,10 +143,15 @@ class MarginalEvaluator:
         self._check_kind(metric)
         return CoverageState(self, metric, base)
 
+    def lattice_state(self, metric: str, must, may) -> LatticeState:
+        """Incremental f(v | A) and f(v | B - v) for a benefit or cost side."""
+        self._check_kind(metric)
+        return LatticeState(self, metric, must, may)
+
     @staticmethod
     def _check_kind(metric):
         if metric not in KINDS:
-            raise DomainError(f"coverage states track one side; expected one of {KINDS}")
+            raise DomainError(f"coverage and lattice states track one side; expected one of {KINDS}")
 
     @staticmethod
     def _check_metric(metric):

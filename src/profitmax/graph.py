@@ -264,7 +264,10 @@ def _check_int_fields(doc, keys) -> None:
 
 
 def _read_json(path, read):
-    """``read(doc)`` for the JSON document at ``path``; malformed input raises ParseError."""
+    """``read(doc)`` for the JSON document at ``path``; malformed input raises ParseError.
+
+    A ``DomainError`` that ``read`` raises keeps its type and gains the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -276,6 +279,8 @@ def _read_json(path, read):
         raise ParseError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed document: {exc}") from None
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def load_edge_list(path, default_prob="wic") -> WeightedGraph:

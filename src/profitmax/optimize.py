@@ -353,27 +353,43 @@ def baseline(kind: str, g: WeightedGraph, k: int, evaluator: MarginalEvaluator,
             trajectory=[{"draw": i, "profit": p} for i, p in enumerate(profits)])
 
     if kind == "highdegree":
-        order = sorted(range(g.node_count), key=lambda v: (-int(g.out_degree[v]), v))
-        seeds = frozenset(order[:k])
-        return SelectionResult(algorithm="highdegree", params={"k": k},
-                               seeds=seeds,
-                               estimated_profit=evaluator.profit(seeds),
-                               trajectory=[])
-
+        return _highdegree(g, evaluator, [k])[0]
     return _benefitmax(evaluator, g.node_count, [k])[0]
+
+
+def _highdegree(g: WeightedGraph, evaluator: MarginalEvaluator, sizes) -> list:
+    """The highdegree selection for each k in sizes: prefixes of one order.
+
+    Nodes are ordered by descending out-degree, ties to the smallest id.
+    """
+    order = np.lexsort((np.arange(g.node_count), -g.out_degree)).tolist()
+    results = []
+    for k in sizes:
+        seeds = frozenset(order[:k])
+        results.append(SelectionResult(algorithm="highdegree", params={"k": k}, seeds=seeds,
+                                       estimated_profit=evaluator.profit(seeds),
+                                       trajectory=[]))
+    return results
 
 
 def _benefitmax(evaluator: MarginalEvaluator, node_count: int, sizes) -> list:
     """The benefitmax selection for each k in sizes.
 
     Greedy on the benefit marginal alone (ties to the smallest id) picks the
-    same nodes whatever k is, so each k takes a prefix of one run.
+    same nodes whatever k is, so each k takes a prefix of one run.  Once no
+    free node has a nonzero gain, no later pick changes any gain (coverage
+    only shrinks them, and they never go below zero), so the remaining picks
+    are the free nodes in id order, each with marginal 0.0.
     """
     state = evaluator.coverage_state("benefit")
     free = np.arange(node_count, dtype=np.int64)
     picks = []
     for _ in range(max(sizes)):
         gains = state.gains[free]
+        if not gains.any():
+            picks += [{"added": v, "marginal": 0.0}
+                      for v in free[:max(sizes) - len(picks)].tolist()]
+            break
         best = int(np.argmax(gains))
         picks.append({"added": int(free[best]), "marginal": float(gains[best])})
         state.add(picks[-1]["added"])
@@ -403,12 +419,17 @@ def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
             seed: int = 0) -> SelectionResult:
     """Run a baseline across the k schedule and keep its best profit.
 
-    Ties keep the first (largest) k.  Greedy picks do not depend on k, so
-    every benefitmax selection is a prefix of one run to the largest k.
+    Ties keep the first (largest) k.  Neither the greedy picks nor the
+    out-degree order depend on k, so every benefitmax and every highdegree
+    selection is a prefix of one run or one sort.
     """
     sizes = sweep_sizes(g.node_count)
-    results = (_benefitmax(evaluator, g.node_count, sizes) if kind == "benefitmax"
-               else (baseline(kind, g, k, evaluator, seed) for k in sizes))
+    if kind == "benefitmax":
+        results = _benefitmax(evaluator, g.node_count, sizes)
+    elif kind == "highdegree":
+        results = _highdegree(g, evaluator, sizes)
+    else:
+        results = (baseline(kind, g, k, evaluator, seed) for k in sizes)
     best = None
     swept = []
     for k, result in zip(sizes, results):

@@ -110,25 +110,29 @@ def trivial_lattice(node_count: int) -> Lattice:
 def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
     """Shrink the search space to a fixpoint lattice.
 
-    The evaluator supplies benefit and cost marginals; it must answer
-    consistently across calls (exact oracle, or estimates on frozen
-    collections).  An inconsistent evaluator breaks the nesting guarantee
-    A <= A' <= B' <= B and is reported as an InternalError rather than
-    silently clamped: it means the sample size is too small to prune with.
+    The evaluator supplies one lattice state per side (benefit, cost) that
+    answers the floors f(v | B - v) and the ceilings f(v | A), and is
+    tightened as A grows and B shrinks.  It must answer consistently across
+    calls (exact oracle, or estimates on frozen collections).  An
+    inconsistent evaluator breaks the nesting guarantee A <= A' <= B' <= B
+    and is reported as an InternalError rather than silently clamped: it
+    means the sample size is too small to prune with.
     """
     if nodes is None:
         nodes = range(evaluator.node_count)
     must = frozenset()
     may = frozenset(int(v) for v in nodes)
     steps = [PruneStep(must, may)]
+    benefit = evaluator.lattice_state("benefit", must, may)
+    cost = evaluator.lattice_state("cost", must, may)
     # each non-final iteration moves at least one node, so |nodes| + 1
     # passes suffice for any consistent evaluator
     for _ in range(len(may) + 1):
         undecided = sorted(may - must)
-        benefit_floor = evaluator.marginal_vs_rest(undecided, may, "benefit")
-        cost_floor = evaluator.marginal_vs_rest(undecided, may, "cost")
-        benefit_ceiling = evaluator.marginal_many(undecided, must, "benefit")
-        cost_ceiling = evaluator.marginal_many(undecided, must, "cost")
+        benefit_floor = benefit.floor(undecided)
+        cost_floor = cost.floor(undecided)
+        benefit_ceiling = benefit.ceiling(undecided)
+        cost_ceiling = cost.ceiling(undecided)
         lower = dict(zip(undecided, (benefit_floor - cost_ceiling).tolist()))
         upper = dict(zip(undecided, (benefit_ceiling - cost_floor).tolist()))
         next_must = must | {v for v in undecided if lower[v] > 0.0}
@@ -140,6 +144,8 @@ def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
         steps.append(PruneStep(next_must, next_may, lower, upper))
         if next_must == must and next_may == may:
             return Lattice(next_must, next_may, iterations=steps)
+        for state in (benefit, cost):
+            state.tighten(next_must - must, may - next_may)
         must, may = next_must, next_may
     raise InternalError("pruning did not converge within the iteration bound; "
                         "the evaluator is inconsistent")

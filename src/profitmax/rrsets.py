@@ -53,6 +53,17 @@ def _spans(ptr, rows) -> np.ndarray:
     return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def _distinct(keys) -> np.ndarray:
+    """The distinct values of an int array, ascending.
+
+    ``np.unique`` hashes first and is several times slower.
+    """
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def _row_sums(ptr, flags) -> np.ndarray:
     """Per row of a CSR array, the sum of ``flags`` over the row's positions."""
     acc = np.zeros(len(flags) + 1, dtype=np.int64)
@@ -167,10 +178,14 @@ class RRCollection:
         """Per node, how many of its sets the ``covered`` mask leaves out."""
         return _row_sums(self.node_ptr, ~covered[self.set_ids])
 
+    def hits(self, nodes) -> np.ndarray:
+        """Per set, how many of the (distinct) ``nodes`` it holds."""
+        return np.bincount(self.set_ids[_spans(self.node_ptr, nodes)], minlength=self.theta)
+
     def rest_counts(self, whole) -> np.ndarray:
         """Per node v, how many of its sets whole - v leaves uncovered."""
-        whole = np.unique(whole)
-        hits = np.bincount(self.set_ids[_spans(self.node_ptr, whole)], minlength=self.theta)
+        whole = _distinct(whole)
+        hits = self.hits(whole)
         inside = np.zeros(self.node_count, dtype=np.int64)
         inside[whole] = 1
         # inside whole, v's own membership is the single allowed hit
@@ -210,7 +225,7 @@ def _reverse_reach(roots, rng, g, visited):
     Each level draws one coin per in-edge of its new members and keeps the
     live ones as ``set * n + node`` keys; those in the ``visited`` bitmap
     (cleared again on return) are dropped and the rest sorted and
-    deduplicated (``np.unique`` hashes first and is several times slower).
+    deduplicated.
     One sort of ``set * span + level * n + node`` then lists each set's
     root, then its members level by level, ascending within a level.
     """
@@ -227,10 +242,7 @@ def _reverse_reach(roots, rng, g, visited):
         live = np.flatnonzero(rng.random(len(pos)) < prob[pos])
         # the set of live edge i is that of the member whose in-edges span i
         keys = sets[np.searchsorted(ends, live, side="right")] * n + src[pos[live]]
-        keys = np.sort(keys[~visited[keys]])
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        frontier = keys[first]
+        frontier = _distinct(keys[~visited[keys]])
         visited[frontier] = True
         levels.append(frontier)
     keys = np.concatenate(levels)
@@ -363,17 +375,61 @@ class RRCoverage:
     def value(self) -> float:
         return self.rho * float(self.count)
 
-    def add(self, v) -> None:
+    def add(self, nodes) -> None:
+        """Put one node, or each of several, into S."""
         coll = self.coll
-        v = int(v)
-        if not 0 <= v < coll.node_count:
-            raise _outside(v, coll.node_count)
-        sids = coll.set_ids[coll.node_ptr[v]:coll.node_ptr[v + 1]]
+        if np.isscalar(nodes):  # one node's sets are distinct already
+            v = int(nodes)
+            if not 0 <= v < coll.node_count:
+                raise _outside(v, coll.node_count)
+            sids = coll.set_ids[coll.node_ptr[v]:coll.node_ptr[v + 1]]
+        else:
+            sids = _distinct(coll.set_ids[_spans(coll.node_ptr,
+                                                 _node_array(nodes, coll.node_count))])
         fresh = sids[~self.covered[sids]]
         self.covered[fresh] = True
         self.count += len(fresh)
         self.uncovered -= np.bincount(coll.members[_spans(coll.set_ptr, fresh)],
                                       minlength=coll.node_count)
+
+
+class RRLattice:
+    """Pruning anchors of one RR collection for a lattice [A, B] that tightens.
+
+    A is an ``RRCoverage``, whose uncovered counts give ``ceiling``, f(v | A).
+    For B, ``hits[s]`` counts the nodes of B that set s holds and ``sole[v]``
+    the sets of v that meet B in v alone, so ``floor`` is f(v | B - v) for v
+    in B.  Taking R out of B lowers ``hits`` by R's index rows, and each set
+    that drops from two or more to one adds one to the node of B it still
+    holds; no other node of B changes.
+    """
+
+    def __init__(self, coll: RRCollection, rho: float, must, may):
+        self.coll, self.rho = coll, rho
+        self.inner = RRCoverage(coll, rho, must)
+        may = _distinct(may)
+        self.inside = np.zeros(coll.node_count, dtype=bool)
+        self.inside[may] = True
+        self.hits = coll.hits(may)
+        self.sole = _row_sums(coll.node_ptr, (self.hits == 1)[coll.set_ids])
+
+    def floor(self, nodes) -> np.ndarray:
+        return self.rho * self.sole[_node_array(nodes, self.coll.node_count)]
+
+    def ceiling(self, nodes) -> np.ndarray:
+        return self.rho * self.inner.uncovered[_node_array(nodes, self.coll.node_count)]
+
+    def tighten(self, added, removed) -> None:
+        coll = self.coll
+        self.inner.add(added)
+        removed = _distinct(_node_array(removed, coll.node_count))
+        removed = removed[self.inside[removed]]  # only nodes still in B leave it
+        self.inside[removed] = False
+        lost = coll.hits(removed)
+        self.hits -= lost
+        single = np.flatnonzero((self.hits == 1) & (lost > 0))
+        held = coll.members[_spans(coll.set_ptr, single)]
+        self.sole += np.bincount(held[self.inside[held]], minlength=coll.node_count)
 
 
 class ProfitEstimator(MarginalEvaluator):
@@ -461,6 +517,11 @@ class ProfitEstimator(MarginalEvaluator):
         self._check_kind(metric)
         return RRCoverage(self._colls[metric], self.rho(metric),
                           _node_array(base, self.node_count))
+
+    def lattice_state(self, metric: str, must, may) -> RRLattice:
+        self._check_kind(metric)
+        return RRLattice(self._colls[metric], self.rho(metric),
+                         _node_array(must, self.node_count), _node_array(may, self.node_count))
 
     def coverage_counts(self, seeds):
         """(Lambda_beta, Lambda_gamma): how many sets of each side the seed set covers."""

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,3 +313,22 @@ class TestRoundTrips:
         save_weights(g, wpath)
         g2 = load_weights(load_edge_list(str(epath)), str(wpath))
         assert g2 == WeightedGraph(4, DEMO_EDGES, DEMO_BENEFIT, DEMO_COST)
+
+
+class TestGraphJsonDomainErrors:
+    """Invariants the graph constructor checks come back naming the file."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda edges: edges.append([1, 1, 0.5]), "self-loop on node 1 is not allowed"),
+        (lambda edges: edges.append(list(edges[0])), "duplicate parallel edge"),
+        (lambda edges: edges[0].__setitem__(2, 1.5), r"probability 1\.5 outside \[0,1\]"),
+        (lambda edges: edges[0].__setitem__(1, 9), r"references a node outside 0\.\.3"),
+    ], ids=["self-loop", "duplicate-edge", "probability", "endpoint"])
+    def test_error_starts_with_path(self, tmp_path, damage, message):
+        path = tmp_path / "g.json"
+        save_graph_json(make_demo_graph(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        damage(doc["edges"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            load_graph_json(str(path))

@@ -8,6 +8,8 @@ from profitmax import (DomainError, ExactEvaluator, Lattice, ModularFunction,
                        k_sweep, make_permutation, maximize_modular_difference,
                        modmod, modular_lower, modular_upper, sweep_sizes,
                        trivial_lattice)
+from profitmax.graph import WeightedGraph
+from profitmax.rrsets import RRCollection, RRCoverage
 
 from conftest import (DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT, edgeless_graph,
                       make_demo_graph, random_graph)
@@ -424,3 +426,78 @@ class TestSelectionResultJson:
         assert doc["seeds"] == [1, 2]
         assert doc["algorithm"] == "greedy"
         assert doc["estimated_profit"] == pytest.approx(1.68, abs=1e-9)
+
+
+def reference_benefitmax_picks(evaluator, node_count, k):
+    """Benefit-greedy picks over k full argmax rounds, with no early stop."""
+    state = evaluator.coverage_state("benefit")
+    free, picks = list(range(node_count)), []
+    for _ in range(k):
+        gains = state.gains[free]
+        best = int(np.argmax(gains))
+        picks.append({"added": free.pop(best), "marginal": float(gains[best])})
+        state.add(picks[-1]["added"])
+    return picks
+
+
+def saturating_estimator():
+    """Ten nodes whose four benefit sets are all covered by picks 1, 3 and 7."""
+    g = WeightedGraph(10, [], benefit=[4.0] + [0.0] * 9, cost=[0.0] * 10)
+    sets = [[3, 1], [1], [5, 3], [7]]
+    return g, ProfitEstimator(RRCollection("benefit", 10, 4.0, 0, sets), None, g)
+
+
+class TestSweptBaselinePrefixes:
+    @pytest.mark.parametrize("case", ["saturating", "zero-benefit", "random"])
+    def test_benefitmax_matches_loop_without_stop(self, case):
+        if case == "saturating":
+            cases = [saturating_estimator()]
+        elif case == "zero-benefit":
+            g = WeightedGraph(6, [(0, 1, 0.5), (2, 1, 0.5)], benefit=[0.0] * 6,
+                              cost=[1.0] * 6)
+            cases = [(g, ProfitEstimator.build(g, 100, 100, seed=0))]
+        else:
+            rng = np.random.default_rng(29)
+            cases = []
+            for seed in range(6):
+                g = random_graph(rng, max_nodes=12, max_edges=30)
+                cases.append((g, ProfitEstimator.build(g, 200, 200, seed=seed)))
+        for g, est in cases:
+            n = g.node_count
+            picks = reference_benefitmax_picks(est, n, n)
+            swept = k_sweep("benefitmax", g, est, seed=0).params["swept"]
+            assert [entry["k"] for entry in swept] == sweep_sizes(n)
+            for entry in swept:
+                result = baseline("benefitmax", g, entry["k"], est, seed=0)
+                assert result.trajectory == picks[:entry["k"]]
+                assert result.seeds == {p["added"] for p in picks[:entry["k"]]}
+                assert entry["profit"] == result.estimated_profit == est.profit(result.seeds)
+
+    def test_benefitmax_stops_updating_once_saturated(self, monkeypatch):
+        g, est = saturating_estimator()
+        added = []
+        original = RRCoverage.add
+
+        def counted(self, nodes):
+            added.append(nodes)
+            return original(self, nodes)
+        monkeypatch.setattr(RRCoverage, "add", counted)
+        result = baseline("benefitmax", g, 10, est, seed=0)
+        assert added == [1, 3, 7]
+        assert [p["added"] for p in result.trajectory] == [1, 3, 7, 0, 2, 4, 5, 6, 8, 9]
+        assert [p["marginal"] for p in result.trajectory] == [2.0, 1.0, 1.0] + [0.0] * 7
+
+    def test_highdegree_prefixes_of_degree_order(self):
+        rng = np.random.default_rng(31)
+        for seed in range(6):
+            g = random_graph(rng, max_nodes=12, max_edges=20)  # out-degrees tie often
+            est = ProfitEstimator.build(g, 200, 200, seed=seed)
+            n = g.node_count
+            order = sorted(range(n), key=lambda v: (-int(g.out_degree[v]), v))
+            swept = k_sweep("highdegree", g, est, seed=0).params["swept"]
+            assert [entry["k"] for entry in swept] == sweep_sizes(n)
+            for entry in swept:
+                seeds = frozenset(order[:entry["k"]])
+                result = baseline("highdegree", g, entry["k"], est, seed=0)
+                assert result.seeds == seeds
+                assert entry["profit"] == result.estimated_profit == est.profit(seeds)

@@ -7,6 +7,7 @@ from profitmax import (ExactEvaluator, InternalError, Lattice, ProfitEstimator,
                        exhaustive_optimum, iterative_prune, normalize_weights,
                        trivial_lattice)
 from profitmax.evaluation import MarginalEvaluator
+from profitmax.prune import PruneStep
 
 from conftest import (DEMO_LOWER_MARGINS, DEMO_UPPER_MARGINS, brute_optimum,
                       brute_profit, edgeless_graph, make_demo_graph,
@@ -211,3 +212,71 @@ class TestLatticeSerialization:
     def test_floor_inside_ceiling_enforced(self):
         with pytest.raises(InternalError):
             Lattice(frozenset({1}), frozenset({2}))
+
+
+def reference_prune_steps(ev, nodes):
+    """The pruning loop with all four anchors queried from scratch each iteration."""
+    must, may = frozenset(), frozenset(nodes)
+    steps = [PruneStep(must, may)]
+    while True:
+        undecided = sorted(may - must)
+        lower = dict(zip(undecided, (ev.marginal_vs_rest(undecided, may, "benefit")
+                                     - ev.marginal_many(undecided, must, "cost")).tolist()))
+        upper = dict(zip(undecided, (ev.marginal_many(undecided, must, "benefit")
+                                     - ev.marginal_vs_rest(undecided, may, "cost")).tolist()))
+        next_must = must | {v for v in undecided if lower[v] > 0.0}
+        next_may = may - {v for v in undecided if upper[v] < 0.0}
+        steps.append(PruneStep(next_must, next_may, lower, upper))
+        if next_must == must and next_may == may:
+            return steps
+        must, may = next_must, next_may
+
+
+class TestLatticeStates:
+    """Pruning on incremental lattice states gives the from-scratch steps."""
+
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-nodes", "subset"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["estimator", "exact"])
+    def test_steps_match_from_scratch_loop(self, exact, subset):
+        rng = np.random.default_rng(17)
+        for trial in range(8):
+            g = random_graph(rng, max_nodes=7 if exact else 12, max_edges=12 if exact else 30)
+            ev = ExactEvaluator(g) if exact else ProfitEstimator.build(g, 500, 500, seed=trial)
+            nodes = (sorted(random_subset(rng, g.node_count)) if subset
+                     else range(g.node_count))
+            lat = iterative_prune(ev, nodes=nodes)
+            assert lat.iterations == reference_prune_steps(ev, nodes)
+            assert lat.may_include <= frozenset(nodes)
+
+    def test_subset_of_sure_profit_nodes(self):
+        # edgeless, so every node's margins are its own net weight
+        g = edgeless_graph([2.0, -1.0, 0.0, 3.0, -2.0])
+        lat = iterative_prune(ExactEvaluator(g), nodes=[1, 2, 3])
+        assert lat.must_include == {3}
+        assert lat.may_include == {2, 3}
+        assert set(lat.iterations[1].lower_margin) == {1, 2, 3}
+
+    def test_estimator_asks_no_batched_queries(self, monkeypatch):
+        calls = []
+        for name in ("marginal_many", "marginal_vs_rest"):
+            def counted(self, *args, _query=getattr(ProfitEstimator, name), _name=name):
+                calls.append(_name)
+                return _query(self, *args)
+            monkeypatch.setattr(ProfitEstimator, name, counted)
+        g = random_graph(np.random.default_rng(3), max_nodes=12, max_edges=30)
+        lat = iterative_prune(ProfitEstimator.build(g, 2000, 2000, seed=4))
+        assert len(lat.iterations) > 2  # pruning moved nodes before it settled
+        assert calls == []
+
+    def test_exact_evaluator_asks_four_queries_per_iteration(self, monkeypatch):
+        ev = ExactEvaluator(make_demo_graph())
+        calls = []
+        for name in ("marginal_many", "marginal_vs_rest"):
+            def counted(*args, _query=getattr(ev, name), _name=name):
+                calls.append((_name, args[-1]))
+                return _query(*args)
+            monkeypatch.setattr(ev, name, counted)
+        lat = iterative_prune(ev)
+        per_iteration = [("marginal_vs_rest", "benefit"), ("marginal_vs_rest", "cost"),
+                         ("marginal_many", "benefit"), ("marginal_many", "cost")]
+        assert calls == per_iteration * (len(lat.iterations) - 1)

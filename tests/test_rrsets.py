@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -548,3 +549,79 @@ class TestSerialization:
                               load_collection(str(tmp_path / "c.json")), demo_graph)
         direct = ProfitEstimator.build(demo_graph, 400, 400, seed=20)
         assert estimates(est, {1, 2}) == estimates(direct, {1, 2})
+
+
+class TestCollectionJsonDomainErrors:
+    """Invariants the collection constructor checks come back naming the file."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"theta": 3, "sets": [[0], [1]]}, "collection theta does not match its sets"),
+        ({"theta": 2, "sets": [[0], []]}, "RR set 1 is empty"),
+        ({"theta": 2, "sets": [[0], [2]]}, r"RR set members must lie in 0\.\.1"),
+    ], ids=["theta", "empty-set", "member-range"])
+    def test_error_starts_with_path(self, tmp_path, doc, message):
+        path = tmp_path / "rr.json"
+        doc = dict({"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0}, **doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: {message}"):
+            load_collection(str(path))
+
+
+class TestLatticeState:
+    """Floors f(v | B - v) and ceilings f(v | A) as A grows and B shrinks."""
+
+    @staticmethod
+    def assert_matches_from_scratch(ev, states, must, may, rng):
+        n = ev.node_count
+        outside_a = rng.permutation([v for v in range(n) if v not in must])
+        inside_b = rng.permutation(sorted(may))
+        for kind, state in states.items():
+            ceiling, floor = state.ceiling(outside_a), state.floor(inside_b)
+            assert ceiling.dtype == floor.dtype == np.float64
+            assert np.array_equal(ceiling, ev.marginal_many(outside_a, must, kind))
+            assert np.array_equal(floor, ev.marginal_vs_rest(inside_b, may, kind))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+    def test_tighten_replay_matches_from_scratch(self, seed, exact):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, max_nodes=8, max_edges=12 if exact else 20)
+        n = g.node_count
+        ev = ExactEvaluator(g) if exact else ProfitEstimator.build(g, 300, 300, seed=seed)
+        may = set(range(n)) - random_subset(rng, n)
+        must = {v for v in may if rng.random() < 0.3}
+        states = {kind: ev.lattice_state(kind, must, may) for kind in ("benefit", "cost")}
+        self.assert_matches_from_scratch(ev, states, must, may, rng)
+        while may - must:
+            undecided = sorted(may - must)
+            added = {v for v in undecided if rng.random() < 0.3}
+            # nodes already outside B may be named again; they stay out
+            removed = {v for v in range(n) if v not in must | added and rng.random() < 0.3}
+            for state in states.values():
+                state.tighten(added, removed)
+            must, may = must | added, may - removed
+            self.assert_matches_from_scratch(ev, states, must, may, rng)
+
+    def test_set_left_with_one_node_of_b_counts_for_it(self):
+        # node 3 lies in no set; set 3 holds all of 0, 1, 2
+        est = counting_estimator([[0, 1], [1, 2], [2], [0, 1, 2]], node_count=4)
+        state = est.lattice_state("benefit", (), range(4))
+        assert state.floor([0, 1, 2, 3]).tolist() == [0.0, 0.0, 1.0, 0.0]
+        state.tighten((), [1])  # sets 0 and 1 drop to one node of B each
+        assert state.floor([0, 2, 3]).tolist() == [1.0, 2.0, 0.0]
+        state.tighten([2], [0])
+        assert state.floor([2, 3]).tolist() == [3.0, 0.0]
+        assert state.ceiling([0, 1, 3]).tolist() == [1.0, 1.0, 0.0]
+
+    def test_side_without_samples_is_zero(self):
+        est = counting_estimator([[0, 1], [1]], node_count=3)
+        state = est.lattice_state("cost", [0], range(3))
+        state.tighten([1], [2])
+        assert not state.floor([0, 1]).any()
+        assert not state.ceiling([2]).any()
+
+    def test_profit_is_not_a_side(self, demo_graph):
+        est = ProfitEstimator.build(demo_graph, 100, 100, seed=22)
+        for ev in (est, ExactEvaluator(demo_graph)):
+            with pytest.raises(DomainError):
+                ev.lattice_state("profit", (), range(4))
