@@ -151,7 +151,8 @@ class MarginalEvaluator:
     @staticmethod
     def _check_kind(metric):
         if metric not in KINDS:
-            raise DomainError(f"coverage and lattice states track one side; expected one of {KINDS}")
+            raise DomainError(f"coverage and lattice states track one side; "
+                              f"expected one of {KINDS}")
 
     @staticmethod
     def _check_metric(metric):

@@ -358,9 +358,9 @@ def baseline(kind: str, g: WeightedGraph, k: int, evaluator: MarginalEvaluator,
 
 
 def _highdegree(g: WeightedGraph, evaluator: MarginalEvaluator, sizes) -> list:
-    """The highdegree selection for each k in sizes: prefixes of one order.
+    """The highdegree selection for each k in sizes, ties to the smallest id.
 
-    Nodes are ordered by descending out-degree, ties to the smallest id.
+    Each k takes a prefix of one order by descending out-degree.
     """
     order = np.lexsort((np.arange(g.node_count), -g.out_degree)).tolist()
     results = []

@@ -21,7 +21,9 @@ selection uses an incremental coverage state instead: a mask of the sets
 the seed set covers and, per node, the count of its sets still uncovered,
 decremented only for the sets a new seed covers (the node-selection
 scheme of IMM, Tang, Shi and Xiao, SIGMOD 2015), so a whole greedy run
-touches each member of each set once.
+touches each member of each set once.  Pruning keeps such a state for its
+floor A and, for its ceiling B, per-set counts of the nodes of B, updated
+only for the sets a node leaving B touches (``RRLattice``).
 
 Sampling is batch-frontier: the sets of a batch grow together, one BFS level
 per numpy pass (see ``generate``), all from one generator derived from
@@ -54,10 +56,7 @@ def _spans(ptr, rows) -> np.ndarray:
 
 
 def _distinct(keys) -> np.ndarray:
-    """The distinct values of an int array, ascending.
-
-    ``np.unique`` hashes first and is several times slower.
-    """
+    """The distinct values of an int array, ascending (``np.unique`` hashes and is slower)."""
     keys = np.sort(keys)
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -401,7 +400,7 @@ class RRLattice:
     the sets of v that meet B in v alone, so ``floor`` is f(v | B - v) for v
     in B.  Taking R out of B lowers ``hits`` by R's index rows, and each set
     that drops from two or more to one adds one to the node of B it still
-    holds; no other node of B changes.
+    holds; no other node of B changes.  ``sole`` counts only for nodes of B.
     """
 
     def __init__(self, coll: RRCollection, rho: float, must, may):
@@ -411,7 +410,8 @@ class RRLattice:
         self.inside = np.zeros(coll.node_count, dtype=bool)
         self.inside[may] = True
         self.hits = coll.hits(may)
-        self.sole = _row_sums(coll.node_ptr, (self.hits == 1)[coll.set_ids])
+        self.sole = np.zeros(coll.node_count, dtype=np.int64)
+        self._credit(self.hits == 1)
 
     def floor(self, nodes) -> np.ndarray:
         return self.rho * self.sole[_node_array(nodes, self.coll.node_count)]
@@ -427,8 +427,12 @@ class RRLattice:
         self.inside[removed] = False
         lost = coll.hits(removed)
         self.hits -= lost
-        single = np.flatnonzero((self.hits == 1) & (lost > 0))
-        held = coll.members[_spans(coll.set_ptr, single)]
+        self._credit((self.hits == 1) & (lost > 0))
+
+    def _credit(self, sets) -> None:
+        """Add one to ``sole`` of the node of B each set in the mask still holds."""
+        coll = self.coll
+        held = coll.members[_spans(coll.set_ptr, np.flatnonzero(sets))]
         self.sole += np.bincount(held[self.inside[held]], minlength=coll.node_count)
 
 
