@@ -75,23 +75,25 @@ class ProfitCertificate:
         }
 
 
-def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice, variant: int = 3,
-             pi_policy: str = "marginal", seed: int = 0) -> float:
+def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     """Cap on the maximum achievable profit, anchored at a lattice set X.
 
-    Builds a modular upper bound on the benefit (variant 3 or 4) and a
-    modular lower bound on the cost, both tight at X, and maximizes their
-    difference over the lattice in closed form.  No seed set anywhere in the
-    lattice, and hence none at all, can beat the returned value under the
-    evaluator's metrics.
+    One modular lower bound on the cost, tight at X along the singleton
+    permutation, is paired with each of the benefit upper bounds 3 and 4,
+    also tight at X; each difference is maximized over the lattice in closed
+    form, and the smaller maximum is returned.  No seed set anywhere in the
+    lattice, and hence none at all, can beat it under the evaluator's
+    metrics.
     """
     X = frozenset(X)
-    benefit_ceiling = modular_upper(evaluator, "benefit", X, variant, lat)
-    pi = make_permutation(lat, X, evaluator, policy=pi_policy,
-                          seed=derive_seed(int(seed), "mu-pi"))
+    pi = make_permutation(lat, X, evaluator)
     cost_floor = modular_lower(evaluator, "cost", X, pi, lat)
-    best = maximize_modular_difference(benefit_ceiling, cost_floor, lat)
-    return benefit_ceiling.evaluate(best) - cost_floor.evaluate(best)
+    caps = []
+    for variant in (3, 4):
+        benefit_ceiling = modular_upper(evaluator, "benefit", X, variant, lat)
+        best = maximize_modular_difference(benefit_ceiling, cost_floor, lat)
+        caps.append(benefit_ceiling.evaluate(best) - cost_floor.evaluate(best))
+    return min(caps)
 
 
 def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,
@@ -134,8 +136,7 @@ def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,
 
 
 def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
-            delta: float = 1e-6, seed: int = 0,
-            pi_policy: str = "marginal") -> ProfitCertificate:
+            delta: float = 1e-6, seed: int = 0) -> ProfitCertificate:
     """Certify a seed set on fresh validation collections.
 
     ``validation_thetas`` is one count for both collections or a
@@ -167,10 +168,7 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
                                                  totals.upsilon_c, delta)
     phi_estimate = estimator.profit(seeds)
 
-    mu_estimate = min(
-        mu_bound(estimator, seeds, lat, variant=3, pi_policy=pi_policy, seed=seed),
-        mu_bound(estimator, seeds, lat, variant=4, pi_policy=pi_policy, seed=seed),
-        totals.upsilon_b)
+    mu_estimate = min(mu_bound(estimator, seeds, lat), totals.upsilon_b)
     eps = epsilon_mu(mu_estimate, theta_beta, theta_gamma,
                      totals.upsilon_b, totals.upsilon_c, delta)
 

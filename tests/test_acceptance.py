@@ -14,9 +14,9 @@ import pytest
 from profitmax import (ExactEvaluator, ProfitEstimator, WeightedGraph,
                        assign_weights, chernoff_a, confidence_bounds,
                        exhaustive_optimum, generate, greedy, iterative_prune,
-                       k_sweep, make_permutation, modmod, modular_lower,
-                       modular_upper, mu_bound, normalize_weights,
-                       sampling_error_limit)
+                       k_sweep, make_permutation, maximize_modular_difference,
+                       modmod, modular_lower, modular_upper, mu_bound,
+                       normalize_weights, sampling_error_limit)
 from profitmax.cli import CSV_COLUMNS
 from profitmax.rng import derive_seed
 
@@ -96,6 +96,14 @@ def test_criterion_2_fixture_optimization(demo_exact, demo_selections):
               "projection chain -2 < 0 < 1.68 exact")
 
 
+def _variant_cap(ev, X, lat, variant):
+    """The profit cap of one benefit ceiling (3 or 4), built from the public bounds."""
+    ceiling = modular_upper(ev, "benefit", X, variant, lat)
+    floor = modular_lower(ev, "cost", X, make_permutation(lat, X, ev), lat)
+    best = maximize_modular_difference(ceiling, floor, lat)
+    return ceiling.evaluate(best) - floor.evaluate(best)
+
+
 def _check_sandwich(ev, lat, X, subsets, values):
     for metric in ("benefit", "cost"):
         bounds = {v: modular_upper(ev, metric, X, v, lat) for v in (1, 2, 3, 4)}
@@ -171,8 +179,9 @@ def test_criterion_3_theorem_property_suite():
                   for Y in set(subsets) | {frozenset(a) for a in anchors}}
         for X in anchors:
             X = frozenset(X)
-            assert mu_bound(ev, X, lat, variant=3) >= best_value - TOL
-            assert mu_bound(ev, X, lat, variant=4) >= best_value - TOL
+            caps = [_variant_cap(ev, X, lat, variant) for variant in (3, 4)]
+            assert min(caps) >= best_value - TOL
+            assert mu_bound(ev, X, lat) == min(caps)
         _check_sandwich(ev, lat, frozenset(anchors[2]), subsets, values)
     elapsed = time.perf_counter() - start
     assert outside_checked >= 100

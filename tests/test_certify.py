@@ -1,11 +1,14 @@
+import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from profitmax import (DomainError, ExactEvaluator, WeightedGraph, certify,
-                       chernoff_a, epsilon_mu, exhaustive_optimum,
-                       iterative_prune, mu_bound, trivial_lattice)
+from profitmax import (DomainError, ExactEvaluator, ProfitEstimator, WeightedGraph,
+                       certify, chernoff_a, epsilon_mu, exhaustive_optimum,
+                       iterative_prune, make_permutation, maximize_modular_difference,
+                       modular_lower, modular_upper, mu_bound, trivial_lattice)
 
 from conftest import (brute_optimum, brute_profit, edgeless_graph,
                       make_demo_graph, random_graph)
@@ -17,13 +20,23 @@ def demo_setup(demo_graph):
     return ev, iterative_prune(ev)
 
 
+def variant_cap(ev, X, lat, variant):
+    """The profit cap of one benefit ceiling (3 or 4), built from the public bounds."""
+    X = frozenset(X)
+    ceiling = modular_upper(ev, "benefit", X, variant, lat)
+    floor = modular_lower(ev, "cost", X, make_permutation(lat, X, ev), lat)
+    best = maximize_modular_difference(ceiling, floor, lat)
+    return ceiling.evaluate(best) - floor.evaluate(best)
+
+
 class TestMuBound:
     def test_demo_values(self, demo_setup):
         ev, lat = demo_setup
-        mu3 = mu_bound(ev, {1, 2}, lat, variant=3)
-        mu4 = mu_bound(ev, {1, 2}, lat, variant=4)
+        mu3 = variant_cap(ev, {1, 2}, lat, 3)
+        mu4 = variant_cap(ev, {1, 2}, lat, 4)
         assert mu3 == pytest.approx(1.8624, abs=1e-9)
         assert mu4 == pytest.approx(2.2704, abs=1e-9)
+        assert mu_bound(ev, {1, 2}, lat) == min(mu3, mu4)
         assert min(mu3, mu4) >= 1.68 - 1e-9
 
     def test_edgeless_equals_true_optimum(self):
@@ -32,7 +45,8 @@ class TestMuBound:
         lat = trivial_lattice(4)
         for X in (frozenset(), {0}, {0, 2, 3}):
             for variant in (3, 4):
-                assert mu_bound(ev, X, lat, variant) == pytest.approx(5.5, abs=1e-9)
+                assert variant_cap(ev, X, lat, variant) == pytest.approx(5.5, abs=1e-9)
+            assert mu_bound(ev, X, lat) == pytest.approx(5.5, abs=1e-9)
 
     def test_dominates_brute_force_optimum(self):
         rng = np.random.default_rng(311)
@@ -48,28 +62,29 @@ class TestMuBound:
                 candidates.append(lat.must_include | extra)
             for X in candidates:
                 for variant in (3, 4):
-                    assert mu_bound(ev, X, lat, variant) >= best - 1e-9
+                    assert variant_cap(ev, X, lat, variant) >= best - 1e-9
+                assert mu_bound(ev, X, lat) >= best - 1e-9
 
     def test_x_outside_lattice_rejected(self, demo_setup):
         ev, lat = demo_setup
         with pytest.raises(DomainError):
-            mu_bound(ev, {3}, lat, variant=3)
+            mu_bound(ev, {3}, lat)
 
     def test_matches_lattice_enumeration(self, demo_setup):
-        # brute-force the modular difference over the whole lattice
-        import itertools
-        from profitmax import make_permutation, modular_lower, modular_upper
+        # brute-force each variant's modular difference over the whole lattice
         ev, lat = demo_setup
         X = frozenset({1, 2})
-        m = modular_upper(ev, "benefit", X, 3, lat)
-        pi = make_permutation(lat, X, ev, seed=0)
+        pi = make_permutation(lat, X, ev)
         h = modular_lower(ev, "cost", X, pi, lat)
         free = sorted(lat.free_nodes)
-        best = max(m.evaluate(lat.must_include | frozenset(extra))
-                   - h.evaluate(lat.must_include | frozenset(extra))
-                   for r in range(len(free) + 1)
-                   for extra in itertools.combinations(free, r))
-        assert mu_bound(ev, X, lat, variant=3, seed=0) == pytest.approx(best, abs=1e-12)
+        lattice_sets = [lat.must_include | frozenset(extra)
+                        for r in range(len(free) + 1)
+                        for extra in itertools.combinations(free, r)]
+        caps = []
+        for variant in (3, 4):
+            m = modular_upper(ev, "benefit", X, variant, lat)
+            caps.append(max(m.evaluate(Y) - h.evaluate(Y) for Y in lattice_sets))
+        assert mu_bound(ev, X, lat) == pytest.approx(min(caps), abs=1e-12)
 
 
 class TestEpsilonMu:
@@ -150,6 +165,29 @@ class TestCertify:
             (cert.beta_lower - cert.gamma_upper)
             / (cert.mu_estimate + cert.epsilon_mu))
         assert est_b == cert.phi_estimate
+
+    def test_one_cap_per_certificate(self, monkeypatch, demo_graph, demo_setup):
+        # mu is one mu_bound call: one permutation (its profit singletons) and
+        # one cost chain on the validation estimator serve both benefit ceilings
+        _, lat = demo_setup
+        certify_module = importlib.import_module("profitmax.certify")
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs.get("metric", args[-1])))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("marginal_many", "chain_increments"):
+            monkeypatch.setattr(ProfitEstimator, name,
+                                counted(name, ProfitEstimator.__dict__[name]))
+        monkeypatch.setattr(certify_module, "mu_bound",
+                            counted("mu_bound", certify_module.mu_bound))
+        certify({1, 2}, demo_graph, lat, 1000, delta=0.01, seed=5)
+        assert [name for name, _ in calls].count("mu_bound") == 1
+        assert calls.count(("marginal_many", "profit")) == 1
+        assert [c for c in calls if c[0] == "chain_increments"] == [("chain_increments", "cost")]
 
     def test_single_node_degenerate(self):
         g = WeightedGraph(1, [], benefit=[1.0], cost=[0.0])
