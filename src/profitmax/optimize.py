@@ -283,8 +283,7 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
 
 
 def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int = 3,
-           pi_policy: str = "marginal", seed: int = 0,
-           max_iterations: int = None) -> SelectionResult:
+           pi_policy: str = "marginal", seed: int = 0) -> SelectionResult:
     """Modular-modular iteration from A* to a profit fixpoint.
 
     Round t bounds the profit from below by h(Y; benefit) - m(Y; cost), both
@@ -297,13 +296,12 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     if gamma_bound_variant not in (3, 4):
         raise DomainError(f"gamma bound variant must be 3 or 4, got {gamma_bound_variant}")
     incumbent = frozenset(lat.must_include)
-    cap = max_iterations if max_iterations is not None else 100 * max(1, len(lat.free_nodes))
     trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
     # what the bounds take from the lattice alone, computed once per run
     ceiling = _ceiling(lat)
     singleton = _singletons(evaluator, ceiling, pi_policy)
     cost_fixed = _upper_fixed(evaluator, "cost", gamma_bound_variant, lat, ceiling)
-    for round_no in range(cap):
+    for round_no in range(100 * max(1, len(lat.free_nodes))):
         pi = _order(lat, incumbent, ceiling, singleton,
                     seed=derive_seed(int(seed), "pi", round_no))
         benefit_floor = modular_lower(evaluator, "benefit", incumbent, pi, lat)
