@@ -298,7 +298,7 @@ def load_edge_list(path, default_prob="wic") -> WeightedGraph:
         if not (0.0 <= const <= 1.0):
             raise DomainError(f"default probability {const} outside [0,1]")
 
-    ext_edges = []
+    ext_edges = {}  # (u, v) -> p, in file order
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) not in (2, 3):
@@ -319,20 +319,22 @@ def load_edge_list(path, default_prob="wic") -> WeightedGraph:
                 raise DomainError(f"{path}:{lineno}: probability {p} outside [0,1]")
         if u_ext == v_ext:
             raise DomainError(f"{path}:{lineno}: self-loop on node {u_ext}")
-        ext_edges.append((u_ext, v_ext, p))
+        if (u_ext, v_ext) in ext_edges:
+            raise DomainError(f"{path}:{lineno}: duplicate edge ({u_ext},{v_ext})")
+        ext_edges[u_ext, v_ext] = p
 
     if not ext_edges:
         raise DomainError(f"{path}: no edges found")
 
     # dense internal ids in ascending external-id order
-    order = sorted({x for u, v, _ in ext_edges for x in (u, v)})
+    order = sorted({x for edge in ext_edges for x in edge})
     index = {ext: i for i, ext in enumerate(order)}
     n = len(order)
     in_deg = [0] * n
-    for _, v_ext, _ in ext_edges:
+    for _, v_ext in ext_edges:
         in_deg[index[v_ext]] += 1
     edges = []
-    for u_ext, v_ext, p in ext_edges:
+    for (u_ext, v_ext), p in ext_edges.items():
         u, v = index[u_ext], index[v_ext]
         if p is None:
             p = 1.0 / in_deg[v] if default_prob == "wic" else const

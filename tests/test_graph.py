@@ -81,6 +81,11 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="2"):
             load_edge_list(write(tmp_path / "bad.txt", "0 1 0.5\nnope\n"))
 
+    def test_duplicate_edge_names_file_and_line(self, tmp_path):
+        path = write(tmp_path / "dup.txt", "10 20\n20 30\n10 20\n")
+        with pytest.raises(DomainError, match=r"dup\.txt:3: duplicate edge \(10,20\)$"):
+            load_edge_list(path)
+
     def test_bad_default_prob(self, tmp_path):
         path = write(tmp_path / "g.txt", "0 1\n")
         with pytest.raises(DomainError):
