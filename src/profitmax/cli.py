@@ -431,6 +431,9 @@ def cmd_experiment(args) -> int:
                  for prune_on in (True, False)
                  for norm_on in (True, False)]
     rows = []
+    # bad input ends the run before any row, whatever --jobs is; workers
+    # read the file themselves, since a pickled graph arrives writable
+    graph = _load_weighted_graph(cfg)
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_experiment_row, cfg, rs) for rs in row_specs]
@@ -440,7 +443,6 @@ def cmd_experiment(args) -> int:
                 except Exception as exc:  # rows are isolated; record and move on
                     rows.append(_failed_row(cfg, rs, exc))
     else:
-        graph = _load_weighted_graph(cfg)
         for rs in row_specs:
             try:
                 rows.append(_experiment_row(cfg, rs, graph))

@@ -217,6 +217,19 @@ class TestExperiment:
         assert "failed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_graph_fails_before_any_row(self, tmp_path, capsys, jobs):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\nx y\n", encoding="utf-8")
+        csv_path = tmp_path / "exp.csv"
+        args = ["experiment", "--theta", "200", "--algo", "greedy", "--jobs", jobs,
+                "--csv", str(csv_path)]
+        assert main(args + ["--graph", str(bad)]) == 2
+        assert "bad.txt:2: node ids must be integers" in capsys.readouterr().err
+        assert main(args + ["--graph", str(tmp_path / "missing.txt")]) == 3
+        assert not csv_path.exists()
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, demo_files, tmp_path, capsys):
         edges, weights = demo_files
