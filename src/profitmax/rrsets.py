@@ -65,9 +65,11 @@ def _distinct(keys) -> np.ndarray:
 
 def _row_sums(ptr, flags) -> np.ndarray:
     """Per row of a CSR array, the sum of ``flags`` over the row's positions."""
-    acc = np.zeros(len(flags) + 1, dtype=np.int64)
-    np.cumsum(flags, out=acc[1:])
-    return acc[ptr[1:]] - acc[ptr[:-1]]
+    # reduceat gives an empty row the element at its start: the padding keeps
+    # that in bounds, and the row is zeroed after
+    sums = np.add.reduceat(np.append(flags, False), ptr[:-1], dtype=np.int64)
+    sums[ptr[1:] == ptr[:-1]] = 0
+    return sums
 
 
 def _row_of(ptr) -> np.ndarray:

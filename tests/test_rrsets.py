@@ -234,6 +234,26 @@ class TestCoverage:
                             assert gain_s >= gain_t
 
 
+    def test_row_sums_match_cumsum(self):
+        def cumsum_row_sums(ptr, flags):
+            acc = np.zeros(len(flags) + 1, dtype=np.int64)
+            np.cumsum(flags, out=acc[1:])
+            return acc[ptr[1:]] - acc[ptr[:-1]]
+
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            lens = rng.integers(0, 5, size=int(rng.integers(3, 40)))
+            lens[[0, len(lens) // 2, -1]] = 0  # empty first, middle and last rows
+            ptr = np.concatenate(([0], np.cumsum(lens)))
+            flags = rng.random(ptr[-1]) < 0.5
+            got = rrsets._row_sums(ptr, flags)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, cumsum_row_sums(ptr, flags))
+        for ptr in (np.zeros(1, dtype=np.int64), np.zeros(4, dtype=np.int64)):
+            flags = np.zeros(0, dtype=bool)
+            assert np.array_equal(rrsets._row_sums(ptr, flags), cumsum_row_sums(ptr, flags))
+
+
 class TestMarginalCoverage:
     def test_example_counts(self):
         est = counting_estimator([[1, 2], [2]], node_count=3)
