@@ -6,11 +6,16 @@ edge's probability.  Flipping every edge coin up front yields a deterministic
 "live-edge" subgraph, and the set activated by seeds S equals the set
 reachable from S over live edges.
 
+Simulation runs on the RR sampler's frontier kernel (``rrsets._reach``),
+forward over the out-edges instead of backward over the in-edges, so one
+numpy pass per cascade level serves a whole block of runs.
+
 For small graphs the expectation over live-edge outcomes can be computed
 exactly by enumerating all 2^m edge subsets.  That enumeration is the ground
 truth against which every estimator and search property in this package is
-tested, so it is deliberately direct: per-world transitive closure, weighted
-by the world's probability.  Size caps keep accidental blowups out.
+tested, including the shared kernel, so it is deliberately direct and shares
+no code with it: per-world transitive closure, weighted by the world's
+probability.  Size caps keep accidental blowups out.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import CapacityError, DomainError
 from .evaluation import MarginalEvaluator
 from .graph import WeightedGraph
 from .rng import make_rng
+from .rrsets import _reach
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_NODE_CAP = 16
@@ -46,33 +52,24 @@ def _check_edge_cap(g: WeightedGraph, edge_cap: int) -> None:
             f"the edge cap is {edge_cap}")
 
 
-def simulate_spread(g: WeightedGraph, seeds, rng) -> set:
-    """Run one independent-cascade diffusion and return the activated set.
+def simulate_spread(g: WeightedGraph, seeds, runs: int, rng) -> np.ndarray:
+    """Run ``runs`` independent-cascade diffusions from one seed set.
 
-    Activation proceeds breadth first; each edge's coin is flipped at most
-    once, lazily, when its source first activates.  The result always
-    contains the seeds.  ``rng`` is a seed or a ``numpy.random.Generator``.
+    Returns a (runs, n) bool array whose row r marks the nodes run r
+    activates; every row contains the seeds.  The runs grow together on the
+    RR sampler's frontier kernel over the forward CSR: each new member
+    flips each of its out-edges once, including edges into nodes already
+    active, whose coins cannot change the outcome.  ``rng`` is a seed or a
+    ``numpy.random.Generator``.
     """
-    seeds = _check_seeds(g, seeds)
-    rand = make_rng(rng).random
-    ptr, dst, prob = g.forward_csr()
-    dst_l = dst.tolist()
-    prob_l = prob.tolist()
-    ptr_l = ptr.tolist()
-
-    active = set(seeds)
-    queue = list(seeds)
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for k in range(ptr_l[u], ptr_l[u + 1]):
-            v = dst_l[k]
-            if v in active:
-                continue
-            if rand() < prob_l[k]:
-                active.add(v)
-                queue.append(v)
+    runs = int(runs)
+    if runs < 1:
+        raise DomainError(f"runs must be at least 1, got {runs}")
+    seeds = np.array(sorted(_check_seeds(g, seeds)), dtype=np.int64)
+    sizes, nodes = _reach(np.broadcast_to(seeds, (runs, len(seeds))), make_rng(rng),
+                          g.forward_csr())
+    active = np.zeros((runs, g.node_count), dtype=bool)
+    active[np.repeat(np.arange(runs), sizes), nodes] = True
     return active
 
 

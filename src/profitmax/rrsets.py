@@ -220,38 +220,49 @@ class RRCollection:
         return c
 
 
-def _reverse_reach(roots, rng, g, visited):
-    """(set, node) of the members of one RR set per root, grown level by level.
+def _reach(starts, rng, csr):
+    """Grow one reached set per row of ``starts``; return (sizes, members).
 
-    Each level draws one coin per in-edge of its new members and keeps the
-    live ones as ``set * n + node`` keys; those in the ``visited`` bitmap
-    (cleared again on return) are dropped and the rest sorted and
-    deduplicated.
-    One sort of ``set * span + level * n + node`` then lists each set's
-    root, then its members level by level, ascending within a level.
+    Row i of ``starts`` lists set i's distinct start nodes and ``csr`` is a
+    graph's ``(ptr, neighbour, prob)`` arrays: reverse for RR sets, forward
+    for cascades.  Sets grow together in batches of ``VISITED_BUDGET // n``,
+    one numpy pass per level: one coin per edge of each new member, the live
+    ones kept as ``set * n + node`` keys, minus those in the batch's visited
+    bitmap, sorted and deduplicated.  One sort of ``set * span + level * n +
+    node`` per batch then lists each set's start nodes, then its members
+    level by level, ascending within a level.  ``members`` holds the sets one
+    after another and ``sizes`` counts each set's members.
     """
-    ptr, src, prob = g.reverse_csr()
+    ptr, nbr, prob = csr
     n = len(ptr) - 1
-    frontier = np.arange(len(roots), dtype=np.int64) * n + roots
-    visited[frontier] = True
-    levels = [frontier]
-    while frontier.size:
-        sets, nodes = np.divmod(frontier, n)
-        degree = g.in_degree[nodes]
-        ends = np.cumsum(degree)
-        pos = np.repeat(ptr[nodes] + degree - ends, degree) + np.arange(ends[-1])
-        live = np.flatnonzero(rng.random(len(pos)) < prob[pos])
-        # the set of live edge i is that of the member whose in-edges span i
-        keys = sets[np.searchsorted(ends, live, side="right")] * n + src[pos[live]]
-        frontier = _distinct(keys[~visited[keys]])
+    degrees = np.diff(ptr)
+    batch = max(1, VISITED_BUDGET // max(n, 1))
+    visited = np.zeros(min(batch, len(starts)) * n, dtype=bool)
+    sizes, members = [], []
+    for lo in range(0, len(starts), batch):
+        part = starts[lo:lo + batch]
+        frontier = (np.arange(len(part), dtype=np.int64)[:, None] * n + part).ravel()
         visited[frontier] = True
-        levels.append(frontier)
-    keys = np.concatenate(levels)
-    visited[keys] = False
-    span = n * len(levels)
-    level = np.repeat(np.arange(len(levels), dtype=np.int64), [len(f) for f in levels])
-    keys = np.sort(keys + keys // n * (span - n) + level * n)
-    return keys // span, keys % n
+        levels = [frontier]
+        while frontier.size:
+            sets, nodes = np.divmod(frontier, n)
+            degree = degrees[nodes]
+            ends = np.cumsum(degree)
+            pos = np.repeat(ptr[nodes] + degree - ends, degree) + np.arange(ends[-1])
+            live = np.flatnonzero(rng.random(len(pos)) < prob[pos])
+            # the set of live edge i is that of the member whose edges span i
+            keys = sets[np.searchsorted(ends, live, side="right")] * n + nbr[pos[live]]
+            frontier = _distinct(keys[~visited[keys]])
+            visited[frontier] = True
+            levels.append(frontier)
+        keys = np.concatenate(levels)
+        visited[keys] = False
+        span = n * len(levels)
+        level = np.repeat(np.arange(len(levels), dtype=np.int64), [len(f) for f in levels])
+        keys = np.sort(keys + keys // n * (span - n) + level * n)
+        sizes.append(np.bincount(keys // span, minlength=len(part)))
+        members.append((keys % n).astype(np.int32))
+    return np.concatenate(sizes), np.concatenate(members)
 
 
 def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection:
@@ -260,11 +271,9 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     Each set draws its root proportionally to the node weights of the kind,
     then walks the graph backwards, flipping each incoming edge of each
     member once and keeping every node whose live path reaches the root.
-    One generator draws all roots up front, then the coins: the sets grow
-    together in batches of ``VISITED_BUDGET // n``, one numpy pass per BFS
-    level over the reverse CSR with one coin vector; only the live edges'
-    sources and sets are gathered.  Members go straight into the
-    collection's flat member array.
+    One generator draws all roots up front, then the coins of ``_reach``, the
+    frontier kernel that also runs forward cascades, over the reverse CSR;
+    its members become the collection's flat member array as they are.
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
@@ -280,18 +289,10 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     rng = make_rng(derive_seed(seed, "rr", kind))
     # choice searches the CDF of p with side="right", so zero-weight nodes never root
     roots = rng.choice(n, size=theta, p=weights / total)
-    batch = max(1, VISITED_BUDGET // n)
-    visited = np.zeros(min(batch, theta) * n, dtype=bool)
-
-    sizes, members = [], []
-    for lo in range(0, theta, batch):
-        part = roots[lo:lo + batch]
-        sets, nodes = _reverse_reach(part, rng, g, visited)
-        sizes.append(np.bincount(sets, minlength=len(part)))
-        members.append(nodes.astype(np.int32))
+    sizes, members = _reach(roots[:, None], rng, g.reverse_csr())
     set_ptr = np.zeros(theta + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(sizes), out=set_ptr[1:])
-    return RRCollection._from_csr(kind, n, total, seed, set_ptr, np.concatenate(members))
+    np.cumsum(sizes, out=set_ptr[1:])
+    return RRCollection._from_csr(kind, n, total, seed, set_ptr, members)
 
 
 def chernoff_a(delta: float) -> float:

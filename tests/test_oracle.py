@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from profitmax import (CapacityError, DomainError, ExactEvaluator, WeightedGraph,
                        exhaustive_optimum, simulate_spread)
+from profitmax import rrsets
 
 from conftest import (DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT, brute_evaluate,
                       brute_optimum, edgeless_graph, make_demo_graph,
@@ -12,42 +15,63 @@ from conftest import (DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT, brute_evaluate,
 class TestSimulate:
     def test_deterministic_path(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], benefit=[1, 1, 1])
-        assert simulate_spread(g, {0}, rng=1) == {0, 1, 2}
+        assert simulate_spread(g, {0}, 50, rng=1).all()
 
     def test_no_propagation(self):
         g = WeightedGraph(3, [(0, 1, 0.0), (1, 2, 0.0)], benefit=[1, 1, 1])
-        assert simulate_spread(g, {0, 2}, rng=1) == {0, 2}
+        active = simulate_spread(g, {0, 2}, 50, rng=1)
+        assert (active == [True, False, True]).all()
 
     def test_seeds_always_contained(self, demo_graph):
         rng = np.random.default_rng(5)
         for _ in range(200):
             seeds = random_subset(rng, 4)
-            assert seeds <= simulate_spread(demo_graph, seeds, rng=rng)
+            active = simulate_spread(demo_graph, seeds, 20, rng=rng)
+            assert active[:, sorted(seeds)].all()
 
     def test_out_of_range_seed(self, demo_graph):
         with pytest.raises(DomainError):
-            simulate_spread(demo_graph, {9}, rng=1)
+            simulate_spread(demo_graph, {9}, 10, rng=1)
+
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_runs_must_be_positive(self, demo_graph, runs):
+        with pytest.raises(DomainError, match="runs must be at least 1"):
+            simulate_spread(demo_graph, {0}, runs, rng=1)
+
+    def test_empty_seed_set_activates_nothing(self, demo_graph):
+        active = simulate_spread(demo_graph, set(), 30, rng=1)
+        assert active.shape == (30, 4) and not active.any()
+        assert simulate_spread(WeightedGraph(0, []), set(), 5, rng=1).shape == (5, 0)
 
     def test_monte_carlo_matches_exact(self, demo_graph):
         # One million cascades from {v1, v3}: the frequency of v4 activating
         # and the sample means of the weighted sums must match the oracle.
         runs = 1_000_000
         rng = np.random.default_rng(20240601)
-        hits_v4 = 0
-        beta_sum = gamma_sum = 0.0
-        benefit = demo_graph.benefit
-        cost = demo_graph.cost
-        for _ in range(runs):
-            active = simulate_spread(demo_graph, (0, 2), rng)
-            if 3 in active:
-                hits_v4 += 1
-            for v in active:
-                beta_sum += benefit[v]
-                gamma_sum += cost[v]
+        active = simulate_spread(demo_graph, (0, 2), runs, rng)
+        hits_v4 = int(np.count_nonzero(active[:, 3]))
+        per_node = np.count_nonzero(active, axis=0)
+        beta_sum = float(per_node @ demo_graph.benefit)
+        gamma_sum = float(per_node @ demo_graph.cost)
         assert hits_v4 / runs == pytest.approx(0.6052, abs=2e-3)
         exact = ExactEvaluator(demo_graph)
         assert beta_sum / runs == pytest.approx(exact.benefit({0, 2}), rel=5e-3)
         assert gamma_sum / runs == pytest.approx(exact.cost({0, 2}), rel=5e-3)
+
+    def test_activation_rates_hold_across_batches(self, demo_graph, monkeypatch):
+        # a 64-byte visited budget makes a batch 16 runs on the 4-node demo
+        # graph; node v activates with probability p_v = f_v({v1, v3}),
+        # the exact benefit of the seeds under unit weight on v alone
+        monkeypatch.setattr(rrsets, "VISITED_BUDGET", 64)
+        runs = 20_000
+        counts = np.count_nonzero(simulate_spread(demo_graph, (0, 2), runs, rng=7), axis=0)
+        zeros = np.zeros(demo_graph.node_count)
+        for v in range(demo_graph.node_count):
+            unit = zeros.copy()
+            unit[v] = 1.0
+            p = ExactEvaluator(demo_graph.with_weights(unit, zeros)).benefit({0, 2})
+            spread = 5 * math.sqrt(max(runs * p * (1 - p), 0.0))
+            assert abs(counts[v] - runs * p) <= spread + 1e-6 * runs, v
 
 
 class TestExactEvaluate:
