@@ -166,7 +166,8 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
                                                totals.upsilon_b, delta)
     gamma_lower, gamma_upper = confidence_bounds(lambda_gamma, theta_gamma,
                                                  totals.upsilon_c, delta)
-    phi_estimate = estimator.profit(seeds)
+    phi_estimate = (estimator.rho("benefit") * lambda_beta
+                    - estimator.rho("cost") * lambda_gamma)
 
     mu_estimate = min(mu_bound(estimator, seeds, lat), totals.upsilon_b)
     eps = epsilon_mu(mu_estimate, theta_beta, theta_gamma,

@@ -315,7 +315,7 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
                 params={"gamma_bound_variant": gamma_bound_variant,
                         "pi_policy": pi_policy, "seed": int(seed)},
                 seeds=incumbent,
-                estimated_profit=evaluator.profit(incumbent),
+                estimated_profit=trajectory[-1]["profit"],
                 trajectory=trajectory)
         incumbent = nxt
         trajectory.append({"seeds": sorted(incumbent),

@@ -10,8 +10,10 @@ from profitmax import (DomainError, ExactEvaluator, ProfitEstimator, WeightedGra
                        iterative_prune, make_permutation, maximize_modular_difference,
                        modular_lower, modular_upper, mu_bound, trivial_lattice)
 
+from profitmax.rng import derive_seed
+
 from conftest import (brute_optimum, brute_profit, edgeless_graph,
-                      make_demo_graph, random_graph)
+                      make_demo_graph, random_graph, random_subset)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,23 @@ class TestCertify:
         assert [name for name, _ in calls].count("mu_bound") == 1
         assert calls.count(("marginal_many", "profit")) == 1
         assert [c for c in calls if c[0] == "chain_increments"] == [("chain_increments", "cost")]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_phi_estimate_comes_from_the_coverage_counts(self, monkeypatch, case):
+        # certify asks no profit query; phi is the same float a validation
+        # estimator built on its own gives for profit(S)
+        rng = np.random.default_rng(70 + case)
+        g = make_demo_graph() if case == 0 else random_graph(rng)
+        seeds = {1, 2} if case == 0 else random_subset(rng, g.node_count)
+        validation = ProfitEstimator.build(g, 3000, 2000, seed=derive_seed(5, "validation"))
+        expected = validation.profit(seeds)
+
+        def refused(self, seeds):
+            raise AssertionError("certify queried ProfitEstimator.profit")
+
+        monkeypatch.setattr(ProfitEstimator, "profit", refused)
+        cert = certify(seeds, g, trivial_lattice(g.node_count), (3000, 2000), delta=0.01, seed=5)
+        assert cert.phi_estimate.hex() == expected.hex()
 
     def test_single_node_degenerate(self):
         g = WeightedGraph(1, [], benefit=[1.0], cost=[0.0])

@@ -309,6 +309,20 @@ class TestModMod:
         with pytest.raises(DomainError):
             modmod(ev, lat, gamma_bound_variant=1)
 
+    @pytest.mark.parametrize("variant", [3, 4])
+    def test_one_profit_query_per_trajectory_entry(self, monkeypatch, variant):
+        # the converged incumbent is the last trajectory entry, so its
+        # profit is read from there rather than queried again
+        g = random_graph(np.random.default_rng(5), max_nodes=12, max_edges=30)
+        est = ProfitEstimator.build(g, 2000, 2000, seed=0)
+        calls = []
+        profit = est.profit
+        monkeypatch.setattr(est, "profit", lambda seeds: calls.append(seeds) or profit(seeds))
+        result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant)
+        assert len(result.trajectory) >= 2
+        assert len(calls) == len(result.trajectory)
+        assert result.estimated_profit == profit(result.seeds)
+
     @pytest.mark.parametrize("pi_policy", ["marginal", "random"])
     @pytest.mark.parametrize("variant, anchor, per_x", [
         (3, "marginal_vs_rest", "marginal_many"),
