@@ -23,6 +23,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -83,8 +84,8 @@ class RunConfig:
             raise ConfigError("field 'graph': a graph file is required")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"field 'delta': must lie in (0,1), got {self.delta}")
-        if self.r <= 0:
-            raise ConfigError(f"field 'r': must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise ConfigError(f"field 'r': must be finite and positive, got {self.r}")
         if self.jobs < 1:
             raise ConfigError(f"field 'jobs': must be at least 1, got {self.jobs}")
         for name in self.algo:

@@ -369,8 +369,8 @@ def load_weights(g: WeightedGraph, path) -> WeightedGraph:
         if v in seen:
             raise DomainError(f"{path}:{lineno}: duplicate weight row for node {ext}")
         seen.add(v)
-        if b < 0 or c < 0:
-            raise DomainError(f"{path}:{lineno}: weights must be nonnegative")
+        if not (0 <= b < np.inf and 0 <= c < np.inf):
+            raise DomainError(f"{path}:{lineno}: weights must be finite and nonnegative")
         benefit[v] = b
         cost[v] = c
     return g.with_weights(benefit, cost)
@@ -404,8 +404,8 @@ def assign_weights(g: WeightedGraph, benefit_dist="uniform", cost_dist="degree",
     explicit ``v b c`` file override both weights verbatim, with no rescaling.
     """
     r = float(r)
-    if r <= 0:
-        raise DomainError(f"scale factor r must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise DomainError(f"scale factor r must be finite and positive, got {r}")
     benefit = _dist_values(g, benefit_dist, "benefit")
     cost = _dist_values(g, cost_dist, "cost")
     target = r * float(benefit.sum())

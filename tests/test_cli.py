@@ -277,6 +277,12 @@ class TestExitCodes:
         assert main(["select", "--graph", edges, "--weights", weights,
                      "--delta", "2.0", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_r_is_config_error(self, demo_files, capsys, r):
+        edges, _ = demo_files
+        assert main(["prune", "--graph", edges, "--r", r, "--exact", "--seed", "1"]) == 2
+        assert "field 'r'" in capsys.readouterr().err
+
     def test_capacity_error(self, tmp_path):
         lines = "\n".join(f"0 {i + 1} 0.5" for i in range(21))
         big = tmp_path / "big.edges"

@@ -208,6 +208,18 @@ class TestAssignWeights:
         with pytest.raises(DomainError):
             assign_weights(self.path_graph(), r=r)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r(self, r):
+        with pytest.raises(DomainError, match="scale factor r must be finite and positive"):
+            assign_weights(self.path_graph(), r=r)
+
+    @pytest.mark.parametrize("row", ["1 nan 1", "1 1 nan", "1 inf 1", "1 1 -inf"])
+    def test_non_finite_weight_row_names_its_line(self, tmp_path, row):
+        path = write(tmp_path / "w.txt", f"0 1 1\n{row}\n")
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(path)}:2: weights must be finite and nonnegative$"):
+            load_weights(self.path_graph(), path)
+
     def test_degree_cost_on_edgeless_graph_rejected(self):
         g = WeightedGraph(3, [])
         with pytest.raises(DomainError):
