@@ -65,11 +65,9 @@ class TestSimulate:
         monkeypatch.setattr(rrsets, "VISITED_BUDGET", 64)
         runs = 20_000
         counts = np.count_nonzero(simulate_spread(demo_graph, (0, 2), runs, rng=7), axis=0)
-        zeros = np.zeros(demo_graph.node_count)
+        units, zeros = np.eye(demo_graph.node_count), np.zeros(demo_graph.node_count)
         for v in range(demo_graph.node_count):
-            unit = zeros.copy()
-            unit[v] = 1.0
-            p = ExactEvaluator(demo_graph.with_weights(unit, zeros)).benefit({0, 2})
+            p = ExactEvaluator(demo_graph.with_weights(units[v], zeros)).benefit({0, 2})
             spread = 5 * math.sqrt(max(runs * p * (1 - p), 0.0))
             assert abs(counts[v] - runs * p) <= spread + 1e-6 * runs, v
 
