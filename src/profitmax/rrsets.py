@@ -63,15 +63,6 @@ def _distinct(keys) -> np.ndarray:
     return keys[first]
 
 
-def _row_sums(ptr, flags) -> np.ndarray:
-    """Per row of a CSR array, the sum of ``flags`` over the row's positions."""
-    # reduceat gives an empty row the element at its start: the padding keeps
-    # that in bounds, and the row is zeroed after
-    sums = np.add.reduceat(np.append(flags, False), ptr[:-1], dtype=np.int64)
-    sums[ptr[1:] == ptr[:-1]] = 0
-    return sums
-
-
 def _row_of(ptr) -> np.ndarray:
     """For each position of a CSR data array, the row it belongs to."""
     return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
@@ -175,22 +166,22 @@ class RRCollection:
         mask[self.set_ids[_spans(self.node_ptr, seeds)]] = True
         return mask
 
-    def uncovered_counts(self, covered) -> np.ndarray:
-        """Per node, how many of its sets the ``covered`` mask leaves out."""
-        return _row_sums(self.node_ptr, ~covered[self.set_ids])
-
     def hits(self, nodes) -> np.ndarray:
         """Per set, how many of the (distinct) ``nodes`` it holds."""
         return np.bincount(self.set_ids[_spans(self.node_ptr, nodes)], minlength=self.theta)
+
+    def members_of(self, sets) -> np.ndarray:
+        """Per node, how many of the (distinct) ``sets`` hold it."""
+        return np.bincount(self.members[_spans(self.set_ptr, sets)], minlength=self.node_count)
 
     def rest_counts(self, whole) -> np.ndarray:
         """Per node v, how many of its sets whole - v leaves uncovered."""
         whole = _distinct(whole)
         hits = self.hits(whole)
-        inside = np.zeros(self.node_count, dtype=np.int64)
-        inside[whole] = 1
+        counts = self.members_of(np.flatnonzero(hits == 0))
         # inside whole, v's own membership is the single allowed hit
-        return _row_sums(self.node_ptr, hits[self.set_ids] == inside[_row_of(self.node_ptr)])
+        counts[whole] = self.members_of(np.flatnonzero(hits == 1))[whole]
+        return counts
 
     def chain_counts(self, order) -> np.ndarray:
         """Per position i, how many sets order[i] reaches first along the prefix chain."""
@@ -366,7 +357,7 @@ class RRCoverage:
     def __init__(self, coll: RRCollection, rho: float, base):
         self.coll, self.rho = coll, rho
         self.covered = coll.covered(base)
-        self.uncovered = coll.uncovered_counts(self.covered)
+        self.uncovered = np.diff(coll.node_ptr) - coll.members_of(np.flatnonzero(self.covered))
         self.count = int(np.count_nonzero(self.covered))
 
     @property
@@ -391,8 +382,7 @@ class RRCoverage:
         fresh = sids[~self.covered[sids]]
         self.covered[fresh] = True
         self.count += len(fresh)
-        self.uncovered -= np.bincount(coll.members[_spans(coll.set_ptr, fresh)],
-                                      minlength=coll.node_count)
+        self.uncovered -= coll.members_of(fresh)
 
 
 class RRLattice:
@@ -413,8 +403,7 @@ class RRLattice:
         self.inside = np.zeros(coll.node_count, dtype=bool)
         self.inside[may] = True
         self.hits = coll.hits(may)
-        self.sole = np.zeros(coll.node_count, dtype=np.int64)
-        self._credit(self.hits == 1)
+        self.sole = coll.members_of(np.flatnonzero(self.hits == 1)) * self.inside
 
     def floor(self, nodes) -> np.ndarray:
         return self.rho * self.sole[_node_array(nodes, self.coll.node_count)]
@@ -430,13 +419,7 @@ class RRLattice:
         self.inside[removed] = False
         lost = coll.hits(removed)
         self.hits -= lost
-        self._credit((self.hits == 1) & (lost > 0))
-
-    def _credit(self, sets) -> None:
-        """Add one to ``sole`` of the node of B each set in the mask still holds."""
-        coll = self.coll
-        held = coll.members[_spans(coll.set_ptr, np.flatnonzero(sets))]
-        self.sole += np.bincount(held[self.inside[held]], minlength=coll.node_count)
+        self.sole += coll.members_of(np.flatnonzero((self.hits == 1) & (lost > 0))) * self.inside
 
 
 class ProfitEstimator(MarginalEvaluator):
@@ -510,7 +493,7 @@ class ProfitEstimator(MarginalEvaluator):
 
     def marginal_many(self, nodes, base, metric: str) -> np.ndarray:
         nodes, base = _node_array(nodes, self.node_count), _node_array(base, self.node_count)
-        return self._scaled(metric, lambda c: c.uncovered_counts(c.covered(base))[nodes])
+        return self._scaled(metric, lambda c: RRCoverage(c, 1.0, base).uncovered[nodes])
 
     def marginal_vs_rest(self, nodes, whole, metric: str) -> np.ndarray:
         nodes, whole = _node_array(nodes, self.node_count), _node_array(whole, self.node_count)

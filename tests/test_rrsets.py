@@ -233,25 +233,21 @@ class TestCoverage:
                             gain_t = lam[t | {v}] - lam[t]
                             assert gain_s >= gain_t
 
-
-    def test_row_sums_match_cumsum(self):
-        def cumsum_row_sums(ptr, flags):
-            acc = np.zeros(len(flags) + 1, dtype=np.int64)
-            np.cumsum(flags, out=acc[1:])
-            return acc[ptr[1:]] - acc[ptr[:-1]]
-
+    def test_members_of_matches_python_count(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            lens = rng.integers(0, 5, size=int(rng.integers(3, 40)))
-            lens[[0, len(lens) // 2, -1]] = 0  # empty first, middle and last rows
-            ptr = np.concatenate(([0], np.cumsum(lens)))
-            flags = rng.random(ptr[-1]) < 0.5
-            got = rrsets._row_sums(ptr, flags)
+            n = int(rng.integers(1, 9))
+            sets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                    for _ in range(int(rng.integers(1, 30)))]
+            coll = collection_from_sets(sets, node_count=n)
+            ids = rng.permutation(len(sets))[:int(rng.integers(0, len(sets) + 1))]
+            want = [sum(v in coll.sets[i] for i in ids.tolist()) for v in range(n)]
+            got = coll.members_of(ids)
             assert got.dtype == np.int64
-            assert np.array_equal(got, cumsum_row_sums(ptr, flags))
-        for ptr in (np.zeros(1, dtype=np.int64), np.zeros(4, dtype=np.int64)):
-            flags = np.zeros(0, dtype=bool)
-            assert np.array_equal(rrsets._row_sums(ptr, flags), cumsum_row_sums(ptr, flags))
+            assert got.tolist() == want
+        coll = collection_from_sets([[0, 2], [1]], node_count=4)
+        got = coll.members_of(np.zeros(0, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == [0, 0, 0, 0]
 
 
 class TestMarginalCoverage:
