@@ -63,11 +63,6 @@ def _distinct(keys) -> np.ndarray:
     return keys[first]
 
 
-def _row_of(ptr) -> np.ndarray:
-    """For each position of a CSR data array, the row it belongs to."""
-    return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
-
-
 def _node_array(nodes, node_count) -> np.ndarray:
     """Node ids as an int64 array; any id outside 0..node_count-1 raises."""
     if isinstance(nodes, np.ndarray):
@@ -130,7 +125,8 @@ class RRCollection:
         np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
         # sorted (member, set) pairs list each node's set ids ascending
         width = max(self.theta, 1)
-        pairs = np.sort(members * np.int64(width) + _row_of(set_ptr))
+        rows = np.repeat(np.arange(self.theta, dtype=np.int64), np.diff(set_ptr))
+        pairs = np.sort(members * np.int64(width) + rows)
         self.set_ids = (pairs % width).astype(np.int32)
         twice = np.flatnonzero(pairs[1:] == pairs[:-1])
         if twice.size:
@@ -145,15 +141,6 @@ class RRCollection:
     @property
     def index(self) -> list:
         return _rows(self.node_ptr, self.set_ids)
-
-    def check_consistent(self) -> None:
-        """Audit: the inverted index must hold exactly the (node, set) pairs of the sets."""
-        from_sets = np.sort(self.members * np.int64(self.theta) + _row_of(self.set_ptr))
-        from_index = _row_of(self.node_ptr) * self.theta + self.set_ids
-        wrong = np.flatnonzero(from_sets != from_index)
-        if wrong.size:
-            node = int(from_sets[wrong[0]] // self.theta)
-            raise DomainError(f"index inconsistent at node {node}")
 
     def roots(self) -> np.ndarray:
         return self.members[self.set_ptr[:-1]].astype(np.int64)
