@@ -92,6 +92,11 @@ class RunConfig:
             if name not in ALGORITHMS:
                 raise ConfigError(f"field 'algo': unknown algorithm {name!r}; "
                                   f"expected one of {ALGORITHMS}")
+        if any(int(i) < 0 for i in self.theta_exp):
+            raise ConfigError(f"field 'theta_exp': exponents must be at least 0, "
+                              f"got {self.theta_exp}")
+        if not self.thetas():
+            raise ConfigError("field 'theta_exp': the sample-count schedule is empty")
         for t in self.thetas():
             if t < 1:
                 raise ConfigError("field 'theta': counts must be at least 1")
@@ -476,8 +481,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

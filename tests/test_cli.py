@@ -290,6 +290,22 @@ class TestExitCodes:
         assert main(["prune", "--graph", big.as_posix(), "--exact",
                      "--cost-dist", "uniform", "--seed", "1"]) == 4
 
+    @pytest.mark.parametrize("arg, message", [
+        ("--theta-exp=-1", "field 'theta_exp': exponents must be at least 0"),
+        ("--theta-exp=", "field 'theta_exp': the sample-count schedule is empty"),
+    ], ids=["negative", "empty"])
+    def test_bad_theta_exp_is_config_error(self, demo_files, capsys, arg, message):
+        edges, _ = demo_files
+        assert main(["prune", "--graph", edges, arg, "--seed", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unallocatable_theta_is_capacity_error(self, demo_files, capsys):
+        # 2^40 * 10000 sets: numpy refuses the root array without touching memory
+        edges, _ = demo_files
+        assert main(["prune", "--graph", edges, "--theta-exp", "40", "--seed", "1"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("capacity error: ")
+
     @pytest.mark.parametrize("prob", ["abc", "1.5"])
     def test_bad_default_prob_is_input_error(self, demo_files, capsys, prob):
         edges, _ = demo_files
