@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .evaluation import MarginalEvaluator
 
 
@@ -44,7 +44,7 @@ class Lattice:
 
     def __post_init__(self):
         if not self.must_include <= self.may_include:
-            raise InternalError("lattice requires must_include to be a subset of may_include")
+            raise DomainError("lattice requires must_include to be a subset of may_include")
 
     @property
     def free_nodes(self) -> frozenset:

@@ -150,7 +150,9 @@ class TestCertify:
         ('{"seeds": [2, 3', None, "seeds.json:1: "),
         ('{"algorithm": "greedy"}', None, "seeds.json: missing key 'seeds'"),
         ('{"seeds": [2, 3]}', '{"must_include": [3]}', "lattice.json: missing key 'may_include'"),
-    ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key"])
+        ('{"seeds": [2, 3]}', '{"must_include": [1], "may_include": [2]}',
+         "lattice.json: lattice requires must_include to be a subset of may_include"),
+    ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key", "floor-outside-ceiling"])
     def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
                                            seeds_text, lattice_text, expected):
         edges, weights = demo_files

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitmax import (ExactEvaluator, InternalError, Lattice, ProfitEstimator,
+from profitmax import (DomainError, ExactEvaluator, InternalError, Lattice, ProfitEstimator,
                        exhaustive_optimum, iterative_prune, normalize_weights,
                        trivial_lattice)
 from profitmax.evaluation import MarginalEvaluator
@@ -210,7 +210,7 @@ class TestLatticeSerialization:
         assert margins[0] == pytest.approx(-1.98, abs=1e-9)
 
     def test_floor_inside_ceiling_enforced(self):
-        with pytest.raises(InternalError):
+        with pytest.raises(DomainError):
             Lattice(frozenset({1}), frozenset({2}))
 
 
