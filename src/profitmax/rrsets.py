@@ -15,10 +15,11 @@ pruning and selection loops terminate.
 
 A collection is one CSR store: the members of all sets in one flat array
 with per-set offsets, and the inverted index (the sets containing each
-node) built from it by one sort of packed (member, set) keys.  Every
-estimator query is a few vectorised passes over that store.  Greedy
-selection uses an incremental coverage state instead: a mask of the sets
-the seed set covers and, per node, the count of its sets still uncovered,
+node) built from it by one sort of packed (member, set) keys.  The index
+only finds a node's sets; every per-node count is one pass over the member
+lists of the sets involved (``RRCollection.members_of``).  Greedy
+selection uses an incremental coverage state: a mask of the sets the seed
+set covers and, per node, the count of its sets still uncovered,
 decremented only for the sets a new seed covers (the node-selection
 scheme of IMM, Tang, Shi and Xiao, SIGMOD 2015), so a whole greedy run
 touches each member of each set once.  Pruning keeps such a state for its
@@ -338,7 +339,9 @@ class RRCoverage:
 
     ``covered`` masks the sets S intersects and ``uncovered[v]`` counts the
     sets containing v that S leaves uncovered, so ``gains`` (rho times those
-    counts) are the marginals f(v | S).
+    counts) are the marginals f(v | S).  The counts start as index degrees
+    minus the members of the covered sets, and each ``add`` subtracts the
+    members of the sets it newly covers.
     """
 
     def __init__(self, coll: RRCollection, rho: float, base):
@@ -380,7 +383,8 @@ class RRLattice:
     the sets of v that meet B in v alone, so ``floor`` is f(v | B - v) for v
     in B.  Taking R out of B lowers ``hits`` by R's index rows, and each set
     that drops from two or more to one adds one to the node of B it still
-    holds; no other node of B changes.  ``sole`` counts only for nodes of B.
+    holds; no other node of B changes.  ``sole`` counts only for nodes of B:
+    it is the members of the sets with one hit, masked to B.
     """
 
     def __init__(self, coll: RRCollection, rho: float, must, may):
