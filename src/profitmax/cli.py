@@ -32,8 +32,8 @@ from pathlib import Path
 from .certify import certify as certify_seeds
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
-from .graph import (WeightedGraph, _read_json, assign_weights, load_edge_list,
-                    normalize_weights, save_weights)
+from .graph import (WeightedGraph, _data_lines, _read_json, assign_weights,
+                    load_edge_list, normalize_weights, save_weights)
 from .optimize import BASELINES, SelectionResult, greedy, k_sweep, modmod
 from .oracle import ExactEvaluator
 from .prune import Lattice, iterative_prune, trivial_lattice
@@ -110,54 +110,6 @@ class RunConfig:
 
 # -- configuration resolution ----------------------------------------------
 
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
-
-_LIST_KEYS = {"theta_exp", "theta", "algo"}
-_INT_KEYS = {"validation_theta", "seed", "jobs"}
-_FLOAT_KEYS = {"r", "delta"}
-_FLAG_KEYS = {"normalize", "prune", "exact"}
-
-
-def _parse_config_file(path) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key in ("no_norm", "no_prune"):
-                flag = _BOOL_WORDS.get(value.lower())
-                if flag is None:
-                    raise ConfigError(f"{path}:{lineno}: boolean expected")
-                values["normalize" if key == "no_norm" else "prune"] = not flag
-                continue
-            if key not in RunConfig.__dataclass_fields__:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _FLAG_KEYS:
-                flag = _BOOL_WORDS.get(value.lower())
-                if flag is None:
-                    raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
-                values[key] = flag
-                continue
-            try:
-                if key in _LIST_KEYS:
-                    values[key] = _int_list(value) if key != "algo" else _name_list(value)
-                elif key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                else:
-                    values[key] = value
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
-    return values
-
 
 def _int_list(text):
     return [int(p) for p in text.replace(",", " ").split() if p]
@@ -167,71 +119,88 @@ def _name_list(text):
     return [p for p in text.replace(",", " ").split() if p]
 
 
+# RunConfig field -> (text parser, help); a flag and a file key alike
+_OPTIONS = {
+    "graph": (str, "edge-list file"),
+    "weights": (str, "explicit 'v b c' weights file"),
+    "benefit_dist": (str, "uniform, degree or degree-proportional"),
+    "cost_dist": (str, "uniform, degree or degree-proportional"),
+    "r": (float, "total-cost to total-benefit scale factor"),
+    "default_prob": (str, "probability for edges without one: a constant or wic"),
+    "theta_exp": (_int_list, "exponents i; theta = 2^i * 10000 (comma separated)"),
+    "theta": (_int_list, "explicit sample counts (overrides --theta-exp)"),
+    "validation_theta": (int, "sample count for validation estimates"),
+    "algo": (_name_list, "comma separated algorithm names"),
+    "delta": (float, "failure probability for bounds"),
+    "seed": (int, "master seed"),
+    "jobs": (int, "parallel experiment rows"),
+    "out": (str, "output file"),
+    "out_dir": (str, "directory for seeds files"),
+    "csv": (str, "CSV output file (default stdout)"),
+    "lattice": (str, "lattice JSON produced by prune"),
+    "seeds": (str, "seeds JSON produced by select"),
+}
+_CERTIFY_ONLY = ("lattice", "seeds")
+
+# on/off switch -> (RunConfig field, value it sets, help)
+_SWITCHES = {
+    "no_norm": ("normalize", False, "skip weight normalization"),
+    "no_prune": ("prune", False, "skip search-space pruning"),
+    "exact": ("exact", True, "use the exact oracle instead of sampling (small graphs)"),
+}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+
+
+def _parse_config_file(path) -> dict:
+    """RunConfig values from a flat ``key = value`` file; keys are the flag names."""
+    values = {}
+    for lineno, line in _data_lines(path):
+        key, eq, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in _OPTIONS and key not in _SWITCHES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in _SWITCHES:
+                name, value, _ = _SWITCHES[key]
+                values[name] = value if _BOOL_WORDS[text.lower()] else not value
+            else:
+                values[key] = _OPTIONS[key][0](text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: bad value {text!r} for {key}") from None
+    return values
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="profitmax",
         description="Profit-driven seed selection in directed social graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--graph", help="edge-list file")
-        p.add_argument("--weights", help="explicit 'v b c' weights file")
-        p.add_argument("--benefit-dist", dest="benefit_dist",
-                       choices=["uniform", "degree"])
-        p.add_argument("--cost-dist", dest="cost_dist",
-                       choices=["uniform", "degree"])
-        p.add_argument("--r", type=float)
-        p.add_argument("--default-prob", dest="default_prob")
-        p.add_argument("--theta-exp", dest="theta_exp", type=_int_list,
-                       help="exponents i; theta = 2^i * 10000 (comma separated)")
-        p.add_argument("--theta", type=_int_list,
-                       help="explicit sample counts (overrides --theta-exp)")
-        p.add_argument("--validation-theta", dest="validation_theta", type=int)
-        p.add_argument("--algo", type=_name_list,
-                       help="comma separated algorithm names")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--no-norm", dest="no_norm", action="store_true",
-                       help="skip weight normalization")
-        p.add_argument("--no-prune", dest="no_prune", action="store_true",
-                       help="skip search-space pruning")
-        p.add_argument("--exact", action="store_true",
-                       help="use the exact oracle instead of sampling (small graphs)")
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--out")
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--csv")
-
-    for name, fn in (("gen-weights", cmd_gen_weights), ("prune", cmd_prune),
-                     ("select", cmd_select), ("experiment", cmd_experiment)):
-        p = sub.add_parser(name)
-        common(p)
+    for command, fn in (("gen-weights", cmd_gen_weights), ("prune", cmd_prune),
+                        ("select", cmd_select), ("certify", cmd_certify),
+                        ("experiment", cmd_experiment)):
+        p = sub.add_parser(command)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("certify")
-    common(p)
-    p.add_argument("--seeds", help="seeds JSON produced by select")
-    p.add_argument("--lattice", help="lattice JSON produced by prune")
-    p.set_defaults(func=cmd_certify)
+        p.add_argument("--config", help="flat key = value file of the same options; "
+                                        "flags override it")
+        for key, (parse, text) in _OPTIONS.items():
+            if command == "certify" or key not in _CERTIFY_ONLY:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
+                               help=text)
+        # a switch stores its value under its field, None when not given
+        for key, (name, value, text) in _SWITCHES.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=name,
+                           action="store_const", const=value, help=text)
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    file_values = _parse_config_file(args.config) if args.config else {}
-    cfg = RunConfig()
-    for key, value in file_values.items():
-        setattr(cfg, key, value)
-    for key in vars(cfg):
-        cli_value = getattr(args, key, None)
-        if cli_value is not None and not (key in _FLAG_KEYS and cli_value is False):
-            setattr(cfg, key, cli_value)
-    if getattr(args, "no_norm", False):
-        cfg.normalize = False
-    if getattr(args, "no_prune", False):
-        cfg.prune = False
-    if getattr(args, "exact", False):
-        cfg.exact = True
+    values = _parse_config_file(args.config) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in RunConfig.__dataclass_fields__ and value is not None)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -275,12 +244,9 @@ def _run_algorithm(name: str, g_view: WeightedGraph, evaluator, lattice: Lattice
                    cfg: RunConfig) -> SelectionResult:
     if name == "greedy":
         return greedy(evaluator, lattice)
-    if name == "modmod1":
-        return modmod(evaluator, lattice, gamma_bound_variant=3,
-                      seed=derive_seed(cfg.seed, "modmod1"))
-    if name == "modmod2":
-        return modmod(evaluator, lattice, gamma_bound_variant=4,
-                      seed=derive_seed(cfg.seed, "modmod2"))
+    if name in ("modmod1", "modmod2"):
+        return modmod(evaluator, lattice, gamma_bound_variant=3 if name == "modmod1" else 4,
+                      seed=derive_seed(cfg.seed, name))
     return k_sweep(name, g_view, evaluator, seed=derive_seed(cfg.seed, "baseline", name))
 
 
@@ -303,15 +269,14 @@ def _write_csv(rows, cfg: RunConfig, path) -> None:
 
 
 def _row(cfg: RunConfig, algo: str, theta: int, prune_on: bool, norm_on: bool,
-         result: SelectionResult, profit, guarantee, select_ms: int,
-         rr_ms: int) -> dict:
+         seeds_count: int, profit, guarantee, select_ms: int, rr_ms: int) -> dict:
     return {
         "dataset": Path(cfg.graph).stem,
         "algo": algo,
         "theta": theta,
         "prune": int(prune_on),
         "norm": int(norm_on),
-        "seeds_count": len(result.seeds),
+        "seeds_count": seeds_count,
         "profit": _format_float(profit),
         "guarantee": _format_float(guarantee),
         "time_select_ms": select_ms,
@@ -377,7 +342,7 @@ def cmd_select(args) -> int:
             (out_dir / f"seeds_{algo}_theta{theta}.json").write_text(
                 json.dumps(doc), encoding="utf-8")
             rows.append(_row(cfg, algo, theta, cfg.prune, cfg.normalize,
-                             result, profit, None, select_ms, rr_ms))
+                             len(result.seeds), profit, None, select_ms, rr_ms))
     _write_csv(rows, cfg, cfg.csv)
     return 0
 
@@ -401,10 +366,8 @@ def cmd_certify(args) -> int:
         doc["config"] = asdict(cfg)
         doc["config_hash"] = cfg.config_hash()
         Path(cfg.out).write_text(json.dumps(doc), encoding="utf-8")
-    result = SelectionResult(algorithm=algo, params={}, seeds=seeds,
-                             estimated_profit=cert.phi_estimate)
     rows = [_row(cfg, algo, theta, cfg.lattice is not None, cfg.normalize,
-                 result, cert.phi_estimate, cert.guarantee, 0, 0)]
+                 len(seeds), cert.phi_estimate, cert.guarantee, 0, 0)]
     _write_csv(rows, cfg, cfg.csv)
     return 0
 
@@ -425,7 +388,7 @@ def _experiment_row(cfg: RunConfig, row_spec, graph: WeightedGraph = None) -> di
     cert = certify_seeds(result.seeds, g, cert_lattice, vtheta, delta=cfg.delta,
                          seed=derive_seed(cfg.seed, "experiment", theta, algo,
                                           int(prune_on), int(norm_on)))
-    return _row(cfg, algo, theta, prune_on, norm_on, result,
+    return _row(cfg, algo, theta, prune_on, norm_on, len(result.seeds),
                 cert.phi_estimate, cert.guarantee, select_ms, rr_ms)
 
 
@@ -462,12 +425,7 @@ def _failed_row(cfg: RunConfig, row_spec, exc: Exception) -> dict:
     theta, algo, prune_on, norm_on = row_spec
     print(f"row (theta={theta}, algo={algo}, prune={int(prune_on)}, "
           f"norm={int(norm_on)}) failed: {exc}", file=sys.stderr)
-    return {
-        "dataset": Path(cfg.graph).stem, "algo": algo, "theta": theta,
-        "prune": int(prune_on), "norm": int(norm_on), "seeds_count": 0,
-        "profit": "", "guarantee": "", "time_select_ms": 0, "time_rr_ms": 0,
-        "seed": cfg.seed,
-    }
+    return _row(cfg, algo, theta, prune_on, norm_on, 0, None, None, 0, 0)
 
 
 def main(argv=None) -> int:

@@ -242,8 +242,38 @@ class TestConfigFile:
             encoding="utf-8")
         assert main(["prune", "--config", str(config)]) == 0
         assert capsys.readouterr().out.strip() == "4,1,3,2,50.0%"
-        # flag overrides the file: normalization back on
-        assert main(["prune", "--config", str(config), "--seed", "2"]) == 0
+        # the flag overrides the file's seed; the file's switches stay
+        out = tmp_path / "lattice.json"
+        assert main(["prune", "--config", str(config), "--seed", "2", "--out", str(out)]) == 0
+        resolved = json.loads(out.read_text())["config"]
+        assert resolved["seed"] == 2
+        assert resolved["normalize"] is False and resolved["exact"] is True
+
+    @pytest.mark.parametrize("flag, line", [
+        (["--default-prob", "0.2"], "default_prob = 0.2"),
+        (["--r", "2.5"], "r = 2.5"),
+        (["--seed", "7"], "seed = 7"),
+        (["--theta", "100,200"], "theta = 100, 200"),
+        (["--algo", "greedy,modmod1"], "algo = greedy modmod1"),
+        (["--no-norm"], "no_norm = true"),
+        (["--no-prune"], "no-prune = yes"),
+        (["--exact"], "exact = 1"),
+        (["--benefit-dist", "degree-proportional"], "benefit_dist = degree-proportional"),
+    ], ids=["str", "float", "int", "int-list", "name-list", "no-norm", "no-prune",
+            "exact", "degree-proportional"])
+    def test_flag_and_file_key_resolve_alike(self, demo_files, tmp_path, capsys, flag, line):
+        edges, weights = demo_files
+        config = tmp_path / "run.cfg"
+        config.write_text(f"graph = {edges}\nweights = {weights}\n{line}\n", encoding="utf-8")
+        out = tmp_path / "lattice.json"
+        common = ["prune", "--theta-exp", "0", "--out", str(out)]
+        hashes = []
+        for args in (["--graph", edges, "--weights", weights] + flag, ["--config", str(config)]):
+            assert main(common + args) == 0
+            hashes.append(json.loads(out.read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
+        assert main(common + ["--graph", edges, "--weights", weights]) == 0
+        assert json.loads(out.read_text())["config_hash"] != hashes[0]
 
     def test_unknown_key_rejected(self, demo_files, tmp_path):
         edges, _ = demo_files
@@ -251,7 +281,8 @@ class TestConfigFile:
         config.write_text("nonsense = 1\n", encoding="utf-8")
         assert main(["prune", "--config", str(config), "--graph", edges]) == 2
 
-    @pytest.mark.parametrize("line", ["model = ic", "validate = 1", "thetas = 2"])
+    @pytest.mark.parametrize("line", ["model = ic", "validate = 1", "thetas = 2",
+                                      "normalize = false", "prune = true"])
     def test_non_field_keys_rejected(self, demo_files, tmp_path, capsys, line):
         edges, _ = demo_files
         config = tmp_path / "bad.cfg"
@@ -260,19 +291,29 @@ class TestConfigFile:
         assert f"{config}:2: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["seed = abc", "theta = 100, x", "delta = small",
-                                      "validation_theta = 1.5", "theta_exp = 2 y"])
+                                      "validation_theta = 1.5", "theta_exp = 2 y",
+                                      "exact = maybe", "no-norm = on"])
     def test_bad_values_carry_the_line(self, demo_files, tmp_path, capsys, line):
         edges, _ = demo_files
         config = tmp_path / "bad.cfg"
         config.write_text(f"graph = {edges}\n\n{line}\n", encoding="utf-8")
         assert main(["prune", "--config", str(config), "--exact"]) == 2
-        assert f"{config}:3: bad value" in capsys.readouterr().err
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        assert f"{config}:3: bad value {value.strip()!r} for {key}" in capsys.readouterr().err
 
 
 class TestExitCodes:
     def test_missing_graph_file(self, tmp_path):
         assert main(["prune", "--graph", str(tmp_path / "absent.txt"),
                      "--seed", "1"]) == 3
+
+    @pytest.mark.parametrize("flag, side", [("--benefit-dist", "benefit"),
+                                            ("--cost-dist", "cost")])
+    def test_unknown_distribution_is_input_error(self, demo_files, capsys, flag, side):
+        edges, _ = demo_files
+        assert main(["prune", "--graph", edges, flag, "pareto", "--exact"]) == 2
+        assert f"error: unknown {side} distribution 'pareto'" in capsys.readouterr().err
 
     def test_bad_delta_is_config_error(self, demo_files):
         edges, weights = demo_files
