@@ -365,7 +365,10 @@ def load_weights(g: WeightedGraph, path) -> WeightedGraph:
             c = float(parts[2])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: expected integer id and float weights") from None
-        v = g.internal_id(ext)
+        try:
+            v = g.internal_id(ext)
+        except DomainError:
+            raise DomainError(f"{path}:{lineno}: unknown external node id {ext}") from None
         if v in seen:
             raise DomainError(f"{path}:{lineno}: duplicate weight row for node {ext}")
         seen.add(v)

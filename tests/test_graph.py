@@ -195,7 +195,7 @@ class TestAssignWeights:
 
     def test_unknown_node_in_weights_file(self, tmp_path):
         path = write(tmp_path / "w.txt", "9 1 1\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"^{re.escape(path)}:1: "):
             assign_weights(self.path_graph(), weights_path=path)
 
     def test_duplicate_weight_row(self, tmp_path):
