@@ -21,12 +21,13 @@ probability at least 1 - 2 delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .evaluation import MarginalEvaluator
 from .graph import WeightedGraph
-from .optimize import make_permutation, maximize_modular_difference, modular_lower, modular_upper
+from .optimize import (_ceiling, _upper_at, _upper_fixed, make_permutation,
+                       maximize_modular_difference, modular_lower)
 from .prune import Lattice
 from .rng import derive_seed
 from .rrsets import ProfitEstimator, chernoff_a, confidence_bounds
@@ -57,22 +58,7 @@ class ProfitCertificate:
                 f"mu={self.mu_estimate:.6g}, eps={self.epsilon_mu:.6g})")
 
     def to_json_dict(self) -> dict:
-        return {
-            "phi_estimate": self.phi_estimate,
-            "beta_lower": self.beta_lower,
-            "beta_upper": self.beta_upper,
-            "gamma_lower": self.gamma_lower,
-            "gamma_upper": self.gamma_upper,
-            "mu_estimate": self.mu_estimate,
-            "epsilon_mu": self.epsilon_mu,
-            "guarantee": self.guarantee,
-            "delta": self.delta,
-            "theta_beta": self.theta_beta,
-            "theta_gamma": self.theta_gamma,
-            "upsilon_b": self.upsilon_b,
-            "upsilon_c": self.upsilon_c,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
@@ -88,9 +74,12 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     X = frozenset(X)
     pi = make_permutation(lat, X, evaluator)
     cost_floor = modular_lower(evaluator, "cost", X, pi, lat)
+    ceiling = _ceiling(lat)
+    benefit = evaluator.value(X, "benefit")
     caps = []
     for variant in (3, 4):
-        benefit_ceiling = modular_upper(evaluator, "benefit", X, variant, lat)
+        fixed = _upper_fixed(evaluator, "benefit", variant, lat, ceiling)
+        benefit_ceiling = _upper_at(evaluator, "benefit", X, benefit, variant, ceiling, fixed)
         best = maximize_modular_difference(benefit_ceiling, cost_floor, lat)
         caps.append(benefit_ceiling.evaluate(best) - cost_floor.evaluate(best))
     return min(caps)

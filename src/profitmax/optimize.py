@@ -135,7 +135,7 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         raise DomainError("X must lie inside the lattice ceiling")
     ceiling = _ceiling(lat)
     fixed = _upper_fixed(evaluator, metric, variant, lat, ceiling)
-    return _upper_at(evaluator, metric, X, variant, ceiling, fixed)
+    return _upper_at(evaluator, metric, X, evaluator.value(X, metric), variant, ceiling, fixed)
 
 
 def _upper_fixed(evaluator: MarginalEvaluator, metric: str, variant: int,
@@ -156,9 +156,9 @@ def _upper_fixed(evaluator: MarginalEvaluator, metric: str, variant: int,
     return fixed
 
 
-def _upper_at(evaluator: MarginalEvaluator, metric: str, X: frozenset, variant: int,
-              ceiling: np.ndarray, fixed: np.ndarray) -> ModularFunction:
-    """``modular_upper`` at X from its fixed half: add the per-X half."""
+def _upper_at(evaluator: MarginalEvaluator, metric: str, X: frozenset, value: float,
+              variant: int, ceiling: np.ndarray, fixed: np.ndarray) -> ModularFunction:
+    """``modular_upper`` at X from its fixed half and ``value`` = f(X): add the per-X half."""
     inside = _member_mask(ceiling, X)
     per_node = fixed.copy()
     if variant in (1, 3):
@@ -166,7 +166,7 @@ def _upper_at(evaluator: MarginalEvaluator, metric: str, X: frozenset, variant: 
     else:
         per_node[inside] = evaluator.marginal_vs_rest(ceiling[inside], X, metric)
     # Python's sequential sum over the sorted inside nodes; np.sum would round differently
-    base = evaluator.value(X, metric) - sum(per_node[inside].tolist())
+    base = value - sum(per_node[inside].tolist())
     return ModularFunction(base=base, per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
 
 
@@ -305,7 +305,8 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
         pi = _order(lat, incumbent, ceiling, singleton,
                     seed=derive_seed(int(seed), "pi", round_no))
         benefit_floor = modular_lower(evaluator, "benefit", incumbent, pi, lat)
-        cost_ceiling = _upper_at(evaluator, "cost", incumbent, gamma_bound_variant,
+        cost_ceiling = _upper_at(evaluator, "cost", incumbent,
+                                 evaluator.value(incumbent, "cost"), gamma_bound_variant,
                                  ceiling, cost_fixed)
         nxt = maximize_modular_difference(benefit_floor, cost_ceiling, lat)
         if nxt == incumbent:

@@ -41,6 +41,22 @@ class TestMuBound:
         assert mu_bound(ev, {1, 2}, lat) == min(mu3, mu4)
         assert min(mu3, mu4) >= 1.68 - 1e-9
 
+    def test_benefit_of_x_asked_once(self, monkeypatch, demo_graph, demo_setup):
+        # both benefit ceilings are tight at X through the same f(X)
+        _, lat = demo_setup
+        est = ProfitEstimator.build(demo_graph, 2000, 2000, seed=3)
+        X = frozenset({1, 2})
+        expected = min(variant_cap(est, X, lat, 3), variant_cap(est, X, lat, 4))
+        metrics = []
+
+        def value(S, metric):
+            metrics.append(metric)
+            return ProfitEstimator.value(est, S, metric)
+
+        monkeypatch.setattr(est, "value", value)
+        assert mu_bound(est, X, lat) == expected
+        assert metrics == ["benefit"]
+
     def test_edgeless_equals_true_optimum(self):
         g = edgeless_graph([2.0, -1.0, 3.0, 0.5])
         ev = ExactEvaluator(g)
