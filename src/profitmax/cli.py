@@ -140,7 +140,6 @@ _OPTIONS = {
     "lattice": (str, "lattice JSON produced by prune"),
     "seeds": (str, "seeds JSON produced by select"),
 }
-_CERTIFY_ONLY = ("lattice", "seeds")
 
 # on/off switch -> (RunConfig field, value it sets, help)
 _SWITCHES = {
@@ -186,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value file of the same options; "
                                         "flags override it")
         for key, (parse, text) in _OPTIONS.items():
-            if command == "certify" or key not in _CERTIFY_ONLY:
+            if command == "certify" or key not in ("lattice", "seeds"):
                 p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
                                help=text)
         # a switch stores its value under its field, None when not given
