@@ -6,25 +6,32 @@ cost (expense incurred when the node activates and starts pushing to its
 neighbors).  Graphs are immutable after construction; weight changes produce
 new graph views sharing the edge structure.
 
-File formats (UTF-8 text, whitespace separated, ``#`` starts a comment line):
+File formats (UTF-8 text, whitespace separated; a line whose first
+non-blank character is ``#`` is a comment, and a ``#`` after a token is part
+of the line, so ``0 1 # x`` is a malformed edge):
 
     edge list:   u v [p]     one directed edge per line, external node ids,
                              p in [0,1]; missing p filled by a default policy
     weights:     v b c       per-node benefit and cost, external node ids
 
-External ids are arbitrary nonnegative integers; internally nodes are densely
-renumbered 0..n-1 in order of first appearance and the mapping is retained.
+External ids are nonnegative integers below 2**63; internally nodes are
+densely renumbered 0..n-1 in ascending external-id order and the mapping is
+retained.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParseError
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -50,29 +57,25 @@ class WeightedGraph:
 
     def __init__(self, node_count, edges, benefit=None, cost=None,
                  external_ids=None, normalized=False):
+        edges = list(edges)
+        u, v, p = zip(*edges, strict=True) if edges else ((), (), ())
+        self._build(node_count, _int_column(u), _int_column(v), np.array(p, dtype=np.float64),
+                    benefit, cost, external_ids, normalized)
+
+    @classmethod
+    def _from_columns(cls, node_count, src, dst, prob, external_ids) -> "WeightedGraph":
+        """The graph of parallel int64 endpoint and float64 probability arrays, zero weights."""
+        g = cls.__new__(cls)
+        g._build(node_count, src, dst, prob, None, None, external_ids, False)
+        return g
+
+    def _build(self, node_count, src, dst, prob, benefit, cost, external_ids, normalized):
         n = int(node_count)
         if n < 0:
             raise DomainError("node_count must be nonnegative")
         self._n = n
-
-        edges = list(edges)
-        m = len(edges)
-        src = np.empty(m, dtype=np.int32)
-        dst = np.empty(m, dtype=np.int32)
-        prob = np.empty(m, dtype=np.float64)
-        seen = set()
-        for k, (u, v, p) in enumerate(edges):
-            u, v, p = int(u), int(v), float(p)
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u},{v}) references a node outside 0..{n - 1}")
-            if u == v:
-                raise DomainError(f"self-loop on node {u} is not allowed")
-            if not (0.0 <= p <= 1.0):
-                raise DomainError(f"edge ({u},{v}) probability {p} outside [0,1]")
-            if (u, v) in seen:
-                raise DomainError(f"duplicate parallel edge ({u},{v})")
-            seen.add((u, v))
-            src[k], dst[k], prob[k] = u, v, p
+        _check_edges(n, src, dst, prob)
+        src, dst = src.astype(np.int32), dst.astype(np.int32)
         self._src, self._dst, self._prob = src, dst, prob
         self._set_weights(benefit, cost, normalized)
 
@@ -240,13 +243,68 @@ class WeightedGraph:
 # -- loading and saving ---------------------------------------------------
 
 
-def _data_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+def _int_column(values) -> np.ndarray:
+    """Integers as int64, or as exact Python ints where one exceeds int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(x) for x in values], dtype=object)
+
+
+def _check_edges(n, u, v, p) -> None:
+    """Raise DomainError for the first edge, in input order, that breaks an invariant.
+
+    The checks of one edge run in the order range, self-loop, probability,
+    then repeat of an earlier edge.
+    """
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = outside | (u == v) | ~((p >= 0.0) & (p <= 1.0))
+    # keys of edges with both ends in range are distinct per (u, v); a key
+    # that wraps or collides involves an out-of-range edge, which the range
+    # check reports first
+    key = u * n + v
+    sorted_keys = np.sort(key)
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        order = np.argsort(key, kind="stable")
+        bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    uk, vk, pk = int(u[k]), int(v[k]), float(p[k])
+    if outside[k]:
+        raise DomainError(f"edge ({uk},{vk}) references a node outside 0..{n - 1}")
+    if uk == vk:
+        raise DomainError(f"self-loop on node {uk} is not allowed")
+    if not (0.0 <= pk <= 1.0):
+        raise DomainError(f"edge ({uk},{vk}) probability {pk} outside [0,1]")
+    raise DomainError(f"duplicate parallel edge ({uk},{vk})")
+
+
+def _read_text(path, data=None) -> str:
+    """The UTF-8 text of the file at ``path`` (or of its bytes ``data``).
+
+    Undecodable bytes raise ParseError naming the line they are on.
+    """
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        # universal newlines: \n, \r\n and a lone \r each end a line
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def _data_lines(path, data=None):
+    """(line number, stripped line) for each line that is neither blank nor a comment."""
+    text = io.StringIO(_read_text(path, data), newline=None)
+    for lineno, raw in enumerate(text, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
 
 
 def _check_int_ids(ids, what) -> None:
@@ -268,11 +326,10 @@ def _read_json(path, read):
 
     A ``DomainError`` that ``read`` raises keeps its type and gains the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
     try:
         return read(doc)
     except KeyError as exc:
@@ -283,23 +340,79 @@ def _read_json(path, read):
         raise DomainError(f"{path}: {exc}") from None
 
 
-def load_edge_list(path, default_prob="wic") -> WeightedGraph:
-    """Read a ``u v [p]`` edge-list file into a graph with zero weights.
+# bytes on which np.loadtxt and the per-line reader split and parse alike:
+# printable ASCII, tab, and line feeds (a carriage return only before one)
+_LOADTXT_BYTES = bytes([9, 10, 13]) + bytes(range(32, 127))
 
-    ``default_prob`` fills edges whose line omits p: either a constant in
-    [0,1] or the string ``"wic"``, which assigns the reciprocal of the
-    target's in-degree.
+
+def _loadtxt_width(data: bytes):
+    """Columns of the first data line when ``np.loadtxt`` can read ``data``, else None.
+
+    None sends the file to the per-line reader: a byte outside
+    ``_LOADTXT_BYTES``, a lone carriage return (a line end to the per-line
+    reader, an error or a joined line to loadtxt), a ``#`` after the first
+    token of a line (loadtxt would drop the rest of the line as a comment;
+    the per-line reader rejects it), no data line, or a first data line
+    without 2 or 3 columns.
     """
-    if default_prob != "wic":
-        try:
-            const = float(default_prob)
-        except (TypeError, ValueError):
-            raise DomainError(f"default_prob must be 'wic' or a float, got {default_prob!r}")
-        if not (0.0 <= const <= 1.0):
-            raise DomainError(f"default probability {const} outside [0,1]")
+    if data.translate(None, _LOADTXT_BYTES):
+        return None
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    hash_at = data.find(b"#")
+    while hash_at >= 0:
+        line_start = data.rfind(b"\n", 0, hash_at) + 1
+        if data[line_start:hash_at].strip():
+            return None
+        line_end = data.find(b"\n", hash_at)
+        hash_at = -1 if line_end < 0 else data.find(b"#", line_end)
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        tokens = data[start:end].split()
+        if tokens and not tokens[0].startswith(b"#"):
+            return len(tokens) if len(tokens) in (2, 3) else None
+        start = end + 1
+    return None
 
+
+def _loadtxt_columns(data: bytes):
+    """(u, v, p) external-id columns of an edge list parsed by ``np.loadtxt``.
+
+    p is NaN where a line gives no probability.  None when ``loadtxt`` might
+    read the file differently from the per-line reader, refuses it, or finds
+    a negative id or a NaN probability (which would read as a missing one).
+    """
+    width = _loadtxt_width(data)
+    if width is None:
+        return None
+    dtype = [("u", np.int64), ("v", np.int64), ("p", np.float64)][:width]
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, comments="#", ndmin=1)
+    except ValueError:  # a malformed token, a ragged row, or an id beyond int64
+        return None
+    u, v = rows["u"], rows["v"]
+    if width == 2:
+        p = np.full(len(rows), np.nan)
+    else:
+        p = rows["p"]
+        if np.any(np.isnan(p)):
+            return None
+    if np.any(u < 0) or np.any(v < 0):
+        return None
+    return u, v, p
+
+
+def _edge_lines(path, data=None):
+    """(u, v, p) external-id columns of an edge list, read and checked line by line.
+
+    The reference reader: ``load_edge_list`` falls back to it for input that
+    ``np.loadtxt`` cannot read, and lets it word every error with the file
+    and line of the first bad line.  p is NaN where a line gives none.
+    """
     ext_edges = {}  # (u, v) -> p, in file order
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(path, data):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ParseError(f"{path}:{lineno}: expected 'u v [p]', got {line!r}")
@@ -309,7 +422,10 @@ def load_edge_list(path, default_prob="wic") -> WeightedGraph:
             raise ParseError(f"{path}:{lineno}: node ids must be integers") from None
         if u_ext < 0 or v_ext < 0:
             raise ParseError(f"{path}:{lineno}: node ids must be nonnegative")
-        p = None
+        for x in (u_ext, v_ext):
+            if x > _INT64_MAX:
+                raise ParseError(f"{path}:{lineno}: node id {x} does not fit in 64 bits")
+        p = math.nan
         if len(parts) == 3:
             try:
                 p = float(parts[2])
@@ -322,24 +438,56 @@ def load_edge_list(path, default_prob="wic") -> WeightedGraph:
         if (u_ext, v_ext) in ext_edges:
             raise DomainError(f"{path}:{lineno}: duplicate edge ({u_ext},{v_ext})")
         ext_edges[u_ext, v_ext] = p
-
     if not ext_edges:
         raise DomainError(f"{path}: no edges found")
+    u, v = zip(*ext_edges)
+    return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+            np.array(list(ext_edges.values()), dtype=np.float64))
 
-    # dense internal ids in ascending external-id order
-    order = sorted({x for edge in ext_edges for x in edge})
-    index = {ext: i for i, ext in enumerate(order)}
-    n = len(order)
-    in_deg = [0] * n
-    for _, v_ext in ext_edges:
-        in_deg[index[v_ext]] += 1
-    edges = []
-    for (u_ext, v_ext), p in ext_edges.items():
-        u, v = index[u_ext], index[v_ext]
-        if p is None:
-            p = 1.0 / in_deg[v] if default_prob == "wic" else const
-        edges.append((u, v, p))
-    return WeightedGraph(n, edges, external_ids=order)
+
+def _edge_graph(u_ext, v_ext, p, fill) -> WeightedGraph:
+    """The graph of external-id edge columns, renumbered in ascending id order.
+
+    NaN probabilities take ``fill``: a constant, or None for the reciprocal
+    of the target's in-degree.
+    """
+    ids, inverse = np.unique(np.concatenate([u_ext, v_ext]), return_inverse=True)
+    m = len(u_ext)
+    u, v = inverse[:m], inverse[m:]
+    if fill is None:
+        fill = 1.0 / np.bincount(v, minlength=len(ids))[v]
+    return WeightedGraph._from_columns(len(ids), u, v, np.where(np.isnan(p), fill, p),
+                                       external_ids=ids.tolist())
+
+
+def load_edge_list(path, default_prob="wic") -> WeightedGraph:
+    """Read a ``u v [p]`` edge-list file into a graph with zero weights.
+
+    ``default_prob`` fills edges whose line omits p: either a constant in
+    [0,1] or the string ``"wic"``, which assigns the reciprocal of the
+    target's in-degree.  The file is parsed by ``np.loadtxt`` and checked
+    with array masks; input it cannot read, and every error, go through the
+    per-line reader ``_edge_lines``, so both give the same graph and the
+    same ``file:line`` message.
+    """
+    fill = None
+    if default_prob != "wic":
+        try:
+            fill = float(default_prob)
+        except (TypeError, ValueError):
+            raise DomainError(f"default_prob must be 'wic' or a float, got {default_prob!r}")
+        if not (0.0 <= fill <= 1.0):
+            raise DomainError(f"default probability {fill} outside [0,1]")
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _loadtxt_columns(data)
+    if columns is not None:
+        try:
+            return _edge_graph(*columns, fill)
+        except DomainError:
+            pass  # a self-loop, a repeated edge or p outside [0,1]: the per-line reader names the line
+    return _edge_graph(*_edge_lines(path, data), fill)
 
 
 def save_edge_list(g: WeightedGraph, path) -> None:

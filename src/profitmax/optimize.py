@@ -88,7 +88,7 @@ def _require_lattice_member(X, lat: Lattice, what: str) -> frozenset:
 
 def _ceiling(lat: Lattice) -> np.ndarray:
     """The lattice ceiling B* as a sorted int64 array."""
-    return np.array(sorted(lat.may_include), dtype=np.int64)
+    return np.sort(np.fromiter(lat.may_include, dtype=np.int64, count=len(lat.may_include)))
 
 
 def _member_mask(ceiling: np.ndarray, nodes) -> np.ndarray:
@@ -223,13 +223,21 @@ def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
     submodularity makes it a lower bound everywhere on the lattice.
     """
     X = _require_lattice_member(X, lat, "X")
-    pi = [int(v) for v in pi]
-    if len(pi) != len(set(pi)) or set(pi) != set(lat.may_include):
+    pi = np.asarray(pi, dtype=np.int64)
+    ceiling = _ceiling(lat)
+    if len(pi) != len(ceiling) or not np.array_equal(np.sort(pi), ceiling):
         raise DomainError("permutation must cover the lattice ceiling exactly once")
-    k1, k2 = len(lat.must_include), len(X)
-    if (set(pi[:k1]) != set(lat.must_include)
-            or set(pi[:k2]) != set(X)):
+    pi = pi.tolist()
+    # pi holds each node of B* once, so its first |A*| nodes are A* when all
+    # of them lie in A*, and likewise for X
+    if not (lat.must_include.issuperset(pi[:len(lat.must_include)])
+            and X.issuperset(pi[:len(X)])):
         raise DomainError("permutation must order A*, then X - A*, then B* - X")
+    return _chain_bound(evaluator, metric, pi)
+
+
+def _chain_bound(evaluator: MarginalEvaluator, metric: str, pi: list) -> ModularFunction:
+    """``modular_lower`` along a permutation ``pi`` known to be valid."""
     incs = evaluator.chain_increments(pi, metric)
     return ModularFunction(base=0.0, per_node=dict(zip(pi, incs.tolist())))
 
@@ -304,7 +312,7 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     for round_no in range(100 * max(1, len(lat.free_nodes))):
         pi = _order(lat, incumbent, ceiling, singleton,
                     seed=derive_seed(int(seed), "pi", round_no))
-        benefit_floor = modular_lower(evaluator, "benefit", incumbent, pi, lat)
+        benefit_floor = _chain_bound(evaluator, "benefit", pi)
         cost_ceiling = _upper_at(evaluator, "cost", incumbent,
                                  evaluator.value(incumbent, "cost"), gamma_bound_variant,
                                  ceiling, cost_fixed)

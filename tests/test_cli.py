@@ -370,3 +370,20 @@ class TestExitCodes:
         bad = tmp_path / "bad.edges"
         bad.write_text("0 1 haha\n", encoding="utf-8")
         assert main(["prune", "--graph", str(bad), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("flag, text", [("--graph", DEMO_EDGE_TEXT),
+                                            ("--weights", DEMO_WEIGHT_TEXT)])
+    def test_undecodable_input_is_input_error(self, demo_files, tmp_path, capsys, flag, text):
+        lines = text.encode("utf-8").splitlines(keepends=True)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"".join(lines[:2]) + b"\xff\xfe\n" + b"".join(lines[2:]))
+        files = dict(zip(("--graph", "--weights"), demo_files), **{flag: str(bad)})
+        assert main(["select", *(x for item in files.items() for x in item), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: not UTF-8 text (invalid start byte)\n"
+
+    def test_id_beyond_int64_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "big-id.edges"
+        bad.write_text("0 1\n1 100000000000000000000\n", encoding="utf-8")
+        assert main(["select", "--graph", str(bad), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: node id 100000000000000000000 does not fit in 64 bits\n")

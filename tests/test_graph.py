@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profitmax import (DomainError, ParseError, WeightedGraph, assign_weights,
                        load_edge_list, load_graph_json, load_weights,
                        normalize_weights, save_edge_list, save_graph_json,
                        save_weights)
+from profitmax.graph import _edge_graph, _edge_lines, _loadtxt_columns
 from profitmax.oracle import ExactEvaluator
 
 from conftest import DEMO_BENEFIT, DEMO_COST, DEMO_EDGES, make_demo_graph, random_graph
@@ -97,6 +98,122 @@ class TestLoadEdgeList:
         with pytest.raises(DomainError):
             load_edge_list(write(tmp_path / "g.txt", "# nothing\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 # x\n", "expected 'u v [p]', got '0 1 # x'"),
+        ("0 1#x\n", "node ids must be integers"),
+        ("0 1 0.5#x\n", "probability must be a float"),
+    ])
+    def test_hash_after_a_token_is_not_a_comment(self, tmp_path, text, message):
+        path = write(tmp_path / "g.txt", "# header\n  # indented\n2 3 0.5\n" + text)
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}:4: {re.escape(message)}$"):
+            load_edge_list(path)
+
+    def test_whole_line_comments_keep_the_array_parse(self):
+        text = b"# Directed graph\r\n# FromNodeId\tToNodeId\r\n0\t1\r\n  # note\r\n1\t2\r\n"
+        u, v, p = _loadtxt_columns(text)
+        assert u.tolist() == [0, 1] and v.tolist() == [1, 2] and np.isnan(p).all()
+        for fallback in (b"0 1 # x\n", b"0 1\n1 2 0.5\n", b"0 1\r1 2\r", b"0\xa01\n"):
+            assert _loadtxt_columns(fallback) is None
+
+    @pytest.mark.parametrize("text, lineno, node", [
+        ("0 9223372036854775808\n", 1, 2**63),
+        ("0 1\n2 3 0.5\n100000000000000000000 1\n", 3, 10**20),
+    ], ids=["loadtxt-refuses", "ragged"])
+    def test_ids_beyond_int64_rejected(self, tmp_path, text, lineno, node):
+        path = write(tmp_path / "g.txt", text)
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(path)}:{lineno}: node id {node} does not fit in 64 bits$"):
+            load_edge_list(path)
+
+    def test_largest_int64_id_kept(self, tmp_path):
+        g = load_edge_list(write(tmp_path / "g.txt", "9223372036854775807 0\n"))
+        assert g.external_ids == [0, 2**63 - 1]
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\r\n1 2\r3 4\n\xff\xfe\n")
+        with pytest.raises(ParseError, match=r"g\.txt:4: not UTF-8 text \(invalid start byte\)$"):
+            load_edge_list(str(path))
+
+
+# respellings of each part of a line; the per-line reader accepts some of
+# them, np.loadtxt refuses or reads others differently
+_ID_SPELLINGS = ("+{}".format, "-{}".format, "0{}".format, "{}_0".format, "{}.0".format,
+                 lambda x: str(x).translate(str.maketrans("0123456789", "\u0660\u0661\u0662"
+                                                          "\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+                 lambda x: str(x + 2**63))
+_PROB_SPELLINGS = (None, "0.5", "1", "0", "1e-1", "-0.0", ".75", "+0.25", "nan", "inf", "1.5",
+                   "1_0.5", "x")
+# lone surrogates encode as the undecodable bytes 0xa0 and 0xff
+_SEPARATORS = ("\t", " \t ", "\xa0", "\x0c", "\udca0")
+_ENDINGS = ("\r\n", "\r")
+_TRAILERS = (" ", " # x")
+_COMMENT_LINES = ("# comment", "   # indented comment", "", "  ")
+_JUNK_LINES = ("7", "0 1 2 3", "\udcff")
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list bytes with clean lines, or with parts respelled at random.
+
+    Each part of a line is respelled with chance 1/odds (never in a third of
+    the files), always to the one respelling the file drew for that kind of
+    part.  Ids drawn from 0..4 make self-loops and repeated edges common, so
+    files often hold several faults.
+    """
+    odds = draw(st.sampled_from([0, 30, 5]))
+    respelled = {}
+
+    def pick(plain, options):
+        if odds and draw(st.integers(1, odds)) == 1:
+            if options not in respelled:
+                respelled[options] = draw(st.sampled_from(options))
+            return respelled[options]
+        return plain
+
+    with_p = draw(st.booleans())
+    prob_spellings = _PROB_SPELLINGS + (repr(draw(st.floats())),)
+    top_id = draw(st.sampled_from([4, 100]))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(pick(draw(st.sampled_from(_COMMENT_LINES)), _JUNK_LINES))
+            continue
+        tokens = [pick(str, _ID_SPELLINGS)(draw(st.integers(0, top_id))) for _ in range(2)]
+        p = pick(repr(draw(st.floats(0, 1))) if with_p else None, prob_spellings)
+        if p is not None:
+            tokens.append(p)
+        lines.append(pick("", (" ",)) + pick(" ", _SEPARATORS).join(tokens) + pick("", _TRAILERS))
+    text = "".join(line + pick("\n", _ENDINGS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(load, path):
+    """The graph's identity as bytes, or the error's type and message."""
+    try:
+        g = load(path)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+    return (g.node_count, g.external_ids) + tuple(a.tobytes() for a in g.edge_arrays())
+
+
+class TestLoaderMatchesPerLineReader:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_files(), st.sampled_from(["wic", 0.25]))
+    @example(b"0 1 nan\n", "wic")  # NaN would read as a missing p
+    @example(b"0 1\n# c\r2 3\n", "wic")  # a lone CR ends the comment line
+    @example(b"0 1\n2\xa03\n", "wic")  # not UTF-8, though latin-1 whitespace
+    @example(b"0 1 # x\n", "wic")
+    @example(b"0 1\n1 2\n0 1\n2 2\n", 0.25)
+    def test_same_graph_or_same_error(self, tmp_path_factory, data, default_prob):
+        path = tmp_path_factory.getbasetemp() / "differential.txt"
+        path.write_bytes(data)
+        fill = None if default_prob == "wic" else default_prob
+        assert (_outcome(lambda p: load_edge_list(p, default_prob), str(path))
+                == _outcome(lambda p: _edge_graph(*_edge_lines(p), fill), str(path)))
+
 
 class TestGraphValidation:
     def test_rejects_negative_weights(self):
@@ -116,6 +233,20 @@ class TestGraphValidation:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(DomainError):
             WeightedGraph(2, [(0, 2, 0.5)])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 1, 0.2), (3, 0, 0.5), (2, 2, 0.5)],
+         "duplicate parallel edge (0,1)"),
+        ([(0, 1, 0.5), (3, 3, 1.5), (1, 2, 0.5), (1, 2, 0.5)], "self-loop on node 3 is not allowed"),
+        ([(0, 1, 0.5), (1, 0, math.nan), (2, 2, 0.5)], "edge (1,0) probability nan outside [0,1]"),
+        ([(0, 1, 0.5), (0, 10**20, 0.5), (0, 1, 0.5)],
+         "edge (0,100000000000000000000) references a node outside 0..3"),
+        ([(1, 2, 0.5), (-1, -1, 2.0)], "edge (-1,-1) references a node outside 0..3"),
+    ], ids=["duplicate-before-self-loop", "self-loop-before-probability", "nan-probability",
+            "beyond-int64", "range-first"])
+    def test_first_faulty_edge_is_reported(self, edges, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            WeightedGraph(4, edges)
 
     def test_reverse_adjacency_mirrors_forward(self):
         g = make_demo_graph()

@@ -120,14 +120,18 @@ class TestModularLower:
 
     def test_invalid_permutations_rejected(self, demo_setup):
         ev, lat = demo_setup
-        with pytest.raises(DomainError):
+        cover = "permutation must cover the lattice ceiling exactly once"
+        order = r"permutation must order A\*, then X - A\*, then B\* - X"
+        with pytest.raises(DomainError, match=order):
             modular_lower(ev, "cost", {1, 2}, [0, 1, 2], lat)  # X not first
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=cover):
             modular_lower(ev, "cost", {1, 2}, [2, 1], lat)  # misses node 0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=cover):
             modular_lower(ev, "cost", {1, 2}, [2, 1, 0, 3], lat)  # outside B*
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=order):
             modular_lower(ev, "cost", {1, 2}, [1, 2, 0], lat)  # A* not first
+        with pytest.raises(DomainError, match=cover):
+            modular_lower(ev, "cost", {1, 2}, [2, 1, 1], lat)  # repeats node 1
 
 
 class TestMaximizeModularDifference:
