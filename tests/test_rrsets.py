@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profitmax import (DomainError, ExactEvaluator, ParseError, ProfitEstimator,
                        RRCollection, WeightedGraph, chernoff_a, confidence_bounds, generate,
@@ -47,6 +49,70 @@ def wic_graph(n, m, seed) -> WeightedGraph:
     return WeightedGraph(n, [(u, v, 1.0 / in_deg[v]) for u, v in edges],
                          benefit=rng.uniform(0.0, 2.0, size=n),
                          cost=rng.uniform(0.0, 2.0, size=n))
+
+
+def mixed_graph(n, m, seed) -> WeightedGraph:
+    """Random directed graph whose rows mix probabilities, some of them 0 or 1."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(m, 2)) if u != v}
+    prob = rng.choice([0.0, 1.0, 0.5], size=len(pairs), p=[0.05, 0.02, 0.93])
+    prob[prob == 0.5] = rng.uniform(0.0, 0.3, size=np.count_nonzero(prob == 0.5))
+    return WeightedGraph(n, [(u, v, float(p)) for (u, v), p in zip(sorted(pairs), prob)],
+                         benefit=rng.uniform(0.0, 2.0, size=n),
+                         cost=rng.uniform(0.0, 2.0, size=n))
+
+
+def reference_reach(starts, rng, csr):
+    """``rrsets._reach`` as it was before the per-node coin ceiling.
+
+    It flips one coin per edge of each new member and gathers every edge's
+    position and probability; ``np.unique`` stands in for ``rrsets._distinct``.
+    """
+    ptr, nbr, prob = csr
+    n = len(ptr) - 1
+    degrees = np.diff(ptr)
+    batch = max(1, rrsets.VISITED_BUDGET // max(n, 1))
+    visited = np.zeros(min(batch, len(starts)) * n, dtype=bool)
+    sizes, members = [], []
+    for lo in range(0, len(starts), batch):
+        part = starts[lo:lo + batch]
+        frontier = (np.arange(len(part), dtype=np.int64)[:, None] * n + part).ravel()
+        visited[frontier] = True
+        levels = [frontier]
+        while frontier.size:
+            sets, nodes = np.divmod(frontier, n)
+            degree = degrees[nodes]
+            ends = np.cumsum(degree)
+            pos = np.repeat(ptr[nodes] + degree - ends, degree) + np.arange(ends[-1])
+            live = np.flatnonzero(rng.random(len(pos)) < prob[pos])
+            keys = sets[np.searchsorted(ends, live, side="right")] * n + nbr[pos[live]]
+            frontier = np.unique(keys[~visited[keys]])
+            visited[frontier] = True
+            levels.append(frontier)
+        keys = np.concatenate(levels)
+        visited[keys] = False
+        span = n * len(levels)
+        level = np.repeat(np.arange(len(levels), dtype=np.int64), [len(f) for f in levels])
+        keys = np.sort(keys + keys // n * (span - n) + level * n)
+        sizes.append(np.bincount(keys // span, minlength=len(part)))
+        members.append((keys % n).astype(np.int32))
+    return np.concatenate(sizes), np.concatenate(members)
+
+
+@st.composite
+def reach_cases(draw):
+    """(graph, starts, coin seed, visited budget): small graphs whose rows mix
+    probabilities, with 0 and 1 among them, and nodes without edges."""
+    n = draw(st.integers(0, 9))
+    prob = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    edges = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0)), prob),
+                          unique_by=lambda e: e[:2], max_size=3 * n)) if n else []
+    g = WeightedGraph(n, [e for e in edges if e[0] != e[1]])
+    rows, width = draw(st.integers(1, 40)), draw(st.integers(0, min(n, 3)))
+    order = np.random.default_rng(draw(st.integers(0, 2**32))).random((rows, n)).argsort(axis=1)
+    starts = order[:, :width].astype(np.int64)
+    return g, starts, draw(st.integers(0, 2**32)), draw(st.sampled_from([None, 8, 32, 256]))
 
 
 def store_digest(coll) -> str:
@@ -146,16 +212,18 @@ class TestGenerate:
 
     # sha256 of (set_ptr, members, node_ptr, set_ids) of the benefit, then
     # the cost collection; 4096 bytes split theta = 3000 into batches of 13
-    @pytest.mark.parametrize("budget, digests", [
-        (None, ("2b16014c4077cef22a50e1b4d6bb9f8f0124e3e970feca4ebfaa74d8f16e612e",
+    @pytest.mark.parametrize("graph, budget, digests", [
+        (wic_graph, None, ("2b16014c4077cef22a50e1b4d6bb9f8f0124e3e970feca4ebfaa74d8f16e612e",
                 "db0c607f7eb8b8c78751c58f58a90678b07ff48f9ba259b9d951e531a5ba703b")),
-        (4096, ("7d9ecd55130fac21e7165270504f15aa15542a6cab0544b964c976f6aeaaea33",
+        (wic_graph, 4096, ("7d9ecd55130fac21e7165270504f15aa15542a6cab0544b964c976f6aeaaea33",
                 "2c342127780278e2abab0c5f4401cb468b2d6919a3ab41ce745c81526056f649")),
-    ], ids=["one-batch", "multi-batch"])
-    def test_sampled_store_is_frozen(self, budget, digests, monkeypatch):
+        (mixed_graph, None, ("16adac8e3e6cbf39783182045cbec9a3807a2b1a1419f539d31a663853031fea",
+                            "7d54a86b59300f41d287b2a1d253109d5dc49010a228c6a47f48dfbbfbd82d1a")),
+    ], ids=["one-batch", "multi-batch", "mixed"])
+    def test_sampled_store_is_frozen(self, graph, budget, digests, monkeypatch):
         if budget is not None:
             monkeypatch.setattr(rrsets, "VISITED_BUDGET", budget)
-        g = wic_graph(300, 1500, seed=61)
+        g = graph(300, 1500, seed=61)
         colls = [generate(g, kind, 3000, seed=derive_seed(62, kind))
                  for kind in ("benefit", "cost")]
         assert tuple(store_digest(c) for c in colls) == digests
@@ -184,6 +252,24 @@ class TestGenerate:
         # budget splits it into batches of 32-128 sets
         monkeypatch.setattr(rrsets, "VISITED_BUDGET", 256)
         self.test_hit_rates_match_the_exact_oracle(case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reach_cases())
+    def test_reach_matches_reference_kernel(self, case):
+        # same members in the same order, and the same coins drawn, on the
+        # reverse CSR (RR sets) and the forward CSR (cascades)
+        g, starts, seed, budget = case
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(rrsets, "VISITED_BUDGET", budget)
+            for csr in (g.reverse_csr(), g.forward_csr()):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                sizes, members = rrsets._reach(starts, rng, csr)
+                ref_sizes, ref_members = reference_reach(starts, ref_rng, csr)
+                assert sizes.tolist() == ref_sizes.tolist()
+                assert members.dtype == ref_members.dtype
+                assert members.tolist() == ref_members.tolist()
+                assert rng.random() == ref_rng.random()
 
 
 class TestCoverage:
@@ -271,10 +357,6 @@ class TestMarginalCoverage:
         est = counting_estimator([[0]], node_count=2)
         with pytest.raises(DomainError):
             est.marginal(0, {0}, "benefit")
-
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 
 class TestConfidenceBounds:
