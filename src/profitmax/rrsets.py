@@ -28,7 +28,11 @@ only for the sets a node leaving B touches (``RRLattice``).
 
 Sampling is batch-frontier: the sets of a batch grow together, one BFS level
 per numpy pass (see ``generate``), all from one generator derived from
-(seed, kind).
+(seed, kind).  Every edge of every new member gets one coin, but a coin is
+first compared with the largest edge probability of its member, and only
+the coins under that ceiling have their edge located (and, when some node's
+edges differ in probability, tested against the edge's own), so the coins,
+and every set, are those of one test per edge.
 """
 
 from __future__ import annotations
@@ -211,10 +215,23 @@ def _reach(starts, rng, csr):
     node`` per batch then lists each set's start nodes, then its members
     level by level, ascending within a level.  ``members`` holds the sets one
     after another and ``sizes`` counts each set's members.
+
+    A level draws its coins in one call, in edge order, and compares them
+    with ``top``, each member's largest edge probability; only the coins
+    under it have their edge located, and, when some row mixes
+    probabilities (``mixed``), tested against their own edge's.  As
+    ``prob <= top``, an edge is live exactly when its coin is below its
+    probability, and the draws are those of one test per edge.
     """
     ptr, nbr, prob = csr
     n = len(ptr) - 1
     degrees = np.diff(ptr)
+    # reduceat over the nonempty rows only: on an empty row it returns the
+    # first element of the next row
+    rows = np.flatnonzero(degrees)
+    top = np.zeros(n)
+    top[rows] = np.maximum.reduceat(prob, ptr[rows])
+    mixed = bool(np.any(prob < np.repeat(top, degrees)))
     batch = max(1, VISITED_BUDGET // max(n, 1))
     visited = np.zeros(min(batch, len(starts)) * n, dtype=bool)
     sizes, members = [], []
@@ -224,13 +241,18 @@ def _reach(starts, rng, csr):
         visited[frontier] = True
         levels = [frontier]
         while frontier.size:
-            sets, nodes = np.divmod(frontier, n)
+            nodes = frontier % n
             degree = degrees[nodes]
             ends = np.cumsum(degree)
-            pos = np.repeat(ptr[nodes] + degree - ends, degree) + np.arange(ends[-1])
-            live = np.flatnonzero(rng.random(len(pos)) < prob[pos])
-            # the set of live edge i is that of the member whose edges span i
-            keys = sets[np.searchsorted(ends, live, side="right")] * n + nbr[pos[live]]
+            coins = rng.random(ends[-1])
+            cand = np.flatnonzero(coins < np.repeat(top[nodes], degree))
+            # the coin at i belongs to the member whose edges span i
+            owner = np.searchsorted(ends, cand, side="right")
+            pos = cand + (ptr[nodes] + degree - ends)[owner]
+            if mixed:
+                keep = coins[cand] < prob[pos]
+                owner, pos = owner[keep], pos[keep]
+            keys = (frontier - nodes)[owner] + nbr[pos]
             frontier = _distinct(keys[~visited[keys]])
             visited[frontier] = True
             levels.append(frontier)
