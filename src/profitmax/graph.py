@@ -84,6 +84,9 @@ class WeightedGraph:
         external_ids = [int(x) for x in external_ids]
         if len(external_ids) != n or len(set(external_ids)) != n:
             raise DomainError("external_ids must be a bijection over the nodes")
+        bad = next((x for x in external_ids if not 0 <= x <= _INT64_MAX), None)
+        if bad is not None:
+            raise DomainError(f"external id {bad} outside 0..2**63-1")
         self._external_ids = external_ids
         self._id_map = {ext: i for i, ext in enumerate(external_ids)}
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import profitmax
 from profitmax.cli import CSV_COLUMNS, main
 
 DEMO_EDGE_TEXT = "# demo graph\n1 2 0.3\n1 4 0.4\n2 4 0.2\n3 4 0.3\n"
@@ -304,6 +309,14 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    def test_runs_as_a_module_from_the_source_tree(self, tmp_path):
+        src = str(Path(profitmax.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "profitmax", "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: profitmax ")
+
     def test_missing_graph_file(self, tmp_path):
         assert main(["prune", "--graph", str(tmp_path / "absent.txt"),
                      "--seed", "1"]) == 3

@@ -248,6 +248,11 @@ class TestGraphValidation:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             WeightedGraph(4, edges)
 
+    @pytest.mark.parametrize("bad", [2**64, 2**63, -5])
+    def test_rejects_external_ids_outside_int64(self, bad):
+        with pytest.raises(DomainError, match=rf"^external id {bad} outside 0\.\.2\*\*63-1$"):
+            WeightedGraph(2, [(0, 1, 0.5)], external_ids=[0, bad])
+
     def test_reverse_adjacency_mirrors_forward(self):
         g = make_demo_graph()
         fwd = set()
@@ -479,4 +484,14 @@ class TestGraphJsonDomainErrors:
         damage(doc["edges"])
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            load_graph_json(str(path))
+
+    @pytest.mark.parametrize("bad", [2**64, -5])
+    def test_external_id_outside_int64_names_the_path(self, tmp_path, bad):
+        path = tmp_path / "g.json"
+        save_graph_json(make_demo_graph(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["external_ids"][1] = bad
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: external id {bad} "):
             load_graph_json(str(path))
