@@ -213,12 +213,15 @@ class TestGenerate:
     # sha256 of (set_ptr, members, node_ptr, set_ids) of the benefit, then
     # the cost collection; 4096 bytes split theta = 3000 into batches of 13
     @pytest.mark.parametrize("graph, budget, digests", [
-        (wic_graph, None, ("2b16014c4077cef22a50e1b4d6bb9f8f0124e3e970feca4ebfaa74d8f16e612e",
-                "db0c607f7eb8b8c78751c58f58a90678b07ff48f9ba259b9d951e531a5ba703b")),
-        (wic_graph, 4096, ("7d9ecd55130fac21e7165270504f15aa15542a6cab0544b964c976f6aeaaea33",
-                "2c342127780278e2abab0c5f4401cb468b2d6919a3ab41ce745c81526056f649")),
-        (mixed_graph, None, ("16adac8e3e6cbf39783182045cbec9a3807a2b1a1419f539d31a663853031fea",
-                            "7d54a86b59300f41d287b2a1d253109d5dc49010a228c6a47f48dfbbfbd82d1a")),
+        (wic_graph, None,
+         ("2b16014c4077cef22a50e1b4d6bb9f8f0124e3e970feca4ebfaa74d8f16e612e",
+          "db0c607f7eb8b8c78751c58f58a90678b07ff48f9ba259b9d951e531a5ba703b")),
+        (wic_graph, 4096,
+         ("7d9ecd55130fac21e7165270504f15aa15542a6cab0544b964c976f6aeaaea33",
+          "2c342127780278e2abab0c5f4401cb468b2d6919a3ab41ce745c81526056f649")),
+        (mixed_graph, None,
+         ("16adac8e3e6cbf39783182045cbec9a3807a2b1a1419f539d31a663853031fea",
+          "7d54a86b59300f41d287b2a1d253109d5dc49010a228c6a47f48dfbbfbd82d1a")),
     ], ids=["one-batch", "multi-batch", "mixed"])
     def test_sampled_store_is_frozen(self, graph, budget, digests, monkeypatch):
         if budget is not None:
