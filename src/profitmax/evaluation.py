@@ -8,8 +8,9 @@ have generic fallbacks that subclasses may override with faster paths.
 
 The batched queries (``marginal_many``, ``marginal_vs_rest`` and
 ``chain_increments``) return float64 arrays aligned with the nodes asked
-for: entry i answers for the i-th node.  ``marginal`` and ``value`` return
-Python floats.
+for: entry i answers for the i-th node.  ``value_many`` returns one aligned
+with the seed sets asked for, entry i equal to ``value`` of the i-th.
+``marginal`` and ``value`` return Python floats.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ class MarginalEvaluator:
 
     def profit(self, seeds) -> float:
         return self.value(seeds, "benefit") - self.value(seeds, "cost")
+
+    def value_many(self, seed_sets, metric: str) -> np.ndarray:
+        """f(S) for each S in ``seed_sets``, as a float64 array in their order."""
+        self._check_metric(metric)
+        return np.array([self.value(s, metric) for s in seed_sets], dtype=np.float64)
 
     def marginal(self, v, base, metric: str) -> float:
         """f(base + v) - f(base)."""

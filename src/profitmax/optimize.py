@@ -339,29 +339,45 @@ def baseline(kind: str, g: WeightedGraph, k: int, evaluator: MarginalEvaluator,
 
     random averages its reported profit over a fixed number of fresh draws;
     highdegree takes the top out-degrees; benefitmax runs coverage greedy on
-    the benefit estimates for k rounds.
+    the benefit estimates for k rounds.  Each builds its seed sets first and
+    scores them all with one ``value_many`` query, which RR estimates answer
+    with one bit-parallel coverage pass per 64 seed sets.
     """
     if kind not in BASELINES:
         raise DomainError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
     k = int(k)
     if not (1 <= k <= g.node_count):
         raise DomainError(f"k must lie in 1..{g.node_count}, got {k}")
-
     if kind == "random":
-        rng = make_rng(derive_seed(int(seed), "baseline", "random", k))
-        draws = [frozenset(rng.choice(g.node_count, size=k, replace=False).tolist())
-                 for _ in range(RANDOM_BASELINE_DRAWS)]
-        profits = [evaluator.profit(s) for s in draws]
-        mean_profit = sum(profits) / len(profits)
-        return SelectionResult(
-            algorithm="random",
-            params={"k": k, "draws": RANDOM_BASELINE_DRAWS, "seed": int(seed)},
-            seeds=draws[0], estimated_profit=mean_profit,
-            trajectory=[{"draw": i, "profit": p} for i, p in enumerate(profits)])
-
+        return _random(g, evaluator, [k], seed)[0]
     if kind == "highdegree":
         return _highdegree(g, evaluator, [k])[0]
     return _benefitmax(evaluator, g.node_count, [k])[0]
+
+
+def _random(g: WeightedGraph, evaluator: MarginalEvaluator, sizes, seed) -> list:
+    """The random selection for each k in sizes.
+
+    Each k draws from its own generator, derived from (seed, k), so a swept
+    k draws what a lone call for it does.
+    """
+    draws = []
+    for k in sizes:
+        rng = make_rng(derive_seed(int(seed), "baseline", "random", k))
+        draws += [frozenset(rng.choice(g.node_count, size=k, replace=False).tolist())
+                  for _ in range(RANDOM_BASELINE_DRAWS)]
+    profits = evaluator.value_many(draws, "profit").tolist()
+    results = []
+    for i, k in enumerate(sizes):
+        lo = i * RANDOM_BASELINE_DRAWS
+        part = profits[lo:lo + RANDOM_BASELINE_DRAWS]
+        # Python's sequential sum; np.mean would round differently
+        results.append(SelectionResult(
+            algorithm="random",
+            params={"k": k, "draws": RANDOM_BASELINE_DRAWS, "seed": int(seed)},
+            seeds=draws[lo], estimated_profit=sum(part) / len(part),
+            trajectory=[{"draw": j, "profit": p} for j, p in enumerate(part)]))
+    return results
 
 
 def _highdegree(g: WeightedGraph, evaluator: MarginalEvaluator, sizes) -> list:
@@ -370,13 +386,11 @@ def _highdegree(g: WeightedGraph, evaluator: MarginalEvaluator, sizes) -> list:
     Each k takes a prefix of one order by descending out-degree.
     """
     order = np.lexsort((np.arange(g.node_count), -g.out_degree)).tolist()
-    results = []
-    for k in sizes:
-        seeds = frozenset(order[:k])
-        results.append(SelectionResult(algorithm="highdegree", params={"k": k}, seeds=seeds,
-                                       estimated_profit=evaluator.profit(seeds),
-                                       trajectory=[]))
-    return results
+    chosen = [frozenset(order[:k]) for k in sizes]
+    profits = evaluator.value_many(chosen, "profit").tolist()
+    return [SelectionResult(algorithm="highdegree", params={"k": k}, seeds=seeds,
+                            estimated_profit=profit, trajectory=[])
+            for k, seeds, profit in zip(sizes, chosen, profits)]
 
 
 def _benefitmax(evaluator: MarginalEvaluator, node_count: int, sizes) -> list:
@@ -401,13 +415,12 @@ def _benefitmax(evaluator: MarginalEvaluator, node_count: int, sizes) -> list:
         picks.append({"added": int(free[best]), "marginal": float(gains[best])})
         state.add(picks[-1]["added"])
         free = np.delete(free, best)
-    results = []
-    for k in sizes:
-        seeds = frozenset(p["added"] for p in picks[:k])
-        results.append(SelectionResult(algorithm="benefitmax", params={"k": k}, seeds=seeds,
-                                       estimated_profit=evaluator.profit(seeds),
-                                       trajectory=[dict(p) for p in picks[:k]]))
-    return results
+    chosen = [frozenset(p["added"] for p in picks[:k]) for k in sizes]
+    profits = evaluator.value_many(chosen, "profit").tolist()
+    return [SelectionResult(algorithm="benefitmax", params={"k": k}, seeds=seeds,
+                            estimated_profit=profit,
+                            trajectory=[dict(p) for p in picks[:k]])
+            for k, seeds, profit in zip(sizes, chosen, profits)]
 
 
 def sweep_sizes(node_count: int) -> list:
@@ -428,15 +441,19 @@ def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
 
     Ties keep the first (largest) k.  Neither the greedy picks nor the
     out-degree order depend on k, so every benefitmax and every highdegree
-    selection is a prefix of one run or one sort.
+    selection is a prefix of one run or one sort.  Every seed set of the
+    sweep (for random, every draw at every k) is scored by one
+    ``value_many`` query, a bit-parallel coverage count on RR estimates.
     """
     sizes = sweep_sizes(g.node_count)
-    if kind == "benefitmax":
-        results = _benefitmax(evaluator, g.node_count, sizes)
+    if kind not in BASELINES:
+        raise DomainError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
+    if kind == "random":
+        results = _random(g, evaluator, sizes, seed)
     elif kind == "highdegree":
         results = _highdegree(g, evaluator, sizes)
     else:
-        results = (baseline(kind, g, k, evaluator, seed) for k in sizes)
+        results = _benefitmax(evaluator, g.node_count, sizes)
     best = None
     swept = []
     for k, result in zip(sizes, results):

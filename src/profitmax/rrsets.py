@@ -24,7 +24,10 @@ decremented only for the sets a new seed covers (the node-selection
 scheme of IMM, Tang, Shi and Xiao, SIGMOD 2015), so a whole greedy run
 touches each member of each set once.  Pruning keeps such a state for its
 floor A and, for its ceiling B, per-set counts of the nodes of B, updated
-only for the sets a node leaving B touches (``RRLattice``).
+only for the sets a node leaving B touches (``RRLattice``).  Many seed sets
+are counted at once, bit-parallel: each node gets a 64-bit word whose bit b
+marks the b-th seed set, and OR-ing the words of each set's members shows
+which of the 64 seed sets cover it (``RRCollection.cover_counts``).
 
 Sampling is batch-frontier: the sets of a batch grow together, one BFS level
 per numpy pass (see ``generate``), all from one generator derived from
@@ -157,6 +160,27 @@ class RRCollection:
         mask = np.zeros(self.theta, dtype=bool)
         mask[self.set_ids[_spans(self.node_ptr, seeds)]] = True
         return mask
+
+    def cover_counts(self, seed_sets) -> np.ndarray:
+        """Per seed set, how many sets it intersects; 64 seed sets per pass.
+
+        Bit b of a node's word marks the b-th seed set of a pass, the OR of
+        each set's member words marks the seed sets covering it, and the
+        column sums of those bits are the counts.  With no sets (theta 0)
+        ``reduceat`` gets no offsets and every count stays zero.
+        """
+        counts = np.zeros(len(seed_sets), dtype=np.int64)
+        for lo in range(0, len(seed_sets), 64):
+            part = seed_sets[lo:lo + 64]
+            word = np.zeros(self.node_count, dtype=np.uint64)
+            for b, seeds in enumerate(part):
+                word[seeds] |= np.uint64(1 << b)
+            cover = np.bitwise_or.reduceat(word[self.members], self.set_ptr[:-1])
+            # one expression, so no pass's bit matrix outlives it
+            counts[lo:lo + len(part)] = np.unpackbits(
+                cover.astype("<u8", copy=False).view(np.uint8), bitorder="little",
+            ).reshape(-1, 64).sum(axis=0)[:len(part)]
+        return counts
 
     def hits(self, nodes) -> np.ndarray:
         """Per set, how many of the (distinct) ``nodes`` it holds."""
@@ -497,6 +521,10 @@ class ProfitEstimator(MarginalEvaluator):
     def value(self, seeds, metric: str) -> float:
         seeds = _node_array(seeds, self.node_count)
         return self._scaled(metric, lambda c: int(np.count_nonzero(c.covered(seeds))))
+
+    def value_many(self, seed_sets, metric: str) -> np.ndarray:
+        seed_sets = [_node_array(s, self.node_count) for s in seed_sets]
+        return self._scaled(metric, lambda c: c.cover_counts(seed_sets))
 
     def marginal(self, v, base, metric: str) -> float:
         v = int(v)

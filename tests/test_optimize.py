@@ -9,6 +9,8 @@ from profitmax import (DomainError, ExactEvaluator, Lattice, ModularFunction,
                        modmod, modular_lower, modular_upper, sweep_sizes,
                        trivial_lattice)
 from profitmax.graph import WeightedGraph
+from profitmax.optimize import BASELINES, RANDOM_BASELINE_DRAWS, _random
+from profitmax.rng import derive_seed, make_rng
 from profitmax.rrsets import RRCollection, RRCoverage
 
 from conftest import (DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT, edgeless_graph,
@@ -373,7 +375,7 @@ class TestBaselines:
         ev = ExactEvaluator(demo_graph)
         result = baseline("random", demo_graph, 2, ev, seed=5)
         mean = sum(t["profit"] for t in result.trajectory) / 10
-        assert result.estimated_profit == pytest.approx(mean, abs=1e-12)
+        assert result.estimated_profit == mean
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_domain(self, demo_graph, k):
@@ -405,6 +407,19 @@ class TestKSweep:
         swept = result.params["swept"]
         assert result.estimated_profit == max(e["profit"] for e in swept)
         assert {e["k"] for e in swept} == {4, 2, 1}
+
+    @pytest.mark.parametrize("kind", BASELINES)
+    def test_one_batched_profit_query(self, monkeypatch, kind):
+        g = random_graph(np.random.default_rng(5), max_nodes=12, max_edges=30)
+        est = ProfitEstimator.build(g, 2000, 2000, seed=0)
+        calls = []
+        for name in ("value", "profit", "value_many"):
+            def counted(*args, _query=getattr(est, name), _name=name):
+                calls.append((_name, args[-1]))
+                return _query(*args)
+            monkeypatch.setattr(est, name, counted)
+        k_sweep(kind, g, est, seed=0)
+        assert calls == [("value_many", "profit")]
 
 
 class TestDirectionalSmallGraphs:
@@ -519,3 +534,26 @@ class TestSweptBaselinePrefixes:
                 result = baseline("highdegree", g, entry["k"], est, seed=0)
                 assert result.seeds == seeds
                 assert entry["profit"] == result.estimated_profit == est.profit(seeds)
+
+    def test_random_matches_lone_calls_and_rebuilt_draws(self):
+        rng = np.random.default_rng(37)
+        for seed in range(6):
+            g = random_graph(rng, max_nodes=12, max_edges=30)
+            est = ProfitEstimator.build(g, 200, 200, seed=seed)
+            n = g.node_count
+            best = k_sweep("random", g, est, seed=seed)
+            swept = _random(g, est, sweep_sizes(n), seed)
+            assert best.params["swept"] == [{"k": r.params["k"], "profit": r.estimated_profit}
+                                            for r in swept]
+            for entry in swept:
+                k = entry.params["k"]
+                lone = baseline("random", g, k, est, seed=seed)
+                picked = (entry.seeds, entry.trajectory, entry.estimated_profit)
+                assert picked == (lone.seeds, lone.trajectory, lone.estimated_profit)
+                if k == best.params["k"]:
+                    assert picked == (best.seeds, best.trajectory, best.estimated_profit)
+                draw_rng = make_rng(derive_seed(seed, "baseline", "random", k))
+                draws = [draw_rng.choice(n, size=k, replace=False)
+                         for _ in range(RANDOM_BASELINE_DRAWS)]
+                assert entry.seeds == frozenset(draws[0].tolist())
+                assert [t["profit"] for t in entry.trajectory] == [est.profit(d) for d in draws]

@@ -17,7 +17,7 @@ def test_every_exported_name_resolves():
 def test_estimator_queries_are_its_own_methods():
     # the harness wraps these in place on the class, so each must be defined
     # on ProfitEstimator itself rather than inherited
-    for method in ("value", "marginal", "marginal_many", "marginal_vs_rest",
+    for method in ("value", "value_many", "marginal", "marginal_many", "marginal_vs_rest",
                    "chain_increments"):
         assert callable(ProfitEstimator.__dict__[method]), method
     assert isinstance(ProfitEstimator.__dict__["build"], classmethod)

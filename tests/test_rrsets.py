@@ -492,8 +492,9 @@ class TestEstimator:
         lambda est, v: est.marginal_vs_rest([0], {1, v}, "benefit"),
         lambda est, v: est.chain_increments([0, v], "benefit"),
         lambda est, v: est.coverage_state("cost").add(v),
+        lambda est, v: est.value_many([{0}, {0, v}], "cost"),
     ], ids=["value", "marginal", "marginal-base", "marginal_many", "marginal_vs_rest",
-            "marginal_vs_rest-whole", "chain_increments", "coverage_state"])
+            "marginal_vs_rest-whole", "chain_increments", "coverage_state", "value_many"])
     def test_node_ids_outside_the_graph_rejected(self, demo_graph, query, bad):
         est = ProfitEstimator.build(demo_graph, 200, 200, seed=21)
         with pytest.raises(DomainError, match=f"node {bad} outside 0..3"):
@@ -543,6 +544,52 @@ class TestQueryArrays:
         self.check_array(out)
         if name == "marginal_many":
             assert out.tolist() == [ev.marginal(v, {1}, metric) for v in self.NODES]
+
+
+class TestValueMany:
+    """``value_many`` against a loop over ``value``, across the 64-set passes."""
+
+    @staticmethod
+    def seed_sets(rng, n, count):
+        """Empty sets, lists that repeat ids, frozensets and arrays, in turn."""
+        sets = []
+        for i in range(count):
+            ids = rng.integers(0, n, size=int(rng.integers(1, n)))
+            sets.append([(), ids.tolist(), frozenset(ids.tolist()), ids][i % 4])
+        return sets
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
+    def test_equals_loop_over_value(self, metric, count):
+        g = wic_graph(40, 160, seed=count)
+        est = ProfitEstimator.build(g, 300, 400, seed=25)
+        sets = self.seed_sets(np.random.default_rng(count), g.node_count, count)
+        out = est.value_many(sets, metric)
+        assert out.dtype == np.float64 and out.shape == (count,)
+        assert out.tolist() == [est.value(s, metric) for s in sets]
+
+    def test_side_without_samples(self):
+        g = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.5)], benefit=[1, 2, 3], cost=[0, 0, 0])
+        est = ProfitEstimator.build(g, 100, 100, seed=26)
+        assert est.cost_rr is None
+        sets = [(), [0], [2, 2], [0, 1, 2]] * 20  # two passes
+        assert est.value_many(sets, "cost").tolist() == [0.0] * len(sets)
+        for metric in ("benefit", "profit"):
+            assert est.value_many(sets, metric).tolist() == [est.value(s, metric) for s in sets]
+
+    @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
+    def test_exact_evaluator_matches_its_value(self, demo_graph, metric):
+        ev = ExactEvaluator(demo_graph)
+        sets = [(), {0}, {1, 2}, [3, 3, 1], {0, 1, 2, 3}]
+        out = ev.value_many(sets, metric)
+        assert out.dtype == np.float64
+        assert out.tolist() == [ev.value(s, metric) for s in sets]
+
+    @pytest.mark.parametrize("evaluator", [ExactEvaluator, lambda g: ProfitEstimator.build(
+        g, 50, 50, seed=27)], ids=["exact", "estimator"])
+    def test_unknown_metric(self, demo_graph, evaluator):
+        with pytest.raises(DomainError, match="unknown metric"):
+            evaluator(demo_graph).value_many([], "spread")
 
 
 class TestCoverageState:
