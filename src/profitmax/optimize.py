@@ -359,12 +359,13 @@ def _random(g: WeightedGraph, evaluator: MarginalEvaluator, sizes, seed) -> list
     """The random selection for each k in sizes.
 
     Each k draws from its own generator, derived from (seed, k), so a swept
-    k draws what a lone call for it does.
+    k draws what a lone call for it does.  Draws stay the arrays ``choice``
+    returns; only the first at each k becomes a frozenset, its seeds.
     """
     draws = []
     for k in sizes:
         rng = make_rng(derive_seed(int(seed), "baseline", "random", k))
-        draws += [frozenset(rng.choice(g.node_count, size=k, replace=False).tolist())
+        draws += [rng.choice(g.node_count, size=k, replace=False)
                   for _ in range(RANDOM_BASELINE_DRAWS)]
     profits = evaluator.value_many(draws, "profit").tolist()
     results = []
@@ -375,7 +376,7 @@ def _random(g: WeightedGraph, evaluator: MarginalEvaluator, sizes, seed) -> list
         results.append(SelectionResult(
             algorithm="random",
             params={"k": k, "draws": RANDOM_BASELINE_DRAWS, "seed": int(seed)},
-            seeds=draws[lo], estimated_profit=sum(part) / len(part),
+            seeds=frozenset(draws[lo].tolist()), estimated_profit=sum(part) / len(part),
             trajectory=[{"draw": j, "profit": p} for j, p in enumerate(part)]))
     return results
 

@@ -15,7 +15,13 @@ pruning and selection loops terminate.
 
 A collection is one CSR store: the members of all sets in one flat array
 with per-set offsets, and the inverted index (the sets containing each
-node) built from it by one sort of packed (member, set) keys.  The index
+node) built from it by one sort of packed (member, set) keys, member *
+theta + set.  The keys fill one array, in place, at the narrowest width
+that holds n * theta: int32 below 2**31 (``INT32_KEYS``), else int64.  The
+remainder, taken in place, is the set ids, so at int32 the sorted keys
+become the index without a copy.  The store keeps 4 bytes of member and 4
+of set id per member, plus the offsets; building the index peaks at 8
+bytes per member beyond the members at int32, 16 at int64.  The index
 only finds a node's sets; every per-node count is one pass over the member
 lists of the sets involved (``RRCollection.members_of``).  Greedy
 selection uses an incremental coverage state: a mask of the sets the seed
@@ -46,13 +52,18 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .evaluation import KINDS, MarginalEvaluator
 from .graph import WeightedGraph, _check_int_fields, _check_int_ids, _read_json
 from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
 VISITED_BUDGET = 1 << 20
+# members one call of ``_reach`` may sample: a store of 8 bytes per member,
+# about 1.1 GB, whose index build peaks at 1.6 GB (int32 keys) or 2.7 GB
+MEMBER_BUDGET = 1 << 27
+# packed keys are sorted as int32 when their bound lies below this, else as int64
+INT32_KEYS = 1 << 31
 
 
 def _spans(ptr, rows) -> np.ndarray:
@@ -69,6 +80,17 @@ def _distinct(keys) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
+
+
+def _floor_to(keys, width) -> np.ndarray:
+    """keys // width * width, as one new array.
+
+    ``keys - _floor_to(keys, width)`` is ``keys % width``; numpy's integer
+    ``%`` is several times slower than ``//``.
+    """
+    out = keys // width
+    out *= width
+    return out
 
 
 def _node_array(nodes, node_count) -> np.ndarray:
@@ -88,6 +110,15 @@ def _outside(v: int, node_count) -> DomainError:
     return DomainError(f"node {v} outside 0..{node_count - 1}")
 
 
+def _outside_members(node_count) -> DomainError:
+    return DomainError(f"RR set members must lie in 0..{int(node_count) - 1}")
+
+
+def _key_dtype(bound) -> type:
+    """The dtype of packed keys below ``bound``: int32 below ``INT32_KEYS``, else int64."""
+    return np.int32 if bound < INT32_KEYS else np.int64
+
+
 def _rows(ptr, data) -> list:
     """The rows of a CSR pair as views: row i is data[ptr[i]:ptr[i+1]]."""
     return np.split(data, ptr[1:-1]) if len(ptr) > 1 else []
@@ -104,7 +135,10 @@ class RRCollection:
     """
 
     def __init__(self, kind: str, node_count: int, total_weight: float, seed: int, sets):
-        rows = [np.asarray(s, dtype=np.int32) for s in sets]
+        try:
+            rows = [np.asarray(s, dtype=np.int64) for s in sets]
+        except OverflowError:  # a member past int64 is out of range too
+            raise _outside_members(node_count) from None
         set_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(r) for r in rows], out=set_ptr[1:])
         members = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
@@ -127,18 +161,22 @@ class RRCollection:
         if empty.size:
             raise DomainError(f"RR set {int(empty[0])} is empty")
         if members.size and not (0 <= members.min() and members.max() < self.node_count):
-            raise DomainError(f"RR set members must lie in 0..{self.node_count - 1}")
+            raise _outside_members(self.node_count)
+        members = members.astype(np.int32, copy=False)
         self.set_ptr, self.members = set_ptr, members
         self.node_ptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
-        # sorted (member, set) pairs list each node's set ids ascending
+        # sorted (member, set) keys list each node's set ids ascending
         width = max(self.theta, 1)
-        rows = np.repeat(np.arange(self.theta, dtype=np.int64), np.diff(set_ptr))
-        pairs = np.sort(members * np.int64(width) + rows)
-        self.set_ids = (pairs % width).astype(np.int32)
-        twice = np.flatnonzero(pairs[1:] == pairs[:-1])
+        dtype = _key_dtype(self.node_count * width)
+        keys = np.repeat(np.arange(self.theta, dtype=dtype), np.diff(set_ptr))
+        keys += members * dtype(width)
+        keys.sort()
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
         if twice.size:
-            raise DomainError(f"RR set {int(self.set_ids[twice[0]])} repeats a node")
+            raise DomainError(f"RR set {int(keys[twice[0]]) % width} repeats a node")
+        keys -= _floor_to(keys, width)
+        self.set_ids = keys.astype(np.int32, copy=False)
         for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
             arr.setflags(write=False)
 
@@ -236,9 +274,12 @@ def _reach(starts, rng, csr):
     one numpy pass per level: one coin per edge of each new member, the live
     ones kept as ``set * n + node`` keys, minus those in the batch's visited
     bitmap, sorted and deduplicated.  One sort of ``set * span + level * n +
-    node`` per batch then lists each set's start nodes, then its members
-    level by level, ascending within a level.  ``members`` holds the sets one
-    after another and ``sizes`` counts each set's members.
+    node`` per batch, keys built in place at the width ``_key_dtype`` picks,
+    then lists each set's start nodes, then its members level by level,
+    ascending within a level.  ``members`` holds the sets one after another
+    and ``sizes`` counts each set's members.  When a batch takes the members
+    past ``MEMBER_BUDGET``, ``CapacityError``; batches depend on the inputs
+    alone, so a call that fails always fails at the same batch.
 
     A level draws its coins in one call, in edge order, and compares them
     with ``top``, each member's largest edge probability; only the coins
@@ -259,34 +300,52 @@ def _reach(starts, rng, csr):
     batch = max(1, VISITED_BUDGET // max(n, 1))
     visited = np.zeros(min(batch, len(starts)) * n, dtype=bool)
     sizes, members = [], []
+    count = 0
     for lo in range(0, len(starts), batch):
         part = starts[lo:lo + batch]
         frontier = (np.arange(len(part), dtype=np.int64)[:, None] * n + part).ravel()
         visited[frontier] = True
         levels = [frontier]
         while frontier.size:
-            nodes = frontier % n
+            base = _floor_to(frontier, n)
+            nodes = frontier - base
             degree = degrees[nodes]
             ends = np.cumsum(degree)
             coins = rng.random(ends[-1])
             cand = np.flatnonzero(coins < np.repeat(top[nodes], degree))
             # the coin at i belongs to the member whose edges span i
             owner = np.searchsorted(ends, cand, side="right")
-            pos = cand + (ptr[nodes] + degree - ends)[owner]
+            pos = cand + (ptr[1:][nodes] - ends)[owner]
             if mixed:
                 keep = coins[cand] < prob[pos]
                 owner, pos = owner[keep], pos[keep]
-            keys = (frontier - nodes)[owner] + nbr[pos]
+            keys = base[owner] + nbr[pos]
             frontier = _distinct(keys[~visited[keys]])
             visited[frontier] = True
             levels.append(frontier)
+        lens = [len(f) for f in levels]
         keys = np.concatenate(levels)
+        del levels
         visited[keys] = False
-        span = n * len(levels)
-        level = np.repeat(np.arange(len(levels), dtype=np.int64), [len(f) for f in levels])
-        keys = np.sort(keys + keys // n * (span - n) + level * n)
-        sizes.append(np.bincount(keys // span, minlength=len(part)))
-        members.append((keys % n).astype(np.int32))
+        span = n * len(lens)
+        # set * span + level * n + node, summed in place from the set * n + node keys
+        dtype = _key_dtype(len(part) * span)
+        grouped = np.repeat(np.arange(len(lens), dtype=dtype) * dtype(n), lens)
+        grouped += keys
+        keys //= n
+        sizes.append(np.bincount(keys, minlength=len(part)))
+        keys *= span - n
+        grouped += keys
+        del keys
+        grouped.sort()
+        grouped -= _floor_to(grouped, n)
+        members.append(grouped.astype(np.int32, copy=False))
+        count += len(grouped)
+        if count > MEMBER_BUDGET:
+            done = lo + len(part)
+            raise CapacityError(f"{done} of {len(starts)} reached sets hold {count} members "
+                                f"(mean size {count / done:.1f}), past the member budget "
+                                f"of {MEMBER_BUDGET}")
     return np.concatenate(sizes), np.concatenate(members)
 
 
@@ -314,7 +373,10 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     rng = make_rng(derive_seed(seed, "rr", kind))
     # choice searches the CDF of p with side="right", so zero-weight nodes never root
     roots = rng.choice(n, size=theta, p=weights / total)
-    sizes, members = _reach(roots[:, None], rng, g.reverse_csr())
+    try:
+        sizes, members = _reach(roots[:, None], rng, g.reverse_csr())
+    except CapacityError as exc:
+        raise CapacityError(f"{kind} RR sets: {exc}") from None
     set_ptr = np.zeros(theta + 1, dtype=np.int64)
     np.cumsum(sizes, out=set_ptr[1:])
     return RRCollection._from_csr(kind, n, total, seed, set_ptr, members)

@@ -223,6 +223,21 @@ class TestExperiment:
         assert all(r["profit"] == "" and r["guarantee"] == "" for r in rows)
         assert "failed" in capsys.readouterr().err
 
+    def test_member_budget_fails_each_row(self, demo_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(profitmax.rrsets, "MEMBER_BUDGET", 10)
+        edges, weights = demo_files
+        csv_path = tmp_path / "exp.csv"
+        code = main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", "400", "--algo", "greedy", "--seed", "2",
+                     "--csv", str(csv_path)])
+        assert code == 0
+        rows = read_rows(csv_path)
+        assert len(rows) == 4
+        assert all(r["profit"] == "" and r["guarantee"] == "" for r in rows)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4
+        assert all("failed: benefit RR sets: 400 of 400 reached sets" in line for line in err)
+
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_graph_fails_before_any_row(self, tmp_path, capsys, jobs):
@@ -345,6 +360,17 @@ class TestExitCodes:
         big.write_text(lines + "\n", encoding="utf-8")
         assert main(["prune", "--graph", big.as_posix(), "--exact",
                      "--cost-dist", "uniform", "--seed", "1"]) == 4
+
+    def test_member_budget_is_capacity_error(self, demo_files, capsys, monkeypatch):
+        # the demo graph puts all 400 sets in one batch, past a 10-member budget
+        monkeypatch.setattr(profitmax.rrsets, "MEMBER_BUDGET", 10)
+        edges, weights = demo_files
+        assert main(["select", "--graph", edges, "--weights", weights,
+                     "--theta", "400", "--seed", "1"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("capacity error: benefit RR sets: 400 of 400 reached sets hold ")
+        assert err[0].endswith("past the member budget of 10")
 
     @pytest.mark.parametrize("arg, message", [
         ("--theta-exp=-1", "field 'theta_exp': exponents must be at least 0"),

@@ -3,16 +3,17 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitmax import (DomainError, ExactEvaluator, ParseError, ProfitEstimator,
-                       RRCollection, WeightedGraph, chernoff_a, confidence_bounds, generate,
-                       load_collection, normalize_weights, sampling_error_limit,
-                       save_collection, theta_for_relative_error)
+from profitmax import (CapacityError, DomainError, ExactEvaluator, ParseError,
+                       ProfitEstimator, RRCollection, WeightedGraph, chernoff_a,
+                       confidence_bounds, generate, load_collection, normalize_weights,
+                       sampling_error_limit, save_collection, theta_for_relative_error)
 from profitmax import rrsets
 from profitmax.evaluation import CoverageState, MarginalEvaluator
 from profitmax.rng import derive_seed
@@ -180,7 +181,8 @@ class TestGenerate:
         assert_index_matches_loop(coll)
         assert not any(a.flags.writeable for a in (*coll.sets, *coll.index))
 
-    @pytest.mark.parametrize("sets", [[[0, 2]], [[-1]], [[0], []], [[1, 0, 0], [1]]])
+    @pytest.mark.parametrize("sets", [[[0, 2]], [[-1]], [[0], []], [[1, 0, 0], [1]],
+                                      [[2**40]], [[0, 2**31]], [[0, 2**64]]])
     def test_malformed_sets_rejected(self, sets):
         with pytest.raises(DomainError):
             collection_from_sets(sets, node_count=2)
@@ -233,6 +235,62 @@ class TestGenerate:
         if budget is not None:
             assert_index_matches_loop(colls[1])
 
+    @pytest.mark.parametrize("budget", [None, 4096], ids=["one-batch", "multi-batch"])
+    def test_int64_keys_store_the_same_bytes(self, budget, monkeypatch):
+        # INT32_KEYS = 0 sorts every packed key as int64, in the index build
+        # and in the regroup of each batch; the int32 bytes are pinned above
+        if budget is not None:
+            monkeypatch.setattr(rrsets, "VISITED_BUDGET", budget)
+        g = mixed_graph(300, 1500, seed=61)
+        want = [store_digest(generate(g, kind, 3000, seed=derive_seed(63, kind)))
+                for kind in ("benefit", "cost")]
+        monkeypatch.setattr(rrsets, "INT32_KEYS", 0)
+        colls = [generate(g, kind, 3000, seed=derive_seed(63, kind))
+                 for kind in ("benefit", "cost")]
+        assert [store_digest(c) for c in colls] == want
+        assert colls[0].set_ids.dtype == np.int32
+        assert_index_matches_loop(colls[0])
+
+    def test_key_width_switches_at_int32_keys(self):
+        assert rrsets._key_dtype(2**31 - 1) is np.int32
+        assert rrsets._key_dtype(2**31) is np.int64
+
+    @pytest.mark.parametrize("int32_keys", [rrsets.INT32_KEYS, 0], ids=["int32", "int64"])
+    def test_repeated_member_rejected_at_both_key_widths(self, int32_keys, monkeypatch):
+        monkeypatch.setattr(rrsets, "INT32_KEYS", int32_keys)
+        with pytest.raises(DomainError, match="RR set 2 repeats a node"):
+            collection_from_sets([[0], [2], [1, 2, 1], [0]], node_count=3)
+
+    def test_generate_peak_memory_per_member(self):
+        # int32 keys built in place peak near 13 bytes per member here (4 of
+        # member, 4 of set id, 4 of transient keys); int64 temporaries pass 20
+        g = wic_graph(1000, 4000, seed=71)
+        generate(g, "benefit", 100, seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            coll = generate(g, "benefit", 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * len(coll.members)
+
+    def test_member_budget_raises_capacity_error(self, monkeypatch):
+        # a 300-node graph holds 3495 sets per batch: the budget is passed
+        # after the first batch, at the same count on every run
+        monkeypatch.setattr(rrsets, "MEMBER_BUDGET", 1000)
+        g = wic_graph(300, 1500, seed=61)
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(CapacityError, match=r"^cost RR sets: 3495 of 8000 reached sets "
+                               r"hold \d+ members \(mean size [\d.]+\), past the member "
+                               r"budget of 1000$") as exc:
+                generate(g, "cost", 8000, seed=4)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        monkeypatch.setattr(rrsets, "MEMBER_BUDGET", 10**9)
+        assert generate(g, "cost", 8000, seed=4).theta == 8000
+
     @pytest.mark.parametrize("case", range(9))
     def test_hit_rates_match_the_exact_oracle(self, case):
         # Pr[S meets an RR set] = f(S) / Upsilon exactly, so the coverage
@@ -273,6 +331,14 @@ class TestGenerate:
                 assert members.dtype == ref_members.dtype
                 assert members.tolist() == ref_members.tolist()
                 assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(reach_cases())
+    def test_reach_with_int64_keys_matches_reference_kernel(self, case):
+        # the check above, with every regroup key sorted as int64
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rrsets, "INT32_KEYS", 0)
+            self.test_reach_matches_reference_kernel.hypothesis.inner_test(self, case)
 
 
 class TestCoverage:
@@ -699,7 +765,9 @@ class TestCollectionJsonDomainErrors:
         ({"theta": 3, "sets": [[0], [1]]}, "collection theta does not match its sets"),
         ({"theta": 2, "sets": [[0], []]}, "RR set 1 is empty"),
         ({"theta": 2, "sets": [[0], [2]]}, r"RR set members must lie in 0\.\.1"),
-    ], ids=["theta", "empty-set", "member-range"])
+        ({"theta": 1, "sets": [[2**40]]}, r"RR set members must lie in 0\.\.1"),
+        ({"theta": 1, "sets": [[0, 2**31]]}, r"RR set members must lie in 0\.\.1"),
+    ], ids=["theta", "empty-set", "member-range", "member-2**40", "member-2**31"])
     def test_error_starts_with_path(self, tmp_path, doc, message):
         path = tmp_path / "rr.json"
         doc = dict({"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0}, **doc)
