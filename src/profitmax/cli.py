@@ -32,8 +32,8 @@ from pathlib import Path
 from .certify import certify as certify_seeds
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
-from .graph import (WeightedGraph, _data_lines, _read_json, assign_weights,
-                    load_edge_list, normalize_weights, save_weights)
+from .graph import (WeightedGraph, _check_int_ids, _data_lines, _read_json,
+                    assign_weights, load_edge_list, normalize_weights, save_weights)
 from .optimize import BASELINES, SelectionResult, greedy, k_sweep, modmod
 from .oracle import ExactEvaluator
 from .prune import Lattice, iterative_prune, trivial_lattice
@@ -353,7 +353,8 @@ def cmd_certify(args) -> int:
     raw = _load_weighted_graph(cfg)
     g = _graph_view(raw, cfg.normalize)
     seeds, algo = _read_json(cfg.seeds, lambda doc: (
-        frozenset(g.internal_id(v) for v in doc["seeds"]), doc.get("algorithm", "unknown")))
+        frozenset(g.internal_id(v) for v in _check_int_ids(doc["seeds"], "seed")),
+        doc.get("algorithm", "unknown")))
     lattice = (_read_json(cfg.lattice, lambda doc: Lattice.from_json_dict(doc, g))
                if cfg.lattice else trivial_lattice(g.node_count))
     theta = cfg.validation_theta or cfg.thetas()[0]

@@ -310,11 +310,12 @@ def _data_lines(path, data=None):
         yield lineno, line
 
 
-def _check_int_ids(ids, what) -> None:
-    """Raise ValueError unless every JSON value in ``ids`` is an integer."""
+def _check_int_ids(ids, what):
+    """Return ``ids`` once every JSON value in it is an integer; raise ValueError if not."""
     for v in ids:
         if type(v) is not int:
             raise ValueError(f"{what} {v!r} is not an integer node id")
+    return ids
 
 
 def _check_int_fields(doc, keys) -> None:
@@ -325,7 +326,7 @@ def _check_int_fields(doc, keys) -> None:
 
 
 def _read_json(path, read):
-    """``read(doc)`` for the JSON document at ``path``; malformed input raises ParseError.
+    """``read(doc)`` for the JSON object at ``path``; malformed input raises ParseError.
 
     A ``DomainError`` that ``read`` raises keeps its type and gains the path.
     """
@@ -333,6 +334,8 @@ def _read_json(path, read):
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: malformed document: not a JSON object")
     try:
         return read(doc)
     except KeyError as exc:

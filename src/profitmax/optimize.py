@@ -170,44 +170,21 @@ def _upper_at(evaluator: MarginalEvaluator, metric: str, X: frozenset, value: fl
     return ModularFunction(base=base, per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
 
 
-def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator,
-                     policy: str = "marginal", seed: int = 0) -> list:
+def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator) -> list:
     """Ordering of B* in blocks A*, X - A*, B* - X.
 
-    Within each block, the ``marginal`` policy sorts by descending singleton
-    profit (ties by id, for reproducibility), so promising nodes sit early in
-    the chain and collect the larger increments; the ``random`` policy
-    shuffles with the given seed.  Any ordering that respects the blocks
+    Within each block, nodes sort by descending singleton profit (ties by
+    id, for reproducibility), so promising nodes sit early in the chain and
+    collect the larger increments.  Any ordering that respects the blocks
     yields valid bounds, only their tightness away from X differs.
     """
     X = _require_lattice_member(X, lat, "X")
     ceiling = _ceiling(lat)
-    return _order(lat, X, ceiling, _singletons(evaluator, ceiling, policy), seed)
+    return _order(lat, X, ceiling, evaluator.marginal_many(ceiling, (), "profit"))
 
 
-def _singletons(evaluator: MarginalEvaluator, ceiling: np.ndarray, policy: str):
-    """What a permutation policy orders by, aligned with ``ceiling``.
-
-    The ``marginal`` policy orders by the profit singletons f(v | empty);
-    the ``random`` policy needs nothing (None).
-    """
-    if policy == "random":
-        return None
-    if policy != "marginal":
-        raise DomainError(f"unknown permutation policy {policy!r}")
-    return evaluator.marginal_many(ceiling, (), "profit")
-
-
-def _order(lat: Lattice, X: frozenset, ceiling: np.ndarray, singleton, seed) -> list:
-    """``make_permutation`` from the singletons ``_singletons`` gave."""
-    if singleton is None:
-        rng = make_rng(derive_seed(int(seed), "permutation"))
-        out = []
-        for block in (sorted(lat.must_include), sorted(X - lat.must_include),
-                      sorted(lat.may_include - X)):
-            rng.shuffle(block)
-            out.extend(int(v) for v in block)
-        return out
+def _order(lat: Lattice, X: frozenset, ceiling: np.ndarray, singleton: np.ndarray) -> list:
+    """``make_permutation`` from the profit singletons f(v | empty), aligned with ``ceiling``."""
     block = 2 - _member_mask(ceiling, X) - _member_mask(ceiling, lat.must_include)
     # lexsort's last key sorts first: block, then descending singleton, then id
     return ceiling[np.lexsort((ceiling, -singleton, block))].tolist()
@@ -256,6 +233,23 @@ def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
     return frozenset(chosen)
 
 
+def _climb(free: np.ndarray, gains_of):
+    """Hill-climb over the free nodes ``free``, in ascending id order.
+
+    Each round yields the node of largest ``gains_of(free)`` (the first
+    maximum, so ties go to the smallest id) with its gain, and the climb
+    stops once that gain is not positive.  The caller adds the yielded node
+    to its coverage states before it asks for the next round.
+    """
+    while free.size:
+        gains = gains_of(free)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0.0:
+            return
+        yield int(free[best]), float(gains[best])
+        free = np.delete(free, best)
+
+
 def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
     """Hill-climb the profit marginal from A* within B*.
 
@@ -272,17 +266,11 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
     if free.size:  # a lattice with nothing to choose needs no coverage states
         benefit = evaluator.coverage_state("benefit", seeds)
         cost = evaluator.coverage_state("cost", seeds)
-        while free.size:
-            gains = benefit.gains[free] - cost.gains[free]
-            best = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
-            if gains[best] <= 0.0:
-                break
-            v = int(free[best])
+        for v, gain in _climb(free, lambda nodes: benefit.gains[nodes] - cost.gains[nodes]):
             seeds.add(v)
             benefit.add(v)
             cost.add(v)
-            free = np.delete(free, best)
-            trajectory.append({"added": v, "marginal": float(gains[best]),
+            trajectory.append({"added": v, "marginal": gain,
                                "profit": benefit.value - cost.value})
     result = frozenset(seeds)
     return SelectionResult(algorithm="greedy", params={}, seeds=result,
@@ -291,7 +279,7 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
 
 
 def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int = 3,
-           pi_policy: str = "marginal", seed: int = 0) -> SelectionResult:
+           seed: int = 0) -> SelectionResult:
     """Modular-modular iteration from A* to a profit fixpoint.
 
     Round t bounds the profit from below by h(Y; benefit) - m(Y; cost), both
@@ -299,7 +287,8 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     modular difference.  Tightness at X_t forces the true profit never to
     drop; the loop ends when the incumbent repeats.  ``gamma_bound_variant``
     picks the cost upper bound (3 or 4), matching the two flavors reported
-    by the selection harness.
+    by the selection harness.  The chain order is ``make_permutation``'s,
+    so the iteration draws nothing; ``seed`` is only recorded in ``params``.
     """
     if gamma_bound_variant not in (3, 4):
         raise DomainError(f"gamma bound variant must be 3 or 4, got {gamma_bound_variant}")
@@ -307,11 +296,10 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
     # what the bounds take from the lattice alone, computed once per run
     ceiling = _ceiling(lat)
-    singleton = _singletons(evaluator, ceiling, pi_policy)
+    singleton = evaluator.marginal_many(ceiling, (), "profit")
     cost_fixed = _upper_fixed(evaluator, "cost", gamma_bound_variant, lat, ceiling)
-    for round_no in range(100 * max(1, len(lat.free_nodes))):
-        pi = _order(lat, incumbent, ceiling, singleton,
-                    seed=derive_seed(int(seed), "pi", round_no))
+    for _ in range(100 * max(1, len(lat.free_nodes))):
+        pi = _order(lat, incumbent, ceiling, singleton)
         benefit_floor = _chain_bound(evaluator, "benefit", pi)
         cost_ceiling = _upper_at(evaluator, "cost", incumbent,
                                  evaluator.value(incumbent, "cost"), gamma_bound_variant,
@@ -321,8 +309,7 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
             name = "modmod1" if gamma_bound_variant == 3 else "modmod2"
             return SelectionResult(
                 algorithm=name,
-                params={"gamma_bound_variant": gamma_bound_variant,
-                        "pi_policy": pi_policy, "seed": int(seed)},
+                params={"gamma_bound_variant": gamma_bound_variant, "seed": int(seed)},
                 seeds=incumbent,
                 estimated_profit=trajectory[-1]["profit"],
                 trajectory=trajectory)
@@ -343,16 +330,22 @@ def baseline(kind: str, g: WeightedGraph, k: int, evaluator: MarginalEvaluator,
     scores them all with one ``value_many`` query, which RR estimates answer
     with one bit-parallel coverage pass per 64 seed sets.
     """
-    if kind not in BASELINES:
-        raise DomainError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
     k = int(k)
     if not (1 <= k <= g.node_count):
         raise DomainError(f"k must lie in 1..{g.node_count}, got {k}")
+    return _baselines(kind, g, evaluator, [k], seed)[0]
+
+
+def _baselines(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator, sizes,
+               seed) -> list:
+    """The ``kind`` baseline's selection for each k in ``sizes``."""
+    if kind not in BASELINES:
+        raise DomainError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
     if kind == "random":
-        return _random(g, evaluator, [k], seed)[0]
+        return _random(g, evaluator, sizes, seed)
     if kind == "highdegree":
-        return _highdegree(g, evaluator, [k])[0]
-    return _benefitmax(evaluator, g.node_count, [k])[0]
+        return _highdegree(g, evaluator, sizes)
+    return _benefitmax(evaluator, g.node_count, sizes)
 
 
 def _random(g: WeightedGraph, evaluator: MarginalEvaluator, sizes, seed) -> list:
@@ -399,23 +392,22 @@ def _benefitmax(evaluator: MarginalEvaluator, node_count: int, sizes) -> list:
 
     Greedy on the benefit marginal alone (ties to the smallest id) picks the
     same nodes whatever k is, so each k takes a prefix of one run.  Once no
-    free node has a nonzero gain, no later pick changes any gain (coverage
+    free node has a positive gain, no later pick changes any gain (coverage
     only shrinks them, and they never go below zero), so the remaining picks
     are the free nodes in id order, each with marginal 0.0.
     """
+    rounds = max(sizes)
     state = evaluator.coverage_state("benefit")
-    free = np.arange(node_count, dtype=np.int64)
     picks = []
-    for _ in range(max(sizes)):
-        gains = state.gains[free]
-        if not gains.any():
-            picks += [{"added": v, "marginal": 0.0}
-                      for v in free[:max(sizes) - len(picks)].tolist()]
+    for v, gain in _climb(np.arange(node_count, dtype=np.int64), lambda nodes: state.gains[nodes]):
+        picks.append({"added": v, "marginal": gain})
+        if len(picks) == rounds:
             break
-        best = int(np.argmax(gains))
-        picks.append({"added": int(free[best]), "marginal": float(gains[best])})
-        state.add(picks[-1]["added"])
-        free = np.delete(free, best)
+        state.add(v)
+    free = np.ones(node_count, dtype=bool)
+    free[[p["added"] for p in picks]] = False
+    picks += [{"added": v, "marginal": 0.0}
+              for v in np.flatnonzero(free)[:rounds - len(picks)].tolist()]
     chosen = [frozenset(p["added"] for p in picks[:k]) for k in sizes]
     profits = evaluator.value_many(chosen, "profit").tolist()
     return [SelectionResult(algorithm="benefitmax", params={"k": k}, seeds=seeds,
@@ -447,17 +439,9 @@ def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
     ``value_many`` query, a bit-parallel coverage count on RR estimates.
     """
     sizes = sweep_sizes(g.node_count)
-    if kind not in BASELINES:
-        raise DomainError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
-    if kind == "random":
-        results = _random(g, evaluator, sizes, seed)
-    elif kind == "highdegree":
-        results = _highdegree(g, evaluator, sizes)
-    else:
-        results = _benefitmax(evaluator, g.node_count, sizes)
     best = None
     swept = []
-    for k, result in zip(sizes, results):
+    for k, result in zip(sizes, _baselines(kind, g, evaluator, sizes, seed)):
         swept.append({"k": k, "profit": result.estimated_profit})
         if best is None or result.estimated_profit > best.estimated_profit:
             best = result

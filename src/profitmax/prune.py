@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalError
 from .evaluation import MarginalEvaluator
+from .graph import _check_int_ids
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,25 @@ class Lattice:
     @classmethod
     def from_json_dict(cls, d: dict, g=None) -> "Lattice":
         conv = (lambda v: g.internal_id(v)) if g is not None else int
+
+        def nodes(doc, key):
+            return frozenset(conv(v) for v in _check_int_ids(doc[key], key))
+
+        def margin(step, key):
+            if not isinstance(step[key], dict):
+                raise TypeError(f"{key} is not a JSON object")
+            return {conv(int(v)): x for v, x in step[key].items()}
+
         steps = [
             PruneStep(
-                must_include=frozenset(conv(v) for v in step["must_include"]),
-                may_include=frozenset(conv(v) for v in step["may_include"]),
-                lower_margin={conv(int(v)): x for v, x in step["lower_margin"].items()},
-                upper_margin={conv(int(v)): x for v, x in step["upper_margin"].items()},
+                must_include=nodes(step, "must_include"),
+                may_include=nodes(step, "may_include"),
+                lower_margin=margin(step, "lower_margin"),
+                upper_margin=margin(step, "upper_margin"),
             )
             for step in d.get("iterations", [])
         ]
-        return cls(frozenset(conv(v) for v in d["must_include"]),
-                   frozenset(conv(v) for v in d["may_include"]),
-                   iterations=steps)
+        return cls(nodes(d, "must_include"), nodes(d, "may_include"), iterations=steps)
 
 
 def trivial_lattice(node_count: int) -> Lattice:

@@ -157,7 +157,26 @@ class TestCertify:
         ('{"seeds": [2, 3]}', '{"must_include": [3]}', "lattice.json: missing key 'may_include'"),
         ('{"seeds": [2, 3]}', '{"must_include": [1], "may_include": [2]}',
          "lattice.json: lattice requires must_include to be a subset of may_include"),
-    ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key", "floor-outside-ceiling"])
+        ('[2, 3]', None, "seeds.json: malformed document: not a JSON object"),
+        ('{"seeds": [2, 3]}', '[2, 3]', "lattice.json: malformed document: not a JSON object"),
+        ('{"seeds": [2, 3]}', '{"must_include": [], "may_include": [2, 3], "iterations": '
+         '[{"must_include": [], "may_include": [2, 3], "lower_margin": [], "upper_margin": {}}]}',
+         "lattice.json: malformed document: lower_margin is not a JSON object"),
+        ('{"seeds": [2, 3]}', '{"must_include": [], "may_include": [2, 3], "iterations": '
+         '[{"must_include": [], "may_include": [2, 3], "lower_margin": {}, "upper_margin": 1}]}',
+         "lattice.json: malformed document: upper_margin is not a JSON object"),
+        ('{"seeds": [1.5]}', None, "seeds.json: malformed document: seed 1.5 is not an integer"),
+        ('{"seeds": [true]}', None, "seeds.json: malformed document: seed True is not an integer"),
+        ('{"seeds": ["2"]}', None, "seeds.json: malformed document: seed '2' is not an integer"),
+        ('{"seeds": [2]}', '{"must_include": [0.5], "may_include": [1, 2]}',
+         "lattice.json: malformed document: must_include 0.5 is not an integer"),
+        ('{"seeds": [2]}', '{"must_include": [], "may_include": [2], "iterations": '
+         '[{"must_include": [], "may_include": ["2"], "lower_margin": {}, "upper_margin": {}}]}',
+         "lattice.json: malformed document: may_include '2' is not an integer"),
+    ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key", "floor-outside-ceiling",
+            "seeds-not-an-object", "lattice-not-an-object", "lower-margin-not-an-object",
+            "upper-margin-not-an-object", "float-seed", "bool-seed", "string-seed",
+            "float-floor-node", "string-step-node"])
     def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
                                            seeds_text, lattice_text, expected):
         edges, weights = demo_files

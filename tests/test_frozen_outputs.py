@@ -115,7 +115,7 @@ def exact_case() -> dict:
     lat = iterative_prune(ev)
     results = {"greedy": greedy(ev, lat),
                "modmod1": modmod(ev, lat, gamma_bound_variant=3),
-               "modmod2": modmod(ev, lat, gamma_bound_variant=4, pi_policy="random", seed=9)}
+               "modmod2": modmod(ev, lat, gamma_bound_variant=4)}
     return {"lattice": pin_lattice(lat),
             "selections": {k: pin_selection(v) for k, v in results.items()}}
 

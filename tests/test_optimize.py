@@ -297,13 +297,6 @@ class TestModMod:
         assert result.seeds == {0, 2}
         assert len(result.trajectory) == 2
 
-    def test_random_pi_policy_reproducible(self, demo_setup):
-        ev, lat = demo_setup
-        a = modmod(ev, lat, pi_policy="random", seed=9)
-        b = modmod(ev, lat, pi_policy="random", seed=9)
-        assert a.seeds == b.seeds
-        assert a.trajectory == b.trajectory
-
     def test_sampled_estimates_reach_demo_optimum(self, demo_graph):
         est = ProfitEstimator.build(demo_graph, 30_000, 30_000, seed=83)
         lat = iterative_prune(est)
@@ -329,12 +322,11 @@ class TestModMod:
         assert len(calls) == len(result.trajectory)
         assert result.estimated_profit == profit(result.seeds)
 
-    @pytest.mark.parametrize("pi_policy", ["marginal", "random"])
     @pytest.mark.parametrize("variant, anchor, per_x", [
         (3, "marginal_vs_rest", "marginal_many"),
         (4, "marginal_many", "marginal_vs_rest"),
     ])
-    def test_lattice_anchors_computed_once(self, monkeypatch, variant, anchor, per_x, pi_policy):
+    def test_lattice_anchors_computed_once(self, monkeypatch, variant, anchor, per_x):
         g = random_graph(np.random.default_rng(5), max_nodes=12, max_edges=30)
         est = ProfitEstimator.build(g, 2000, 2000, seed=0)
         calls = []
@@ -343,12 +335,10 @@ class TestModMod:
                 calls.append((_name, args[-1]))
                 return _query(*args)
             monkeypatch.setattr(est, name, counted)
-        result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant,
-                        pi_policy=pi_policy)
+        result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant)
         rounds = len(result.trajectory)  # each move, then the round that repeats
         assert rounds >= 2
-        singletons = [("marginal_many", "profit")] if pi_policy == "marginal" else []
-        assert calls == (singletons + [(anchor, "cost")]
+        assert calls == ([("marginal_many", "profit"), (anchor, "cost")]
                          + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
 
 
@@ -471,6 +461,56 @@ def reference_benefitmax_picks(evaluator, node_count, k):
         picks.append({"added": free.pop(best), "marginal": float(gains[best])})
         state.add(picks[-1]["added"])
     return picks
+
+
+def reference_greedy_loop(evaluator, lat):
+    """Greedy's climb written out as its own loop: argmax over the ascending
+    free ids, ties to the first, stopping once the best gain is not positive."""
+    seeds = set(lat.must_include)
+    free = np.array(sorted(lat.free_nodes), dtype=np.int64)
+    trajectory = []
+    if free.size:  # a lattice with nothing to choose needs no coverage states
+        benefit = evaluator.coverage_state("benefit", seeds)
+        cost = evaluator.coverage_state("cost", seeds)
+        while free.size:
+            gains = benefit.gains[free] - cost.gains[free]
+            best = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
+            if gains[best] <= 0.0:
+                break
+            v = int(free[best])
+            seeds.add(v)
+            benefit.add(v)
+            cost.add(v)
+            free = np.delete(free, best)
+            trajectory.append({"added": v, "marginal": float(gains[best]),
+                               "profit": benefit.value - cost.value})
+    return frozenset(seeds), trajectory
+
+
+class TestGreedyMatchesLoop:
+    @staticmethod
+    def check(ev, lat):
+        result = greedy(ev, lat)
+        seeds, trajectory = reference_greedy_loop(ev, lat)
+        assert result.seeds == seeds
+        assert repr(result.trajectory) == repr(trajectory)
+
+    def test_random_estimators(self):
+        rng = np.random.default_rng(41)
+        for seed in range(12):
+            g = random_graph(rng, max_nodes=14, max_edges=40)
+            est = ProfitEstimator.build(g, 300, 300, seed=seed)
+            self.check(est, trivial_lattice(g.node_count))
+            self.check(est, iterative_prune(est))
+
+    def test_edgeless_graphs_with_ties(self):
+        rng = np.random.default_rng(43)
+        for seed in range(12):
+            weights = rng.choice([-1.0, 0.0, 1.0, 2.0], size=int(rng.integers(1, 25))).tolist()
+            g = edgeless_graph(weights)
+            lat = trivial_lattice(g.node_count)
+            self.check(ExactEvaluator(g), lat)
+            self.check(ProfitEstimator.build(g, 60, 60, seed=seed), lat)
 
 
 def saturating_estimator():
