@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
+
+import numpy as np
 
 from .errors import DomainError
 from .evaluation import MarginalEvaluator
 from .graph import WeightedGraph
-from .optimize import (_ceiling, _upper_at, _upper_fixed, make_permutation,
-                       maximize_modular_difference, modular_lower)
+from .optimize import (_ceiling, _chain, _free, _lower, _member_mask, _rank,
+                       _require_lattice_member, _upper, _upper_fixed, _with_floor)
 from .prune import Lattice
 from .rng import derive_seed
 from .rrsets import ProfitEstimator, chernoff_a, confidence_bounds
@@ -71,17 +74,23 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     lattice, and hence none at all, can beat it under the evaluator's
     metrics.
     """
-    X = frozenset(X)
-    pi = make_permutation(lat, X, evaluator)
-    cost_floor = modular_lower(evaluator, "cost", X, pi, lat)
+    X = _require_lattice_member(X, lat, "X")
     ceiling = _ceiling(lat)
+    inside = _member_mask(ceiling, X)
+    cost_floor = _lower(evaluator, "cost", ceiling, _chain(
+        _rank(evaluator, ceiling), inside, _member_mask(ceiling, lat.must_include)))
     benefit = evaluator.value(X, "benefit")
+    free = _free(lat)
+    free_at = np.searchsorted(ceiling, free)
     caps = []
     for variant in (3, 4):
-        fixed = _upper_fixed(evaluator, "benefit", variant, lat, ceiling)
-        benefit_ceiling = _upper_at(evaluator, "benefit", X, benefit, variant, ceiling, fixed)
-        best = maximize_modular_difference(benefit_ceiling, cost_floor, lat)
-        caps.append(benefit_ceiling.evaluate(best) - cost_floor.evaluate(best))
+        upper = _upper(evaluator, "benefit", X, inside, variant, ceiling,
+                       _upper_fixed(evaluator, "benefit", variant, lat, ceiling))
+        best = _with_floor(lat, free[(upper - cost_floor > 0.0)[free_at]])
+        # each bound as ModularFunction.evaluate gives it: summed over best as it iterates
+        at = np.searchsorted(ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))
+        caps.append((benefit - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
+                    - (0.0 + sum(cost_floor[at].tolist())))
     return min(caps)
 
 
@@ -109,17 +118,10 @@ def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,
     rho_b = upsilon_b / theta_beta
     rho_c = upsilon_c / theta_gamma
     headroom = rho_b * theta_beta - mu_tilde
-    if rho_c > 0:
-        radicand = headroom / rho_c + 0.25 * a
-        if radicand < 0:
-            raise DomainError(
-                "negative radicand: mu exceeds the largest representable benefit")
-        first = rho_c * math.sqrt(a * radicand)
-    else:
-        if headroom < 0:
-            raise DomainError(
-                "negative radicand: mu exceeds the largest representable benefit")
-        first = 0.0
+    radicand = headroom / rho_c + 0.25 * a if rho_c > 0 else headroom
+    if radicand < 0:
+        raise DomainError("negative radicand: mu exceeds the largest representable benefit")
+    first = rho_c * math.sqrt(a * radicand) if rho_c > 0 else 0.0
     return (first + 0.5 * a * (rho_b - rho_c)
             + rho_b * math.sqrt(a * (theta_beta + 0.25 * a)))
 
@@ -142,10 +144,13 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
     seeds = frozenset(int(v) for v in seeds)
     if not lat.contains(seeds):
         raise DomainError("certified seed set must lie inside the lattice")
-    if isinstance(validation_thetas, (tuple, list)):
-        theta_beta, theta_gamma = (int(x) for x in validation_thetas)
-    else:
-        theta_beta = theta_gamma = int(validation_thetas)
+    thetas = (validation_thetas if isinstance(validation_thetas, (tuple, list))
+              else (validation_thetas, validation_thetas))
+    if len(thetas) != 2 or not all(isinstance(t, Integral) and not isinstance(t, bool)
+                                   for t in thetas):
+        raise DomainError("validation_thetas must be one count or a pair of counts, "
+                          f"got {validation_thetas!r}")
+    theta_beta, theta_gamma = (int(t) for t in thetas)
 
     estimator = ProfitEstimator.build(g, theta_beta, theta_gamma,
                                       seed=derive_seed(int(seed), "validation"))
@@ -164,10 +169,8 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
 
     numerator = beta_lower - gamma_upper
     denominator = mu_estimate + eps
-    if denominator != 0.0:
-        guarantee = numerator / denominator
-    else:
-        guarantee = math.inf if numerator > 0 else -math.inf if numerator < 0 else 0.0
+    guarantee = (numerator / denominator if denominator != 0.0
+                 else math.inf if numerator > 0 else -math.inf if numerator < 0 else 0.0)
 
     return ProfitCertificate(
         phi_estimate=phi_estimate,

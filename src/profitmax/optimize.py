@@ -62,21 +62,14 @@ class SelectionResult:
     def to_json_dict(self, g: WeightedGraph = None) -> dict:
         conv = (lambda v: g.external_id(v)) if g is not None else int
 
-        def convert_step(step):
-            out = dict(step)
-            if "added" in out:
-                out["added"] = conv(out["added"])
-            if "seeds" in out:
-                out["seeds"] = sorted(conv(v) for v in out["seeds"])
-            return out
+        def convert(key, x):  # a trajectory step's node ids
+            return conv(x) if key == "added" else sorted(map(conv, x)) if key == "seeds" else x
 
-        return {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "seeds": sorted(conv(v) for v in self.seeds),
-            "estimated_profit": self.estimated_profit,
-            "trajectory": [convert_step(s) for s in self.trajectory],
-        }
+        return {"algorithm": self.algorithm, "params": self.params,
+                "seeds": sorted(conv(v) for v in self.seeds),
+                "estimated_profit": self.estimated_profit,
+                "trajectory": [{key: convert(key, x) for key, x in step.items()}
+                               for step in self.trajectory]}
 
 
 def _require_lattice_member(X, lat: Lattice, what: str) -> frozenset:
@@ -89,6 +82,12 @@ def _require_lattice_member(X, lat: Lattice, what: str) -> frozenset:
 def _ceiling(lat: Lattice) -> np.ndarray:
     """The lattice ceiling B* as a sorted int64 array."""
     return np.sort(np.fromiter(lat.may_include, dtype=np.int64, count=len(lat.may_include)))
+
+
+def _free(lat: Lattice) -> np.ndarray:
+    """B* - A* as an int64 array in the iteration order of ``lat.free_nodes``."""
+    free = lat.free_nodes
+    return np.fromiter(free, dtype=np.int64, count=len(free))
 
 
 def _member_mask(ceiling: np.ndarray, nodes) -> np.ndarray:
@@ -124,7 +123,7 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         4        f(v | A*) on B* - A*   f(v | X - v)  inside X
 
     ``modmod`` computes the fixed half once per run and adds the per-X half
-    each round.
+    each round, both as arrays aligned with the sorted ceiling.
     """
     if variant not in (1, 2, 3, 4):
         raise DomainError(f"unknown modular upper bound variant {variant}")
@@ -134,8 +133,12 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
     elif not X <= lat.may_include:
         raise DomainError("X must lie inside the lattice ceiling")
     ceiling = _ceiling(lat)
-    fixed = _upper_fixed(evaluator, metric, variant, lat, ceiling)
-    return _upper_at(evaluator, metric, X, evaluator.value(X, metric), variant, ceiling, fixed)
+    inside = _member_mask(ceiling, X)
+    per_node = _upper(evaluator, metric, X, inside, variant, ceiling,
+                      _upper_fixed(evaluator, metric, variant, lat, ceiling))
+    # Python's sequential sum over the sorted inside nodes; np.sum would round differently
+    return ModularFunction(base=evaluator.value(X, metric) - sum(per_node[inside].tolist()),
+                           per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
 
 
 def _upper_fixed(evaluator: MarginalEvaluator, metric: str, variant: int,
@@ -156,18 +159,15 @@ def _upper_fixed(evaluator: MarginalEvaluator, metric: str, variant: int,
     return fixed
 
 
-def _upper_at(evaluator: MarginalEvaluator, metric: str, X: frozenset, value: float,
-              variant: int, ceiling: np.ndarray, fixed: np.ndarray) -> ModularFunction:
-    """``modular_upper`` at X from its fixed half and ``value`` = f(X): add the per-X half."""
-    inside = _member_mask(ceiling, X)
+def _upper(evaluator: MarginalEvaluator, metric: str, X: frozenset, inside: np.ndarray,
+           variant: int, ceiling: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """``modular_upper`` at X (mask ``inside``) without its base: ``fixed`` plus the per-X half."""
     per_node = fixed.copy()
     if variant in (1, 3):
         per_node[~inside] = evaluator.marginal_many(ceiling[~inside], X, metric)
     else:
         per_node[inside] = evaluator.marginal_vs_rest(ceiling[inside], X, metric)
-    # Python's sequential sum over the sorted inside nodes; np.sum would round differently
-    base = value - sum(per_node[inside].tolist())
-    return ModularFunction(base=base, per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
+    return per_node
 
 
 def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator) -> list:
@@ -180,14 +180,18 @@ def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator) -> list:
     """
     X = _require_lattice_member(X, lat, "X")
     ceiling = _ceiling(lat)
-    return _order(lat, X, ceiling, evaluator.marginal_many(ceiling, (), "profit"))
+    return ceiling[_chain(_rank(evaluator, ceiling), _member_mask(ceiling, X),
+                          _member_mask(ceiling, lat.must_include))].tolist()
 
 
-def _order(lat: Lattice, X: frozenset, ceiling: np.ndarray, singleton: np.ndarray) -> list:
-    """``make_permutation`` from the profit singletons f(v | empty), aligned with ``ceiling``."""
-    block = 2 - _member_mask(ceiling, X) - _member_mask(ceiling, lat.must_include)
-    # lexsort's last key sorts first: block, then descending singleton, then id
-    return ceiling[np.lexsort((ceiling, -singleton, block))].tolist()
+def _rank(evaluator: MarginalEvaluator, ceiling: np.ndarray) -> np.ndarray:
+    """Positions in ``ceiling`` by descending profit singleton f(v | empty), ties by id."""
+    return np.lexsort((ceiling, -evaluator.marginal_many(ceiling, (), "profit")))
+
+
+def _chain(rank: np.ndarray, inside: np.ndarray, must: np.ndarray) -> np.ndarray:
+    """``make_permutation``'s positions: ``rank`` stably split into A*, X - A* and B* - X."""
+    return rank[np.argsort((2 - inside - must)[rank], kind="stable")]
 
 
 def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
@@ -210,13 +214,16 @@ def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
     if not (lat.must_include.issuperset(pi[:len(lat.must_include)])
             and X.issuperset(pi[:len(X)])):
         raise DomainError("permutation must order A*, then X - A*, then B* - X")
-    return _chain_bound(evaluator, metric, pi)
+    return ModularFunction(base=0.0, per_node=dict(zip(
+        pi, evaluator.chain_increments(pi, metric).tolist())))
 
 
-def _chain_bound(evaluator: MarginalEvaluator, metric: str, pi: list) -> ModularFunction:
-    """``modular_lower`` along a permutation ``pi`` known to be valid."""
-    incs = evaluator.chain_increments(pi, metric)
-    return ModularFunction(base=0.0, per_node=dict(zip(pi, incs.tolist())))
+def _lower(evaluator: MarginalEvaluator, metric: str, ceiling: np.ndarray,
+           chain: np.ndarray) -> np.ndarray:
+    """``modular_lower`` along ``chain``, positions in ``ceiling``, aligned with ``ceiling``."""
+    per_node = np.empty(len(ceiling))
+    per_node[chain] = evaluator.chain_increments(ceiling[chain], metric)
+    return per_node
 
 
 def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
@@ -226,28 +233,33 @@ def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
     Both functions are additive, so the maximizer is A* plus every free node
     whose per-node difference is strictly positive; exact zeros stay out.
     """
+    free = _free(lat)
+    try:
+        diff = np.array([pos.per_node[v] - neg.per_node[v] for v in free.tolist()])
+    except KeyError as missing:
+        raise DomainError(f"node {missing.args[0]} outside the bound's domain") from None
+    return _with_floor(lat, free[diff > 0.0])
+
+
+def _with_floor(lat: Lattice, added: np.ndarray) -> frozenset:
+    """A* plus ``added`` in its order, which sets the iteration order ``mu_bound`` sums in."""
     chosen = set(lat.must_include)
-    for v in lat.free_nodes:
-        if pos.per_node[v] - neg.per_node[v] > 0.0:
-            chosen.add(v)
+    chosen.update(added.tolist())
     return frozenset(chosen)
 
 
-def _climb(free: np.ndarray, gains_of):
-    """Hill-climb over the free nodes ``free``, in ascending id order.
-
-    Each round yields the node of largest ``gains_of(free)`` (the first
-    maximum, so ties go to the smallest id) with its gain, and the climb
-    stops once that gain is not positive.  The caller adds the yielded node
-    to its coverage states before it asks for the next round.
-    """
-    while free.size:
-        gains = gains_of(free)
-        best = int(np.argmax(gains))
-        if gains[best] <= 0.0:
+def _climb(off: np.ndarray, gains_of):
+    """Hill-climb over the nodes whose ``off`` is 0.0 (-inf elsewhere): yield the
+    first maximum of ``gains_of() + off`` (ties to the smallest id) and its gain
+    until that gain is not positive.  The caller adds the node to its coverage
+    states before the next round, which first sets the node's ``off`` to -inf."""
+    while True:
+        net = gains_of() + off
+        best = int(np.argmax(net))
+        if net[best] <= 0.0:
             return
-        yield int(free[best]), float(gains[best])
-        free = np.delete(free, best)
+        yield best, float(net[best])
+        off[best] = -np.inf
 
 
 def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
@@ -255,27 +267,26 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
 
     Each round adds the free node with the largest marginal profit
     benefit(v | S) - cost(v | S), ties to the smallest id, and the climb
-    stops as soon as that marginal is not positive.  The marginals of all
-    nodes come from one coverage state per side
-    (``MarginalEvaluator.coverage_state``), updated as S grows; on RR
-    estimates a round is one vectorised argmax over the free nodes.
+    stops as soon as that marginal is not positive.  The marginals come from
+    one coverage state per side (``MarginalEvaluator.coverage_state``),
+    updated as S grows; a round is one vectorised argmax over all nodes.
     """
     seeds = set(lat.must_include)
-    free = np.array(sorted(lat.free_nodes), dtype=np.int64)
+    free = _free(lat)
     trajectory = []
     if free.size:  # a lattice with nothing to choose needs no coverage states
         benefit = evaluator.coverage_state("benefit", seeds)
         cost = evaluator.coverage_state("cost", seeds)
-        for v, gain in _climb(free, lambda nodes: benefit.gains[nodes] - cost.gains[nodes]):
+        off = np.full(evaluator.node_count, -np.inf)
+        off[free] = 0.0
+        for v, gain in _climb(off, lambda: benefit.gains - cost.gains):
             seeds.add(v)
             benefit.add(v)
             cost.add(v)
             trajectory.append({"added": v, "marginal": gain,
                                "profit": benefit.value - cost.value})
     result = frozenset(seeds)
-    return SelectionResult(algorithm="greedy", params={}, seeds=result,
-                           estimated_profit=evaluator.profit(result),
-                           trajectory=trajectory)
+    return SelectionResult("greedy", {}, result, evaluator.profit(result), trajectory)
 
 
 def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int = 3,
@@ -294,28 +305,25 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
         raise DomainError(f"gamma bound variant must be 3 or 4, got {gamma_bound_variant}")
     incumbent = frozenset(lat.must_include)
     trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
-    # what the bounds take from the lattice alone, computed once per run
+    # what the bounds take from the lattice alone, as arrays aligned with the ceiling
     ceiling = _ceiling(lat)
-    singleton = evaluator.marginal_many(ceiling, (), "profit")
+    must = inside = _member_mask(ceiling, lat.must_include)
+    rank = _rank(evaluator, ceiling)
     cost_fixed = _upper_fixed(evaluator, "cost", gamma_bound_variant, lat, ceiling)
-    for _ in range(100 * max(1, len(lat.free_nodes))):
-        pi = _order(lat, incumbent, ceiling, singleton)
-        benefit_floor = _chain_bound(evaluator, "benefit", pi)
-        cost_ceiling = _upper_at(evaluator, "cost", incumbent,
-                                 evaluator.value(incumbent, "cost"), gamma_bound_variant,
-                                 ceiling, cost_fixed)
-        nxt = maximize_modular_difference(benefit_floor, cost_ceiling, lat)
-        if nxt == incumbent:
-            name = "modmod1" if gamma_bound_variant == 3 else "modmod2"
+    free = _free(lat)
+    free_at = np.searchsorted(ceiling, free)
+    for _ in range(100 * max(1, len(free))):
+        benefit_floor = _lower(evaluator, "benefit", ceiling, _chain(rank, inside, must))
+        cost_ceiling = _upper(evaluator, "cost", incumbent, inside, gamma_bound_variant,
+                              ceiling, cost_fixed)
+        nxt = must | (benefit_floor - cost_ceiling > 0.0)  # their difference's maximizer
+        if np.array_equal(nxt, inside):
             return SelectionResult(
-                algorithm=name,
-                params={"gamma_bound_variant": gamma_bound_variant, "seed": int(seed)},
-                seeds=incumbent,
-                estimated_profit=trajectory[-1]["profit"],
-                trajectory=trajectory)
-        incumbent = nxt
-        trajectory.append({"seeds": sorted(incumbent),
-                           "profit": evaluator.profit(incumbent)})
+                f"modmod{gamma_bound_variant - 2}",
+                {"gamma_bound_variant": gamma_bound_variant, "seed": int(seed)},
+                incumbent, trajectory[-1]["profit"], trajectory)
+        inside, incumbent = nxt, _with_floor(lat, free[nxt[free_at]])
+        trajectory.append({"seeds": ceiling[nxt].tolist(), "profit": evaluator.profit(incumbent)})
     raise InternalError("modular-modular iteration did not converge; "
                         "the evaluator is inconsistent")
 
@@ -367,10 +375,9 @@ def _random(g: WeightedGraph, evaluator: MarginalEvaluator, sizes, seed) -> list
         part = profits[lo:lo + RANDOM_BASELINE_DRAWS]
         # Python's sequential sum; np.mean would round differently
         results.append(SelectionResult(
-            algorithm="random",
-            params={"k": k, "draws": RANDOM_BASELINE_DRAWS, "seed": int(seed)},
-            seeds=frozenset(draws[lo].tolist()), estimated_profit=sum(part) / len(part),
-            trajectory=[{"draw": j, "profit": p} for j, p in enumerate(part)]))
+            "random", {"k": k, "draws": RANDOM_BASELINE_DRAWS, "seed": int(seed)},
+            frozenset(draws[lo].tolist()), sum(part) / len(part),
+            [{"draw": j, "profit": p} for j, p in enumerate(part)]))
     return results
 
 
@@ -382,8 +389,7 @@ def _highdegree(g: WeightedGraph, evaluator: MarginalEvaluator, sizes) -> list:
     order = np.lexsort((np.arange(g.node_count), -g.out_degree)).tolist()
     chosen = [frozenset(order[:k]) for k in sizes]
     profits = evaluator.value_many(chosen, "profit").tolist()
-    return [SelectionResult(algorithm="highdegree", params={"k": k}, seeds=seeds,
-                            estimated_profit=profit, trajectory=[])
+    return [SelectionResult("highdegree", {"k": k}, seeds, profit)
             for k, seeds, profit in zip(sizes, chosen, profits)]
 
 
@@ -398,21 +404,20 @@ def _benefitmax(evaluator: MarginalEvaluator, node_count: int, sizes) -> list:
     """
     rounds = max(sizes)
     state = evaluator.coverage_state("benefit")
+    off = np.zeros(node_count)
     picks = []
-    for v, gain in _climb(np.arange(node_count, dtype=np.int64), lambda nodes: state.gains[nodes]):
+    for v, gain in _climb(off, lambda: state.gains):
         picks.append({"added": v, "marginal": gain})
         if len(picks) == rounds:
             break
         state.add(v)
-    free = np.ones(node_count, dtype=bool)
-    free[[p["added"] for p in picks]] = False
+    # a climb that stopped has set every pick's off to -inf; one cut short
+    # at ``rounds`` needs no fill
     picks += [{"added": v, "marginal": 0.0}
-              for v in np.flatnonzero(free)[:rounds - len(picks)].tolist()]
+              for v in np.flatnonzero(off == 0.0)[:rounds - len(picks)].tolist()]
     chosen = [frozenset(p["added"] for p in picks[:k]) for k in sizes]
     profits = evaluator.value_many(chosen, "profit").tolist()
-    return [SelectionResult(algorithm="benefitmax", params={"k": k}, seeds=seeds,
-                            estimated_profit=profit,
-                            trajectory=[dict(p) for p in picks[:k]])
+    return [SelectionResult("benefitmax", {"k": k}, seeds, profit, [dict(p) for p in picks[:k]])
             for k, seeds, profit in zip(sizes, chosen, profits)]
 
 
@@ -420,12 +425,7 @@ def sweep_sizes(node_count: int) -> list:
     """Deduplicated k values ceil(n / 2^i) for i = 0..10, largest first."""
     if node_count < 1:
         raise DomainError("k sweep needs at least one node")
-    sizes = []
-    for i in range(11):
-        k = -(-node_count // (1 << i))
-        if k not in sizes:
-            sizes.append(k)
-    return sizes
+    return list(dict.fromkeys(-(-node_count // (1 << i)) for i in range(11)))
 
 
 def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
@@ -439,11 +439,8 @@ def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
     ``value_many`` query, a bit-parallel coverage count on RR estimates.
     """
     sizes = sweep_sizes(g.node_count)
-    best = None
-    swept = []
-    for k, result in zip(sizes, _baselines(kind, g, evaluator, sizes, seed)):
-        swept.append({"k": k, "profit": result.estimated_profit})
-        if best is None or result.estimated_profit > best.estimated_profit:
-            best = result
-    best.params = dict(best.params, swept=swept)
+    results = _baselines(kind, g, evaluator, sizes, seed)
+    best = max(results, key=lambda result: result.estimated_profit)
+    best.params = dict(best.params, swept=[{"k": k, "profit": result.estimated_profit}
+                                           for k, result in zip(sizes, results)])
     return best

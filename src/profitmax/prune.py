@@ -18,6 +18,8 @@ outside.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalError
@@ -94,6 +96,12 @@ class Lattice:
         def margin(step, key):
             if not isinstance(step[key], dict):
                 raise TypeError(f"{key} is not a JSON object")
+            for v, x in step[key].items():
+                # the decimal ids and finite numbers that to_json_dict writes
+                if not re.fullmatch(r"-?[1-9][0-9]*|0", v):
+                    raise ValueError(f"{key} key {v!r} is not a decimal node id")
+                if not (type(x) is int or type(x) is float and math.isfinite(x)):
+                    raise ValueError(f"{key} value {x!r} is not a finite number")
             return {conv(int(v)): x for v, x in step[key].items()}
 
         steps = [

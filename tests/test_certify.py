@@ -251,6 +251,20 @@ class TestCertify:
         assert cert.theta_beta == 4000
         assert cert.theta_gamma == 2000
 
+    @pytest.mark.parametrize("thetas", [(100, 100, 100), (100,), (), "abc", "100", 100.0,
+                                        True, (100, "abc"), [100, None], (100, False)])
+    def test_malformed_validation_thetas(self, demo_graph, demo_setup, thetas):
+        # one count or a pair of counts; anything else is refused before sampling
+        _, lat = demo_setup
+        with pytest.raises(DomainError, match="one count or a pair of counts"):
+            certify({1, 2}, demo_graph, lat, thetas, delta=0.1, seed=1)
+
+    def test_numpy_counts_accepted(self, demo_graph, demo_setup):
+        _, lat = demo_setup
+        cert = certify({1, 2}, demo_graph, lat, [np.int64(400), np.int32(300)], delta=0.1, seed=1)
+        assert (cert.theta_beta, cert.theta_gamma) == (400, 300)
+        assert type(cert.theta_beta) is int
+
     def test_json_round_trip_fields(self, demo_graph, demo_setup):
         _, lat = demo_setup
         cert = certify({1, 2}, demo_graph, lat, 1000, delta=0.01, seed=5)

@@ -11,6 +11,10 @@ from profitmax.cli import CSV_COLUMNS, main
 
 DEMO_EDGE_TEXT = "# demo graph\n1 2 0.3\n1 4 0.4\n2 4 0.2\n3 4 0.3\n"
 DEMO_WEIGHT_TEXT = "1 1.5 1\n2 2 1\n3 3 1\n4 2 5\n"
+# a lattice document with one pruning step; its lower margin is the %s placeholder
+LATTICE_WITH_MARGIN = ('{"must_include": [], "may_include": [2, 3], "iterations": '
+                       '[{"must_include": [], "may_include": [2, 3], "lower_margin": %s, '
+                       '"upper_margin": {}}]}')
 
 
 @pytest.fixture
@@ -173,10 +177,24 @@ class TestCertify:
         ('{"seeds": [2]}', '{"must_include": [], "may_include": [2], "iterations": '
          '[{"must_include": [], "may_include": ["2"], "lower_margin": {}, "upper_margin": {}}]}',
          "lattice.json: malformed document: may_include '2' is not an integer"),
+        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"0_3": "x"}',
+         "lattice.json: malformed document: lower_margin key '0_3' is not a decimal node id"),
+        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{" 3": 0.5}',
+         "lattice.json: malformed document: lower_margin key ' 3' is not a decimal node id"),
+        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"03": 0.5}',
+         "lattice.json: malformed document: lower_margin key '03' is not a decimal node id"),
+        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"3": "x"}',
+         "lattice.json: malformed document: lower_margin value 'x' is not a finite number"),
+        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"3": true}',
+         "lattice.json: malformed document: lower_margin value True is not a finite number"),
+        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"3": NaN}',
+         "lattice.json: malformed document: lower_margin value nan is not a finite number"),
     ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key", "floor-outside-ceiling",
             "seeds-not-an-object", "lattice-not-an-object", "lower-margin-not-an-object",
             "upper-margin-not-an-object", "float-seed", "bool-seed", "string-seed",
-            "float-floor-node", "string-step-node"])
+            "float-floor-node", "string-step-node", "margin-key-not-an-id",
+            "margin-key-padded", "margin-key-leading-zero", "margin-value-string",
+            "margin-value-bool", "margin-value-nan"])
     def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
                                            seeds_text, lattice_text, expected):
         edges, weights = demo_files

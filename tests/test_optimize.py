@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from profitmax import (DomainError, ExactEvaluator, Lattice, ModularFunction,
-                       ProfitEstimator, baseline, greedy, iterative_prune,
-                       k_sweep, make_permutation, maximize_modular_difference,
-                       modmod, modular_lower, modular_upper, sweep_sizes,
-                       trivial_lattice)
+                       ProfitEstimator, SelectionResult, baseline, greedy,
+                       iterative_prune, k_sweep, make_permutation,
+                       maximize_modular_difference, modmod, modular_lower,
+                       modular_upper, mu_bound, sweep_sizes, trivial_lattice)
 from profitmax.graph import WeightedGraph
-from profitmax.optimize import BASELINES, RANDOM_BASELINE_DRAWS, _random
+from profitmax.optimize import BASELINES, RANDOM_BASELINE_DRAWS, _benefitmax, _random
 from profitmax.rng import derive_seed, make_rng
 from profitmax.rrsets import RRCollection, RRCoverage
 
@@ -154,6 +154,22 @@ class TestMaximizeModularDifference:
         pos = ModularFunction(0.0, {v: 1.0 for v in lat.may_include})
         neg = ModularFunction(0.0, {v: 1.0 for v in lat.may_include})
         assert maximize_modular_difference(pos, neg, lat) == lat.must_include
+
+    @pytest.mark.parametrize("side", ["pos", "neg"])
+    def test_bound_missing_a_free_node_is_domain_error(self, side):
+        lat = trivial_lattice(3)
+        short = ModularFunction(0.0, {0: 1.0, 1: 2.0})
+        full = ModularFunction(0.0, {0: 0.5, 1: 0.5, 2: 0.5})
+        pos, neg = (short, full) if side == "pos" else (full, short)
+        with pytest.raises(DomainError, match="node 2 outside the bound's domain"):
+            maximize_modular_difference(pos, neg, lat)
+
+    def test_floor_nodes_need_no_entry(self):
+        # only the free nodes are compared; A* joins the maximizer unread
+        lat = Lattice(frozenset({0}), frozenset({0, 1, 2}))
+        pos = ModularFunction(0.0, {1: 2.0, 2: 0.0})
+        neg = ModularFunction(0.0, {1: 1.0, 2: 1.0})
+        assert maximize_modular_difference(pos, neg, lat) == {0, 1}
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(211)
@@ -335,11 +351,18 @@ class TestModMod:
                 calls.append((_name, args[-1]))
                 return _query(*args)
             monkeypatch.setattr(est, name, counted)
+        values = []
+        value = est.value
+        monkeypatch.setattr(est, "value",
+                            lambda seeds, metric: values.append(metric) or value(seeds, metric))
         result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant)
         rounds = len(result.trajectory)  # each move, then the round that repeats
         assert rounds >= 2
         assert calls == ([("marginal_many", "profit"), (anchor, "cost")]
                          + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
+        # no f(X) cost query for the cost ceiling's base: the only value
+        # queries are the benefit and cost of each trajectory entry's profit
+        assert values == rounds * ["benefit", "cost"]
 
 
 class TestBaselines:
@@ -485,6 +508,184 @@ def reference_greedy_loop(evaluator, lat):
             trajectory.append({"added": v, "marginal": float(gains[best]),
                                "profit": benefit.value - cost.value})
     return frozenset(seeds), trajectory
+
+
+# Copies of the modular bounds, modmod's loop, mu_bound and the benefitmax
+# climb as they were written before their rounds ran on arrays aligned with
+# the ceiling: a ModularFunction dict per bound and round, a Python loop over
+# the free nodes, an f(X) cost query for a base modmod never reads, and a
+# climb that gathers over the free ids and deletes each pick from them.  The
+# tests below pin the array code to them, repr for repr.
+
+
+def reference_ceiling(lat):
+    return np.sort(np.fromiter(lat.may_include, dtype=np.int64, count=len(lat.may_include)))
+
+
+def reference_member_mask(ceiling, nodes):
+    mask = np.zeros(len(ceiling), dtype=bool)
+    mask[np.searchsorted(ceiling, np.fromiter(nodes, dtype=np.int64, count=len(nodes)))] = True
+    return mask
+
+
+def reference_upper_fixed(evaluator, metric, variant, lat, ceiling):
+    """The X-independent half of upper bounds 3 and 4."""
+    if variant == 3:
+        return evaluator.marginal_vs_rest(ceiling, lat.may_include, metric)
+    fixed = np.zeros(len(ceiling))
+    free = ~reference_member_mask(ceiling, lat.must_include)
+    fixed[free] = evaluator.marginal_many(ceiling[free], lat.must_include, metric)
+    return fixed
+
+
+def reference_upper_at(evaluator, metric, X, value, variant, ceiling, fixed):
+    inside = reference_member_mask(ceiling, X)
+    per_node = fixed.copy()
+    if variant in (1, 3):
+        per_node[~inside] = evaluator.marginal_many(ceiling[~inside], X, metric)
+    else:
+        per_node[inside] = evaluator.marginal_vs_rest(ceiling[inside], X, metric)
+    base = value - sum(per_node[inside].tolist())
+    return ModularFunction(base=base, per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
+
+
+def reference_order(lat, X, ceiling, singleton):
+    block = 2 - reference_member_mask(ceiling, X) - reference_member_mask(ceiling, lat.must_include)
+    return ceiling[np.lexsort((ceiling, -singleton, block))].tolist()
+
+
+def reference_chain_bound(evaluator, metric, pi):
+    incs = evaluator.chain_increments(pi, metric)
+    return ModularFunction(base=0.0, per_node=dict(zip(pi, incs.tolist())))
+
+
+def reference_maximize(pos, neg, lat):
+    chosen = set(lat.must_include)
+    for v in lat.free_nodes:
+        if pos.per_node[v] - neg.per_node[v] > 0.0:
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+def reference_modmod_loop(evaluator, lat, gamma_bound_variant):
+    incumbent = frozenset(lat.must_include)
+    trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
+    ceiling = reference_ceiling(lat)
+    singleton = evaluator.marginal_many(ceiling, (), "profit")
+    cost_fixed = reference_upper_fixed(evaluator, "cost", gamma_bound_variant, lat, ceiling)
+    for _ in range(100 * max(1, len(lat.free_nodes))):
+        pi = reference_order(lat, incumbent, ceiling, singleton)
+        benefit_floor = reference_chain_bound(evaluator, "benefit", pi)
+        cost_ceiling = reference_upper_at(evaluator, "cost", incumbent,
+                                          evaluator.value(incumbent, "cost"),
+                                          gamma_bound_variant, ceiling, cost_fixed)
+        nxt = reference_maximize(benefit_floor, cost_ceiling, lat)
+        if nxt == incumbent:
+            return incumbent, trajectory
+        incumbent = nxt
+        trajectory.append({"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)})
+    raise AssertionError("reference modmod did not converge")
+
+
+def reference_mu_bound(evaluator, X, lat):
+    X = frozenset(X)
+    ceiling = reference_ceiling(lat)
+    pi = reference_order(lat, X, ceiling, evaluator.marginal_many(ceiling, (), "profit"))
+    cost_floor = reference_chain_bound(evaluator, "cost", pi)
+    benefit = evaluator.value(X, "benefit")
+    caps = []
+    for variant in (3, 4):
+        fixed = reference_upper_fixed(evaluator, "benefit", variant, lat, ceiling)
+        benefit_ceiling = reference_upper_at(evaluator, "benefit", X, benefit, variant,
+                                             ceiling, fixed)
+        best = reference_maximize(benefit_ceiling, cost_floor, lat)
+        caps.append(benefit_ceiling.evaluate(best) - cost_floor.evaluate(best))
+    return min(caps)
+
+
+def reference_climb(free, gains_of):
+    while free.size:
+        gains = gains_of(free)
+        best = int(np.argmax(gains))
+        if gains[best] <= 0.0:
+            return
+        yield int(free[best]), float(gains[best])
+        free = np.delete(free, best)
+
+
+def reference_benefitmax(evaluator, node_count, sizes):
+    rounds = max(sizes)
+    state = evaluator.coverage_state("benefit")
+    picks = []
+    for v, gain in reference_climb(np.arange(node_count, dtype=np.int64),
+                                   lambda nodes: state.gains[nodes]):
+        picks.append({"added": v, "marginal": gain})
+        if len(picks) == rounds:
+            break
+        state.add(v)
+    free = np.ones(node_count, dtype=bool)
+    free[[p["added"] for p in picks]] = False
+    picks += [{"added": v, "marginal": 0.0}
+              for v in np.flatnonzero(free)[:rounds - len(picks)].tolist()]
+    chosen = [frozenset(p["added"] for p in picks[:k]) for k in sizes]
+    profits = evaluator.value_many(chosen, "profit").tolist()
+    return [SelectionResult(algorithm="benefitmax", params={"k": k}, seeds=seeds,
+                            estimated_profit=profit,
+                            trajectory=[dict(p) for p in picks[:k]])
+            for k, seeds, profit in zip(sizes, chosen, profits)]
+
+
+def estimator_cases():
+    """Random RR estimators, up to 60 nodes so that seed sets hash-collide."""
+    rng = np.random.default_rng(41)
+    for seed in range(12):
+        g = random_graph(rng, max_nodes=14 if seed % 2 else 60, max_edges=40 if seed % 2 else 150)
+        yield g, ProfitEstimator.build(g, 300, 300, seed=seed)
+
+
+def exact_tie_cases():
+    """Exact evaluators on edgeless graphs whose net weights tie often."""
+    rng = np.random.default_rng(43)
+    for _ in range(12):
+        weights = rng.choice([-1.0, 0.0, 1.0, 2.0], size=int(rng.integers(1, 25))).tolist()
+        g = edgeless_graph(weights)
+        yield g, ExactEvaluator(g)
+
+
+class TestBoundsMatchReferenceLoops:
+    @staticmethod
+    def check(ev, lat):
+        anchors = [lat.must_include, lat.may_include]
+        for variant in (3, 4):
+            result = modmod(ev, lat, gamma_bound_variant=variant)
+            seeds, trajectory = reference_modmod_loop(ev, lat, variant)
+            assert repr(result.seeds) == repr(seeds)  # the same set, iterated alike
+            assert repr(result.trajectory) == repr(trajectory)
+            assert repr(result.estimated_profit) == repr(trajectory[-1]["profit"])
+            anchors.append(result.seeds)
+        anchors.append(greedy(ev, lat).seeds)
+        for X in anchors:
+            assert repr(mu_bound(ev, X, lat)) == repr(reference_mu_bound(ev, X, lat))
+
+    def test_random_estimators(self):
+        for g, est in estimator_cases():
+            self.check(est, trivial_lattice(g.node_count))
+            self.check(est, iterative_prune(est))
+
+    def test_exact_edgeless_graphs_with_ties(self):
+        for g, ev in exact_tie_cases():
+            self.check(ev, trivial_lattice(g.node_count))
+            self.check(ev, iterative_prune(ev))
+
+    @pytest.mark.parametrize("cases", [estimator_cases, exact_tie_cases])
+    def test_benefitmax_sweeps(self, cases):
+        for g, ev in cases():
+            sizes = sweep_sizes(g.node_count)
+            assert repr(_benefitmax(ev, g.node_count, sizes)) == repr(
+                reference_benefitmax(ev, g.node_count, sizes))
+            assert repr(k_sweep("benefitmax", g, ev).params["swept"]) == repr(
+                [{"k": r.params["k"], "profit": r.estimated_profit}
+                 for r in reference_benefitmax(ev, g.node_count, sizes)])
 
 
 class TestGreedyMatchesLoop:
