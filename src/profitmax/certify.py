@@ -10,7 +10,8 @@ generated fresh and independently of how S was selected:
   the true profit of S;
 * a modular cap mu on the maximum achievable profit: an upper bound on the
   benefit minus a lower bound on the cost, both tight at S, maximized in
-  closed form over the lattice;
+  closed form over the lattice (``mu_bound``, defined with the other modular
+  bounds in ``profitmax.optimize``);
 * a sampling-error inflation eps(mu) accounting for mu itself being
   estimated from samples.
 
@@ -24,13 +25,9 @@ import math
 from dataclasses import asdict, dataclass
 from numbers import Integral
 
-import numpy as np
-
 from .errors import DomainError
-from .evaluation import MarginalEvaluator
 from .graph import WeightedGraph
-from .optimize import (_ceiling, _chain, _free, _lower, _member_mask, _rank,
-                       _require_lattice_member, _upper, _upper_fixed, _with_floor)
+from .optimize import mu_bound
 from .prune import Lattice
 from .rng import derive_seed
 from .rrsets import ProfitEstimator, chernoff_a, confidence_bounds
@@ -62,36 +59,6 @@ class ProfitCertificate:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
-    """Cap on the maximum achievable profit, anchored at a lattice set X.
-
-    One modular lower bound on the cost, tight at X along the singleton
-    permutation, is paired with each of the benefit upper bounds 3 and 4,
-    also tight at X; each difference is maximized over the lattice in closed
-    form, and the smaller maximum is returned.  No seed set anywhere in the
-    lattice, and hence none at all, can beat it under the evaluator's
-    metrics.
-    """
-    X = _require_lattice_member(X, lat, "X")
-    ceiling = _ceiling(lat)
-    inside = _member_mask(ceiling, X)
-    cost_floor = _lower(evaluator, "cost", ceiling, _chain(
-        _rank(evaluator, ceiling), inside, _member_mask(ceiling, lat.must_include)))
-    benefit = evaluator.value(X, "benefit")
-    free = _free(lat)
-    free_at = np.searchsorted(ceiling, free)
-    caps = []
-    for variant in (3, 4):
-        upper = _upper(evaluator, "benefit", X, inside, variant, ceiling,
-                       _upper_fixed(evaluator, "benefit", variant, lat, ceiling))
-        best = _with_floor(lat, free[(upper - cost_floor > 0.0)[free_at]])
-        # each bound as ModularFunction.evaluate gives it: summed over best as it iterates
-        at = np.searchsorted(ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))
-        caps.append((benefit - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
-                    - (0.0 + sum(cost_floor[at].tolist())))
-    return min(caps)
 
 
 def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +34,7 @@ from pathlib import Path
 from .certify import certify as certify_seeds
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
-from .graph import (WeightedGraph, _check_int_ids, _data_lines, _read_json,
+from .graph import (WeightedGraph, _check_values, _data_lines, _read_json,
                     assign_weights, load_edge_list, normalize_weights, save_weights)
 from .optimize import BASELINES, SelectionResult, greedy, k_sweep, modmod
 from .oracle import ExactEvaluator
@@ -353,7 +355,7 @@ def cmd_certify(args) -> int:
     raw = _load_weighted_graph(cfg)
     g = _graph_view(raw, cfg.normalize)
     seeds, algo = _read_json(cfg.seeds, lambda doc: (
-        frozenset(g.internal_id(v) for v in _check_int_ids(doc["seeds"], "seed")),
+        frozenset(g.internal_id(v) for v in _check_values(doc["seeds"], "seed")),
         doc.get("algorithm", "unknown")))
     lattice = (_read_json(cfg.lattice, lambda doc: Lattice.from_json_dict(doc, g))
                if cfg.lattice else trivial_lattice(g.node_count))
@@ -403,18 +405,15 @@ def cmd_experiment(args) -> int:
     # bad input ends the run before any row, whatever --jobs is; workers
     # read the file themselves, since a pickled graph arrives writable
     graph = _load_weighted_graph(cfg)
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_experiment_row, cfg, rs) for rs in row_specs]
-            for rs, fut in zip(row_specs, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:  # rows are isolated; record and move on
-                    rows.append(_failed_row(cfg, rs, exc))
-    else:
-        for rs in row_specs:
+    parallel = cfg.jobs > 1
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) if parallel
+          else contextlib.nullcontext()) as pool:
+        # one call per row that returns the row or raises what building it raised
+        calls = [pool.submit(_experiment_row, cfg, rs).result if parallel
+                 else functools.partial(_experiment_row, cfg, rs, graph) for rs in row_specs]
+        for rs, call in zip(row_specs, calls):
             try:
-                rows.append(_experiment_row(cfg, rs, graph))
+                rows.append(call())
             except Exception as exc:  # rows are isolated; record and move on
                 rows.append(_failed_row(cfg, rs, exc))
     _write_csv(rows, cfg, cfg.csv)

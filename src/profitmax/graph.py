@@ -236,9 +236,14 @@ class WeightedGraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightedGraph":
-        _check_int_fields(d, ("node_count",))
-        _check_int_ids((x for edge in d["edges"] for x in edge[:2]), "edge endpoint")
-        _check_int_ids(d["external_ids"], "external id")
+        _check_fields(d, ("node_count",))
+        _check_fields(d, ("normalized",), "a boolean")
+        _check_fields(d, ("edges", "external_ids", "benefit", "cost"), "a list")
+        _check_values((x for edge in d["edges"] for x in edge[:2]), "edge endpoint")
+        _check_values((x for edge in d["edges"] for x in edge[2:]), "edge probability", "a number")
+        _check_values(d["external_ids"], "external id")
+        for key in ("benefit", "cost"):
+            _check_values(d[key], f"{key} weight", "a number")
         return cls(d["node_count"], d["edges"], d["benefit"], d["cost"],
                    external_ids=d["external_ids"], normalized=d["normalized"])
 
@@ -310,19 +315,25 @@ def _data_lines(path, data=None):
         yield lineno, line
 
 
-def _check_int_ids(ids, what):
-    """Return ``ids`` once every JSON value in it is an integer; raise ValueError if not."""
-    for v in ids:
-        if type(v) is not int:
-            raise ValueError(f"{what} {v!r} is not an integer node id")
-    return ids
+# the Python types json.loads gives each kind of JSON value; a bool is no number
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a boolean": (bool,),
+               "a list": (list,)}
 
 
-def _check_int_fields(doc, keys) -> None:
-    """Raise ValueError unless ``doc[key]`` is a JSON integer for every key."""
+def _check_values(values, what: str, kind: str = "an integer"):
+    """Return ``values`` once each is a JSON value of ``kind`` (a key of
+    ``_JSON_TYPES``); raise ValueError naming the first that is not."""
+    types = _JSON_TYPES[kind]
+    for v in values:
+        if type(v) not in types:
+            raise ValueError(f"{what} {v!r} is not {kind}")
+    return values
+
+
+def _check_fields(doc, keys, kind: str = "an integer") -> None:
+    """Raise ValueError unless ``doc[key]`` is a JSON value of ``kind`` for every key."""
     for key in keys:
-        if type(doc[key]) is not int:
-            raise ValueError(f"{key} {doc[key]!r} is not an integer")
+        _check_values((doc[key],), key, kind)
 
 
 def _read_json(path, read):
@@ -340,7 +351,7 @@ def _read_json(path, read):
         return read(doc)
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge JSON int
         raise ParseError(f"{path}: malformed document: {exc}") from None
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None

@@ -8,11 +8,12 @@ Two heuristics search the lattice [A*, B*]:
   bound and the cost by a modular upper bound, both tight at the incumbent,
   and jumps to the exact maximizer of their difference.
 
-The modular bound constructors are shared with certification, which pairs
-them the other way around (benefit upper bound, cost lower bound) to cap the
-maximum achievable profit.  Three reference baselines mirror the usual
-influence-maximization toolkit: random seeds, top degree, and top coverage of
-the benefit collection.
+Certification pairs the modular bounds the other way around (benefit upper
+bound, cost lower bound) to cap the maximum achievable profit; that cap,
+``mu_bound``, lives here next to ``modmod``, and both build their bounds on
+one ``_Bounds``: the lattice as arrays aligned with its sorted ceiling.
+Three reference baselines mirror the usual influence-maximization toolkit:
+random seeds, top degree, and top coverage of the benefit collection.
 """
 
 from __future__ import annotations
@@ -79,22 +80,69 @@ def _require_lattice_member(X, lat: Lattice, what: str) -> frozenset:
     return X
 
 
-def _ceiling(lat: Lattice) -> np.ndarray:
-    """The lattice ceiling B* as a sorted int64 array."""
-    return np.sort(np.fromiter(lat.may_include, dtype=np.int64, count=len(lat.may_include)))
+class _Bounds:
+    """The lattice as arrays aligned with its sorted ceiling B*, and the modular
+    bounds on them.  ``must`` masks A*; ``free`` is B* - A* in the iteration
+    order of ``lat.free_nodes``, at positions ``free_at``.  Building asks the
+    evaluator nothing; each caller places ``rank``, the one profit query."""
 
+    def __init__(self, evaluator: MarginalEvaluator, lat: Lattice):
+        self.evaluator, self.lat = evaluator, lat
+        self.ceiling = np.sort(np.fromiter(lat.may_include, np.int64, len(lat.may_include)))
+        self.must = self.mask(lat.must_include)
+        self.free = np.fromiter(lat.free_nodes, np.int64, len(lat.free_nodes))
+        self.free_at = np.searchsorted(self.ceiling, self.free)
 
-def _free(lat: Lattice) -> np.ndarray:
-    """B* - A* as an int64 array in the iteration order of ``lat.free_nodes``."""
-    free = lat.free_nodes
-    return np.fromiter(free, dtype=np.int64, count=len(free))
+    def mask(self, nodes) -> np.ndarray:
+        """Which ceiling entries lie in ``nodes``, a subset of the ceiling."""
+        mask = np.zeros(len(self.ceiling), dtype=bool)
+        mask[np.searchsorted(self.ceiling, np.fromiter(nodes, np.int64, len(nodes)))] = True
+        return mask
 
+    def rank(self) -> np.ndarray:
+        """Positions by descending profit singleton f(v | empty), ties by id."""
+        ceiling = self.ceiling
+        return np.lexsort((ceiling, -self.evaluator.marginal_many(ceiling, (), "profit")))
 
-def _member_mask(ceiling: np.ndarray, nodes) -> np.ndarray:
-    """Which entries of ``ceiling`` lie in ``nodes``, a subset of it."""
-    mask = np.zeros(len(ceiling), dtype=bool)
-    mask[np.searchsorted(ceiling, np.fromiter(nodes, dtype=np.int64, count=len(nodes)))] = True
-    return mask
+    def chain(self, rank: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """``rank`` stably split into A*, X - A* and B* - X (``inside`` masks X)."""
+        return rank[np.argsort((2 - inside - self.must)[rank], kind="stable")]
+
+    def lower(self, metric: str, chain: np.ndarray) -> np.ndarray:
+        """``modular_lower`` along the positions ``chain``."""
+        per_node = np.empty(len(self.ceiling))
+        per_node[chain] = self.evaluator.chain_increments(self.ceiling[chain], metric)
+        return per_node
+
+    def fixed(self, metric: str, variant: int) -> np.ndarray:
+        """The X-independent half of ``modular_upper`` (zero on A* for variant 4)."""
+        evaluator, ceiling = self.evaluator, self.ceiling
+        if variant == 1:
+            return evaluator.marginal_vs_rest(ceiling, range(evaluator.node_count), metric)
+        if variant == 2:
+            return evaluator.marginal_many(ceiling, (), metric)
+        if variant == 3:
+            return evaluator.marginal_vs_rest(ceiling, self.lat.may_include, metric)
+        fixed, free = np.zeros(len(ceiling)), ~self.must
+        fixed[free] = evaluator.marginal_many(ceiling[free], self.lat.must_include, metric)
+        return fixed
+
+    def upper(self, metric: str, X: frozenset, inside: np.ndarray, variant: int,
+              fixed: np.ndarray) -> np.ndarray:
+        """``modular_upper`` at X (mask ``inside``) but its base: ``fixed`` plus the per-X half."""
+        per_node = fixed.copy()
+        if variant in (1, 3):
+            per_node[~inside] = self.evaluator.marginal_many(self.ceiling[~inside], X, metric)
+        else:
+            per_node[inside] = self.evaluator.marginal_vs_rest(self.ceiling[inside], X, metric)
+        return per_node
+
+    def maximizer(self, keep: np.ndarray) -> frozenset:
+        """A*, then the free nodes ``keep`` marks in ``free`` order: the seed
+        set's iteration order, which ``mu_bound`` sums in."""
+        chosen = set(self.lat.must_include)
+        chosen.update(self.free[keep[self.free_at]].tolist())
+        return frozenset(chosen)
 
 
 def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
@@ -132,42 +180,12 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         X = _require_lattice_member(X, lat, "X")
     elif not X <= lat.may_include:
         raise DomainError("X must lie inside the lattice ceiling")
-    ceiling = _ceiling(lat)
-    inside = _member_mask(ceiling, X)
-    per_node = _upper(evaluator, metric, X, inside, variant, ceiling,
-                      _upper_fixed(evaluator, metric, variant, lat, ceiling))
+    bounds = _Bounds(evaluator, lat)
+    inside = bounds.mask(X)
+    per_node = bounds.upper(metric, X, inside, variant, bounds.fixed(metric, variant))
     # Python's sequential sum over the sorted inside nodes; np.sum would round differently
     return ModularFunction(base=evaluator.value(X, metric) - sum(per_node[inside].tolist()),
-                           per_node=dict(zip(ceiling.tolist(), per_node.tolist())))
-
-
-def _upper_fixed(evaluator: MarginalEvaluator, metric: str, variant: int,
-                 lat: Lattice, ceiling: np.ndarray) -> np.ndarray:
-    """The X-independent half of ``modular_upper``, aligned with ``ceiling``.
-
-    Variant 4 leaves A* at zero: the per-X half covers it.
-    """
-    if variant == 1:
-        return evaluator.marginal_vs_rest(ceiling, range(evaluator.node_count), metric)
-    if variant == 2:
-        return evaluator.marginal_many(ceiling, (), metric)
-    if variant == 3:
-        return evaluator.marginal_vs_rest(ceiling, lat.may_include, metric)
-    fixed = np.zeros(len(ceiling))
-    free = ~_member_mask(ceiling, lat.must_include)
-    fixed[free] = evaluator.marginal_many(ceiling[free], lat.must_include, metric)
-    return fixed
-
-
-def _upper(evaluator: MarginalEvaluator, metric: str, X: frozenset, inside: np.ndarray,
-           variant: int, ceiling: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """``modular_upper`` at X (mask ``inside``) without its base: ``fixed`` plus the per-X half."""
-    per_node = fixed.copy()
-    if variant in (1, 3):
-        per_node[~inside] = evaluator.marginal_many(ceiling[~inside], X, metric)
-    else:
-        per_node[inside] = evaluator.marginal_vs_rest(ceiling[inside], X, metric)
-    return per_node
+                           per_node=dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
 
 
 def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator) -> list:
@@ -179,19 +197,8 @@ def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator) -> list:
     yields valid bounds, only their tightness away from X differs.
     """
     X = _require_lattice_member(X, lat, "X")
-    ceiling = _ceiling(lat)
-    return ceiling[_chain(_rank(evaluator, ceiling), _member_mask(ceiling, X),
-                          _member_mask(ceiling, lat.must_include))].tolist()
-
-
-def _rank(evaluator: MarginalEvaluator, ceiling: np.ndarray) -> np.ndarray:
-    """Positions in ``ceiling`` by descending profit singleton f(v | empty), ties by id."""
-    return np.lexsort((ceiling, -evaluator.marginal_many(ceiling, (), "profit")))
-
-
-def _chain(rank: np.ndarray, inside: np.ndarray, must: np.ndarray) -> np.ndarray:
-    """``make_permutation``'s positions: ``rank`` stably split into A*, X - A* and B* - X."""
-    return rank[np.argsort((2 - inside - must)[rank], kind="stable")]
+    bounds = _Bounds(evaluator, lat)
+    return bounds.ceiling[bounds.chain(bounds.rank(), bounds.mask(X))].tolist()
 
 
 def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
@@ -205,7 +212,7 @@ def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
     """
     X = _require_lattice_member(X, lat, "X")
     pi = np.asarray(pi, dtype=np.int64)
-    ceiling = _ceiling(lat)
+    ceiling = _Bounds(evaluator, lat).ceiling
     if len(pi) != len(ceiling) or not np.array_equal(np.sort(pi), ceiling):
         raise DomainError("permutation must cover the lattice ceiling exactly once")
     pi = pi.tolist()
@@ -218,14 +225,6 @@ def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
         pi, evaluator.chain_increments(pi, metric).tolist())))
 
 
-def _lower(evaluator: MarginalEvaluator, metric: str, ceiling: np.ndarray,
-           chain: np.ndarray) -> np.ndarray:
-    """``modular_lower`` along ``chain``, positions in ``ceiling``, aligned with ``ceiling``."""
-    per_node = np.empty(len(ceiling))
-    per_node[chain] = evaluator.chain_increments(ceiling[chain], metric)
-    return per_node
-
-
 def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
                                 lat: Lattice) -> frozenset:
     """Arg max over the lattice of pos(Y) - neg(Y).
@@ -233,19 +232,13 @@ def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
     Both functions are additive, so the maximizer is A* plus every free node
     whose per-node difference is strictly positive; exact zeros stay out.
     """
-    free = _free(lat)
+    bounds = _Bounds(None, lat)
+    diff = np.zeros(len(bounds.ceiling))
     try:
-        diff = np.array([pos.per_node[v] - neg.per_node[v] for v in free.tolist()])
+        diff[bounds.free_at] = [pos.per_node[v] - neg.per_node[v] for v in bounds.free.tolist()]
     except KeyError as missing:
         raise DomainError(f"node {missing.args[0]} outside the bound's domain") from None
-    return _with_floor(lat, free[diff > 0.0])
-
-
-def _with_floor(lat: Lattice, added: np.ndarray) -> frozenset:
-    """A* plus ``added`` in its order, which sets the iteration order ``mu_bound`` sums in."""
-    chosen = set(lat.must_include)
-    chosen.update(added.tolist())
-    return frozenset(chosen)
+    return bounds.maximizer(diff > 0.0)
 
 
 def _climb(off: np.ndarray, gains_of):
@@ -272,13 +265,13 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
     updated as S grows; a round is one vectorised argmax over all nodes.
     """
     seeds = set(lat.must_include)
-    free = _free(lat)
+    free = lat.free_nodes
     trajectory = []
-    if free.size:  # a lattice with nothing to choose needs no coverage states
+    if free:  # a lattice with nothing to choose needs no coverage states
         benefit = evaluator.coverage_state("benefit", seeds)
         cost = evaluator.coverage_state("cost", seeds)
         off = np.full(evaluator.node_count, -np.inf)
-        off[free] = 0.0
+        off[np.fromiter(free, dtype=np.int64, count=len(free))] = 0.0
         for v, gain in _climb(off, lambda: benefit.gains - cost.gains):
             seeds.add(v)
             benefit.add(v)
@@ -305,27 +298,52 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
         raise DomainError(f"gamma bound variant must be 3 or 4, got {gamma_bound_variant}")
     incumbent = frozenset(lat.must_include)
     trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
-    # what the bounds take from the lattice alone, as arrays aligned with the ceiling
-    ceiling = _ceiling(lat)
-    must = inside = _member_mask(ceiling, lat.must_include)
-    rank = _rank(evaluator, ceiling)
-    cost_fixed = _upper_fixed(evaluator, "cost", gamma_bound_variant, lat, ceiling)
-    free = _free(lat)
-    free_at = np.searchsorted(ceiling, free)
-    for _ in range(100 * max(1, len(free))):
-        benefit_floor = _lower(evaluator, "benefit", ceiling, _chain(rank, inside, must))
-        cost_ceiling = _upper(evaluator, "cost", incumbent, inside, gamma_bound_variant,
-                              ceiling, cost_fixed)
-        nxt = must | (benefit_floor - cost_ceiling > 0.0)  # their difference's maximizer
+    # what the bounds take from the lattice alone, computed once per run
+    bounds = _Bounds(evaluator, lat)
+    inside = bounds.must
+    rank = bounds.rank()
+    cost_fixed = bounds.fixed("cost", gamma_bound_variant)
+    for _ in range(100 * max(1, len(bounds.free))):
+        benefit_floor = bounds.lower("benefit", bounds.chain(rank, inside))
+        cost_ceiling = bounds.upper("cost", incumbent, inside, gamma_bound_variant, cost_fixed)
+        nxt = bounds.must | (benefit_floor - cost_ceiling > 0.0)  # their difference's maximizer
         if np.array_equal(nxt, inside):
             return SelectionResult(
                 f"modmod{gamma_bound_variant - 2}",
                 {"gamma_bound_variant": gamma_bound_variant, "seed": int(seed)},
                 incumbent, trajectory[-1]["profit"], trajectory)
-        inside, incumbent = nxt, _with_floor(lat, free[nxt[free_at]])
-        trajectory.append({"seeds": ceiling[nxt].tolist(), "profit": evaluator.profit(incumbent)})
+        inside, incumbent = nxt, bounds.maximizer(nxt)
+        trajectory.append({"seeds": bounds.ceiling[nxt].tolist(),
+                           "profit": evaluator.profit(incumbent)})
     raise InternalError("modular-modular iteration did not converge; "
                         "the evaluator is inconsistent")
+
+
+def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
+    """Cap on the maximum achievable profit, anchored at a lattice set X.
+
+    One modular lower bound on the cost, tight at X along the singleton
+    permutation, is paired with each of the benefit upper bounds 3 and 4,
+    also tight at X; each difference is maximized over the lattice in closed
+    form, and the smaller maximum is returned.  No seed set anywhere in the
+    lattice, and hence none at all, can beat it under the evaluator's
+    metrics.  Certification (``profitmax.certify``) calls it once per
+    certificate.
+    """
+    X = _require_lattice_member(X, lat, "X")
+    bounds = _Bounds(evaluator, lat)
+    inside = bounds.mask(X)
+    cost_floor = bounds.lower("cost", bounds.chain(bounds.rank(), inside))
+    benefit = evaluator.value(X, "benefit")
+    caps = []
+    for variant in (3, 4):
+        upper = bounds.upper("benefit", X, inside, variant, bounds.fixed("benefit", variant))
+        best = bounds.maximizer(upper - cost_floor > 0.0)
+        # each bound as ModularFunction.evaluate gives it: summed over best as it iterates
+        at = np.searchsorted(bounds.ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))
+        caps.append((benefit - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
+                    - (0.0 + sum(cost_floor[at].tolist())))
+    return min(caps)
 
 
 def baseline(kind: str, g: WeightedGraph, k: int, evaluator: MarginalEvaluator,

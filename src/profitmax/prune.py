@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InternalError
 from .evaluation import MarginalEvaluator
-from .graph import _check_int_ids
+from .graph import _check_values
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class Lattice:
         conv = (lambda v: g.internal_id(v)) if g is not None else int
 
         def nodes(doc, key):
-            return frozenset(conv(v) for v in _check_int_ids(doc[key], key))
+            return frozenset(conv(v) for v in _check_values(doc[key], key))
 
         def margin(step, key):
             if not isinstance(step[key], dict):

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .evaluation import KINDS, MarginalEvaluator
-from .graph import WeightedGraph, _check_int_fields, _check_int_ids, _read_json
+from .graph import WeightedGraph, _check_fields, _check_values, _read_json
 from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
@@ -257,8 +257,11 @@ class RRCollection:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RRCollection":
         args = {key: d[key] for key in ("kind", "node_count", "total_weight", "seed", "sets")}
-        _check_int_fields(d, ("node_count", "seed", "theta"))
-        _check_int_ids(itertools.chain.from_iterable(args["sets"]), "RR set member")
+        _check_fields(d, ("node_count", "seed", "theta"))
+        _check_fields(d, ("total_weight",), "a number")
+        if not math.isfinite(d["total_weight"]):
+            raise ValueError(f"total_weight {d['total_weight']!r} is not finite")
+        _check_values(itertools.chain.from_iterable(args["sets"]), "RR set member")
         c = cls(**args)
         if c.theta != d["theta"]:
             raise DomainError("collection theta does not match its sets")

@@ -234,6 +234,19 @@ class TestExperiment:
         assert main(args + ["--csv", str(b)]) == 0
         assert rows_without_timing(a) == rows_without_timing(b)
 
+    def test_one_job_loads_the_graph_once(self, demo_files, tmp_path, monkeypatch):
+        cli = sys.modules["profitmax.cli"]
+        loads = []
+        load = cli._load_weighted_graph
+        monkeypatch.setattr(cli, "_load_weighted_graph",
+                            lambda cfg: loads.append(cfg) or load(cfg))
+        edges, weights = demo_files
+        assert main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", "200", "--algo", "greedy", "--seed", "3",
+                     "--csv", str(tmp_path / "exp.csv")]) == 0
+        assert len(read_rows(tmp_path / "exp.csv")) == 4
+        assert len(loads) == 1
+
     def test_parallel_rows_match_sequential(self, demo_files, tmp_path):
         edges, weights = demo_files
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
@@ -244,21 +257,24 @@ class TestExperiment:
         assert main(args + ["--jobs", "2", "--csv", str(par)]) == 0
         assert rows_without_timing(seq) == rows_without_timing(par)
 
-    def test_row_failures_recorded_and_run_continues(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_row_failures_recorded_and_run_continues(self, tmp_path, capsys, jobs):
         # exact mode on a 21-edge graph exceeds the oracle cap in every row;
-        # the matrix must still be written, with empty result fields
+        # the matrix must still be written, with empty result fields, whether
+        # the rows run here or in worker processes
         lines = "\n".join(f"0 {i + 1} 0.5" for i in range(21))
         big = tmp_path / "big.edges"
         big.write_text(lines + "\n", encoding="utf-8")
         csv_path = tmp_path / "exp.csv"
         code = main(["experiment", "--graph", str(big), "--exact",
-                     "--cost-dist", "uniform", "--algo", "greedy",
+                     "--cost-dist", "uniform", "--algo", "greedy", "--jobs", jobs,
                      "--seed", "2", "--csv", str(csv_path)])
         assert code == 0
         rows = read_rows(csv_path)
         assert len(rows) == 4
         assert all(r["profit"] == "" and r["guarantee"] == "" for r in rows)
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all("failed" in line for line in err)
 
     def test_member_budget_fails_each_row(self, demo_files, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(profitmax.rrsets, "MEMBER_BUDGET", 10)

@@ -442,7 +442,23 @@ class TestRoundTrips:
         (lambda text: text.replace('"benefit"', '"profit"'), "missing key 'benefit'"),
         (lambda text: text.replace("[0, 1, 0.3]", "[0.6, 1.2, 0.3]"),
          r"g\.json: .*edge endpoint 0\.6 is not an integer"),
-    ], ids=["truncated", "missing-key", "float-id"])
+        (lambda text: text.replace("[0, 1, 0.3]", '[0, 1, "0.5"]'),
+         r"g\.json: .*edge probability '0\.5' is not a number"),
+        (lambda text: text.replace("[0, 1, 0.3]", "[0, 1, true]"),
+         r"g\.json: .*edge probability True is not a number"),
+        (lambda text: text.replace("[0, 1, 0.3]", f"[0, 1, {10**400}]"),
+         r"g\.json: .*int too large to convert to float"),
+        (lambda text: text.replace('"benefit": [1.5,', '"benefit": ["1.5",'),
+         r"g\.json: .*benefit weight '1\.5' is not a number"),
+        (lambda text: text.replace('"cost": [1.0,', '"cost": [false,'),
+         r"g\.json: .*cost weight False is not a number"),
+        (lambda text: text.replace('"benefit": [1.5, 2.0, 3.0, 2.0]', '"benefit": null'),
+         r"g\.json: .*benefit None is not a list"),
+        (lambda text: text.replace('"normalized": false', '"normalized": "no"'),
+         r"g\.json: .*normalized 'no' is not a boolean"),
+    ], ids=["truncated", "missing-key", "float-id", "string-probability", "bool-probability",
+            "huge-probability", "string-weight", "bool-weight", "null-benefit",
+            "string-normalized"])
     def test_malformed_graph_json_is_parse_error(self, tmp_path, damage, message):
         path = tmp_path / "g.json"
         save_graph_json(make_demo_graph(), path)

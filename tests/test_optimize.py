@@ -652,9 +652,35 @@ def exact_tie_cases():
         yield g, ExactEvaluator(g)
 
 
+def check_public_helpers(ev, lat, X, monkeypatch):
+    """The public ModularFunction helpers at X against the reference copies."""
+    ceiling = reference_ceiling(lat)
+    pi = make_permutation(lat, X, ev)
+    assert repr(pi) == repr(reference_order(lat, X, ceiling,
+                                            ev.marginal_many(ceiling, (), "profit")))
+    for metric in ("benefit", "cost"):
+        floor = modular_lower(ev, metric, X, pi, lat)
+        assert repr(floor) == repr(reference_chain_bound(ev, metric, pi))
+        for variant in (3, 4):
+            metrics = []
+            with monkeypatch.context() as patch:
+                for name in ("value", "marginal_many", "marginal_vs_rest"):
+                    def counted(*args, _query=getattr(ev, name)):
+                        metrics.append(args[-1])
+                        return _query(*args)
+                    patch.setattr(ev, name, counted)
+                upper = modular_upper(ev, metric, X, variant, lat)
+            assert metrics and "profit" not in metrics
+            fixed = reference_upper_fixed(ev, metric, variant, lat, ceiling)
+            assert repr(upper) == repr(reference_upper_at(
+                ev, metric, X, ev.value(X, metric), variant, ceiling, fixed))
+            assert repr(maximize_modular_difference(upper, floor, lat)) == repr(
+                reference_maximize(upper, floor, lat))
+
+
 class TestBoundsMatchReferenceLoops:
     @staticmethod
-    def check(ev, lat):
+    def check(ev, lat, monkeypatch):
         anchors = [lat.must_include, lat.may_include]
         for variant in (3, 4):
             result = modmod(ev, lat, gamma_bound_variant=variant)
@@ -666,16 +692,17 @@ class TestBoundsMatchReferenceLoops:
         anchors.append(greedy(ev, lat).seeds)
         for X in anchors:
             assert repr(mu_bound(ev, X, lat)) == repr(reference_mu_bound(ev, X, lat))
+            check_public_helpers(ev, lat, X, monkeypatch)
 
-    def test_random_estimators(self):
+    def test_random_estimators(self, monkeypatch):
         for g, est in estimator_cases():
-            self.check(est, trivial_lattice(g.node_count))
-            self.check(est, iterative_prune(est))
+            self.check(est, trivial_lattice(g.node_count), monkeypatch)
+            self.check(est, iterative_prune(est), monkeypatch)
 
-    def test_exact_edgeless_graphs_with_ties(self):
+    def test_exact_edgeless_graphs_with_ties(self, monkeypatch):
         for g, ev in exact_tie_cases():
-            self.check(ev, trivial_lattice(g.node_count))
-            self.check(ev, iterative_prune(ev))
+            self.check(ev, trivial_lattice(g.node_count), monkeypatch)
+            self.check(ev, iterative_prune(ev), monkeypatch)
 
     @pytest.mark.parametrize("cases", [estimator_cases, exact_tie_cases])
     def test_benefitmax_sweeps(self, cases):

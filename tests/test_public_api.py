@@ -28,6 +28,14 @@ def test_certify_module_exposes_mu_bound():
     assert callable(importlib.import_module("profitmax.certify").mu_bound)
 
 
+def test_mu_bound_is_one_object_everywhere():
+    # the harness swaps ``mu_bound`` on the certify module, which ``certify``
+    # calls it through; the package and that module must hold the same function
+    certify_module = importlib.import_module("profitmax.certify")
+    assert profitmax.mu_bound is certify_module.mu_bound
+    assert certify_module.mu_bound is importlib.import_module("profitmax.optimize").mu_bound
+
+
 def test_collection_from_keyword_arguments():
     coll = RRCollection(kind="benefit", node_count=3, total_weight=2.0, seed=5,
                         sets=[[0, 1], [2]])

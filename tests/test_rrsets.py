@@ -713,6 +713,11 @@ class TestErrorLimitFormulas:
         assert sampling_error_limit(upsilon, value, theta - 1, delta) > rel * value
 
 
+# a collection document whose total_weight is the JSON text filled in for %s
+WEIGHT_DOC = ('{"kind": "benefit", "node_count": 2, "total_weight": %s, "seed": 0, "theta": 2,'
+              ' "sets": [[0], [1]]}')
+
+
 class TestSerialization:
     def test_round_trip(self, demo_graph, tmp_path):
         coll = generate(demo_graph, "cost", 300, seed=19)
@@ -730,7 +735,13 @@ class TestSerialization:
         ('{"kind": "benefit", "node_count": 2}', "missing key 'total_weight'"),
         ('{"kind": "benefit", "node_count": 3, "total_weight": 1.0, "seed": 0, "theta": 2,'
          ' "sets": [[0.9], [2.7]]}', r"rr\.json: .*RR set member 0\.9 is not an integer"),
-    ], ids=["truncated", "missing-key", "float-id"])
+        (WEIGHT_DOC % '"3.0"', r"rr\.json: .*total_weight '3\.0' is not a number"),
+        (WEIGHT_DOC % "true", r"rr\.json: .*total_weight True is not a number"),
+        (WEIGHT_DOC % "null", r"rr\.json: .*total_weight None is not a number"),
+        (WEIGHT_DOC % "Infinity", r"rr\.json: .*total_weight inf is not finite"),
+        (WEIGHT_DOC % "NaN", r"rr\.json: .*total_weight nan is not finite"),
+    ], ids=["truncated", "missing-key", "float-id", "string-weight", "bool-weight",
+            "null-weight", "infinite-weight", "nan-weight"])
     def test_malformed_document_is_parse_error(self, tmp_path, text, message):
         path = tmp_path / "rr.json"
         path.write_text(text, encoding="utf-8")
