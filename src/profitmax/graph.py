@@ -239,6 +239,7 @@ class WeightedGraph:
         _check_fields(d, ("node_count",))
         _check_fields(d, ("normalized",), "a boolean")
         _check_fields(d, ("edges", "external_ids", "benefit", "cost"), "a list")
+        _check_rows(d["edges"], "edge", "a list [u, v, p]", size=3)
         _check_values((x for edge in d["edges"] for x in edge[:2]), "edge endpoint")
         _check_values((x for edge in d["edges"] for x in edge[2:]), "edge probability", "a number")
         _check_values(d["external_ids"], "external id")
@@ -328,6 +329,14 @@ def _check_values(values, what: str, kind: str = "an integer"):
         if type(v) not in types:
             raise ValueError(f"{what} {v!r} is not {kind}")
     return values
+
+
+def _check_rows(rows, what: str, shape: str, size=None) -> None:
+    """Raise ValueError unless each of ``rows`` is a JSON list, of ``size``
+    entries when given; the error names the first that is not by its index."""
+    for i, row in enumerate(rows):
+        if type(row) is not list or (size is not None and len(row) != size):
+            raise ValueError(f"{what} {i} is not {shape}")
 
 
 def _check_fields(doc, keys, kind: str = "an integer") -> None:

@@ -23,7 +23,12 @@ become the index without a copy.  The store keeps 4 bytes of member and 4
 of set id per member, plus the offsets; building the index peaks at 8
 bytes per member beyond the members at int32, 16 at int64.  The index
 only finds a node's sets; every per-node count is one pass over the member
-lists of the sets involved (``RRCollection.members_of``).  Greedy
+lists of the sets involved (``RRCollection.members_of``).  Every coverage
+pass reads the member or index positions it needs at most ``_CHUNK``
+(2**15) at a time, so its scratch is a chunk's positions, values and
+counts (about 1 MB) plus arrays of one entry per node or per set, however
+many members it walks; a pass that fits one chunk, as most greedy rounds
+do, runs as one array.  Greedy
 selection uses an incremental coverage state: a mask of the sets the seed
 set covers and, per node, the count of its sets still uncovered,
 decremented only for the sets a new seed covers (the node-selection
@@ -54,7 +59,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .evaluation import KINDS, MarginalEvaluator
-from .graph import WeightedGraph, _check_fields, _check_values, _read_json
+from .graph import WeightedGraph, _check_fields, _check_rows, _check_values, _read_json
 from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
@@ -64,14 +69,52 @@ VISITED_BUDGET = 1 << 20
 MEMBER_BUDGET = 1 << 27
 # packed keys are sorted as int32 when their bound lies below this, else as int64
 INT32_KEYS = 1 << 31
+# positions of the member or index arrays one step of a coverage pass gathers
+_CHUNK = 1 << 15
 
 
-def _spans(ptr, rows) -> np.ndarray:
-    """Positions in a CSR data array of the rows ``rows``, concatenated."""
+def _spans(ptr, rows):
+    """Positions in a CSR data array of the rows ``rows``, concatenated.
+
+    They come in order, in arrays of at most ``_CHUNK`` positions, and in at
+    least one array, empty when the rows are: one array in a tuple when it
+    holds them all, else a generator.  A position is its running index j
+    plus the shift of the row that j falls in.
+    """
     starts = ptr[rows]
     lens = ptr[rows + 1] - starts
     ends = np.cumsum(lens)
-    return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1] if len(ends) else 0)
+    total = int(ends[-1]) if len(ends) else 0
+    starts += lens
+    starts -= ends
+    if total <= _CHUNK:
+        pos = np.repeat(starts, lens)
+        pos += np.arange(total)
+        return (pos,)
+    return _chunks(starts, ends, total)
+
+
+def _chunks(shifts, ends, total):
+    """The positions of ``_spans``, ``_CHUNK`` at a time."""
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        # the rows that [lo, hi) meets: the first ends past lo, the last at or past hi
+        a, b = ends.searchsorted(lo, side="right"), ends.searchsorted(hi) + 1
+        cut = np.minimum(ends[a:b], hi)
+        cut[1:] -= ends[a:b - 1]
+        cut[0] -= lo
+        pos = np.repeat(shifts[a:b], cut)
+        pos += np.arange(lo, hi)
+        yield pos
+
+
+def _tally(ptr, rows, data, length) -> np.ndarray:
+    """Per value 0..length-1, how often it occurs in ``data`` over the rows ``rows``."""
+    chunks = iter(_spans(ptr, rows))
+    counts = np.bincount(data[next(chunks)], minlength=length)
+    for pos in chunks:
+        np.add.at(counts, data[pos], 1)
+    return counts
 
 
 def _distinct(keys) -> np.ndarray:
@@ -196,37 +239,57 @@ class RRCollection:
     def covered(self, seeds) -> np.ndarray:
         """Mask over the sets: which ones the seed set intersects."""
         mask = np.zeros(self.theta, dtype=bool)
-        mask[self.set_ids[_spans(self.node_ptr, seeds)]] = True
+        for pos in _spans(self.node_ptr, seeds):
+            mask[self.set_ids[pos]] = True
         return mask
+
+    def _per_set(self, ufunc, values, out) -> np.ndarray:
+        """out[s] = ufunc of out[s] and of ``values`` at the members of set s.
+
+        The members are read ``_CHUNK`` at a time; the part of a set that a
+        chunk holds starts at the set's offset, or at the chunk's first
+        position for the set it cuts, and the parts fold into ``out``.
+        """
+        ptr = self.set_ptr
+        total = len(self.members)
+        for lo in range(0, total, _CHUNK):
+            hi = min(lo + _CHUNK, total)
+            a, b = ptr.searchsorted(lo, side="right") - 1, ptr.searchsorted(hi)
+            starts = ptr[a:b] - lo
+            starts[0] = 0
+            ufunc(out[a:b], ufunc.reduceat(values[self.members[lo:hi]], starts), out=out[a:b])
+        return out
 
     def cover_counts(self, seed_sets) -> np.ndarray:
         """Per seed set, how many sets it intersects; 64 seed sets per pass.
 
         Bit b of a node's word marks the b-th seed set of a pass, the OR of
         each set's member words marks the seed sets covering it, and the
-        column sums of those bits are the counts.  With no sets (theta 0)
-        ``reduceat`` gets no offsets and every count stays zero.
+        column sums of those bits are the counts, with the bits of
+        ``_CHUNK // 8`` sets unpacked at a time.
         """
         counts = np.zeros(len(seed_sets), dtype=np.int64)
+        step = max(_CHUNK // 8, 1)
         for lo in range(0, len(seed_sets), 64):
             part = seed_sets[lo:lo + 64]
             word = np.zeros(self.node_count, dtype=np.uint64)
             for b, seeds in enumerate(part):
                 word[seeds] |= np.uint64(1 << b)
-            cover = np.bitwise_or.reduceat(word[self.members], self.set_ptr[:-1])
-            # one expression, so no pass's bit matrix outlives it
-            counts[lo:lo + len(part)] = np.unpackbits(
-                cover.astype("<u8", copy=False).view(np.uint8), bitorder="little",
-            ).reshape(-1, 64).sum(axis=0)[:len(part)]
+            cover = self._per_set(np.bitwise_or, word, np.zeros(self.theta, dtype=np.uint64))
+            for s in range(0, self.theta, step):
+                bits = np.unpackbits(cover[s:s + step].astype("<u8", copy=False).view(np.uint8),
+                                     bitorder="little")
+                counts[lo:lo + len(part)] += bits.reshape(-1, 64).sum(
+                    axis=0, dtype=np.int64)[:len(part)]
         return counts
 
     def hits(self, nodes) -> np.ndarray:
         """Per set, how many of the (distinct) ``nodes`` it holds."""
-        return np.bincount(self.set_ids[_spans(self.node_ptr, nodes)], minlength=self.theta)
+        return _tally(self.node_ptr, nodes, self.set_ids, self.theta)
 
     def members_of(self, sets) -> np.ndarray:
         """Per node, how many of the (distinct) ``sets`` hold it."""
-        return np.bincount(self.members[_spans(self.set_ptr, sets)], minlength=self.node_count)
+        return _tally(self.set_ptr, sets, self.members, self.node_count)
 
     def rest_counts(self, whole) -> np.ndarray:
         """Per node v, how many of its sets whole - v leaves uncovered."""
@@ -239,9 +302,10 @@ class RRCollection:
 
     def chain_counts(self, order) -> np.ndarray:
         """Per position i, how many sets order[i] reaches first along the prefix chain."""
-        first = np.full(self.node_count, len(order), dtype=np.int64)
-        first[order[::-1]] = np.arange(len(order) - 1, -1, -1)
-        reached = np.minimum.reduceat(first[self.members], self.set_ptr[:-1])
+        rank = _key_dtype(len(order) + 1)
+        first = np.full(self.node_count, len(order), dtype=rank)
+        first[order[::-1]] = np.arange(len(order) - 1, -1, -1, dtype=rank)
+        reached = self._per_set(np.minimum, first, np.full(self.theta, len(order), dtype=rank))
         return np.bincount(reached, minlength=len(order) + 1)[:len(order)]
 
     def to_json_dict(self) -> dict:
@@ -259,6 +323,8 @@ class RRCollection:
         args = {key: d[key] for key in ("kind", "node_count", "total_weight", "seed", "sets")}
         _check_fields(d, ("node_count", "seed", "theta"))
         _check_fields(d, ("total_weight",), "a number")
+        _check_fields(d, ("sets",), "a list")
+        _check_rows(args["sets"], "RR set", "a list of node ids")
         if not math.isfinite(d["total_weight"]):
             raise ValueError(f"total_weight {d['total_weight']!r} is not finite")
         _check_values(itertools.chain.from_iterable(args["sets"]), "RR set member")
@@ -477,10 +543,10 @@ class RRCoverage:
             if not 0 <= v < coll.node_count:
                 raise _outside(v, coll.node_count)
             sids = coll.set_ids[coll.node_ptr[v]:coll.node_ptr[v + 1]]
+            fresh = sids[~self.covered[sids]]
         else:
-            sids = _distinct(coll.set_ids[_spans(coll.node_ptr,
-                                                 _node_array(nodes, coll.node_count))])
-        fresh = sids[~self.covered[sids]]
+            fresh = np.flatnonzero(coll.covered(_node_array(nodes, coll.node_count))
+                                   > self.covered)
         self.covered[fresh] = True
         self.count += len(fresh)
         self.uncovered -= coll.members_of(fresh)

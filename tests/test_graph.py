@@ -456,9 +456,20 @@ class TestRoundTrips:
          r"g\.json: .*benefit None is not a list"),
         (lambda text: text.replace('"normalized": false', '"normalized": "no"'),
          r"g\.json: .*normalized 'no' is not a boolean"),
+        (lambda text: text.replace("[1, 3, 0.2]", "[1, 3]"),
+         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
+        (lambda text: text.replace("[1, 3, 0.2]", "[1, 3, 0.2, 1]"),
+         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
+        (lambda text: text.replace("[1, 3, 0.2]", "7"),
+         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
+        (lambda text: text.replace("[1, 3, 0.2]", '"ab"'),
+         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
+        (lambda text: text.replace("[1, 3, 0.2]", '{"u": 1, "v": 3, "p": 0.2}'),
+         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
     ], ids=["truncated", "missing-key", "float-id", "string-probability", "bool-probability",
             "huge-probability", "string-weight", "bool-weight", "null-benefit",
-            "string-normalized"])
+            "string-normalized", "two-entry-edge", "four-entry-edge", "number-edge",
+            "string-edge", "object-edge"])
     def test_malformed_graph_json_is_parse_error(self, tmp_path, damage, message):
         path = tmp_path / "g.json"
         save_graph_json(make_demo_graph(), path)

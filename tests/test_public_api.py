@@ -1,6 +1,9 @@
 """The library surface the benchmark harness and outside callers rely on."""
 
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +15,26 @@ def test_every_exported_name_resolves():
     assert len(profitmax.__all__) == len(set(profitmax.__all__))
     for name in profitmax.__all__:
         assert getattr(profitmax, name) is not None, name
+
+
+def test_runtime_imports_are_stdlib_numpy_or_profitmax():
+    # numpy is the only runtime dependency: a third-party import that happens
+    # to be installed (scipy, say) would otherwise pass unnoticed
+    allowed = set(sys.stdlib_module_names) | {"numpy", "profitmax"}
+    paths = sorted(Path(profitmax.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_estimator_queries_are_its_own_methods():

@@ -100,6 +100,84 @@ def reference_reach(starts, rng, csr):
     return np.concatenate(sizes), np.concatenate(members)
 
 
+def reference_spans(ptr, rows):
+    """``rrsets._spans`` as it was before chunking: all positions in one array."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts + lens - ends, lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
+class OneShotPasses:
+    """A collection's coverage passes as they were before chunking: one
+    ``reference_spans`` and one ``bincount``, or one ``reduceat`` over every
+    member, per pass."""
+
+    def __init__(self, coll):
+        self.coll = coll
+
+    def covered(self, seeds):
+        c = self.coll
+        mask = np.zeros(c.theta, dtype=bool)
+        mask[c.set_ids[reference_spans(c.node_ptr, seeds)]] = True
+        return mask
+
+    def hits(self, nodes):
+        c = self.coll
+        return np.bincount(c.set_ids[reference_spans(c.node_ptr, nodes)], minlength=c.theta)
+
+    def members_of(self, sets):
+        c = self.coll
+        return np.bincount(c.members[reference_spans(c.set_ptr, sets)], minlength=c.node_count)
+
+    def rest_counts(self, whole):
+        whole = np.unique(whole)
+        hits = self.hits(whole)
+        counts = self.members_of(np.flatnonzero(hits == 0))
+        counts[whole] = self.members_of(np.flatnonzero(hits == 1))[whole]
+        return counts
+
+    def chain_counts(self, order):
+        c = self.coll
+        first = np.full(c.node_count, len(order), dtype=np.int64)
+        first[order[::-1]] = np.arange(len(order) - 1, -1, -1)
+        reached = np.minimum.reduceat(first[c.members], c.set_ptr[:-1])
+        return np.bincount(reached, minlength=len(order) + 1)[:len(order)]
+
+    def cover_counts(self, seed_sets):
+        c = self.coll
+        counts = np.zeros(len(seed_sets), dtype=np.int64)
+        for lo in range(0, len(seed_sets), 64):
+            part = seed_sets[lo:lo + 64]
+            word = np.zeros(c.node_count, dtype=np.uint64)
+            for b, seeds in enumerate(part):
+                word[seeds] |= np.uint64(1 << b)
+            cover = np.bitwise_or.reduceat(word[c.members], c.set_ptr[:-1])
+            counts[lo:lo + len(part)] = np.unpackbits(
+                cover.astype("<u8", copy=False).view(np.uint8), bitorder="little",
+            ).reshape(-1, 64).sum(axis=0)[:len(part)]
+        return counts
+
+    def coverage(self, base):
+        """(covered, uncovered, count) of an ``RRCoverage`` of ``base``, from scratch."""
+        covered = self.covered(base)
+        uncovered = np.diff(self.coll.node_ptr) - self.members_of(np.flatnonzero(covered))
+        return covered, uncovered, int(np.count_nonzero(covered))
+
+
+@st.composite
+def coverage_cases(draw):
+    """(collection, distinct node ids, distinct set ids): theta may be 0,
+    sets may hold one member, and either query may select no rows."""
+    n = draw(st.integers(1, 8))
+    nodes = st.integers(0, n - 1)
+    sets = draw(st.lists(st.lists(nodes, min_size=1, max_size=n, unique=True), max_size=12))
+    coll = collection_from_sets(sets, node_count=n)
+    ids = lambda limit: st.lists(st.integers(0, limit - 1), unique=True, max_size=limit).map(
+        lambda v: np.array(v, dtype=np.int64)) if limit else st.just(np.zeros(0, np.int64))
+    return coll, draw(ids(n)), draw(ids(len(sets)))
+
+
 @st.composite
 def reach_cases(draw):
     """(graph, starts, coin seed, visited budget): small graphs whose rows mix
@@ -396,6 +474,97 @@ class TestCoverage:
         coll = collection_from_sets([[0, 2], [1]], node_count=4)
         got = coll.members_of(np.zeros(0, dtype=np.int64))
         assert got.dtype == np.int64 and got.tolist() == [0, 0, 0, 0]
+
+
+class TestChunkedPasses:
+    """Every coverage pass, its members read a few positions at a time, equals
+    the one-shot pass over all of them."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=coverage_cases(), chunk=st.sampled_from([1, 2, 7]), data=st.data())
+    def test_passes_match_one_shot(self, case, chunk, data):
+        coll, nodes, sets = case
+        ref = OneShotPasses(coll)
+        n = coll.node_count
+        node_lists = st.lists(st.integers(0, n - 1), max_size=2 * n).map(
+            lambda v: np.array(v, dtype=np.int64))
+        order, seeds = data.draw(node_lists), data.draw(node_lists)
+        seed_sets = data.draw(st.lists(node_lists, max_size=4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rrsets, "_CHUNK", chunk)
+            self.assert_same(coll.members_of(sets), ref.members_of(sets))
+            self.assert_same(coll.hits(nodes), ref.hits(nodes))
+            self.assert_same(coll.rest_counts(seeds), ref.rest_counts(seeds))
+            self.assert_same(coll.covered(seeds), ref.covered(seeds))
+            self.assert_same(coll.chain_counts(order), ref.chain_counts(order))
+            self.assert_same(coll.cover_counts(seed_sets), ref.cover_counts(seed_sets))
+            if coll.theta:
+                est = counting_estimator(coll.sets, n)
+                rho = est.rho("benefit")
+                want = np.array([rho * np.count_nonzero(ref.covered(s)) for s in seed_sets])
+                assert np.array_equal(est.value_many(seed_sets, "benefit"), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=coverage_cases(), chunk=st.sampled_from([1, 2, 7]), data=st.data())
+    def test_coverage_and_lattice_states_match_one_shot(self, case, chunk, data):
+        coll, may, _ = case
+        ref = OneShotPasses(coll)
+        n = coll.node_count
+        node = st.integers(0, n - 1)
+        must = may[:data.draw(st.integers(0, len(may)))]
+        steps = data.draw(st.lists(st.tuples(st.one_of(node, st.lists(node, max_size=n)),
+                                             st.lists(node, max_size=n)), max_size=4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rrsets, "_CHUNK", chunk)
+            lattice = rrsets.RRLattice(coll, 1.0, must, may)
+            base, inside = set(must.tolist()), set(may.tolist())
+            for added, removed in [((), ())] + steps:
+                lattice.tighten(added, removed)
+                base |= {added} if isinstance(added, int) else set(added)
+                inside -= set(removed)
+                covered, uncovered, count = ref.coverage(np.array(sorted(base), dtype=np.int64))
+                inner = lattice.inner
+                self.assert_same(inner.covered, covered)
+                self.assert_same(inner.uncovered, uncovered)
+                assert inner.count == count
+                b = np.array(sorted(inside), dtype=np.int64)
+                hits = ref.hits(b)
+                self.assert_same(lattice.hits, hits)
+                # sole counts only for the nodes of B
+                sole = ref.members_of(np.flatnonzero(hits == 1))
+                self.assert_same(lattice.sole[b], sole[b])
+
+    def test_every_pass_peaks_below_a_member_independent_bound(self):
+        # 50k sets of 40 members: 2M members, whose int32 store alone is 8 MB;
+        # an int64 position per member would be 16 MB more
+        n, theta, size = 1000, 50_000, 40
+        members = (np.arange(theta)[:, None] * 7 + np.arange(size) * 25) % n
+        coll = RRCollection._from_csr("benefit", n, 1.0, 0, np.arange(theta + 1) * size,
+                                      members.astype(np.int32).ravel())
+        sets, nodes = np.arange(theta), np.arange(n)
+        # a chunk's positions, gathered values and bincount copy, plus per-row
+        # and per-node arrays
+        bound = 32 * rrsets._CHUNK + 64 * (n + theta)
+        assert bound < 4 * len(coll.members)
+        passes = {"members_of": lambda: coll.members_of(sets),
+                  "hits": lambda: coll.hits(nodes),
+                  "rest_counts": lambda: coll.rest_counts(nodes),
+                  "covered": lambda: coll.covered(nodes),
+                  "chain_counts": lambda: coll.chain_counts(nodes),
+                  "cover_counts": lambda: coll.cover_counts([nodes[::2], nodes[1::2]])}
+        for name, run in passes.items():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (name, peak)
 
 
 class TestMarginalCoverage:
@@ -717,6 +886,10 @@ class TestErrorLimitFormulas:
 WEIGHT_DOC = ('{"kind": "benefit", "node_count": 2, "total_weight": %s, "seed": 0, "theta": 2,'
               ' "sets": [[0], [1]]}')
 
+# a collection document whose sets are the JSON text filled in for %s
+SETS_DOC = ('{"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0, "theta": 2,'
+            ' "sets": %s}')
+
 
 class TestSerialization:
     def test_round_trip(self, demo_graph, tmp_path):
@@ -740,8 +913,13 @@ class TestSerialization:
         (WEIGHT_DOC % "null", r"rr\.json: .*total_weight None is not a number"),
         (WEIGHT_DOC % "Infinity", r"rr\.json: .*total_weight inf is not finite"),
         (WEIGHT_DOC % "NaN", r"rr\.json: .*total_weight nan is not finite"),
+        (SETS_DOC % "[[0, 1], 2]", r"rr\.json: .*RR set 1 is not a list of node ids"),
+        (SETS_DOC % '[[0], "1"]', r"rr\.json: .*RR set 1 is not a list of node ids"),
+        (SETS_DOC % '{"a": 1}', r"rr\.json: .*sets \{'a': 1\} is not a list"),
+        (SETS_DOC % "3", r"rr\.json: .*sets 3 is not a list"),
     ], ids=["truncated", "missing-key", "float-id", "string-weight", "bool-weight",
-            "null-weight", "infinite-weight", "nan-weight"])
+            "null-weight", "infinite-weight", "nan-weight", "number-set", "string-set",
+            "object-sets", "number-sets"])
     def test_malformed_document_is_parse_error(self, tmp_path, text, message):
         path = tmp_path / "rr.json"
         path.write_text(text, encoding="utf-8")
