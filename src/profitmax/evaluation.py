@@ -3,8 +3,8 @@
 Pruning, seed selection and certification are written against this interface
 so they run unchanged on the exact oracle (small graphs) and on the
 reverse-reachable sampling estimator (any scale).  Subclasses must implement
-``value``; the batched helpers, the coverage state and the lattice state
-have generic fallbacks that subclasses may override with faster paths.
+``value``; the batched helpers and the coverage state, the one incremental
+query, have generic fallbacks that subclasses may override with faster paths.
 
 The batched queries (``marginal_many``, ``marginal_vs_rest`` and
 ``chain_increments``) return float64 arrays aligned with the nodes asked
@@ -24,55 +24,46 @@ KINDS = ("benefit", "cost")
 
 
 class CoverageState:
-    """One side's value and every node's marginal for a growing seed set S.
+    """One side's value and marginals for a seed set S that nodes enter and leave.
 
-    ``value`` is f(S), ``gains[v]`` is f(v | S) (zero on S itself) and
-    ``add(v)`` puts v into S.  This generic version recomputes both with
-    ``marginal_many`` after each addition; an evaluator with incremental
-    structure returns its own object with these three members.
+    ``add(nodes)`` and ``remove(nodes)`` take one node or several; a node
+    already on that side of S is left as it is.  ``value`` is f(S),
+    ``gains[v]`` is f(v | S) (zero on S itself) and ``inside(nodes)`` is
+    f(v | S - v), a float64 array aligned with ``nodes``.  This generic
+    version asks ``value``, ``marginal_many`` and ``marginal_vs_rest`` on
+    every read; an evaluator with incremental structure returns its own
+    object with these members.
     """
 
-    def __init__(self, evaluator, metric: str, base=()):
+    def __init__(self, evaluator, metric: str, seeds=()):
         self.evaluator, self.metric = evaluator, metric
-        self.seeds = {int(v) for v in base}
-        self._refresh()
+        self.seeds = set(_ids(seeds))
 
-    def add(self, v) -> None:
-        self.seeds.add(int(v))
-        self._refresh()
+    def add(self, nodes) -> None:
+        self.seeds.update(_ids(nodes))
 
-    def _refresh(self):
+    def remove(self, nodes) -> None:
+        self.seeds.difference_update(_ids(nodes))
+
+    @property
+    def value(self) -> float:
+        return self.evaluator.value(frozenset(self.seeds), self.metric)
+
+    @property
+    def gains(self) -> np.ndarray:
         ev, base = self.evaluator, frozenset(self.seeds)
         rest = [v for v in range(ev.node_count) if v not in base]
-        self.value = ev.value(base, self.metric)
-        self.gains = np.zeros(ev.node_count)
-        self.gains[rest] = ev.marginal_many(rest, base, self.metric)
+        gains = np.zeros(ev.node_count)
+        gains[rest] = ev.marginal_many(rest, base, self.metric)
+        return gains
+
+    def inside(self, nodes) -> np.ndarray:
+        return self.evaluator.marginal_vs_rest(nodes, frozenset(self.seeds), self.metric)
 
 
-class LatticeState:
-    """One side's pruning anchors for a lattice [A, B] that tightens.
-
-    ``ceiling(nodes)`` is f(v | A) and ``floor(nodes)`` is f(v | B - v),
-    for v in B, as float64 arrays aligned with ``nodes``;
-    ``tighten(added, removed)`` puts ``added`` into A and takes ``removed``
-    out of B.  This generic version asks ``marginal_many`` and
-    ``marginal_vs_rest`` on every query; an evaluator with incremental
-    structure returns its own object with these three members.
-    """
-
-    def __init__(self, evaluator, metric: str, must, may):
-        self.evaluator, self.metric = evaluator, metric
-        self.must, self.may = frozenset(must), frozenset(may)
-
-    def floor(self, nodes) -> np.ndarray:
-        return self.evaluator.marginal_vs_rest(nodes, self.may, self.metric)
-
-    def ceiling(self, nodes) -> np.ndarray:
-        return self.evaluator.marginal_many(nodes, self.must, self.metric)
-
-    def tighten(self, added, removed) -> None:
-        self.must |= frozenset(added)
-        self.may -= frozenset(removed)
+def _ids(nodes) -> list:
+    """One node id, or each of several, as a list of ints."""
+    return [int(nodes)] if np.isscalar(nodes) else [int(v) for v in nodes]
 
 
 class MarginalEvaluator:
@@ -144,21 +135,16 @@ class MarginalEvaluator:
             prev = cur
         return np.array(incs, dtype=np.float64)
 
-    def coverage_state(self, metric: str, base=()) -> CoverageState:
-        """Incremental f(S) and marginals f(v | S) for a benefit or cost side."""
+    def coverage_state(self, metric: str, seeds=()) -> CoverageState:
+        """f(S), f(v | S) and f(v | S - v) for a benefit or cost side, kept
+        as nodes enter and leave S."""
         self._check_kind(metric)
-        return CoverageState(self, metric, base)
-
-    def lattice_state(self, metric: str, must, may) -> LatticeState:
-        """Incremental f(v | A) and f(v | B - v) for a benefit or cost side."""
-        self._check_kind(metric)
-        return LatticeState(self, metric, must, may)
+        return CoverageState(self, metric, seeds)
 
     @staticmethod
     def _check_kind(metric):
         if metric not in KINDS:
-            raise DomainError(f"coverage and lattice states track one side; "
-                              f"expected one of {KINDS}")
+            raise DomainError(f"coverage states track one side; expected one of {KINDS}")
 
     @staticmethod
     def _check_metric(metric):

@@ -127,14 +127,14 @@ class _Bounds:
         fixed[free] = evaluator.marginal_many(ceiling[free], self.lat.must_include, metric)
         return fixed
 
-    def upper(self, metric: str, X: frozenset, inside: np.ndarray, variant: int,
-              fixed: np.ndarray) -> np.ndarray:
-        """``modular_upper`` at X (mask ``inside``) but its base: ``fixed`` plus the per-X half."""
+    def upper(self, state, inside: np.ndarray, variant: int, fixed: np.ndarray) -> np.ndarray:
+        """``modular_upper`` at X (mask ``inside``) but its base: ``fixed`` plus the
+        per-X half, read from ``state``, the metric's coverage state at X."""
         per_node = fixed.copy()
         if variant in (1, 3):
-            per_node[~inside] = self.evaluator.marginal_many(self.ceiling[~inside], X, metric)
+            per_node[~inside] = state.gains[self.ceiling[~inside]]
         else:
-            per_node[inside] = self.evaluator.marginal_vs_rest(self.ceiling[inside], X, metric)
+            per_node[inside] = state.inside(self.ceiling[inside])
         return per_node
 
     def maximizer(self, keep: np.ndarray) -> frozenset:
@@ -170,8 +170,9 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         3        f(v | B* - v)          f(v | X)      outside X
         4        f(v | A*) on B* - A*   f(v | X - v)  inside X
 
-    ``modmod`` computes the fixed half once per run and adds the per-X half
-    each round, both as arrays aligned with the sorted ceiling.
+    The per-X half is a coverage state at X: its gains outside X, ``inside``
+    within.  ``modmod`` computes the fixed half once per run and moves the
+    state with X, both on arrays aligned with the sorted ceiling.
     """
     if variant not in (1, 2, 3, 4):
         raise DomainError(f"unknown modular upper bound variant {variant}")
@@ -182,7 +183,8 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         raise DomainError("X must lie inside the lattice ceiling")
     bounds = _Bounds(evaluator, lat)
     inside = bounds.mask(X)
-    per_node = bounds.upper(metric, X, inside, variant, bounds.fixed(metric, variant))
+    per_node = bounds.upper(evaluator.coverage_state(metric, X), inside, variant,
+                            bounds.fixed(metric, variant))
     # Python's sequential sum over the sorted inside nodes; np.sum would round differently
     return ModularFunction(base=evaluator.value(X, metric) - sum(per_node[inside].tolist()),
                            per_node=dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
@@ -248,7 +250,7 @@ def _climb(off: np.ndarray, gains_of):
     states before the next round, which first sets the node's ``off`` to -inf."""
     while True:
         net = gains_of() + off
-        best = int(np.argmax(net))
+        best = int(net.argmax())
         if net[best] <= 0.0:
             return
         yield best, float(net[best])
@@ -303,15 +305,18 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     inside = bounds.must
     rank = bounds.rank()
     cost_fixed = bounds.fixed("cost", gamma_bound_variant)
+    cost = evaluator.coverage_state("cost", incumbent)  # moved along with the incumbent
     for _ in range(100 * max(1, len(bounds.free))):
         benefit_floor = bounds.lower("benefit", bounds.chain(rank, inside))
-        cost_ceiling = bounds.upper("cost", incumbent, inside, gamma_bound_variant, cost_fixed)
+        cost_ceiling = bounds.upper(cost, inside, gamma_bound_variant, cost_fixed)
         nxt = bounds.must | (benefit_floor - cost_ceiling > 0.0)  # their difference's maximizer
         if np.array_equal(nxt, inside):
             return SelectionResult(
                 f"modmod{gamma_bound_variant - 2}",
                 {"gamma_bound_variant": gamma_bound_variant, "seed": int(seed)},
                 incumbent, trajectory[-1]["profit"], trajectory)
+        cost.remove(bounds.ceiling[inside & ~nxt])
+        cost.add(bounds.ceiling[nxt & ~inside])
         inside, incumbent = nxt, bounds.maximizer(nxt)
         trajectory.append({"seeds": bounds.ceiling[nxt].tolist(),
                            "profit": evaluator.profit(incumbent)})
@@ -335,9 +340,10 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     inside = bounds.mask(X)
     cost_floor = bounds.lower("cost", bounds.chain(bounds.rank(), inside))
     benefit = evaluator.value(X, "benefit")
+    state = evaluator.coverage_state("benefit", X)  # both benefit bounds' per-X half
     caps = []
     for variant in (3, 4):
-        upper = bounds.upper("benefit", X, inside, variant, bounds.fixed("benefit", variant))
+        upper = bounds.upper(state, inside, variant, bounds.fixed("benefit", variant))
         best = bounds.maximizer(upper - cost_floor > 0.0)
         # each bound as ModularFunction.evaluate gives it: summed over best as it iterates
         at = np.searchsorted(bounds.ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))

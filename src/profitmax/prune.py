@@ -22,6 +22,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, InternalError
 from .evaluation import MarginalEvaluator
 from .graph import _check_values
@@ -126,43 +128,46 @@ def trivial_lattice(node_count: int) -> Lattice:
 def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
     """Shrink the search space to a fixpoint lattice.
 
-    The evaluator supplies one lattice state per side (benefit, cost) that
-    answers the floors f(v | B - v) and the ceilings f(v | A), and is
-    tightened as A grows and B shrinks.  It must answer consistently across
-    calls (exact oracle, or estimates on frozen collections).  An
-    inconsistent evaluator breaks the nesting guarantee A <= A' <= B' <= B
-    and is reported as an InternalError rather than silently clamped: it
-    means the sample size is too small to prune with.
+    Per side (benefit, cost) the evaluator keeps two coverage states: one
+    at A, which nodes only enter, whose gains are the ceilings f(v | A), and
+    one at B, which nodes only leave, whose ``inside`` gives the floors
+    f(v | B - v).  The evaluator must answer consistently across calls
+    (exact oracle, or estimates on frozen collections).  An inconsistent
+    evaluator breaks the nesting guarantee A <= A' <= B' <= B and is
+    reported as an InternalError rather than silently clamped: it means the
+    sample size is too small to prune with.
     """
     if nodes is None:
         nodes = range(evaluator.node_count)
     must = frozenset()
     may = frozenset(int(v) for v in nodes)
     steps = [PruneStep(must, may)]
-    benefit = evaluator.lattice_state("benefit", must, may)
-    cost = evaluator.lattice_state("cost", must, may)
+    at_a = {kind: evaluator.coverage_state(kind) for kind in ("benefit", "cost")}
+    at_b = {kind: evaluator.coverage_state(kind, may) for kind in ("benefit", "cost")}
     # each non-final iteration moves at least one node, so |nodes| + 1
     # passes suffice for any consistent evaluator
     for _ in range(len(may) + 1):
         undecided = sorted(may - must)
-        benefit_floor = benefit.floor(undecided)
-        cost_floor = cost.floor(undecided)
-        benefit_ceiling = benefit.ceiling(undecided)
-        cost_ceiling = cost.ceiling(undecided)
-        lower = dict(zip(undecided, (benefit_floor - cost_ceiling).tolist()))
-        upper = dict(zip(undecided, (benefit_ceiling - cost_floor).tolist()))
-        next_must = must | {v for v in undecided if lower[v] > 0.0}
-        next_may = may - {v for v in undecided if upper[v] < 0.0}
+        at = np.array(undecided, dtype=np.int64)
+        benefit_floor = at_b["benefit"].inside(at)
+        cost_floor = at_b["cost"].inside(at)
+        benefit_ceiling = at_a["benefit"].gains[at]
+        cost_ceiling = at_a["cost"].gains[at]
+        lower, upper = benefit_floor - cost_ceiling, benefit_ceiling - cost_floor
+        grow, shrink = at[lower > 0.0], at[upper < 0.0]
+        next_must = must.union(grow.tolist())
+        next_may = may.difference(shrink.tolist())
         if not (must <= next_must <= next_may <= may):
             raise InternalError(
                 "pruning nesting violated; the evaluator is inconsistent "
                 "(estimates too noisy or not frozen)")
-        steps.append(PruneStep(next_must, next_may, lower, upper))
+        steps.append(PruneStep(next_must, next_may, dict(zip(undecided, lower.tolist())),
+                               dict(zip(undecided, upper.tolist()))))
         if next_must == must and next_may == may:
             return Lattice(next_must, next_may, iterations=steps)
-        for state in (benefit, cost):
-            state.tighten(next_must - must, may - next_may)
+        for kind in ("benefit", "cost"):
+            at_a[kind].add(grow)
+            at_b[kind].remove(shrink)
         must, may = next_must, next_may
     raise InternalError("pruning did not converge within the iteration bound; "
                         "the evaluator is inconsistent")
-

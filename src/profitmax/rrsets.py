@@ -28,15 +28,15 @@ pass reads the member or index positions it needs at most ``_CHUNK``
 (2**15) at a time, so its scratch is a chunk's positions, values and
 counts (about 1 MB) plus arrays of one entry per node or per set, however
 many members it walks; a pass that fits one chunk, as most greedy rounds
-do, runs as one array.  Greedy
-selection uses an incremental coverage state: a mask of the sets the seed
-set covers and, per node, the count of its sets still uncovered,
-decremented only for the sets a new seed covers (the node-selection
-scheme of IMM, Tang, Shi and Xiao, SIGMOD 2015), so a whole greedy run
-touches each member of each set once.  Pruning keeps such a state for its
-floor A and, for its ceiling B, per-set counts of the nodes of B, updated
-only for the sets a node leaving B touches (``RRLattice``).  Many seed sets
-are counted at once, bit-parallel: each node gets a 64-bit word whose bit b
+do, runs as one array.  Selection, pruning and the modular bounds share one
+incremental coverage state (``RRCoverage``) per side over a seed set S:
+per set, how many nodes of S it holds, and per node, how many of its sets
+hold none, changed only for the sets whose count an entering or leaving
+node moves to or from zero (the node-selection scheme of IMM, Tang, Shi
+and Xiao, SIGMOD 2015, extended to removals), so a whole greedy run
+touches each member of each set once.  The same counts give f(v | S - v)
+for v in S from the sets that hold one node of S.  Many seed sets are
+counted at once, bit-parallel: each node gets a 64-bit word whose bit b
 marks the b-th seed set, and OR-ing the words of each set's members shows
 which of the 64 seed sets cover it (``RRCollection.cover_counts``).
 
@@ -82,13 +82,14 @@ def _spans(ptr, rows):
     plus the shift of the row that j falls in.
     """
     starts = ptr[rows]
-    lens = ptr[rows + 1] - starts
-    ends = np.cumsum(lens)
+    lens = ptr[rows + 1]
+    lens -= starts
+    ends = lens.cumsum()
     total = int(ends[-1]) if len(ends) else 0
     starts += lens
     starts -= ends
     if total <= _CHUNK:
-        pos = np.repeat(starts, lens)
+        pos = starts.repeat(lens)
         pos += np.arange(total)
         return (pos,)
     return _chunks(starts, ends, total)
@@ -290,15 +291,6 @@ class RRCollection:
     def members_of(self, sets) -> np.ndarray:
         """Per node, how many of the (distinct) ``sets`` hold it."""
         return _tally(self.set_ptr, sets, self.members, self.node_count)
-
-    def rest_counts(self, whole) -> np.ndarray:
-        """Per node v, how many of its sets whole - v leaves uncovered."""
-        whole = _distinct(whole)
-        hits = self.hits(whole)
-        counts = self.members_of(np.flatnonzero(hits == 0))
-        # inside whole, v's own membership is the single allowed hit
-        counts[whole] = self.members_of(np.flatnonzero(hits == 1))[whole]
-        return counts
 
     def chain_counts(self, order) -> np.ndarray:
         """Per position i, how many sets order[i] reaches first along the prefix chain."""
@@ -512,82 +504,96 @@ def theta_for_relative_error(upsilon: float, value: float, rel_err: float,
 
 
 class RRCoverage:
-    """Incremental coverage of one RR collection by a growing seed set S.
+    """Coverage of one RR collection by a seed set S that nodes enter and leave.
 
-    ``covered`` masks the sets S intersects and ``uncovered[v]`` counts the
-    sets containing v that S leaves uncovered, so ``gains`` (rho times those
-    counts) are the marginals f(v | S).  The counts start as index degrees
-    minus the members of the covered sets, and each ``add`` subtracts the
-    members of the sets it newly covers.
+    ``hits[s]`` counts the nodes of S that set s holds; an update moves it by
+    the index rows of the nodes that enter or leave.  ``zero[v]`` counts the
+    sets of v that hold none, so ``gains`` (rho times it) is f(v | S), zero
+    on S, and ``one[v]``, for v in S, the sets whose one node of S is v, so
+    ``inside`` is f(v | S - v).  Each is counted from ``hits`` when first
+    read (``zero`` from the covered sets or the bare ones, whichever are
+    fewer), then moved by the members of the sets whose hits reach or leave
+    zero or one.
     """
 
-    def __init__(self, coll: RRCollection, rho: float, base):
+    def __init__(self, coll: RRCollection, rho: float, seeds):
         self.coll, self.rho = coll, rho
-        self.covered = coll.covered(base)
-        self.uncovered = np.diff(coll.node_ptr) - coll.members_of(np.flatnonzero(self.covered))
-        self.count = int(np.count_nonzero(self.covered))
+        seeds = _distinct(seeds)
+        self.on = np.zeros(coll.node_count, dtype=bool)
+        self.on[seeds] = True
+        self.hits = coll.hits(seeds)
+        self.count = int(np.count_nonzero(self.hits))
+        self.zero = self.one = None
 
     @property
     def gains(self) -> np.ndarray:
-        return self.rho * self.uncovered
+        return self.rho * self._zero()
 
     @property
     def value(self) -> float:
         return self.rho * float(self.count)
 
+    def inside(self, nodes) -> np.ndarray:
+        """f(v | S - v) for each of ``nodes``: f(v | S) for those off S."""
+        nodes = _node_array(nodes, self.coll.node_count)
+        if self.one is None:
+            self.one = self.coll.members_of(np.flatnonzero(self.hits == 1))
+        counts = self.one[nodes]
+        off = ~self.on[nodes]
+        if off.any():
+            counts[off] = self._zero()[nodes[off]]
+        return self.rho * counts
+
+    def _zero(self) -> np.ndarray:
+        if self.zero is None:
+            coll, covered = self.coll, self.hits > 0
+            if 2 * self.count <= coll.theta:
+                self.zero = np.diff(coll.node_ptr) - coll.members_of(np.flatnonzero(covered))
+            else:
+                self.zero = coll.members_of(np.flatnonzero(~covered))
+        return self.zero
+
     def add(self, nodes) -> None:
-        """Put one node, or each of several, into S."""
+        """Put one node, or each of several, into S; nodes in S already stay."""
+        self._move(nodes, True)
+
+    def remove(self, nodes) -> None:
+        """Take one node, or each of several, out of S; nodes off S stay off."""
+        self._move(nodes, False)
+
+    def _move(self, nodes, enter: bool) -> None:
         coll = self.coll
         if np.isscalar(nodes):  # one node's sets are distinct already
-            v = int(nodes)
-            if not 0 <= v < coll.node_count:
-                raise _outside(v, coll.node_count)
-            sids = coll.set_ids[coll.node_ptr[v]:coll.node_ptr[v + 1]]
-            fresh = sids[~self.covered[sids]]
+            nodes = int(nodes)
+            if not 0 <= nodes < coll.node_count:
+                raise _outside(nodes, coll.node_count)
+            if self.on.item(nodes) is enter:
+                return
+            sets = coll.set_ids[coll.node_ptr[nodes]:coll.node_ptr[nodes + 1]]
+            step = 1
         else:
-            fresh = np.flatnonzero(coll.covered(_node_array(nodes, coll.node_count))
-                                   > self.covered)
-        self.covered[fresh] = True
-        self.count += len(fresh)
-        self.uncovered -= coll.members_of(fresh)
-
-
-class RRLattice:
-    """Pruning anchors of one RR collection for a lattice [A, B] that tightens.
-
-    A is an ``RRCoverage``, whose uncovered counts give ``ceiling``, f(v | A).
-    For B, ``hits[s]`` counts the nodes of B that set s holds and ``sole[v]``
-    the sets of v that meet B in v alone, so ``floor`` is f(v | B - v) for v
-    in B.  Taking R out of B lowers ``hits`` by R's index rows, and each set
-    that drops from two or more to one adds one to the node of B it still
-    holds; no other node of B changes.  ``sole`` counts only for nodes of B:
-    it is the members of the sets with one hit, masked to B.
-    """
-
-    def __init__(self, coll: RRCollection, rho: float, must, may):
-        self.coll, self.rho = coll, rho
-        self.inner = RRCoverage(coll, rho, must)
-        may = _distinct(may)
-        self.inside = np.zeros(coll.node_count, dtype=bool)
-        self.inside[may] = True
-        self.hits = coll.hits(may)
-        self.sole = coll.members_of(np.flatnonzero(self.hits == 1)) * self.inside
-
-    def floor(self, nodes) -> np.ndarray:
-        return self.rho * self.sole[_node_array(nodes, self.coll.node_count)]
-
-    def ceiling(self, nodes) -> np.ndarray:
-        return self.rho * self.inner.uncovered[_node_array(nodes, self.coll.node_count)]
-
-    def tighten(self, added, removed) -> None:
-        coll = self.coll
-        self.inner.add(added)
-        removed = _distinct(_node_array(removed, coll.node_count))
-        removed = removed[self.inside[removed]]  # only nodes still in B leave it
-        self.inside[removed] = False
-        lost = coll.hits(removed)
-        self.hits -= lost
-        self.sole += coll.members_of(np.flatnonzero((self.hits == 1) & (lost > 0))) * self.inside
+            nodes = _distinct(_node_array(nodes, coll.node_count))
+            nodes = nodes[self.on[nodes] != enter]
+            if not len(nodes):
+                return
+            step = coll.hits(nodes)
+            sets = np.flatnonzero(step > 0)
+            step = step[sets]
+        self.on[nodes] = enter
+        old = self.hits.take(sets)
+        new = old + step if enter else old - step
+        self.hits.put(sets, new)
+        # the sets S newly covers (old 0) or leaves bare (new 0)
+        flipped = sets[(old if enter else new) == 0]
+        self.count += len(flipped) if enter else -len(flipped)
+        if self.zero is not None:
+            moved = coll.members_of(flipped)
+            self.zero -= moved if enter else -moved
+        if self.one is not None:
+            if enter:  # a set leaving one hit drops its old node; the new ones start over
+                self.one -= coll.members_of(sets[old == 1])
+                self.one[nodes] = 0
+            self.one += coll.members_of(sets[new == 1])
 
 
 class ProfitEstimator(MarginalEvaluator):
@@ -665,25 +671,20 @@ class ProfitEstimator(MarginalEvaluator):
 
     def marginal_many(self, nodes, base, metric: str) -> np.ndarray:
         nodes, base = _node_array(nodes, self.node_count), _node_array(base, self.node_count)
-        return self._scaled(metric, lambda c: RRCoverage(c, 1.0, base).uncovered[nodes])
+        return self._scaled(metric, lambda c: RRCoverage(c, 1.0, base).gains[nodes])
 
     def marginal_vs_rest(self, nodes, whole, metric: str) -> np.ndarray:
         nodes, whole = _node_array(nodes, self.node_count), _node_array(whole, self.node_count)
-        return self._scaled(metric, lambda c: c.rest_counts(whole)[nodes])
+        return self._scaled(metric, lambda c: RRCoverage(c, 1.0, whole).inside(nodes))
 
     def chain_increments(self, order, metric: str) -> np.ndarray:
         order = _node_array(order, self.node_count)
         return self._scaled(metric, lambda c: c.chain_counts(order))
 
-    def coverage_state(self, metric: str, base=()) -> RRCoverage:
+    def coverage_state(self, metric: str, seeds=()) -> RRCoverage:
         self._check_kind(metric)
         return RRCoverage(self._colls[metric], self.rho(metric),
-                          _node_array(base, self.node_count))
-
-    def lattice_state(self, metric: str, must, may) -> RRLattice:
-        self._check_kind(metric)
-        return RRLattice(self._colls[metric], self.rho(metric),
-                         _node_array(must, self.node_count), _node_array(may, self.node_count))
+                          _node_array(seeds, self.node_count))
 
     def coverage_counts(self, seeds):
         """(Lambda_beta, Lambda_gamma): how many sets of each side the seed set covers."""

@@ -338,6 +338,21 @@ class TestModMod:
         assert len(calls) == len(result.trajectory)
         assert result.estimated_profit == profit(result.seeds)
 
+    @staticmethod
+    def counted_modmod(ev, monkeypatch, variant):
+        """modmod's trajectory length, its batched queries and its value queries."""
+        calls, values = [], []
+        for name in ("marginal_many", "marginal_vs_rest", "chain_increments"):
+            def counted(*args, _query=getattr(ev, name), _name=name):
+                calls.append((_name, args[-1]))
+                return _query(*args)
+            monkeypatch.setattr(ev, name, counted)
+        value = ev.value
+        monkeypatch.setattr(ev, "value",
+                            lambda seeds, metric: values.append(metric) or value(seeds, metric))
+        result = modmod(ev, trivial_lattice(ev.node_count), gamma_bound_variant=variant)
+        return len(result.trajectory), calls, values
+
     @pytest.mark.parametrize("variant, anchor, per_x", [
         (3, "marginal_vs_rest", "marginal_many"),
         (4, "marginal_many", "marginal_vs_rest"),
@@ -345,24 +360,28 @@ class TestModMod:
     def test_lattice_anchors_computed_once(self, monkeypatch, variant, anchor, per_x):
         g = random_graph(np.random.default_rng(5), max_nodes=12, max_edges=30)
         est = ProfitEstimator.build(g, 2000, 2000, seed=0)
-        calls = []
-        for name in ("marginal_many", "marginal_vs_rest", "chain_increments"):
-            def counted(*args, _query=getattr(est, name), _name=name):
-                calls.append((_name, args[-1]))
-                return _query(*args)
-            monkeypatch.setattr(est, name, counted)
-        values = []
-        value = est.value
-        monkeypatch.setattr(est, "value",
-                            lambda seeds, metric: values.append(metric) or value(seeds, metric))
-        result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant)
-        rounds = len(result.trajectory)  # each move, then the round that repeats
-        assert rounds >= 2
+        rounds, calls, values = self.counted_modmod(est, monkeypatch, variant)
+        assert rounds >= 2  # each move, then the round that repeats
+        # the per-X cost half comes from one coverage state moved with X,
+        # so no round asks a batched marginal query
         assert calls == ([("marginal_many", "profit"), (anchor, "cost")]
-                         + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
+                         + rounds * [("chain_increments", "benefit")])
         # no f(X) cost query for the cost ceiling's base: the only value
         # queries are the benefit and cost of each trajectory entry's profit
         assert values == rounds * ["benefit", "cost"]
+
+    @pytest.mark.parametrize("variant, anchor, per_x", [
+        (3, "marginal_vs_rest", "marginal_many"),
+        (4, "marginal_many", "marginal_vs_rest"),
+    ])
+    def test_exact_evaluator_asks_per_x_half_each_round(self, monkeypatch, variant, anchor,
+                                                        per_x):
+        # the generic coverage state answers each read with one batched query
+        g = random_graph(np.random.default_rng(13), max_nodes=7, max_edges=12)
+        rounds, calls, _ = self.counted_modmod(ExactEvaluator(g), monkeypatch, variant)
+        assert rounds >= 2
+        assert calls == ([("marginal_many", "profit"), (anchor, "cost")]
+                         + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
 
 
 class TestBaselines:

@@ -232,8 +232,8 @@ def reference_prune_steps(ev, nodes):
         must, may = next_must, next_may
 
 
-class TestLatticeStates:
-    """Pruning on incremental lattice states gives the from-scratch steps."""
+class TestPruneStates:
+    """Pruning on incremental coverage states gives the from-scratch steps."""
 
     @pytest.mark.parametrize("subset", [False, True], ids=["all-nodes", "subset"])
     @pytest.mark.parametrize("exact", [False, True], ids=["estimator", "exact"])

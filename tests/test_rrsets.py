@@ -15,7 +15,7 @@ from profitmax import (CapacityError, DomainError, ExactEvaluator, ParseError,
                        confidence_bounds, generate, load_collection, normalize_weights,
                        sampling_error_limit, save_collection, theta_for_relative_error)
 from profitmax import rrsets
-from profitmax.evaluation import CoverageState, MarginalEvaluator
+from profitmax.evaluation import MarginalEvaluator
 from profitmax.rng import derive_seed
 
 from conftest import brute_evaluate, make_demo_graph, random_graph, random_subset
@@ -130,7 +130,8 @@ class OneShotPasses:
         c = self.coll
         return np.bincount(c.members[reference_spans(c.set_ptr, sets)], minlength=c.node_count)
 
-    def rest_counts(self, whole):
+    def counts_vs_rest(self, whole):
+        """Per node v, how many of its sets whole - v leaves uncovered."""
         whole = np.unique(whole)
         hits = self.hits(whole)
         counts = self.members_of(np.flatnonzero(hits == 0))
@@ -159,7 +160,7 @@ class OneShotPasses:
         return counts
 
     def coverage(self, base):
-        """(covered, uncovered, count) of an ``RRCoverage`` of ``base``, from scratch."""
+        """(covered mask, uncovered count per node, covered count) of ``base``."""
         covered = self.covered(base)
         uncovered = np.diff(self.coll.node_ptr) - self.members_of(np.flatnonzero(covered))
         return covered, uncovered, int(np.count_nonzero(covered))
@@ -498,7 +499,6 @@ class TestChunkedPasses:
             mp.setattr(rrsets, "_CHUNK", chunk)
             self.assert_same(coll.members_of(sets), ref.members_of(sets))
             self.assert_same(coll.hits(nodes), ref.hits(nodes))
-            self.assert_same(coll.rest_counts(seeds), ref.rest_counts(seeds))
             self.assert_same(coll.covered(seeds), ref.covered(seeds))
             self.assert_same(coll.chain_counts(order), ref.chain_counts(order))
             self.assert_same(coll.cover_counts(seed_sets), ref.cover_counts(seed_sets))
@@ -507,36 +507,8 @@ class TestChunkedPasses:
                 rho = est.rho("benefit")
                 want = np.array([rho * np.count_nonzero(ref.covered(s)) for s in seed_sets])
                 assert np.array_equal(est.value_many(seed_sets, "benefit"), want)
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=coverage_cases(), chunk=st.sampled_from([1, 2, 7]), data=st.data())
-    def test_coverage_and_lattice_states_match_one_shot(self, case, chunk, data):
-        coll, may, _ = case
-        ref = OneShotPasses(coll)
-        n = coll.node_count
-        node = st.integers(0, n - 1)
-        must = may[:data.draw(st.integers(0, len(may)))]
-        steps = data.draw(st.lists(st.tuples(st.one_of(node, st.lists(node, max_size=n)),
-                                             st.lists(node, max_size=n)), max_size=4))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rrsets, "_CHUNK", chunk)
-            lattice = rrsets.RRLattice(coll, 1.0, must, may)
-            base, inside = set(must.tolist()), set(may.tolist())
-            for added, removed in [((), ())] + steps:
-                lattice.tighten(added, removed)
-                base |= {added} if isinstance(added, int) else set(added)
-                inside -= set(removed)
-                covered, uncovered, count = ref.coverage(np.array(sorted(base), dtype=np.int64))
-                inner = lattice.inner
-                self.assert_same(inner.covered, covered)
-                self.assert_same(inner.uncovered, uncovered)
-                assert inner.count == count
-                b = np.array(sorted(inside), dtype=np.int64)
-                hits = ref.hits(b)
-                self.assert_same(lattice.hits, hits)
-                # sole counts only for the nodes of B
-                sole = ref.members_of(np.flatnonzero(hits == 1))
-                self.assert_same(lattice.sole[b], sole[b])
+                assert np.array_equal(est.marginal_vs_rest(np.arange(n), seeds, "benefit"),
+                                      rho * ref.counts_vs_rest(seeds))
 
     def test_every_pass_peaks_below_a_member_independent_bound(self):
         # 50k sets of 40 members: 2M members, whose int32 store alone is 8 MB;
@@ -546,16 +518,24 @@ class TestChunkedPasses:
         coll = RRCollection._from_csr("benefit", n, 1.0, 0, np.arange(theta + 1) * size,
                                       members.astype(np.int32).ravel())
         sets, nodes = np.arange(theta), np.arange(n)
+        est = ProfitEstimator(coll, None, WeightedGraph(n, [], benefit=[1.0] + [0.0] * (n - 1)))
+        # one state that the passes below move: half the nodes, then a quarter
+        # more, then a third of them out again
+        state = est.coverage_state("benefit", nodes[::2])
         # a chunk's positions, gathered values and bincount copy, plus per-row
         # and per-node arrays
         bound = 32 * rrsets._CHUNK + 64 * (n + theta)
         assert bound < 4 * len(coll.members)
         passes = {"members_of": lambda: coll.members_of(sets),
                   "hits": lambda: coll.hits(nodes),
-                  "rest_counts": lambda: coll.rest_counts(nodes),
                   "covered": lambda: coll.covered(nodes),
                   "chain_counts": lambda: coll.chain_counts(nodes),
-                  "cover_counts": lambda: coll.cover_counts([nodes[::2], nodes[1::2]])}
+                  "cover_counts": lambda: coll.cover_counts([nodes[::2], nodes[1::2]]),
+                  "marginal_vs_rest": lambda: est.marginal_vs_rest(nodes, nodes[::2], "benefit"),
+                  "coverage_state": lambda: est.coverage_state("benefit", nodes[1::2]),
+                  "inside": lambda: state.inside(nodes),  # counts the one-hit sets
+                  "add": lambda: state.add(nodes[1::4]),
+                  "remove": lambda: state.remove(nodes[::3])}
         for name, run in passes.items():
             tracemalloc.start()
             try:
@@ -727,9 +707,13 @@ class TestEstimator:
         lambda est, v: est.marginal_vs_rest([0], {1, v}, "benefit"),
         lambda est, v: est.chain_increments([0, v], "benefit"),
         lambda est, v: est.coverage_state("cost").add(v),
+        lambda est, v: est.coverage_state("cost", [0]).remove([0, v]),
+        lambda est, v: est.coverage_state("benefit", [0]).inside([v]),
+        lambda est, v: est.coverage_state("benefit", [0, v]),
         lambda est, v: est.value_many([{0}, {0, v}], "cost"),
     ], ids=["value", "marginal", "marginal-base", "marginal_many", "marginal_vs_rest",
-            "marginal_vs_rest-whole", "chain_increments", "coverage_state", "value_many"])
+            "marginal_vs_rest-whole", "chain_increments", "coverage_state", "coverage_state-remove",
+            "coverage_state-inside", "coverage_state-seeds", "value_many"])
     def test_node_ids_outside_the_graph_rejected(self, demo_graph, query, bad):
         est = ProfitEstimator.build(demo_graph, 200, 200, seed=21)
         with pytest.raises(DomainError, match=f"node {bad} outside 0..3"):
@@ -825,35 +809,6 @@ class TestValueMany:
     def test_unknown_metric(self, demo_graph, evaluator):
         with pytest.raises(DomainError, match="unknown metric"):
             evaluator(demo_graph).value_many([], "spread")
-
-
-class TestCoverageState:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32), base=st.lists(st.integers(0, 7), max_size=3),
-           adds=st.lists(st.integers(0, 7), max_size=8),
-           metric=st.sampled_from(["benefit", "cost"]))
-    def test_gains_match_recomputed_marginals(self, seed, base, adds, metric):
-        g = random_graph(np.random.default_rng(seed), max_nodes=8, max_edges=16)
-        n = g.node_count
-        est = ProfitEstimator.build(g, 300, 300, seed=seed)
-        seeds = {v % n for v in base}
-        states = [est.coverage_state(metric, seeds), CoverageState(est, metric, seeds)]
-        for v in [None] + [v % n for v in adds]:
-            if v is not None:
-                seeds.add(v)
-                for state in states:
-                    state.add(v)
-            rest = [u for u in range(n) if u not in seeds]
-            fresh = dict(zip(rest, est.marginal_many(rest, seeds, metric)))
-            for state in states:
-                assert state.gains[rest].tolist() == [fresh[u] for u in rest]
-                assert not state.gains[sorted(seeds)].any()
-                assert state.value == est.value(seeds, metric)
-
-    def test_profit_is_not_a_side(self, demo_graph):
-        est = ProfitEstimator.build(demo_graph, 100, 100, seed=22)
-        with pytest.raises(DomainError):
-            est.coverage_state("profit")
 
 
 class TestErrorLimitFormulas:
@@ -965,61 +920,97 @@ class TestCollectionJsonDomainErrors:
             load_collection(str(path))
 
 
-class TestLatticeState:
-    """Floors f(v | B - v) and ceilings f(v | A) as A grows and B shrinks."""
+@st.composite
+def state_replays(draw):
+    """(graph, starting seeds, steps, first ``inside`` read): a small graph,
+    then add and remove steps, each of one node (an int or a numpy int) or
+    of a list or array of them, which may be empty, repeat a node, or name
+    nodes already on that side of the seed set."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
+    probs = draw(st.lists(st.floats(0.05, 0.95), min_size=len(edges), max_size=len(edges)))
+    weights = st.lists(st.floats(0.1, 2.5), min_size=n, max_size=n)
+    g = WeightedGraph(n, [(u, v, p) for (u, v), p in zip(edges, probs)],
+                      benefit=draw(weights), cost=draw(weights))
+    node_lists = st.lists(node, max_size=n)
+    nodes = st.one_of(node, node.map(np.int64), node_lists,
+                      node_lists.map(lambda v: np.array(v, dtype=np.int64)))
+    steps = draw(st.lists(st.tuples(st.sampled_from(["add", "remove"]), nodes), max_size=8))
+    return g, draw(node_lists), steps, draw(st.integers(0, len(steps)))
+
+
+class TestCoverageState:
+    """Each evaluator's coverage state, replayed step by step, against queries
+    answered from scratch."""
 
     @staticmethod
-    def assert_matches_from_scratch(ev, states, must, may, rng):
-        n = ev.node_count
-        outside_a = rng.permutation([v for v in range(n) if v not in must])
-        inside_b = rng.permutation(sorted(may))
-        for kind, state in states.items():
-            ceiling, floor = state.ceiling(outside_a), state.floor(inside_b)
-            assert ceiling.dtype == floor.dtype == np.float64
-            assert np.array_equal(ceiling, ev.marginal_many(outside_a, must, kind))
-            assert np.array_equal(floor, ev.marginal_vs_rest(inside_b, may, kind))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), exact=st.booleans())
-    def test_tighten_replay_matches_from_scratch(self, seed, exact):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, max_nodes=8, max_edges=12 if exact else 20)
+    def replay(ev, kind, case, ref=None):
+        g, seeds, steps, first_read = case
         n = g.node_count
-        ev = ExactEvaluator(g) if exact else ProfitEstimator.build(g, 300, 300, seed=seed)
-        may = set(range(n)) - random_subset(rng, n)
-        must = {v for v in may if rng.random() < 0.3}
-        states = {kind: ev.lattice_state(kind, must, may) for kind in ("benefit", "cost")}
-        self.assert_matches_from_scratch(ev, states, must, may, rng)
-        while may - must:
-            undecided = sorted(may - must)
-            added = {v for v in undecided if rng.random() < 0.3}
-            # nodes already outside B may be named again; they stay out
-            removed = {v for v in range(n) if v not in must | added and rng.random() < 0.3}
-            for state in states.values():
-                state.tighten(added, removed)
-            must, may = must | added, may - removed
-            self.assert_matches_from_scratch(ev, states, must, may, rng)
+        everyone = np.arange(n)
+        state = ev.coverage_state(kind, seeds)
+        S = set(seeds)
+        for i, (op, nodes) in enumerate([(None, ())] + steps):
+            if op is not None:
+                getattr(state, op)(nodes)
+                ids = {int(nodes)} if np.isscalar(nodes) else {int(v) for v in nodes}
+                S = S | ids if op == "add" else S - ids
+            base = frozenset(S)
+            rest = [v for v in range(n) if v not in S]
+            gains = state.gains
+            assert gains.dtype == np.float64 and gains.shape == (n,)
+            assert np.array_equal(gains[rest], ev.marginal_many(rest, base, kind))
+            assert not gains[sorted(S)].any()
+            assert state.value == ev.value(base, kind)
+            # before the first read nothing has asked for f(v | S - v)
+            inside = state.inside(everyone) if i >= first_read else None
+            if inside is not None:
+                assert np.array_equal(inside, ev.marginal_vs_rest(everyone, base, kind))
+            if ref is not None:  # the estimator against the one-shot passes too
+                rho, b = ev.rho(kind), np.array(sorted(S), dtype=np.int64)
+                assert np.array_equal(gains, rho * ref.coverage(b)[1])
+                assert state.value == rho * ref.coverage(b)[2]
+                if inside is not None:
+                    assert np.array_equal(inside, rho * ref.counts_vs_rest(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=state_replays(), seed=st.integers(0, 2**32 - 1))
+    def test_gains_match_recomputed_marginals(self, case, seed):
+        g = case[0]
+        exact, est = ExactEvaluator(g), ProfitEstimator.build(g, 200, 200, seed=seed)
+        for kind in ("benefit", "cost"):
+            self.replay(exact, kind, case)
+            for chunk in (rrsets._CHUNK, 1, 2, 7):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(rrsets, "_CHUNK", chunk)
+                    coll = est.benefit_rr if kind == "benefit" else est.cost_rr
+                    self.replay(est, kind, case, OneShotPasses(coll))
 
     def test_set_left_with_one_node_of_b_counts_for_it(self):
         # node 3 lies in no set; set 3 holds all of 0, 1, 2
         est = counting_estimator([[0, 1], [1, 2], [2], [0, 1, 2]], node_count=4)
-        state = est.lattice_state("benefit", (), range(4))
-        assert state.floor([0, 1, 2, 3]).tolist() == [0.0, 0.0, 1.0, 0.0]
-        state.tighten((), [1])  # sets 0 and 1 drop to one node of B each
-        assert state.floor([0, 2, 3]).tolist() == [1.0, 2.0, 0.0]
-        state.tighten([2], [0])
-        assert state.floor([2, 3]).tolist() == [3.0, 0.0]
-        assert state.ceiling([0, 1, 3]).tolist() == [1.0, 1.0, 0.0]
+        at_a, at_b = est.coverage_state("benefit"), est.coverage_state("benefit", range(4))
+        assert at_b.inside([0, 1, 2, 3]).tolist() == [0.0, 0.0, 1.0, 0.0]
+        at_b.remove([1])  # sets 0 and 1 drop to one node of B each
+        assert at_b.inside([0, 2, 3]).tolist() == [1.0, 2.0, 0.0]
+        at_a.add([2])
+        at_b.remove(0)
+        assert at_b.inside([2, 3]).tolist() == [3.0, 0.0]
+        assert at_a.gains[[0, 1, 3]].tolist() == [1.0, 1.0, 0.0]
 
     def test_side_without_samples_is_zero(self):
         est = counting_estimator([[0, 1], [1]], node_count=3)
-        state = est.lattice_state("cost", [0], range(3))
-        state.tighten([1], [2])
-        assert not state.floor([0, 1]).any()
-        assert not state.ceiling([2]).any()
+        at_a, at_b = est.coverage_state("cost", [0]), est.coverage_state("cost", range(3))
+        at_a.add([1])
+        at_b.remove([2])
+        assert not at_b.inside([0, 1]).any()
+        assert not at_a.gains.any()
+        assert at_a.value == at_b.value == 0.0
 
     def test_profit_is_not_a_side(self, demo_graph):
         est = ProfitEstimator.build(demo_graph, 100, 100, seed=22)
         for ev in (est, ExactEvaluator(demo_graph)):
-            with pytest.raises(DomainError):
-                ev.lattice_state("profit", (), range(4))
+            with pytest.raises(DomainError, match="coverage states track one side"):
+                ev.coverage_state("profit")
