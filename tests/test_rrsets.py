@@ -1014,3 +1014,14 @@ class TestCoverageState:
         for ev in (est, ExactEvaluator(demo_graph)):
             with pytest.raises(DomainError, match="coverage states track one side"):
                 ev.coverage_state("profit")
+
+
+class TestLatticeState:
+    """The coverage states pruning holds at both ends of a lattice [A, B]."""
+
+    def test_profit_is_not_a_side(self, demo_graph):
+        est = ProfitEstimator.build(demo_graph, 100, 100, seed=22)
+        for ev in (est, ExactEvaluator(demo_graph)):
+            for end in ((), range(4)):
+                with pytest.raises(DomainError, match="coverage states track one side"):
+                    ev.coverage_state("profit", end)
