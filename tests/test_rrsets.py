@@ -341,18 +341,24 @@ class TestGenerate:
             collection_from_sets([[0], [2], [1, 2, 1], [0]], node_count=3)
 
     def test_generate_peak_memory_per_member(self):
-        # int32 keys built in place peak near 13 bytes per member here (4 of
-        # member, 4 of set id, 4 of transient keys); int64 temporaries pass 20
-        g = wic_graph(1000, 4000, seed=71)
-        generate(g, "benefit", 100, seed=0)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            coll = generate(g, "benefit", 20_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * len(coll.members)
+        # int32 keys built in place peak near 13 bytes per member on the
+        # one-batch case (4 of member, 4 of set id, 4 of transient keys);
+        # int64 temporaries pass 20.  The multi-batch cases (5 and 2 batches
+        # of 1747 and 2621 sets) also hold the 1 MB visited bitmap and the
+        # batches' member arrays until they are joined: they peak at 18.71
+        # and 27.71 bytes per member, and are bounded within 5% of that.
+        for n, m, theta, bound in ((1000, 4000, 20_000, 20.0), (600, 3000, 8000, 19.6),
+                                   (400, 1600, 5000, 29.0)):
+            g = wic_graph(n, m, seed=71)
+            generate(g, "benefit", 100, seed=0)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                coll = generate(g, "benefit", theta, seed=1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * len(coll.members), (n, theta, peak / len(coll.members))
 
     def test_member_budget_raises_capacity_error(self, monkeypatch):
         # a 300-node graph holds 3495 sets per batch: the budget is passed
