@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 from .errors import DomainError
 from .graph import WeightedGraph
 from .optimize import mu_bound
 from .prune import Lattice
 from .rng import derive_seed
-from .rrsets import ProfitEstimator, chernoff_a, confidence_bounds
+from .rrsets import ProfitEstimator, _is_count, chernoff_a, confidence_bounds
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,7 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
         raise DomainError("certified seed set must lie inside the lattice")
     thetas = (validation_thetas if isinstance(validation_thetas, (tuple, list))
               else (validation_thetas, validation_thetas))
-    if len(thetas) != 2 or not all(isinstance(t, Integral) and not isinstance(t, bool)
-                                   for t in thetas):
+    if len(thetas) != 2 or not all(map(_is_count, thetas)):
         raise DomainError("validation_thetas must be one count or a pair of counts, "
                           f"got {validation_thetas!r}")
     theta_beta, theta_gamma = (int(t) for t in thetas)

@@ -415,7 +415,11 @@ def _loadtxt_columns(data: bytes):
         return None
     dtype = [("u", np.int64), ("v", np.int64), ("p", np.float64)][:width]
     try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, comments="#", ndmin=1)
+        # loadtxt iterates a file object line by line and decodes each bytes
+        # line on its own; the data is printable ASCII (``_loadtxt_width``),
+        # so it is decoded once, up front
+        rows = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=dtype, comments="#",
+                          ndmin=1)
     except ValueError:  # a malformed token, a ragged row, or an id beyond int64
         return None
     u, v = rows["u"], rows["v"]

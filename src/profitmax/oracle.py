@@ -26,7 +26,7 @@ from .errors import CapacityError, DomainError
 from .evaluation import MarginalEvaluator
 from .graph import WeightedGraph
 from .rng import make_rng
-from .rrsets import _reach
+from .rrsets import _check_count, _reach
 
 DEFAULT_EDGE_CAP = 20
 DEFAULT_NODE_CAP = 16
@@ -62,9 +62,7 @@ def simulate_spread(g: WeightedGraph, seeds, runs: int, rng) -> np.ndarray:
     active, whose coins cannot change the outcome.  ``rng`` is a seed or a
     ``numpy.random.Generator``.
     """
-    runs = int(runs)
-    if runs < 1:
-        raise DomainError(f"runs must be at least 1, got {runs}")
+    runs = _check_count(runs, "runs")
     seeds = np.array(sorted(_check_seeds(g, seeds)), dtype=np.int64)
     sizes, nodes = _reach(np.broadcast_to(seeds, (runs, len(seeds))), make_rng(rng),
                           g.forward_csr())

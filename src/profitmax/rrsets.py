@@ -46,7 +46,10 @@ per numpy pass (see ``generate``), all from one generator derived from
 first compared with the largest edge probability of its member, and only
 the coins under that ceiling have their edge located (and, when some node's
 edges differ in probability, tested against the edge's own), so the coins,
-and every set, are those of one test per edge.
+and every set, are those of one test per edge.  A level's live (set, node)
+keys are sorted in place, and one mask then drops both the keys a set has
+already reached (a bitmap over the batch's sets and the nodes) and the
+repeats of a key, leaving the next frontier ascending and distinct.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -135,6 +139,20 @@ def _floor_to(keys, width) -> np.ndarray:
     out = keys // width
     out *= width
     return out
+
+
+def _is_count(x) -> bool:
+    """Whether x is an integer, numpy's included, and not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_count(x, name) -> int:
+    """x as an int when it is an integer count of at least 1, else DomainError."""
+    if not _is_count(x):
+        raise DomainError(f"{name} must be an integer count, got {x!r}")
+    if x < 1:
+        raise DomainError(f"{name} must be at least 1, got {x}")
+    return int(x)
 
 
 def _node_array(nodes, node_count) -> np.ndarray:
@@ -333,14 +351,17 @@ def _reach(starts, rng, csr):
     graph's ``(ptr, neighbour, prob)`` arrays: reverse for RR sets, forward
     for cascades.  Sets grow together in batches of ``VISITED_BUDGET // n``,
     one numpy pass per level: one coin per edge of each new member, the live
-    ones kept as ``set * n + node`` keys, minus those in the batch's visited
-    bitmap, sorted and deduplicated.  One sort of ``set * span + level * n +
-    node`` per batch, keys built in place at the width ``_key_dtype`` picks,
-    then lists each set's start nodes, then its members level by level,
-    ascending within a level.  ``members`` holds the sets one after another
-    and ``sizes`` counts each set's members.  When a batch takes the members
-    past ``MEMBER_BUDGET``, ``CapacityError``; batches depend on the inputs
-    alone, so a call that fails always fails at the same batch.
+    ones kept as ``set * n + node`` keys and sorted in place, then one mask
+    keeps the keys that the batch's bitmap ``fresh`` marks as not yet
+    reached and that differ from the key before them, so the next frontier
+    is the new keys, ascending and distinct.  One sort of ``set * span +
+    level * n + node`` per batch, keys built in place at the width
+    ``_key_dtype`` picks, then lists each set's start nodes, then its
+    members level by level, ascending within a level.  ``members`` holds
+    the sets one after another and ``sizes`` counts each set's members.
+    When a batch takes the members past ``MEMBER_BUDGET``, ``CapacityError``;
+    batches depend on the inputs alone, so a call that fails always fails
+    at the same batch.
 
     A level draws its coins in one call, in edge order, and compares them
     with ``top``, each member's largest edge probability; only the coins
@@ -352,42 +373,50 @@ def _reach(starts, rng, csr):
     ptr, nbr, prob = csr
     n = len(ptr) - 1
     degrees = np.diff(ptr)
+    row_ends = ptr[1:]
     # reduceat over the nonempty rows only: on an empty row it returns the
     # first element of the next row
-    rows = np.flatnonzero(degrees)
+    rows = degrees.nonzero()[0]
     top = np.zeros(n)
     top[rows] = np.maximum.reduceat(prob, ptr[rows])
-    mixed = bool(np.any(prob < np.repeat(top, degrees)))
+    mixed = bool((prob < top.repeat(degrees)).any())
     batch = max(1, VISITED_BUDGET // max(n, 1))
-    visited = np.zeros(min(batch, len(starts)) * n, dtype=bool)
+    # the batch's (set, node) bitmap, True where not yet reached
+    fresh = np.ones(min(batch, len(starts)) * n, dtype=bool)
     sizes, members = [], []
     count = 0
     for lo in range(0, len(starts), batch):
         part = starts[lo:lo + batch]
         frontier = (np.arange(len(part), dtype=np.int64)[:, None] * n + part).ravel()
-        visited[frontier] = True
+        fresh[frontier] = False
         levels = [frontier]
         while frontier.size:
             base = _floor_to(frontier, n)
             nodes = frontier - base
             degree = degrees[nodes]
-            ends = np.cumsum(degree)
+            ends = degree.cumsum()
             coins = rng.random(ends[-1])
-            cand = np.flatnonzero(coins < np.repeat(top[nodes], degree))
+            cand = (coins < top[nodes].repeat(degree)).nonzero()[0]
             # the coin at i belongs to the member whose edges span i
-            owner = np.searchsorted(ends, cand, side="right")
-            pos = cand + (ptr[1:][nodes] - ends)[owner]
+            owner = ends.searchsorted(cand, side="right")
+            pos = (row_ends[nodes] - ends)[owner]
+            pos += cand
             if mixed:
-                keep = coins[cand] < prob[pos]
-                owner, pos = owner[keep], pos[keep]
-            keys = base[owner] + nbr[pos]
-            frontier = _distinct(keys[~visited[keys]])
-            visited[frontier] = True
+                live = coins[cand] < prob[pos]
+                owner, pos = owner[live], pos[live]
+            keys = base[owner]
+            keys += nbr[pos]
+            # one sort, then one mask drops both reached and repeated keys
+            keys.sort()
+            keep = fresh[keys]
+            keep[1:] &= keys[1:] != keys[:-1]
+            frontier = keys[keep]
+            fresh[frontier] = False
             levels.append(frontier)
         lens = [len(f) for f in levels]
         keys = np.concatenate(levels)
         del levels
-        visited[keys] = False
+        fresh[keys] = True
         span = n * len(lens)
         # set * span + level * n + node, summed in place from the set * n + node keys
         dtype = _key_dtype(len(part) * span)
@@ -422,9 +451,7 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     """
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
-    theta = int(theta)
-    if theta < 1:
-        raise DomainError("theta must be at least 1")
+    theta = _check_count(theta, "theta")
     weights = g.benefit if kind == "benefit" else g.cost
     total = float(weights.sum())
     if total <= 0:

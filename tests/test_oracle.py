@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ class TestSimulate:
     @pytest.mark.parametrize("runs", [0, -3])
     def test_runs_must_be_positive(self, demo_graph, runs):
         with pytest.raises(DomainError, match="runs must be at least 1"):
+            simulate_spread(demo_graph, {0}, runs, rng=1)
+
+    @pytest.mark.parametrize("runs", [2.7, True, "5"])
+    def test_non_integer_runs_rejected(self, demo_graph, runs):
+        # int() would run 2 cascades for 2.7 and 1 for True
+        with pytest.raises(DomainError, match=f"^runs must be an integer count, "
+                           f"got {re.escape(repr(runs))}$"):
             simulate_spread(demo_graph, {0}, runs, rng=1)
 
     def test_empty_seed_set_activates_nothing(self, demo_graph):

@@ -255,6 +255,23 @@ class TestGenerate:
         with pytest.raises(DomainError, match="no sampleable roots"):
             generate(g, "cost", 10, seed=0)
 
+    @pytest.mark.parametrize("theta", [2.7, True, "5"])
+    def test_non_integer_theta_rejected(self, demo_graph, theta):
+        # int() would sample 2 sets for 2.7 and 1 for True
+        with pytest.raises(DomainError, match=f"^theta must be an integer count, "
+                           f"got {re.escape(repr(theta))}$"):
+            generate(demo_graph, "benefit", theta, seed=1)
+
+    @pytest.mark.parametrize("theta", [0, -2])
+    def test_theta_below_one_rejected(self, demo_graph, theta):
+        with pytest.raises(DomainError, match=f"^theta must be at least 1, got {theta}$"):
+            generate(demo_graph, "benefit", theta, seed=1)
+
+    def test_numpy_integer_theta_accepted(self, demo_graph):
+        coll = generate(demo_graph, "benefit", np.int32(7), seed=1)
+        assert coll.theta == 7 and type(coll.theta) is int
+        assert store_digest(coll) == store_digest(generate(demo_graph, "benefit", 7, seed=1))
+
     def test_index_matches_loop_built_index(self, demo_graph):
         coll = generate(demo_graph, "cost", 700, seed=7)
         assert_index_matches_loop(coll)
