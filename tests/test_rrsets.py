@@ -203,6 +203,12 @@ def store_digest(coll) -> str:
     return h.hexdigest()
 
 
+def array_digests(coll) -> dict:
+    """sha256 of each of a collection's four CSR arrays, by name."""
+    return {name: hashlib.sha256(getattr(coll, name).tobytes()).hexdigest()
+            for name in ("set_ptr", "members", "node_ptr", "set_ids")}
+
+
 def assert_index_matches_loop(coll):
     """The inverted index equals one built by appending set ids node by node."""
     buckets = [[] for _ in range(coll.node_count)]
@@ -308,18 +314,42 @@ class TestGenerate:
         for root, members in zip(coll.roots().tolist(), coll.sets):
             assert members.tolist() == expected[root]
 
-    # sha256 of (set_ptr, members, node_ptr, set_ids) of the benefit, then
-    # the cost collection; 4096 bytes split theta = 3000 into batches of 13
+    # sha256 of each CSR array of the benefit and the cost collection; 4096
+    # bytes split theta = 3000 into batches of 13
     @pytest.mark.parametrize("graph, budget, digests", [
-        (wic_graph, None,
-         ("2b16014c4077cef22a50e1b4d6bb9f8f0124e3e970feca4ebfaa74d8f16e612e",
-          "db0c607f7eb8b8c78751c58f58a90678b07ff48f9ba259b9d951e531a5ba703b")),
-        (wic_graph, 4096,
-         ("7d9ecd55130fac21e7165270504f15aa15542a6cab0544b964c976f6aeaaea33",
-          "2c342127780278e2abab0c5f4401cb468b2d6919a3ab41ce745c81526056f649")),
-        (mixed_graph, None,
-         ("16adac8e3e6cbf39783182045cbec9a3807a2b1a1419f539d31a663853031fea",
-          "7d54a86b59300f41d287b2a1d253109d5dc49010a228c6a47f48dfbbfbd82d1a")),
+        (wic_graph, None, {
+            "benefit": {
+                "set_ptr": "a9a7b0cfbba573d3953ef387c6807f8b89e9ff1c30f87db61394a2182e5dcc43",
+                "members": "05b928774f2e47bf8e293a45a28ee20e949febed45d02805a79ccd5ee7f40636",
+                "node_ptr": "fc52e4f980b045fa33573e2e7ba2481a69c4d869bbdcef2925f5c453097f1668",
+                "set_ids": "32c6d556287d350207aa752a6e9e01e402d06d57a77551d74d72cf4b95a94039"},
+            "cost": {
+                "set_ptr": "9a61c3a694a714f5bdf2a73d4f222ecda8541c4a0d821a812ea77f6580d6a6ca",
+                "members": "b969096b6a24aa92e2c5dd1f108c48bdff5bc067401b521effa372b7c1b52617",
+                "node_ptr": "1d936425ac780fe27ebfee0f7f081bd6595c62c9a2c8a8a4a43a97d975cc2b8d",
+                "set_ids": "d4f8b7a22b8826587fdf31f26bd825e202a620b5c44c8a1e2b906724c468d5d2"}}),
+        (wic_graph, 4096, {
+            "benefit": {
+                "set_ptr": "d98eeee1d86510ba8af584c1a545baa942572d5510b52632e195e914aaa85456",
+                "members": "209081da85e0e9a4dfb8be742bef4817b7cdbc6475ab5295746d832778a5a519",
+                "node_ptr": "508b3ef782f6185ac60490f96d8dcdc50131516572310a7f9f80c53bf515738f",
+                "set_ids": "1f0a5cd5e57183db281d3008312c3277ac7569d16c2faa84337e9d9e9352a3fb"},
+            "cost": {
+                "set_ptr": "0eedda878e61fa2fb36598df1144388bac69c5d4f193c3d82c34d40ca70da195",
+                "members": "7a83baeecaf8115bb6f1ea729b3c2ba470434d66a58a4a30215ad861736170bb",
+                "node_ptr": "08697a41dec586f6a037285a19f24ac3fc9907980a227e97baf271fb02e2fcf7",
+                "set_ids": "fee5b6be65b8b7c3e99f4955be9f88a2582154d3cf9ce90881b23bf0bf939548"}}),
+        (mixed_graph, None, {
+            "benefit": {
+                "set_ptr": "14e9f0b1a39c38d259362050bc35d7c8eb4c4314b21ef872fc47ff277255ab24",
+                "members": "59480da24523a069d7d90489f5d1029063291d05d75fdf29d0c7d54f6a69c733",
+                "node_ptr": "b18cb14686038db24aa5dcb14862beff53fd0a34be74c726bfe0499d19bd949a",
+                "set_ids": "6d0ecd7b0c9e4440f5daca79c5e916cf488fb39f35d66f84cfcff3e10ba94738"},
+            "cost": {
+                "set_ptr": "46812f09776692194f1f2341edda8212ac5ec799da58929c2995887e7c0f34db",
+                "members": "b5478da14cffdbd88cf6905f1e7090d470ad57b2238b68ac92fd86cae6dc64a4",
+                "node_ptr": "2e76c3e9a36e82621907fd3e1c3c1c2f8eaaae23ef90b4512bcd1f619f7d7616",
+                "set_ids": "b324a57b676c64884f3a3376c846f84ad9f67e562e48b8bc507eade18cd7748f"}}),
     ], ids=["one-batch", "multi-batch", "mixed"])
     def test_sampled_store_is_frozen(self, graph, budget, digests, monkeypatch):
         if budget is not None:
@@ -327,7 +357,7 @@ class TestGenerate:
         g = graph(300, 1500, seed=61)
         colls = [generate(g, kind, 3000, seed=derive_seed(62, kind))
                  for kind in ("benefit", "cost")]
-        assert tuple(store_digest(c) for c in colls) == digests
+        assert {c.kind: array_digests(c) for c in colls} == digests
         if budget is not None:
             assert_index_matches_loop(colls[1])
 
