@@ -49,7 +49,10 @@ edges differ in probability, tested against the edge's own), so the coins,
 and every set, are those of one test per edge.  A level's live (set, node)
 keys are sorted in place, and one mask then drops both the keys a set has
 already reached (a bitmap over the batch's sets and the nodes) and the
-repeats of a key, leaving the next frontier ascending and distinct.
+repeats of a key, leaving the next frontier ascending and distinct.  A
+batch ends with one sort of all its (set, node) keys, so a sampled set lists
+its members in ascending order: the estimates count only which sets a seed
+set meets, never where a node sits in one.
 """
 
 from __future__ import annotations
@@ -189,8 +192,9 @@ def _rows(ptr, data) -> list:
 class RRCollection:
     """A frozen batch of RR sets of one weight kind, stored as one CSR pair.
 
-    Set i holds ``members[set_ptr[i]:set_ptr[i+1]]``, root first; the sets
-    containing node v are ``set_ids[node_ptr[v]:node_ptr[v+1]]``, ascending.
+    Set i holds ``members[set_ptr[i]:set_ptr[i+1]]``, ascending when sampled
+    and in the given order when built from lists; the sets containing node v
+    are ``set_ids[node_ptr[v]:node_ptr[v+1]]``, ascending.
     ``sets`` and ``index`` show the two sides as lists of read-only views.
     ``total_weight`` is the Upsilon of the kind the collection was sampled
     under.
@@ -249,9 +253,6 @@ class RRCollection:
     @property
     def index(self) -> list:
         return _rows(self.node_ptr, self.set_ids)
-
-    def roots(self) -> np.ndarray:
-        return self.members[self.set_ptr[:-1]].astype(np.int64)
 
     # -- coverage counts; node ids are int64 arrays the caller has checked --
 
@@ -354,11 +355,10 @@ def _reach(starts, rng, csr):
     ones kept as ``set * n + node`` keys and sorted in place, then one mask
     keeps the keys that the batch's bitmap ``fresh`` marks as not yet
     reached and that differ from the key before them, so the next frontier
-    is the new keys, ascending and distinct.  One sort of ``set * span +
-    level * n + node`` per batch, keys built in place at the width
-    ``_key_dtype`` picks, then lists each set's start nodes, then its
-    members level by level, ascending within a level.  ``members`` holds
-    the sets one after another and ``sizes`` counts each set's members.
+    is the new keys, ascending and distinct.  One in-place sort of the
+    batch's keys, as int32, then lists each set's members ascending.
+    ``members`` holds the sets one after another and ``sizes`` counts each
+    set's members.
     When a batch takes the members past ``MEMBER_BUDGET``, ``CapacityError``;
     batches depend on the inputs alone, so a call that fails always fails
     at the same batch.
@@ -413,24 +413,15 @@ def _reach(starts, rng, csr):
             frontier = keys[keep]
             fresh[frontier] = False
             levels.append(frontier)
-        lens = [len(f) for f in levels]
-        keys = np.concatenate(levels)
+        # set * n + node < len(part) * n <= max(VISITED_BUDGET, n): int32 keys
+        keys = np.concatenate(levels, dtype=np.int32)
         del levels
         fresh[keys] = True
-        span = n * len(lens)
-        # set * span + level * n + node, summed in place from the set * n + node keys
-        dtype = _key_dtype(len(part) * span)
-        grouped = np.repeat(np.arange(len(lens), dtype=dtype) * dtype(n), lens)
-        grouped += keys
-        keys //= n
-        sizes.append(np.bincount(keys, minlength=len(part)))
-        keys *= span - n
-        grouped += keys
-        del keys
-        grouped.sort()
-        grouped -= _floor_to(grouped, n)
-        members.append(grouped.astype(np.int32, copy=False))
-        count += len(grouped)
+        keys.sort()
+        sizes.append(np.bincount(keys // n, minlength=len(part)))
+        keys -= _floor_to(keys, n)
+        members.append(keys)
+        count += len(keys)
         if count > MEMBER_BUDGET:
             done = lo + len(part)
             raise CapacityError(f"{done} of {len(starts)} reached sets hold {count} members "

@@ -68,6 +68,8 @@ def reference_reach(starts, rng, csr):
 
     It flips one coin per edge of each new member and gathers every edge's
     position and probability; ``np.unique`` stands in for ``rrsets._distinct``.
+    A batch ends sorting its (set, node) keys, so each set lists its members
+    ascending.
     """
     ptr, nbr, prob = csr
     n = len(ptr) - 1
@@ -90,12 +92,9 @@ def reference_reach(starts, rng, csr):
             frontier = np.unique(keys[~visited[keys]])
             visited[frontier] = True
             levels.append(frontier)
-        keys = np.concatenate(levels)
+        keys = np.sort(np.concatenate(levels))
         visited[keys] = False
-        span = n * len(levels)
-        level = np.repeat(np.arange(len(levels), dtype=np.int64), [len(f) for f in levels])
-        keys = np.sort(keys + keys // n * (span - n) + level * n)
-        sizes.append(np.bincount(keys // span, minlength=len(part)))
+        sizes.append(np.bincount(keys // n, minlength=len(part)))
         members.append((keys % n).astype(np.int32))
     return np.concatenate(sizes), np.concatenate(members)
 
@@ -209,6 +208,19 @@ def array_digests(coll) -> dict:
             for name in ("set_ptr", "members", "node_ptr", "set_ids")}
 
 
+def sampled_roots(g, kind, theta, seed) -> np.ndarray:
+    """The roots of ``generate(g, kind, theta, seed)``, in set order.
+
+    They are the members of the same draw on an edgeless copy of g with the
+    same weights: every set there is its root, and the roots are drawn
+    before any coin.
+    """
+    bare = generate(WeightedGraph(g.node_count, [], benefit=g.benefit, cost=g.cost),
+                    kind, theta, seed)
+    assert np.array_equal(bare.set_ptr, np.arange(theta + 1))
+    return bare.members
+
+
 def assert_index_matches_loop(coll):
     """The inverted index equals one built by appending set ids node by node."""
     buckets = [[] for _ in range(coll.node_count)]
@@ -232,8 +244,8 @@ class TestGenerate:
         assert all(len(s) == 1 for s in coll.sets)
 
     def test_root_distribution_proportional_to_weights(self, demo_graph):
-        coll = generate(demo_graph, "benefit", 100_000, seed=3)
-        freq = np.bincount(coll.roots(), minlength=4) / coll.theta
+        roots = sampled_roots(demo_graph, "benefit", 100_000, seed=3)
+        freq = np.bincount(roots, minlength=4) / len(roots)
         assert np.allclose(freq, np.array([1.5, 2, 3, 2]) / 8.5, atol=6e-3)
 
     def test_single_edge_joint_distribution(self):
@@ -246,8 +258,7 @@ class TestGenerate:
     def test_zero_weight_node_never_roots(self):
         gn = normalize_weights(make_demo_graph())
         # normalized cost weights are (0, 0, 0, 3): every cost root is node 3
-        coll = generate(gn, "cost", 2000, seed=5)
-        assert set(coll.roots().tolist()) == {3}
+        assert set(sampled_roots(gn, "cost", 2000, seed=5).tolist()) == {3}
 
     def test_deterministic_per_seed(self, demo_graph):
         a = generate(demo_graph, "benefit", 1000, seed=42)
@@ -302,16 +313,17 @@ class TestGenerate:
         coll = generate(g, "benefit", 50, seed=6)
         assert all(sorted(s.tolist()) == [0, 1, 2] for s in coll.sets)
 
-    def test_members_listed_root_then_level_by_level(self):
+    def test_members_listed_ascending(self):
         # sure chain 0 -> 1 -> 2 -> 3, and root 8 with level-1 parents
         # {6, 7} and level-2 parents {4, 5}; 4 reaches 8 along two paths
         edges = [(0, 1), (1, 2), (2, 3), (7, 8), (6, 8), (5, 7), (4, 6), (4, 7)]
         g = WeightedGraph(9, [(u, v, 1.0) for u, v in edges], benefit=[1] * 9)
-        expected = {0: [0], 1: [1, 0], 2: [2, 1, 0], 3: [3, 2, 1, 0],
-                    4: [4], 5: [5], 6: [6, 4], 7: [7, 4, 5], 8: [8, 6, 7, 4, 5]}
+        expected = {0: [0], 1: [0, 1], 2: [0, 1, 2], 3: [0, 1, 2, 3],
+                    4: [4], 5: [5], 6: [4, 6], 7: [4, 5, 7], 8: [4, 5, 6, 7, 8]}
         coll = generate(g, "benefit", 400, seed=8)
-        assert set(coll.roots().tolist()) == set(expected)
-        for root, members in zip(coll.roots().tolist(), coll.sets):
+        roots = sampled_roots(g, "benefit", 400, seed=8).tolist()
+        assert set(roots) == set(expected)
+        for root, members in zip(roots, coll.sets):
             assert members.tolist() == expected[root]
 
     # sha256 of each CSR array of the benefit and the cost collection; 4096
@@ -320,34 +332,34 @@ class TestGenerate:
         (wic_graph, None, {
             "benefit": {
                 "set_ptr": "a9a7b0cfbba573d3953ef387c6807f8b89e9ff1c30f87db61394a2182e5dcc43",
-                "members": "05b928774f2e47bf8e293a45a28ee20e949febed45d02805a79ccd5ee7f40636",
+                "members": "e4c1e560c1e249de92357c5d6c5e077aa3127c18c65fe166382fb244b3796ea3",
                 "node_ptr": "fc52e4f980b045fa33573e2e7ba2481a69c4d869bbdcef2925f5c453097f1668",
                 "set_ids": "32c6d556287d350207aa752a6e9e01e402d06d57a77551d74d72cf4b95a94039"},
             "cost": {
                 "set_ptr": "9a61c3a694a714f5bdf2a73d4f222ecda8541c4a0d821a812ea77f6580d6a6ca",
-                "members": "b969096b6a24aa92e2c5dd1f108c48bdff5bc067401b521effa372b7c1b52617",
+                "members": "aadec6ea1879057eca8d8d2e2faec054f22e3e3718197e4d796b8b62c8794752",
                 "node_ptr": "1d936425ac780fe27ebfee0f7f081bd6595c62c9a2c8a8a4a43a97d975cc2b8d",
                 "set_ids": "d4f8b7a22b8826587fdf31f26bd825e202a620b5c44c8a1e2b906724c468d5d2"}}),
         (wic_graph, 4096, {
             "benefit": {
                 "set_ptr": "d98eeee1d86510ba8af584c1a545baa942572d5510b52632e195e914aaa85456",
-                "members": "209081da85e0e9a4dfb8be742bef4817b7cdbc6475ab5295746d832778a5a519",
+                "members": "c49657106118d91d1af21d1ed1c36efb1169f99e5a2ed188393a21d0e01dbf19",
                 "node_ptr": "508b3ef782f6185ac60490f96d8dcdc50131516572310a7f9f80c53bf515738f",
                 "set_ids": "1f0a5cd5e57183db281d3008312c3277ac7569d16c2faa84337e9d9e9352a3fb"},
             "cost": {
                 "set_ptr": "0eedda878e61fa2fb36598df1144388bac69c5d4f193c3d82c34d40ca70da195",
-                "members": "7a83baeecaf8115bb6f1ea729b3c2ba470434d66a58a4a30215ad861736170bb",
+                "members": "2589b807d6bd01520a3408c14cc1cf665f4fd74f19665d8c24527a7a7af85742",
                 "node_ptr": "08697a41dec586f6a037285a19f24ac3fc9907980a227e97baf271fb02e2fcf7",
                 "set_ids": "fee5b6be65b8b7c3e99f4955be9f88a2582154d3cf9ce90881b23bf0bf939548"}}),
         (mixed_graph, None, {
             "benefit": {
                 "set_ptr": "14e9f0b1a39c38d259362050bc35d7c8eb4c4314b21ef872fc47ff277255ab24",
-                "members": "59480da24523a069d7d90489f5d1029063291d05d75fdf29d0c7d54f6a69c733",
+                "members": "61ce6fb195a5abb76cc4fc040b4f9c903f4d496c636eeeec57352a0bf84fcd14",
                 "node_ptr": "b18cb14686038db24aa5dcb14862beff53fd0a34be74c726bfe0499d19bd949a",
                 "set_ids": "6d0ecd7b0c9e4440f5daca79c5e916cf488fb39f35d66f84cfcff3e10ba94738"},
             "cost": {
                 "set_ptr": "46812f09776692194f1f2341edda8212ac5ec799da58929c2995887e7c0f34db",
-                "members": "b5478da14cffdbd88cf6905f1e7090d470ad57b2238b68ac92fd86cae6dc64a4",
+                "members": "065a0e5bcddac76d618366d3dc779ed0fded72c4d4e63cbac1e0a202d5ab6a5d",
                 "node_ptr": "2e76c3e9a36e82621907fd3e1c3c1c2f8eaaae23ef90b4512bcd1f619f7d7616",
                 "set_ids": "b324a57b676c64884f3a3376c846f84ad9f67e562e48b8bc507eade18cd7748f"}}),
     ], ids=["one-batch", "multi-batch", "mixed"])
@@ -363,8 +375,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("budget", [None, 4096], ids=["one-batch", "multi-batch"])
     def test_int64_keys_store_the_same_bytes(self, budget, monkeypatch):
-        # INT32_KEYS = 0 sorts every packed key as int64, in the index build
-        # and in the regroup of each batch; the int32 bytes are pinned above
+        # INT32_KEYS = 0 sorts every packed key of the index build as int64;
+        # the int32 bytes are pinned above
         if budget is not None:
             monkeypatch.setattr(rrsets, "VISITED_BUDGET", budget)
         g = mixed_graph(300, 1500, seed=61)
@@ -463,14 +475,6 @@ class TestGenerate:
                 assert members.dtype == ref_members.dtype
                 assert members.tolist() == ref_members.tolist()
                 assert rng.random() == ref_rng.random()
-
-    @settings(max_examples=150, deadline=None)
-    @given(reach_cases())
-    def test_reach_with_int64_keys_matches_reference_kernel(self, case):
-        # the check above, with every regroup key sorted as int64
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rrsets, "INT32_KEYS", 0)
-            self.test_reach_matches_reference_kernel.hypothesis.inner_test(self, case)
 
 
 class TestCoverage:
