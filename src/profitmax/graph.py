@@ -121,6 +121,9 @@ class WeightedGraph:
             raise DomainError(f"{name} weights must have one entry per node")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise DomainError(f"{name} weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(w.sum()):
+                raise DomainError(f"{name} weights must have a finite total")
         return w
 
     def _csr(self, key, val, prob):

@@ -51,8 +51,7 @@ keys are sorted in place, and one mask then drops both the keys a set has
 already reached (a bitmap over the batch's sets and the nodes) and the
 repeats of a key, leaving the next frontier ascending and distinct.  A
 batch ends with one sort of all its (set, node) keys, so a sampled set lists
-its members in ascending order: the estimates count only which sets a seed
-set meets, never where a node sits in one.
+its members ascending: estimates count which sets a seed set meets, not where.
 """
 
 from __future__ import annotations
@@ -443,6 +442,8 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
     theta = _check_count(theta, "theta")
+    if theta >= 1 << 31:  # set ids are int32, and every set holds its root
+        raise CapacityError(f"{kind} RR sets: theta {theta} is past the 2**31 - 1 set ids")
     weights = g.benefit if kind == "benefit" else g.cost
     total = float(weights.sum())
     if total <= 0:
@@ -661,6 +662,8 @@ class ProfitEstimator(MarginalEvaluator):
 
     def rho(self, metric) -> float:
         """Scale factor Upsilon / theta converting counts to weight units."""
+        if metric not in KINDS:
+            raise DomainError(f"rho is per side, not of {metric!r}; expected one of {KINDS}")
         coll = self._colls[metric]
         return coll.total_weight / coll.theta if coll.theta else 0.0
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -435,11 +436,42 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_unallocatable_theta_is_capacity_error(self, demo_files, capsys):
-        # 2^40 * 10000 sets: numpy refuses the root array without touching memory
+        # 2^40 * 10000 sets: past the 2^31 - 1 set ids, refused before any root is drawn
         edges, _ = demo_files
         assert main(["prune", "--graph", edges, "--theta-exp", "40", "--seed", "1"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("capacity error: ")
+
+    @pytest.mark.parametrize("command, args", [
+        ("select", ["--theta-exp", "50"]),
+        ("select", ["--theta-exp", "60"]),
+        ("select", ["--theta", str(2**62)]),
+        ("select", ["--theta", "100", "--validation-theta", str(2**62)]),
+        ("certify", ["--seeds", "SEEDS", "--theta", str(2**62)]),
+    ], ids=["exp-50", "exp-60", "theta", "validation-theta", "certify"])
+    def test_theta_past_int32_set_ids_is_capacity_error(self, demo_files, tmp_path, capsys,
+                                                         command, args):
+        # each of these once ended in a numpy ValueError or OverflowError
+        edges, weights = demo_files
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"seeds": [1]}), encoding="utf-8")
+        args = [str(seeds) if a == "SEEDS" else a for a in args]
+        assert main([command, "--graph", edges, "--weights", weights, *args, "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"capacity error: benefit RR sets: theta \d+ is past the "
+                            r"2\*\*31 - 1 set ids", err[0])
+
+    @pytest.mark.parametrize("command", ["select", "prune", "gen-weights"])
+    def test_weights_whose_total_overflows_are_input_error(self, demo_files, tmp_path, capsys,
+                                                           command):
+        edges, _ = demo_files
+        weights = tmp_path / "huge.weights"
+        weights.write_text("1 1e308 0\n2 1e308 0\n", encoding="utf-8")
+        assert main([command, "--graph", edges, "--weights", str(weights), "--seed", "1",
+                     "--out", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err == "error: benefit weights must have a finite total\n"
 
     @pytest.mark.parametrize("prob", ["abc", "1.5"])
     def test_bad_default_prob_is_input_error(self, demo_files, capsys, prob):

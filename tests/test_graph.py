@@ -230,6 +230,17 @@ class TestGraphValidation:
         with pytest.raises(DomainError, match=f"{side} weights must be finite"):
             make_demo_graph().with_weights(**weights)
 
+    @pytest.mark.parametrize("side", ["benefit", "cost"])
+    def test_rejects_weights_whose_total_overflows(self, side):
+        # each weight is finite, their sum is not; numpy's overflow warning
+        # would be an error here
+        weights = {"benefit": list(DEMO_BENEFIT), "cost": list(DEMO_COST)}
+        weights[side][:2] = [1e308, 1e308]
+        with pytest.raises(DomainError, match=f"^{side} weights must have a finite total$"):
+            WeightedGraph(4, DEMO_EDGES, **weights)
+        with pytest.raises(DomainError, match=f"^{side} weights must have a finite total$"):
+            make_demo_graph().with_weights(**weights)
+
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(DomainError):
             WeightedGraph(2, [(0, 2, 0.5)])

@@ -419,6 +419,19 @@ class TestGenerate:
                 tracemalloc.stop()
             assert peak < bound * len(coll.members), (n, theta, peak / len(coll.members))
 
+    def test_theta_past_int32_set_ids_raises_before_allocating(self, demo_graph):
+        # set ids are int32; the bound is checked before a single root is
+        # drawn, so the call allocates next to nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"^cost RR sets: theta 2147483648 is "
+                               r"past the 2\*\*31 - 1 set ids$"):
+                generate(demo_graph, "cost", 2**31, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_member_budget_raises_capacity_error(self, monkeypatch):
         # a 300-node graph holds 3495 sets per batch: the budget is passed
         # after the first batch, at the same count on every run
@@ -675,6 +688,12 @@ class TestConfidenceBounds:
 
 
 class TestEstimator:
+    @pytest.mark.parametrize("metric", ["profit", "bogus"])
+    def test_rho_is_per_side(self, demo_graph, metric):
+        est = ProfitEstimator.build(demo_graph, 10, 10, seed=11)
+        with pytest.raises(DomainError, match=f"rho is per side, not of {metric!r}"):
+            est.rho(metric)
+
     def test_zero_coverage_gives_zero(self):
         g = WeightedGraph(2, [(0, 1, 0.5)], benefit=[1, 1], cost=[1, 1])
         est = ProfitEstimator.build(g, 50, 50, seed=11)
