@@ -357,10 +357,9 @@ def _reach(starts, rng, csr):
     is the new keys, ascending and distinct.  One in-place sort of the
     batch's keys, as int32, then lists each set's members ascending.
     ``members`` holds the sets one after another and ``sizes`` counts each
-    set's members.
-    When a batch takes the members past ``MEMBER_BUDGET``, ``CapacityError``;
-    batches depend on the inputs alone, so a call that fails always fails
-    at the same batch.
+    set's members.  When a batch takes the members past ``MEMBER_BUDGET``,
+    ``CapacityError``; batches depend on the inputs alone, so a call that
+    fails always fails at the same batch.
 
     A level draws its coins in one call, in edge order, and compares them
     with ``top``, each member's largest edge probability; only the coins

@@ -451,7 +451,7 @@ class TestExitCodes:
     ], ids=["exp-50", "exp-60", "theta", "validation-theta", "certify"])
     def test_theta_past_int32_set_ids_is_capacity_error(self, demo_files, tmp_path, capsys,
                                                          command, args):
-        # each of these once ended in a numpy ValueError or OverflowError
+        # a collection's set ids are int32, so theta must lie below 2**31
         edges, weights = demo_files
         seeds = tmp_path / "seeds.json"
         seeds.write_text(json.dumps({"seeds": [1]}), encoding="utf-8")
