@@ -70,10 +70,12 @@ from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
 VISITED_BUDGET = 1 << 20
-# members one call of ``_reach`` may sample: a store of 8 bytes per member,
-# about 1.1 GB, whose index build peaks at 1.6 GB (int32 keys) or 2.7 GB
+# members one call of ``_reach`` may sample: a store of at most 8 bytes per
+# member, about 1.1 GB, whose index build peaks at 1.6 GB (int32 keys) or 2.7 GB
 MEMBER_BUDGET = 1 << 27
-# packed keys are sorted as int32 when their bound lies below this, else as int64
+# packed values are stored as uint16 when their bound lies below UINT16_KEYS,
+# as int32 when it lies below INT32_KEYS, else as int64 (``_key_dtype``)
+UINT16_KEYS = 1 << 16
 INT32_KEYS = 1 << 31
 # positions of the member or index arrays one step of a coverage pass gathers
 _CHUNK = 1 << 15
@@ -179,7 +181,15 @@ def _outside_members(node_count) -> DomainError:
 
 
 def _key_dtype(bound) -> type:
-    """The dtype of packed keys below ``bound``: int32 below ``INT32_KEYS``, else int64."""
+    """The dtype of packed values below ``bound``: uint16 below ``UINT16_KEYS``,
+    int32 below ``INT32_KEYS``, else int64.
+
+    The bound is strict, so a value plus one still fits.  Arithmetic on such
+    an array names its result dtype, as numpy 1.x keeps ``uint16 * int32(w)``
+    at uint16 when w fits in 16 bits.
+    """
+    if bound < UINT16_KEYS:
+        return np.uint16
     return np.int32 if bound < INT32_KEYS else np.int64
 
 
@@ -227,21 +237,22 @@ class RRCollection:
             raise DomainError(f"RR set {int(empty[0])} is empty")
         if members.size and not (0 <= members.min() and members.max() < self.node_count):
             raise _outside_members(self.node_count)
-        members = members.astype(np.int32, copy=False)
+        members = members.astype(_key_dtype(self.node_count), copy=False)
         self.set_ptr, self.members = set_ptr, members
         self.node_ptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
         # sorted (member, set) keys list each node's set ids ascending
         width = max(self.theta, 1)
         dtype = _key_dtype(self.node_count * width)
-        keys = np.repeat(np.arange(self.theta, dtype=dtype), np.diff(set_ptr))
-        keys += members * dtype(width)
+        keys = members.astype(dtype)
+        keys *= width
+        keys += np.repeat(np.arange(self.theta, dtype=dtype), np.diff(set_ptr))
         keys.sort()
         twice = np.flatnonzero(keys[1:] == keys[:-1])
         if twice.size:
             raise DomainError(f"RR set {int(keys[twice[0]]) % width} repeats a node")
         keys -= _floor_to(keys, width)
-        self.set_ids = keys.astype(np.int32, copy=False)
+        self.set_ids = keys.astype(_key_dtype(self.theta), copy=False)
         for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
             arr.setflags(write=False)
 
@@ -314,7 +325,7 @@ class RRCollection:
         """Per position i, how many sets order[i] reaches first along the prefix chain."""
         rank = _key_dtype(len(order) + 1)
         first = np.full(self.node_count, len(order), dtype=rank)
-        first[order[::-1]] = np.arange(len(order) - 1, -1, -1, dtype=rank)
+        first[order[::-1]] = np.arange(len(order), dtype=rank)[::-1]
         reached = self._per_set(np.minimum, first, np.full(self.theta, len(order), dtype=rank))
         return np.bincount(reached, minlength=len(order) + 1)[:len(order)]
 
@@ -418,8 +429,9 @@ def _reach(starts, rng, csr):
         keys.sort()
         sizes.append(np.bincount(keys // n, minlength=len(part)))
         keys -= _floor_to(keys, n)
-        members.append(keys)
-        count += len(keys)
+        members.append(keys.astype(_key_dtype(n), copy=False))
+        del keys
+        count += len(members[-1])
         if count > MEMBER_BUDGET:
             done = lo + len(part)
             raise CapacityError(f"{done} of {len(starts)} reached sets hold {count} members "

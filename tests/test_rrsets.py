@@ -375,8 +375,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("budget", [None, 4096], ids=["one-batch", "multi-batch"])
     def test_int64_keys_store_the_same_bytes(self, budget, monkeypatch):
-        # INT32_KEYS = 0 sorts every packed key of the index build as int64;
-        # the int32 bytes are pinned above
+        # INT32_KEYS = 0 sorts the packed keys of the index build (n * theta =
+        # 900k) as int64; members (n = 300) and set ids (theta = 3000) keep
+        # their uint16 width, and the bytes pinned above
         if budget is not None:
             monkeypatch.setattr(rrsets, "VISITED_BUDGET", budget)
         g = mixed_graph(300, 1500, seed=61)
@@ -386,7 +387,7 @@ class TestGenerate:
         colls = [generate(g, kind, 3000, seed=derive_seed(63, kind))
                  for kind in ("benefit", "cost")]
         assert [store_digest(c) for c in colls] == want
-        assert colls[0].set_ids.dtype == np.int32
+        assert colls[0].members.dtype == colls[0].set_ids.dtype == np.uint16
         assert_index_matches_loop(colls[0])
 
     def test_key_width_switches_at_int32_keys(self):
@@ -475,7 +476,8 @@ class TestGenerate:
     @given(reach_cases())
     def test_reach_matches_reference_kernel(self, case):
         # same members in the same order, and the same coins drawn, on the
-        # reverse CSR (RR sets) and the forward CSR (cascades)
+        # reverse CSR (RR sets) and the forward CSR (cascades); the members
+        # of a graph of at most 9 nodes are uint16, the reference's int32
         g, starts, seed, budget = case
         with pytest.MonkeyPatch.context() as mp:
             if budget is not None:
@@ -485,7 +487,7 @@ class TestGenerate:
                 sizes, members = rrsets._reach(starts, rng, csr)
                 ref_sizes, ref_members = reference_reach(starts, ref_rng, csr)
                 assert sizes.tolist() == ref_sizes.tolist()
-                assert members.dtype == ref_members.dtype
+                assert members.dtype == np.uint16
                 assert members.tolist() == ref_members.tolist()
                 assert rng.random() == ref_rng.random()
 
