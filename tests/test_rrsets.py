@@ -327,41 +327,42 @@ class TestGenerate:
             assert members.tolist() == expected[root]
 
     # sha256 of each CSR array of the benefit and the cost collection; 4096
-    # bytes split theta = 3000 into batches of 13
+    # bytes split theta = 3000 into batches of 13.  members and set_ids are
+    # uint16 (n = 300, theta = 3000)
     @pytest.mark.parametrize("graph, budget, digests", [
         (wic_graph, None, {
             "benefit": {
                 "set_ptr": "a9a7b0cfbba573d3953ef387c6807f8b89e9ff1c30f87db61394a2182e5dcc43",
-                "members": "e4c1e560c1e249de92357c5d6c5e077aa3127c18c65fe166382fb244b3796ea3",
+                "members": "38f0ae2213cbf363e94503a3f99d5398a9be1fb3ece8a6373cba0d5ea79fa079",
                 "node_ptr": "fc52e4f980b045fa33573e2e7ba2481a69c4d869bbdcef2925f5c453097f1668",
-                "set_ids": "32c6d556287d350207aa752a6e9e01e402d06d57a77551d74d72cf4b95a94039"},
+                "set_ids": "407a6bdc66a5e9d2536c329067baea203b68f86d4ea516ebdc88719987171028"},
             "cost": {
                 "set_ptr": "9a61c3a694a714f5bdf2a73d4f222ecda8541c4a0d821a812ea77f6580d6a6ca",
-                "members": "aadec6ea1879057eca8d8d2e2faec054f22e3e3718197e4d796b8b62c8794752",
+                "members": "468fd33fdc2a126caad850be93a1e8c3419f06e256874fe415f1f38c4d22b418",
                 "node_ptr": "1d936425ac780fe27ebfee0f7f081bd6595c62c9a2c8a8a4a43a97d975cc2b8d",
-                "set_ids": "d4f8b7a22b8826587fdf31f26bd825e202a620b5c44c8a1e2b906724c468d5d2"}}),
+                "set_ids": "80b07e976ea72c6ef27385f3a2f978f6ceb033d2d9742eaf648e895bb0a207b4"}}),
         (wic_graph, 4096, {
             "benefit": {
                 "set_ptr": "d98eeee1d86510ba8af584c1a545baa942572d5510b52632e195e914aaa85456",
-                "members": "c49657106118d91d1af21d1ed1c36efb1169f99e5a2ed188393a21d0e01dbf19",
+                "members": "60941a9df69690dc69292fceb85538e7f6b3c52680d84b83bb4d6e020ad97e15",
                 "node_ptr": "508b3ef782f6185ac60490f96d8dcdc50131516572310a7f9f80c53bf515738f",
-                "set_ids": "1f0a5cd5e57183db281d3008312c3277ac7569d16c2faa84337e9d9e9352a3fb"},
+                "set_ids": "6e4faae8b2224366cbce29e1276e6c93d4a147873d34a42dfde305eae1bb1946"},
             "cost": {
                 "set_ptr": "0eedda878e61fa2fb36598df1144388bac69c5d4f193c3d82c34d40ca70da195",
-                "members": "2589b807d6bd01520a3408c14cc1cf665f4fd74f19665d8c24527a7a7af85742",
+                "members": "34e3e52c175caac00c684389b9d1d5beb87b0226257b56f5caee94412388a095",
                 "node_ptr": "08697a41dec586f6a037285a19f24ac3fc9907980a227e97baf271fb02e2fcf7",
-                "set_ids": "fee5b6be65b8b7c3e99f4955be9f88a2582154d3cf9ce90881b23bf0bf939548"}}),
+                "set_ids": "fcc2c242941e051c8fd912c941ebf588852c49668fc38a88506418c8042f2dc3"}}),
         (mixed_graph, None, {
             "benefit": {
                 "set_ptr": "14e9f0b1a39c38d259362050bc35d7c8eb4c4314b21ef872fc47ff277255ab24",
-                "members": "61ce6fb195a5abb76cc4fc040b4f9c903f4d496c636eeeec57352a0bf84fcd14",
+                "members": "e1a81e98b5a1536d2942c397ab44e7411c16882e3d72d10516b97fd13a654509",
                 "node_ptr": "b18cb14686038db24aa5dcb14862beff53fd0a34be74c726bfe0499d19bd949a",
-                "set_ids": "6d0ecd7b0c9e4440f5daca79c5e916cf488fb39f35d66f84cfcff3e10ba94738"},
+                "set_ids": "b4021214113288b4bca29447b172c4264928ea5306d3e7c1bd5ce7ec6c2204d8"},
             "cost": {
                 "set_ptr": "46812f09776692194f1f2341edda8212ac5ec799da58929c2995887e7c0f34db",
-                "members": "065a0e5bcddac76d618366d3dc779ed0fded72c4d4e63cbac1e0a202d5ab6a5d",
+                "members": "1cf11ca213c68dc99f394006dca62310ee2d79b234e0865e7b5c38c21dbfcf01",
                 "node_ptr": "2e76c3e9a36e82621907fd3e1c3c1c2f8eaaae23ef90b4512bcd1f619f7d7616",
-                "set_ids": "b324a57b676c64884f3a3376c846f84ad9f67e562e48b8bc507eade18cd7748f"}}),
+                "set_ids": "4a3375a2d19ea9486c7258d2067d1206d89813279cee6989bec6ad219f8dce81"}}),
     ], ids=["one-batch", "multi-batch", "mixed"])
     def test_sampled_store_is_frozen(self, graph, budget, digests, monkeypatch):
         if budget is not None:
