@@ -411,13 +411,19 @@ def cmd_experiment(args) -> int:
         # one call per row that returns the row or raises what building it raised
         calls = [pool.submit(_experiment_row, cfg, rs).result if parallel
                  else functools.partial(_experiment_row, cfg, rs, graph) for rs in row_specs]
+        errors = []
         for rs, call in zip(row_specs, calls):
             try:
                 rows.append(call())
             except Exception as exc:  # rows are isolated; record and move on
+                errors.append(exc)
                 rows.append(_failed_row(cfg, rs, exc))
     _write_csv(rows, cfg, cfg.csv)
-    return 0
+    if len(errors) < len(rows) or not rows:
+        return 0
+    # no row succeeded: exit as the first row's error would have
+    failure = _failure(errors[0])
+    return failure[0] if failure else 1
 
 
 def _failed_row(cfg: RunConfig, row_spec, exc: Exception) -> dict:
@@ -427,23 +433,32 @@ def _failed_row(cfg: RunConfig, row_spec, exc: Exception) -> dict:
     return _row(cfg, algo, theta, prune_on, norm_on, 0, None, None, 0, 0)
 
 
+# the exit code and stderr label of each documented error family
+_FAILURES = (((ConfigError, ParseError, DomainError), 2, "error"),
+             (OSError, 3, "i/o error"),
+             ((CapacityError, MemoryError), 4, "capacity error"),
+             (InternalError, 5, "internal error"))
+
+
+def _failure(exc: Exception):
+    """(exit code, label) of a documented error; None for any other."""
+    return next(((code, label) for kinds, code, label in _FAILURES
+                 if isinstance(exc, kinds)), None)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except (CapacityError, MemoryError) as exc:
-        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 4
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
+    except Exception as exc:
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        code, label = failure
+        # only a bare MemoryError has no message
+        print(f"{label}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

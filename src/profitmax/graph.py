@@ -557,7 +557,10 @@ def load_weights(g: WeightedGraph, path) -> WeightedGraph:
             raise DomainError(f"{path}:{lineno}: weights must be finite and nonnegative")
         benefit[v] = b
         cost[v] = c
-    return g.with_weights(benefit, cost)
+    try:
+        return g.with_weights(benefit, cost)
+    except DomainError as exc:  # every row passed, so a side's total failed
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def save_weights(g: WeightedGraph, path) -> None:

@@ -262,7 +262,8 @@ class TestExperiment:
     def test_row_failures_recorded_and_run_continues(self, tmp_path, capsys, jobs):
         # exact mode on a 21-edge graph exceeds the oracle cap in every row;
         # the matrix must still be written, with empty result fields, whether
-        # the rows run here or in worker processes
+        # the rows run here or in worker processes, and the run exits with the
+        # capacity error's code
         lines = "\n".join(f"0 {i + 1} 0.5" for i in range(21))
         big = tmp_path / "big.edges"
         big.write_text(lines + "\n", encoding="utf-8")
@@ -270,12 +271,28 @@ class TestExperiment:
         code = main(["experiment", "--graph", str(big), "--exact",
                      "--cost-dist", "uniform", "--algo", "greedy", "--jobs", jobs,
                      "--seed", "2", "--csv", str(csv_path)])
-        assert code == 0
+        assert code == 4
         rows = read_rows(csv_path)
         assert len(rows) == 4
         assert all(r["profit"] == "" and r["guarantee"] == "" for r in rows)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 4 and all("failed" in line for line in err)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_with_a_good_row_exits_zero(self, demo_files, tmp_path, capsys, jobs):
+        # theta 2**62 fails its four rows before sampling; the four rows at
+        # theta 200 succeed, so the sweep as a whole does
+        edges, weights = demo_files
+        csv_path = tmp_path / "exp.csv"
+        assert main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", f"200,{2**62}", "--algo", "greedy", "--jobs", jobs,
+                     "--seed", "2", "--csv", str(csv_path)]) == 0
+        rows = read_rows(csv_path)
+        assert [r["profit"] == "" for r in rows] == [False] * 4 + [True] * 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4
+        assert all(f"theta={2**62}" in line and "past the 2**31 - 1 set ids" in line
+                   for line in err)
 
     def test_member_budget_fails_each_row(self, demo_files, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(profitmax.rrsets, "MEMBER_BUDGET", 10)
@@ -284,7 +301,7 @@ class TestExperiment:
         code = main(["experiment", "--graph", edges, "--weights", weights,
                      "--theta", "400", "--algo", "greedy", "--seed", "2",
                      "--csv", str(csv_path)])
-        assert code == 0
+        assert code == 4
         rows = read_rows(csv_path)
         assert len(rows) == 4
         assert all(r["profit"] == "" and r["guarantee"] == "" for r in rows)
@@ -471,7 +488,8 @@ class TestExitCodes:
         weights.write_text("1 1e308 0\n2 1e308 0\n", encoding="utf-8")
         assert main([command, "--graph", edges, "--weights", str(weights), "--seed", "1",
                      "--out", str(tmp_path / "out.txt")]) == 2
-        assert capsys.readouterr().err == "error: benefit weights must have a finite total\n"
+        assert capsys.readouterr().err == (f"error: {weights}: benefit weights must have "
+                                           f"a finite total\n")
 
     @pytest.mark.parametrize("prob", ["abc", "1.5"])
     def test_bad_default_prob_is_input_error(self, demo_files, capsys, prob):
