@@ -17,6 +17,7 @@ from profitmax import (CapacityError, DomainError, ExactEvaluator, ParseError,
 from profitmax import rrsets
 from profitmax.evaluation import MarginalEvaluator
 from profitmax.rng import derive_seed
+from profitmax.rrsets import RRCoverage
 
 from conftest import brute_evaluate, make_demo_graph, random_graph, random_subset
 
@@ -402,14 +403,15 @@ class TestGenerate:
             collection_from_sets([[0], [2], [1, 2, 1], [0]], node_count=3)
 
     def test_generate_peak_memory_per_member(self):
-        # int32 keys built in place peak near 13 bytes per member on the
-        # one-batch case (4 of member, 4 of set id, 4 of transient keys);
-        # int64 temporaries pass 20.  The multi-batch cases (5 and 2 batches
-        # of 1747 and 2621 sets) also hold the 1 MB visited bitmap and the
-        # batches' member arrays until they are joined: they peak at 18.71
-        # and 27.71 bytes per member, and are bounded within 5% of that.
-        for n, m, theta, bound in ((1000, 4000, 20_000, 20.0), (600, 3000, 8000, 19.6),
-                                   (400, 1600, 5000, 29.0)):
+        # uint16 members beside int32 index keys and their scaled members,
+        # built in place, peak at 12.29 bytes per member on the first case
+        # (int32 members peaked at 13.56; an int64 temporary passes 20).  The
+        # two smaller cases (5 and 2 batches of 1747 and 2621 sets) also hold
+        # the 1 MB visited bitmap and the batches' member arrays until they
+        # are joined: they peak at 14.92 and 26.50 bytes per member.  Each is
+        # bounded within 5% of its peak.
+        for n, m, theta, bound in ((1000, 4000, 20_000, 12.9), (600, 3000, 8000, 15.7),
+                                   (400, 1600, 5000, 27.9)):
             g = wic_graph(n, m, seed=71)
             generate(g, "benefit", 100, seed=0)
             tracemalloc.start()
@@ -491,6 +493,126 @@ class TestGenerate:
                 assert members.dtype == np.uint16
                 assert members.tolist() == ref_members.tolist()
                 assert rng.random() == ref_rng.random()
+
+
+def wide_graph(n) -> WeightedGraph:
+    """An n-node graph whose RR sets reach its top ids: a chain of coin-flip
+    edges over its last 40 nodes, roots among its last 100 and first 3."""
+    edges = [(v, v + 1, 0.5) for v in range(n - 40, n - 1)] + [(0, n - 1, 0.5), (n - 1, 1, 0.5)]
+    benefit = np.zeros(n)
+    benefit[-100:] = benefit[:3] = 1.0
+    return WeightedGraph(n, edges, benefit=benefit)
+
+
+class Int64Reference:
+    """A collection's coverage counts from its ``.sets``, widened to int64."""
+
+    def __init__(self, coll):
+        sets = coll.sets
+        self.n, self.theta = coll.node_count, coll.theta
+        self.members = np.concatenate([s.astype(np.int64) for s in sets])
+        self.set_of = np.repeat(np.arange(self.theta, dtype=np.int64), [len(s) for s in sets])
+
+    def hits(self, nodes):
+        return np.bincount(self.set_of[np.isin(self.members, nodes)], minlength=self.theta)
+
+    def members_of(self, sets):
+        return np.bincount(self.members[np.isin(self.set_of, sets)], minlength=self.n)
+
+    def cover_counts(self, seed_sets):
+        return np.array([np.count_nonzero(self.hits(s)) for s in seed_sets], dtype=np.int64)
+
+    def chain_counts(self, order):
+        first = np.full(self.n, len(order), dtype=np.int64)
+        first[order[::-1]] = np.arange(len(order) - 1, -1, -1)
+        reached = np.full(self.theta, len(order), dtype=np.int64)
+        np.minimum.at(reached, self.set_of, first[self.members])
+        return np.bincount(reached, minlength=len(order) + 1)[:len(order)]
+
+
+class TestStoreWidths:
+    """Collections on either side of each width bound answer every pass as
+    an int64 copy of their sets does."""
+
+    THREE = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)], benefit=[1, 1, 1])
+
+    def test_key_dtype_at_each_bound(self):
+        assert rrsets._key_dtype(0) is np.uint16
+        assert rrsets._key_dtype(2**16 - 1) is np.uint16
+        assert rrsets._key_dtype(2**16) is np.int32
+        assert rrsets._key_dtype(2**31 - 1) is np.int32
+        assert rrsets._key_dtype(2**31) is np.int64
+
+    @pytest.mark.parametrize("make, member_dtype, set_dtype", [
+        # n * theta = 2**16 - 1: the index keys are uint16 too
+        (lambda: generate(TestStoreWidths.THREE, "benefit", 21845, seed=2),
+         np.uint16, np.uint16),
+        (lambda: generate(make_demo_graph(), "benefit", 2**16 - 1, seed=3), np.uint16, np.uint16),
+        (lambda: generate(make_demo_graph(), "benefit", 2**16, seed=3), np.uint16, np.int32),
+        (lambda: generate(wide_graph(2**16 - 1), "benefit", 300, seed=4), np.uint16, np.uint16),
+        (lambda: generate(wide_graph(2**16), "benefit", 300, seed=4), np.int32, np.uint16),
+    ], ids=["keys-2**16-1", "theta-2**16-1", "theta-2**16", "n-2**16-1", "n-2**16"])
+    def test_passes_match_int64_reference(self, make, member_dtype, set_dtype):
+        coll = make()
+        assert coll.members.dtype == member_dtype and coll.set_ids.dtype == set_dtype
+        ref = Int64Reference(coll)
+        n = coll.node_count
+        rng = np.random.default_rng(coll.theta + n)
+        # nodes that sampled sets hold, the last set's among them, and node n - 1
+        held = np.unique(ref.members)
+        last = coll.sets[-1].astype(np.int64)
+        nodes = np.union1d(rng.choice(held, size=min(len(held), 6), replace=False), last)
+        nodes = np.union1d(nodes, [n - 1])
+        sets = np.union1d(rng.choice(coll.theta, size=50), [coll.theta - 1])
+        assert np.array_equal(coll.hits(nodes), ref.hits(nodes))
+        assert np.array_equal(coll.members_of(sets), ref.members_of(sets))
+        seed_sets = [nodes, last, held[:2], np.zeros(0, np.int64)]
+        assert np.array_equal(coll.cover_counts(seed_sets), ref.cover_counts(seed_sets))
+        # all nodes but one: 2**16 - 2 ranks fit uint16 on the 2**16 - 1 graph
+        for order in (rng.permutation(n)[:max(n - 1, 1)], nodes[::-1]):
+            assert np.array_equal(coll.chain_counts(order), ref.chain_counts(order))
+        state = RRCoverage(coll, 1.0, np.zeros(0, np.int64))
+        on = np.zeros(n, dtype=bool)
+        for step in ("add", last[0]), ("add", nodes), ("remove", int(nodes[0])), \
+                    ("remove", nodes[1::2]):
+            state.gains, state.inside(np.arange(n))  # counted first, then moved
+            getattr(state, step[0])(step[1])
+            on[step[1]] = step[0] == "add"
+            hits = ref.hits(np.flatnonzero(on))
+            assert np.array_equal(state.hits, hits)
+            assert state.count == np.count_nonzero(hits)
+            zero = ref.members_of(np.flatnonzero(hits == 0))
+            one = ref.members_of(np.flatnonzero(hits == 1))
+            assert np.array_equal(state.gains, zero)
+            assert np.array_equal(state.inside(np.arange(n)), np.where(on, one, zero))
+
+    @pytest.mark.parametrize("node_count, int32_keys", [
+        (3, rrsets.INT32_KEYS), (2**16, rrsets.INT32_KEYS), (2**16, 0)],
+        ids=["uint16", "int32", "int64"])
+    def test_repeated_member_rejected_at_each_key_width(self, node_count, int32_keys,
+                                                         monkeypatch):
+        monkeypatch.setattr(rrsets, "INT32_KEYS", int32_keys)
+        with pytest.raises(DomainError, match="RR set 2 repeats a node"):
+            collection_from_sets([[0], [2], [1, 2, 1], [0]], node_count=node_count)
+
+    @pytest.mark.parametrize("graph, theta, member_dtype, set_dtype", [
+        (make_demo_graph, 500, np.uint16, np.uint16),
+        (lambda: wide_graph(2**16), 300, np.int32, np.uint16),
+        (make_demo_graph, 2**16, np.uint16, np.int32),
+    ], ids=["uint16", "n-2**16", "theta-2**16"])
+    def test_store_layout(self, graph, theta, member_dtype, set_dtype, tmp_path):
+        # sampled, built from lists, and saved then loaded: one width rule,
+        # four read-only arrays, the same bytes
+        sampled = generate(graph(), "benefit", theta, seed=5)
+        listed = RRCollection("benefit", sampled.node_count, sampled.total_weight,
+                              sampled.seed, sampled.sets)
+        save_collection(sampled, str(tmp_path / "rr.json"))
+        loaded = load_collection(str(tmp_path / "rr.json"))
+        for coll in (sampled, listed, loaded):
+            arrays = (coll.set_ptr, coll.members, coll.node_ptr, coll.set_ids)
+            assert [a.dtype for a in arrays] == [np.int64, member_dtype, np.int64, set_dtype]
+            assert not any(a.flags.writeable for a in arrays)
+            assert store_digest(coll) == store_digest(sampled)
 
 
 class TestCoverage:
