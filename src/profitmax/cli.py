@@ -433,17 +433,15 @@ def _failed_row(cfg: RunConfig, row_spec, exc: Exception) -> dict:
     return _row(cfg, algo, theta, prune_on, norm_on, 0, None, None, 0, 0)
 
 
-# the exit code and stderr label of each documented error family
-_FAILURES = (((ConfigError, ParseError, DomainError), 2, "error"),
-             (OSError, 3, "i/o error"),
-             ((CapacityError, MemoryError), 4, "capacity error"),
-             (InternalError, 5, "internal error"))
+# the exit code and stderr label of each documented error
+_FAILURES = {ConfigError: (2, "error"), ParseError: (2, "error"), DomainError: (2, "error"),
+             OSError: (3, "i/o error"), CapacityError: (4, "capacity error"),
+             MemoryError: (4, "capacity error"), InternalError: (5, "internal error")}
 
 
 def _failure(exc: Exception):
     """(exit code, label) of a documented error; None for any other."""
-    return next(((code, label) for kinds, code, label in _FAILURES
-                 if isinstance(exc, kinds)), None)
+    return next((failure for kind, failure in _FAILURES.items() if isinstance(exc, kind)), None)
 
 
 def main(argv=None) -> int:
@@ -451,11 +449,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:
-        failure = _failure(exc)
-        if failure is None:
-            raise
-        code, label = failure
+    except tuple(_FAILURES) as exc:
+        code, label = _failure(exc)
         # only a bare MemoryError has no message
         print(f"{label}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return code
