@@ -16,12 +16,15 @@ pruning and selection loops terminate.
 A collection is one CSR store: the members of all sets in one flat array
 with per-set offsets, and the inverted index (the sets containing each
 node) built from it by one sort of packed (member, set) keys, member *
-theta + set.  The keys fill one array, in place, at the narrowest width
-that holds n * theta: int32 below 2**31 (``INT32_KEYS``), else int64.  The
-remainder, taken in place, is the set ids, so at int32 the sorted keys
-become the index without a copy.  The store keeps 4 bytes of member and 4
-of set id per member, plus the offsets; building the index peaks at 8
-bytes per member beyond the members at int32, 16 at int64.  The index
+theta + set.  One rule (``_key_dtype``) gives each packed array the
+narrowest width that holds its bound: uint16 below 2**16, int32 below
+2**31 (``INT32_KEYS``), else int64.  Members take the width of n, set ids
+that of theta, and the keys, filled and sorted in place in one array, that
+of n * theta; their remainder, taken in place, is the set ids, kept
+without a copy when both widths agree.  So with n and theta below 2**16
+the store keeps 2 bytes of member and 2 of set id per member, plus the
+offsets, and else up to 4 + 4; building the index peaks at 8 bytes per
+member beyond the members with int32 keys, 16 with int64.  The index
 only finds a node's sets; every per-node count is one pass over the member
 lists of the sets involved (``RRCollection.members_of``).  Every coverage
 pass reads the member or index positions it needs at most ``_CHUNK``
@@ -203,7 +206,10 @@ class RRCollection:
 
     Set i holds ``members[set_ptr[i]:set_ptr[i+1]]``, ascending when sampled
     and in the given order when built from lists; the sets containing node v
-    are ``set_ids[node_ptr[v]:node_ptr[v+1]]``, ascending.
+    are ``set_ids[node_ptr[v]:node_ptr[v+1]]``, ascending.  The offsets are
+    int64; ``members`` has the width ``_key_dtype`` gives n, ``set_ids`` the
+    one it gives theta (uint16 below 2**16), and all four arrays are
+    read-only.
     ``sets`` and ``index`` show the two sides as lists of read-only views.
     ``total_weight`` is the Upsilon of the kind the collection was sampled
     under.
@@ -367,10 +373,11 @@ def _reach(starts, rng, csr):
     reached and that differ from the key before them, so the next frontier
     is the new keys, ascending and distinct.  One in-place sort of the
     batch's keys, as int32, then lists each set's members ascending.
-    ``members`` holds the sets one after another and ``sizes`` counts each
-    set's members.  When a batch takes the members past ``MEMBER_BUDGET``,
-    ``CapacityError``; batches depend on the inputs alone, so a call that
-    fails always fails at the same batch.
+    ``members`` holds the sets one after another, at the width
+    ``_key_dtype`` gives n, and ``sizes`` counts each set's members.  When
+    a batch takes the members past ``MEMBER_BUDGET``, ``CapacityError``;
+    batches depend on the inputs alone, so a call that fails always fails
+    at the same batch.
 
     A level draws its coins in one call, in edge order, and compares them
     with ``top``, each member's largest edge probability; only the coins
@@ -453,7 +460,7 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     if kind not in KINDS:
         raise DomainError(f"unknown RR kind {kind!r}; expected one of {KINDS}")
     theta = _check_count(theta, "theta")
-    if theta >= 1 << 31:  # set ids are int32, and every set holds its root
+    if theta >= 1 << 31:  # set ids are at most int32, and every set holds its root
         raise CapacityError(f"{kind} RR sets: theta {theta} is past the 2**31 - 1 set ids")
     weights = g.benefit if kind == "benefit" else g.cost
     total = float(weights.sum())
