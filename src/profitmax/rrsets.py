@@ -76,9 +76,8 @@ VISITED_BUDGET = 1 << 20
 # members one call of ``_reach`` may sample: a store of at most 8 bytes per
 # member, about 1.1 GB, whose index build peaks at 1.6 GB (int32 keys) or 2.7 GB
 MEMBER_BUDGET = 1 << 27
-# packed values are stored as uint16 when their bound lies below UINT16_KEYS,
-# as int32 when it lies below INT32_KEYS, else as int64 (``_key_dtype``)
-UINT16_KEYS = 1 << 16
+# a packed array is uint16 when its bound lies below 2**16, int32 when it
+# lies below this, else int64 (``_key_dtype``)
 INT32_KEYS = 1 << 31
 # positions of the member or index arrays one step of a coverage pass gathers
 _CHUNK = 1 << 15
@@ -184,14 +183,14 @@ def _outside_members(node_count) -> DomainError:
 
 
 def _key_dtype(bound) -> type:
-    """The dtype of packed values below ``bound``: uint16 below ``UINT16_KEYS``,
-    int32 below ``INT32_KEYS``, else int64.
+    """The dtype of packed values below ``bound``: uint16 below 2**16, int32
+    below ``INT32_KEYS``, else int64.
 
     The bound is strict, so a value plus one still fits.  Arithmetic on such
     an array names its result dtype, as numpy 1.x keeps ``uint16 * int32(w)``
     at uint16 when w fits in 16 bits.
     """
-    if bound < UINT16_KEYS:
+    if bound < 1 << 16:
         return np.uint16
     return np.int32 if bound < INT32_KEYS else np.int64
 

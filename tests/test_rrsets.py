@@ -404,12 +404,11 @@ class TestGenerate:
 
     def test_generate_peak_memory_per_member(self):
         # uint16 members beside int32 index keys and their scaled members,
-        # built in place, peak at 12.29 bytes per member on the first case
-        # (int32 members peaked at 13.56; an int64 temporary passes 20).  The
-        # two smaller cases (5 and 2 batches of 1747 and 2621 sets) also hold
-        # the 1 MB visited bitmap and the batches' member arrays until they
-        # are joined: they peak at 14.92 and 26.50 bytes per member.  Each is
-        # bounded within 5% of its peak.
+        # built in place, peak at 12.29 bytes per member on the first case;
+        # an int64 temporary passes 20.  The two smaller cases (5 and 2
+        # batches of 1747 and 2621 sets) also hold the 1 MB visited bitmap and
+        # the batches' member arrays until they are joined: they peak at 14.92
+        # and 26.50 bytes per member.  Each is bounded within 5% of its peak.
         for n, m, theta, bound in ((1000, 4000, 20_000, 12.9), (600, 3000, 8000, 15.7),
                                    (400, 1600, 5000, 27.9)):
             g = wic_graph(n, m, seed=71)
