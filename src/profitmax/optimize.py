@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InternalError
-from .evaluation import MarginalEvaluator
+from .evaluation import KINDS, MarginalEvaluator
 from .graph import WeightedGraph
 from .prune import Lattice
 from .rng import derive_seed, make_rng
@@ -84,7 +84,9 @@ class _Bounds:
     """The lattice as arrays aligned with its sorted ceiling B*, and the modular
     bounds on them.  ``must`` masks A*; ``free`` is B* - A* in the iteration
     order of ``lat.free_nodes``, at positions ``free_at``.  Building asks the
-    evaluator nothing; each caller places ``rank``, the one profit query."""
+    evaluator nothing.  ``rank`` and ``fixed`` read coverage states at the
+    lattice's anchors (empty, V, A* and B*), ``upper`` one at X, and
+    ``lower`` the chain increments."""
 
     def __init__(self, evaluator: MarginalEvaluator, lat: Lattice):
         self.evaluator, self.lat = evaluator, lat
@@ -102,7 +104,8 @@ class _Bounds:
     def rank(self) -> np.ndarray:
         """Positions by descending profit singleton f(v | empty), ties by id."""
         ceiling = self.ceiling
-        return np.lexsort((ceiling, -self.evaluator.marginal_many(ceiling, (), "profit")))
+        benefit, cost = (self.evaluator.coverage_state(kind) for kind in KINDS)
+        return np.lexsort((ceiling, -(benefit.gains - cost.gains)[ceiling]))
 
     def chain(self, rank: np.ndarray, inside: np.ndarray) -> np.ndarray:
         """``rank`` stably split into A*, X - A* and B* - X (``inside`` masks X)."""
@@ -115,17 +118,12 @@ class _Bounds:
         return per_node
 
     def fixed(self, metric: str, variant: int) -> np.ndarray:
-        """The X-independent half of ``modular_upper`` (zero on A* for variant 4)."""
-        evaluator, ceiling = self.evaluator, self.ceiling
-        if variant == 1:
-            return evaluator.marginal_vs_rest(ceiling, range(evaluator.node_count), metric)
-        if variant == 2:
-            return evaluator.marginal_many(ceiling, (), metric)
-        if variant == 3:
-            return evaluator.marginal_vs_rest(ceiling, self.lat.may_include, metric)
-        fixed, free = np.zeros(len(ceiling)), ~self.must
-        fixed[free] = evaluator.marginal_many(ceiling[free], self.lat.must_include, metric)
-        return fixed
+        """The X-independent half of ``modular_upper``, read from the metric's
+        coverage state at the variant's anchor (zero on A* for variant 4)."""
+        evaluator, lat = self.evaluator, self.lat
+        anchor = (range(evaluator.node_count), (), lat.may_include, lat.must_include)[variant - 1]
+        state = evaluator.coverage_state(metric, anchor)
+        return state.inside(self.ceiling) if variant in (1, 3) else state.gains[self.ceiling]
 
     def upper(self, state, inside: np.ndarray, variant: int, fixed: np.ndarray) -> np.ndarray:
         """``modular_upper`` at X (mask ``inside``) but its base: ``fixed`` plus the
@@ -170,7 +168,8 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         3        f(v | B* - v)          f(v | X)      outside X
         4        f(v | A*) on B* - A*   f(v | X - v)  inside X
 
-    The per-X half is a coverage state at X: its gains outside X, ``inside``
+    The fixed half is a coverage state at the variant's anchor (V, empty, B*
+    or A*), the per-X half and f(X) one at X: gains outside, ``inside``
     within.  ``modmod`` computes the fixed half once per run and moves the
     state with X, both on arrays aligned with the sorted ceiling.
     """
@@ -183,10 +182,10 @@ def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
         raise DomainError("X must lie inside the lattice ceiling")
     bounds = _Bounds(evaluator, lat)
     inside = bounds.mask(X)
-    per_node = bounds.upper(evaluator.coverage_state(metric, X), inside, variant,
-                            bounds.fixed(metric, variant))
+    state = evaluator.coverage_state(metric, X)
+    per_node = bounds.upper(state, inside, variant, bounds.fixed(metric, variant))
     # Python's sequential sum over the sorted inside nodes; np.sum would round differently
-    return ModularFunction(base=evaluator.value(X, metric) - sum(per_node[inside].tolist()),
+    return ModularFunction(base=state.value - sum(per_node[inside].tolist()),
                            per_node=dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
 
 
@@ -333,21 +332,21 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     form, and the smaller maximum is returned.  No seed set anywhere in the
     lattice, and hence none at all, can beat it under the evaluator's
     metrics.  Certification (``profitmax.certify``) calls it once per
-    certificate.
+    certificate.  Bar the cost floor's chain increments, it reads coverage
+    states: at the empty set, at each bound's anchor, and at X for f(X).
     """
     X = _require_lattice_member(X, lat, "X")
     bounds = _Bounds(evaluator, lat)
     inside = bounds.mask(X)
     cost_floor = bounds.lower("cost", bounds.chain(bounds.rank(), inside))
-    benefit = evaluator.value(X, "benefit")
-    state = evaluator.coverage_state("benefit", X)  # both benefit bounds' per-X half
+    state = evaluator.coverage_state("benefit", X)  # f(X) and both bounds' per-X half
     caps = []
     for variant in (3, 4):
         upper = bounds.upper(state, inside, variant, bounds.fixed("benefit", variant))
         best = bounds.maximizer(upper - cost_floor > 0.0)
         # each bound as ModularFunction.evaluate gives it: summed over best as it iterates
         at = np.searchsorted(bounds.ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))
-        caps.append((benefit - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
+        caps.append((state.value - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
                     - (0.0 + sum(cost_floor[at].tolist())))
     return min(caps)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InternalError
-from .evaluation import MarginalEvaluator
+from .evaluation import KINDS, MarginalEvaluator
 from .graph import _check_values
 
 
@@ -142,8 +142,8 @@ def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
     must = frozenset()
     may = frozenset(int(v) for v in nodes)
     steps = [PruneStep(must, may)]
-    at_a = {kind: evaluator.coverage_state(kind) for kind in ("benefit", "cost")}
-    at_b = {kind: evaluator.coverage_state(kind, may) for kind in ("benefit", "cost")}
+    at_a = {kind: evaluator.coverage_state(kind) for kind in KINDS}
+    at_b = {kind: evaluator.coverage_state(kind, may) for kind in KINDS}
     # each non-final iteration moves at least one node, so |nodes| + 1
     # passes suffice for any consistent evaluator
     for _ in range(len(may) + 1):
@@ -165,7 +165,7 @@ def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
                                dict(zip(undecided, upper.tolist()))))
         if next_must == must and next_may == may:
             return Lattice(next_must, next_may, iterations=steps)
-        for kind in ("benefit", "cost"):
+        for kind in KINDS:
             at_a[kind].add(grow)
             at_b[kind].remove(shrink)
         must, may = next_must, next_may

@@ -38,9 +38,13 @@ hold none, changed only for the sets whose count an entering or leaving
 node moves to or from zero (the node-selection scheme of IMM, Tang, Shi
 and Xiao, SIGMOD 2015, extended to removals), so a whole greedy run
 touches each member of each set once.  The same counts give f(v | S - v)
-for v in S from the sets that hold one node of S.  Many seed sets are
-counted at once, bit-parallel: each node gets a 64-bit word whose bit b
-marks the b-th seed set, and OR-ing the words of each set's members shows
+for v in S from the sets that hold one node of S, and Lambda(S) is the
+number of sets with a nonzero count (``ProfitEstimator.value`` counts them
+in one ``hits`` pass).  Pruning, greedy and the modular bounds take every
+marginal and f(X) from these states; the batched ``marginal_many`` and
+``marginal_vs_rest`` build one per query.  Many seed sets are counted at
+once, bit-parallel: each node gets a 64-bit word whose bit b marks the
+b-th seed set, and OR-ing the words of each set's members shows
 which of the 64 seed sets cover it (``RRCollection.cover_counts``).
 
 Sampling is batch-frontier: the sets of a batch grow together, one BFS level
@@ -83,30 +87,8 @@ INT32_KEYS = 1 << 31
 _CHUNK = 1 << 15
 
 
-def _spans(ptr, rows):
-    """Positions in a CSR data array of the rows ``rows``, concatenated.
-
-    They come in order, in arrays of at most ``_CHUNK`` positions, and in at
-    least one array, empty when the rows are: one array in a tuple when it
-    holds them all, else a generator.  A position is its running index j
-    plus the shift of the row that j falls in.
-    """
-    starts = ptr[rows]
-    lens = ptr[rows + 1]
-    lens -= starts
-    ends = lens.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    starts += lens
-    starts -= ends
-    if total <= _CHUNK:
-        pos = starts.repeat(lens)
-        pos += np.arange(total)
-        return (pos,)
-    return _chunks(starts, ends, total)
-
-
 def _chunks(shifts, ends, total):
-    """The positions of ``_spans``, ``_CHUNK`` at a time."""
+    """The positions of ``_tally``'s rows, ``_CHUNK`` at a time."""
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         # the rows that [lo, hi) meets: the first ends past lo, the last at or past hi
@@ -120,8 +102,21 @@ def _chunks(shifts, ends, total):
 
 
 def _tally(ptr, rows, data, length) -> np.ndarray:
-    """Per value 0..length-1, how often it occurs in ``data`` over the rows ``rows``."""
-    chunks = iter(_spans(ptr, rows))
+    """Per value 0..length-1, how often it occurs in ``data`` over the rows ``rows``
+    (a row asked for twice counts twice), reading at most ``_CHUNK`` positions
+    at a time.  A position is its running index j plus the shift of its row."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1]
+    lens -= starts
+    ends = lens.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    starts += lens
+    starts -= ends
+    if total <= _CHUNK:
+        pos = starts.repeat(lens)
+        pos += np.arange(total)
+        return np.bincount(data[pos], minlength=length)
+    chunks = _chunks(starts, ends, total)
     counts = np.bincount(data[next(chunks)], minlength=length)
     for pos in chunks:
         np.add.at(counts, data[pos], 1)
@@ -271,13 +266,6 @@ class RRCollection:
 
     # -- coverage counts; node ids are int64 arrays the caller has checked --
 
-    def covered(self, seeds) -> np.ndarray:
-        """Mask over the sets: which ones the seed set intersects."""
-        mask = np.zeros(self.theta, dtype=bool)
-        for pos in _spans(self.node_ptr, seeds):
-            mask[self.set_ids[pos]] = True
-        return mask
-
     def _per_set(self, ufunc, values, out) -> np.ndarray:
         """out[s] = ufunc of out[s] and of ``values`` at the members of set s.
 
@@ -319,7 +307,7 @@ class RRCollection:
         return counts
 
     def hits(self, nodes) -> np.ndarray:
-        """Per set, how many of the (distinct) ``nodes`` it holds."""
+        """Per set, how many of ``nodes`` it holds; a node listed twice counts twice."""
         return _tally(self.node_ptr, nodes, self.set_ids, self.theta)
 
     def members_of(self, sets) -> np.ndarray:
@@ -636,8 +624,9 @@ class ProfitEstimator(MarginalEvaluator):
     """Benefit and cost estimates from two frozen RR collections.
 
     A weight kind whose total is zero needs no samples; its collection slot
-    is None and every estimate on that side is exactly zero.  Every query is
-    a few vectorised passes over the collections' CSR arrays.
+    is None or an empty collection, and every estimate on that side is
+    exactly zero; a side with weight needs a set.  Every query is a few
+    vectorised passes over the collections' CSR arrays.
     """
 
     def __init__(self, benefit_rr, cost_rr, graph: WeightedGraph):
@@ -665,6 +654,8 @@ class ProfitEstimator(MarginalEvaluator):
         if not math.isclose(coll.total_weight, upsilon, rel_tol=1e-12, abs_tol=1e-12):
             raise DomainError(f"collection {kind} total weight {coll.total_weight} "
                               f"does not match the graph's {upsilon}")
+        if not coll.theta and upsilon != 0:
+            raise DomainError(f"{kind} collection holds no sets but total weight is {upsilon}")
 
     @classmethod
     def build(cls, g: WeightedGraph, theta_beta: int, theta_gamma: int,
@@ -695,7 +686,7 @@ class ProfitEstimator(MarginalEvaluator):
 
     def value(self, seeds, metric: str) -> float:
         seeds = _node_array(seeds, self.node_count)
-        return self._scaled(metric, lambda c: int(np.count_nonzero(c.covered(seeds))))
+        return self._scaled(metric, lambda c: int(np.count_nonzero(c.hits(seeds))))
 
     def value_many(self, seed_sets, metric: str) -> np.ndarray:
         seed_sets = [_node_array(s, self.node_count) for s in seed_sets]
@@ -727,7 +718,7 @@ class ProfitEstimator(MarginalEvaluator):
     def coverage_counts(self, seeds):
         """(Lambda_beta, Lambda_gamma): how many sets of each side the seed set covers."""
         seeds = _node_array(seeds, self.node_count)
-        return tuple(int(np.count_nonzero(self._colls[kind].covered(seeds))) for kind in KINDS)
+        return tuple(int(np.count_nonzero(self._colls[kind].hits(seeds))) for kind in KINDS)
 
 
 def save_collection(coll: RRCollection, path) -> None:

@@ -214,7 +214,7 @@ def test_criterion_5_confidence_coverage(demo_graph_m):
     for i in range(runs):
         coll = generate(demo_graph_m, "benefit", theta,
                         seed=derive_seed(555, "coverage", i))
-        lam = int(np.count_nonzero(coll.covered(np.array(sorted(DEMO_OPTIMUM)))))
+        lam = int(np.count_nonzero(coll.hits(np.array(sorted(DEMO_OPTIMUM)))))
         lower, upper = confidence_bounds(lam, theta, upsilon, delta)
         hits += lower <= exact_benefit <= upper
     # one-sided exact binomial test at significance 0.001: reject only if

@@ -42,7 +42,8 @@ class TestMuBound:
         assert min(mu3, mu4) >= 1.68 - 1e-9
 
     def test_benefit_of_x_asked_once(self, monkeypatch, demo_graph, demo_setup):
-        # both benefit ceilings are tight at X through the same f(X)
+        # both benefit ceilings are tight at X through the same f(X), read
+        # from the benefit coverage state at X, so no value query is asked
         _, lat = demo_setup
         est = ProfitEstimator.build(demo_graph, 2000, 2000, seed=3)
         X = frozenset({1, 2})
@@ -55,7 +56,7 @@ class TestMuBound:
 
         monkeypatch.setattr(est, "value", value)
         assert mu_bound(est, X, lat) == expected
-        assert metrics == ["benefit"]
+        assert metrics == []
 
     def test_edgeless_equals_true_optimum(self):
         g = edgeless_graph([2.0, -1.0, 3.0, 0.5])
@@ -185,8 +186,9 @@ class TestCertify:
         assert est_b == cert.phi_estimate
 
     def test_one_cap_per_certificate(self, monkeypatch, demo_graph, demo_setup):
-        # mu is one mu_bound call: one permutation (its profit singletons) and
-        # one cost chain on the validation estimator serve both benefit ceilings
+        # mu is one mu_bound call: one permutation (its profit singletons, read
+        # from coverage states) and one cost chain on the validation estimator
+        # serve both benefit ceilings
         _, lat = demo_setup
         certify_module = importlib.import_module("profitmax.certify")
         calls = []
@@ -204,7 +206,7 @@ class TestCertify:
                             counted("mu_bound", certify_module.mu_bound))
         certify({1, 2}, demo_graph, lat, 1000, delta=0.01, seed=5)
         assert [name for name, _ in calls].count("mu_bound") == 1
-        assert calls.count(("marginal_many", "profit")) == 1
+        assert [c for c in calls if c[0] == "marginal_many"] == []
         assert [c for c in calls if c[0] == "chain_increments"] == [("chain_increments", "cost")]
 
     @pytest.mark.parametrize("case", range(4))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from profitmax import (DomainError, ExactEvaluator, Lattice, ModularFunction,
-                       ProfitEstimator, SelectionResult, baseline, greedy,
+                       ProfitEstimator, SelectionResult, baseline, certify, greedy,
                        iterative_prune, k_sweep, make_permutation,
                        maximize_modular_difference, modmod, modular_lower,
                        modular_upper, mu_bound, sweep_sizes, trivial_lattice)
 from profitmax.graph import WeightedGraph
-from profitmax.optimize import BASELINES, RANDOM_BASELINE_DRAWS, _benefitmax, _random
+from profitmax.evaluation import KINDS
+from profitmax.optimize import BASELINES, RANDOM_BASELINE_DRAWS, _Bounds, _benefitmax, _random
 from profitmax.rng import derive_seed, make_rng
 from profitmax.rrsets import RRCollection, RRCoverage
 
@@ -362,10 +363,9 @@ class TestModMod:
         est = ProfitEstimator.build(g, 2000, 2000, seed=0)
         rounds, calls, values = self.counted_modmod(est, monkeypatch, variant)
         assert rounds >= 2  # each move, then the round that repeats
-        # the per-X cost half comes from one coverage state moved with X,
-        # so no round asks a batched marginal query
-        assert calls == ([("marginal_many", "profit"), (anchor, "cost")]
-                         + rounds * [("chain_increments", "benefit")])
+        # the singletons, the anchor half and the per-X cost half all come
+        # from coverage states, so no batched marginal query is asked
+        assert calls == rounds * [("chain_increments", "benefit")]
         # no f(X) cost query for the cost ceiling's base: the only value
         # queries are the benefit and cost of each trajectory entry's profit
         assert values == rounds * ["benefit", "cost"]
@@ -376,11 +376,13 @@ class TestModMod:
     ])
     def test_exact_evaluator_asks_per_x_half_each_round(self, monkeypatch, variant, anchor,
                                                         per_x):
-        # the generic coverage state answers each read with one batched query
+        # the generic coverage state answers each read with one batched query:
+        # the gains of both sides at the empty set rank the singletons
         g = random_graph(np.random.default_rng(13), max_nodes=7, max_edges=12)
         rounds, calls, _ = self.counted_modmod(ExactEvaluator(g), monkeypatch, variant)
         assert rounds >= 2
-        assert calls == ([("marginal_many", "profit"), (anchor, "cost")]
+        assert calls == ([("marginal_many", "benefit"), ("marginal_many", "cost"),
+                          (anchor, "cost")]
                          + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
 
 
@@ -548,7 +550,11 @@ def reference_member_mask(ceiling, nodes):
 
 
 def reference_upper_fixed(evaluator, metric, variant, lat, ceiling):
-    """The X-independent half of upper bounds 3 and 4."""
+    """The X-independent half of upper bounds 1-4, from the batched queries."""
+    if variant == 1:
+        return evaluator.marginal_vs_rest(ceiling, range(evaluator.node_count), metric)
+    if variant == 2:
+        return evaluator.marginal_many(ceiling, (), metric)
     if variant == 3:
         return evaluator.marginal_vs_rest(ceiling, lat.may_include, metric)
     fixed = np.zeros(len(ceiling))
@@ -689,7 +695,7 @@ def check_public_helpers(ev, lat, X, monkeypatch):
                         return _query(*args)
                     patch.setattr(ev, name, counted)
                 upper = modular_upper(ev, metric, X, variant, lat)
-            assert metrics and "profit" not in metrics
+            assert "profit" not in metrics
             fixed = reference_upper_fixed(ev, metric, variant, lat, ceiling)
             assert repr(upper) == repr(reference_upper_at(
                 ev, metric, X, ev.value(X, metric), variant, ceiling, fixed))
@@ -722,6 +728,19 @@ class TestBoundsMatchReferenceLoops:
         for g, ev in exact_tie_cases():
             self.check(ev, trivial_lattice(g.node_count), monkeypatch)
             self.check(ev, iterative_prune(ev), monkeypatch)
+
+    @pytest.mark.parametrize("cases", [estimator_cases, exact_tie_cases])
+    def test_fixed_halves(self, cases):
+        # each variant's anchor state gives what the batched queries give
+        for g, ev in cases():
+            for lat in (trivial_lattice(g.node_count), iterative_prune(ev)):
+                bounds = _Bounds(ev, lat)
+                for metric in KINDS:
+                    for variant in (1, 2, 3, 4):
+                        got = bounds.fixed(metric, variant)
+                        want = reference_upper_fixed(ev, metric, variant, lat, bounds.ceiling)
+                        assert got.dtype == want.dtype == np.float64
+                        assert repr(got.tolist()) == repr(want.tolist()), (metric, variant)
 
     @pytest.mark.parametrize("cases", [estimator_cases, exact_tie_cases])
     def test_benefitmax_sweeps(self, cases):
@@ -758,6 +777,44 @@ class TestGreedyMatchesLoop:
             lat = trivial_lattice(g.node_count)
             self.check(ExactEvaluator(g), lat)
             self.check(ProfitEstimator.build(g, 60, 60, seed=seed), lat)
+
+
+class TestOneReadPath:
+    """Pruning, selection and certification read RR estimates through
+    coverage states alone: with the batched marginal queries raising, each
+    returns what it returns without them."""
+
+    @staticmethod
+    def runs(g, est) -> dict:
+        lat = iterative_prune(est)
+        X = greedy(est, lat).seeds
+        out = {"prune": (lat, lat.iterations), "greedy": greedy(est, lat),
+               "modmod3": modmod(est, lat, 3), "modmod4": modmod(est, lat, 4),
+               "mu_bound": mu_bound(est, X, lat),
+               "certify": certify(X, g, lat, 1000, delta=0.01, seed=5),
+               "make_permutation": make_permutation(lat, X, est)}
+        for metric in KINDS:
+            for variant in (1, 2, 3, 4):
+                out[f"modular_upper {metric} {variant}"] = modular_upper(est, metric, X,
+                                                                         variant, lat)
+        return out
+
+    def test_batched_marginal_queries_unused(self, monkeypatch):
+        g = random_graph(np.random.default_rng(3), max_nodes=12, max_edges=30)
+        est = ProfitEstimator.build(g, 2000, 2000, seed=4)
+        want = self.runs(g, est)
+        assert len(want["prune"][1]) > 2  # pruning moved nodes before it settled
+        assert want["prune"][0].free_nodes  # and left selection something to choose
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a batched marginal query was asked")
+
+        for name in ("marginal_many", "marginal_vs_rest"):
+            monkeypatch.setattr(ProfitEstimator, name, refused)
+        got = self.runs(g, est)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert repr(got[key]) == repr(want[key]), key
 
 
 def saturating_estimator():

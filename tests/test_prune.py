@@ -256,18 +256,6 @@ class TestPruneStates:
         assert lat.may_include == {2, 3}
         assert set(lat.iterations[1].lower_margin) == {1, 2, 3}
 
-    def test_estimator_asks_no_batched_queries(self, monkeypatch):
-        calls = []
-        for name in ("marginal_many", "marginal_vs_rest"):
-            def counted(self, *args, _query=getattr(ProfitEstimator, name), _name=name):
-                calls.append(_name)
-                return _query(self, *args)
-            monkeypatch.setattr(ProfitEstimator, name, counted)
-        g = random_graph(np.random.default_rng(3), max_nodes=12, max_edges=30)
-        lat = iterative_prune(ProfitEstimator.build(g, 2000, 2000, seed=4))
-        assert len(lat.iterations) > 2  # pruning moved nodes before it settled
-        assert calls == []
-
     def test_exact_evaluator_asks_four_queries_per_iteration(self, monkeypatch):
         ev = ExactEvaluator(make_demo_graph())
         calls = []

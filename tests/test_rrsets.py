@@ -15,7 +15,7 @@ from profitmax import (CapacityError, DomainError, ExactEvaluator, ParseError,
                        confidence_bounds, generate, load_collection, normalize_weights,
                        sampling_error_limit, save_collection, theta_for_relative_error)
 from profitmax import rrsets
-from profitmax.evaluation import MarginalEvaluator
+from profitmax.evaluation import KINDS, METRICS, MarginalEvaluator
 from profitmax.rng import derive_seed
 from profitmax.rrsets import RRCoverage
 
@@ -463,7 +463,7 @@ class TestGenerate:
             for size in range(4):
                 for seeds in itertools.combinations(range(g.node_count), size):
                     p = exact.value(seeds, kind) / coll.total_weight
-                    hits = np.count_nonzero(coll.covered(np.array(seeds, dtype=np.int64)))
+                    hits = np.count_nonzero(coll.hits(np.array(seeds, dtype=np.int64)))
                     spread = 5 * math.sqrt(max(theta * p * (1 - p), 0.0))
                     assert abs(hits - theta * p) <= spread + 1e-6 * theta, (kind, seeds)
 
@@ -693,7 +693,6 @@ class TestChunkedPasses:
             mp.setattr(rrsets, "_CHUNK", chunk)
             self.assert_same(coll.members_of(sets), ref.members_of(sets))
             self.assert_same(coll.hits(nodes), ref.hits(nodes))
-            self.assert_same(coll.covered(seeds), ref.covered(seeds))
             self.assert_same(coll.chain_counts(order), ref.chain_counts(order))
             self.assert_same(coll.cover_counts(seed_sets), ref.cover_counts(seed_sets))
             if coll.theta:
@@ -722,7 +721,6 @@ class TestChunkedPasses:
         assert bound < 4 * len(coll.members)
         passes = {"members_of": lambda: coll.members_of(sets),
                   "hits": lambda: coll.hits(nodes),
-                  "covered": lambda: coll.covered(nodes),
                   "chain_counts": lambda: coll.chain_counts(nodes),
                   "cover_counts": lambda: coll.cover_counts([nodes[::2], nodes[1::2]]),
                   "marginal_vs_rest": lambda: est.marginal_vs_rest(nodes, nodes[::2], "benefit"),
@@ -896,6 +894,27 @@ class TestEstimator:
         with pytest.raises(DomainError):
             ProfitEstimator(benefit, generate(other, "cost", 10, seed=1), demo_graph)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_side_with_weight_but_no_sets_rejected(self, kind):
+        # every estimate on that side would read 0 and greedy would select nothing
+        g = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.5)], benefit=[1, 1, 1], cost=[1, 1, 1])
+        colls = {k: generate(g, k, 50, seed=1) for k in KINDS}
+        colls[kind] = RRCollection(kind, 3, 3.0, 0, [])
+        with pytest.raises(DomainError, match=f"^{kind} collection holds no sets "
+                                              r"but total weight is 3\.0$"):
+            ProfitEstimator(colls["benefit"], colls["cost"], g)
+
+    @pytest.mark.parametrize("empty", ["none", "collection"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_weight_side_may_hold_no_sets(self, kind, empty):
+        weights = {k: [0, 0, 0] if k == kind else [1, 2, 3] for k in KINDS}
+        g = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.5)], **weights)
+        colls = {k: generate(g, k, 50, seed=1) for k in KINDS if k != kind}
+        colls[kind] = None if empty == "none" else RRCollection(kind, 3, 0.0, 0, [])
+        est = ProfitEstimator(colls["benefit"], colls["cost"], g)
+        assert est.value({0, 1, 2}, kind) == 0.0
+        other, = set(KINDS) - {kind}
+        assert est.value({0, 1, 2}, other) == 6.0  # every set holds a node of V
 
     @pytest.mark.parametrize("bad", [-1, 4])
     @pytest.mark.parametrize("query", [
@@ -918,6 +937,37 @@ class TestEstimator:
         est = ProfitEstimator.build(demo_graph, 200, 200, seed=21)
         with pytest.raises(DomainError, match=f"node {bad} outside 0..3"):
             query(est, bad)
+
+
+class TestRepeatedSeeds:
+    """``hits`` counts a node listed twice twice, but only whether a set's
+    count is nonzero reaches an estimate, so a seed list with repeats is
+    worth its distinct set, in one chunk or across several."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 7])
+    def test_repeats_count_once(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(rrsets, "_CHUNK", chunk)
+        g = wic_graph(40, 160, seed=5)
+        est = ProfitEstimator.build(g, 300, 400, seed=25)
+        coll = est.benefit_rr
+        v = np.array([int(np.argmax(np.diff(coll.node_ptr)))])
+        assert coll.hits(v).any()
+        assert np.array_equal(coll.hits(np.repeat(v, 2)), 2 * coll.hits(v))
+        rng = np.random.default_rng(9)
+        repeated, distinct = [], []
+        for size in (1, 3, 8, 20):
+            ids = rng.integers(0, g.node_count, size=size)
+            ids = np.concatenate([ids, ids[::2], ids[:1]])  # every list repeats an id
+            repeated.append(ids.tolist())
+            distinct.append(sorted(set(ids.tolist())))
+        for seeds, once in zip(repeated, distinct):
+            assert est.coverage_counts(seeds) == est.coverage_counts(once)
+            for metric in METRICS:
+                assert repr(est.value(seeds, metric)) == repr(est.value(once, metric))
+        for metric in METRICS:
+            assert (est.value_many(repeated, metric).tolist()
+                    == est.value_many(distinct, metric).tolist())
 
 
 class TestQueryArrays:
