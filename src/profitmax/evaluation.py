@@ -2,9 +2,12 @@
 
 Pruning, seed selection and certification are written against this interface
 so they run unchanged on the exact oracle (small graphs) and on the
-reverse-reachable sampling estimator (any scale).  Subclasses must implement
-``value``; the batched helpers and the coverage state, the one incremental
-query, have generic fallbacks that subclasses may override with faster paths.
+reverse-reachable sampling estimator (any scale).  Subclasses supply
+``value`` and ``coverage_state``, the one incremental query: f(S), f(v | S)
+and f(v | S - v) for one side, kept as nodes enter and leave S.  The
+batched marginal queries read a coverage state at their base set, profit
+as benefit minus cost per node; ``value_many`` and ``chain_increments``
+are loops over ``value`` that subclasses may override with faster paths.
 
 The batched queries (``marginal_many``, ``marginal_vs_rest`` and
 ``chain_increments``) return float64 arrays aligned with the nodes asked
@@ -23,57 +26,47 @@ METRICS = ("benefit", "cost", "profit")
 KINDS = ("benefit", "cost")
 
 
-class CoverageState:
-    """One side's value and marginals for a seed set S that nodes enter and leave.
-
-    ``add(nodes)`` and ``remove(nodes)`` take one node or several; a node
-    already on that side of S is left as it is.  ``value`` is f(S),
-    ``gains[v]`` is f(v | S) (zero on S itself) and ``inside(nodes)`` is
-    f(v | S - v), a float64 array aligned with ``nodes``.  This generic
-    version asks ``value``, ``marginal_many`` and ``marginal_vs_rest`` on
-    every read; an evaluator with incremental structure returns its own
-    object with these members.
-    """
-
-    def __init__(self, evaluator, metric: str, seeds=()):
-        self.evaluator, self.metric = evaluator, metric
-        self.seeds = set(_ids(seeds))
-
-    def add(self, nodes) -> None:
-        self.seeds.update(_ids(nodes))
-
-    def remove(self, nodes) -> None:
-        self.seeds.difference_update(_ids(nodes))
-
-    @property
-    def value(self) -> float:
-        return self.evaluator.value(frozenset(self.seeds), self.metric)
-
-    @property
-    def gains(self) -> np.ndarray:
-        ev, base = self.evaluator, frozenset(self.seeds)
-        rest = [v for v in range(ev.node_count) if v not in base]
-        gains = np.zeros(ev.node_count)
-        gains[rest] = ev.marginal_many(rest, base, self.metric)
-        return gains
-
-    def inside(self, nodes) -> np.ndarray:
-        return self.evaluator.marginal_vs_rest(nodes, frozenset(self.seeds), self.metric)
+def _outside(v: int, node_count) -> DomainError:
+    return DomainError(f"node {v} outside 0..{node_count - 1}")
 
 
-def _ids(nodes) -> list:
-    """One node id, or each of several, as a list of ints."""
-    return [int(nodes)] if np.isscalar(nodes) else [int(v) for v in nodes]
+def _node_array(nodes, node_count) -> np.ndarray:
+    """Node ids as an int64 array; any id outside 0..node_count-1 raises."""
+    if isinstance(nodes, np.ndarray):
+        arr = nodes.astype(np.int64, copy=False)
+    else:
+        count = len(nodes) if hasattr(nodes, "__len__") else -1
+        arr = np.fromiter(nodes, dtype=np.int64, count=count)
+    bad = arr[(arr < 0) | (arr >= node_count)]
+    if bad.size:
+        raise _outside(int(bad[0]), node_count)
+    return arr
 
 
 class MarginalEvaluator:
-    """Set-function queries over one graph's benefit and cost metrics."""
+    """Set-function queries over one graph's benefit and cost metrics.
+
+    A subclass supplies ``value`` and ``coverage_state``; ``marginal_many``
+    and ``marginal_vs_rest`` read the coverage state at their base set.
+    """
 
     node_count: int
 
-    # -- required primitive ----------------------------------------------
+    # -- required primitives -----------------------------------------------
 
     def value(self, seeds, metric: str) -> float:
+        raise NotImplementedError
+
+    def coverage_state(self, metric: str, seeds=()):
+        """f(S), f(v | S) and f(v | S - v) for a benefit or cost side, kept
+        as nodes enter and leave S.
+
+        ``add(nodes)`` and ``remove(nodes)`` take one node or several; a node
+        already on that side of S is left as it is.  ``value`` is f(S),
+        ``gains[v]`` is f(v | S) (zero on S itself) and ``inside(nodes)`` is
+        f(v | S - v) for v in S and f(v | S) off it, a float64 array aligned
+        with ``nodes``.
+        """
         raise NotImplementedError
 
     # -- derived queries ---------------------------------------------------
@@ -104,9 +97,10 @@ class MarginalEvaluator:
         return self.value(base | {v}, metric) - self.value(base, metric)
 
     def marginal_many(self, nodes, base, metric: str) -> np.ndarray:
-        """f(v | base) for each v in ``nodes``, as a float64 array in their order."""
-        base = frozenset(base)
-        return np.array([self.marginal(v, base, metric) for v in nodes], dtype=np.float64)
+        """f(v | base) for each v in ``nodes``, as a float64 array in their
+        order: 0.0 for the nodes of ``base``."""
+        nodes = _node_array(nodes, self.node_count)
+        return self._read(metric, base, lambda state: state.gains[nodes])
 
     def marginal_vs_rest(self, nodes, whole, metric: str) -> np.ndarray:
         """f(v | whole - v) for each v in ``nodes``, as a float64 array in their order.
@@ -114,10 +108,15 @@ class MarginalEvaluator:
         This is the smallest marginal v can have inside ``whole`` under
         submodularity, so it doubles as a floor in pruning.
         """
+        nodes = _node_array(nodes, self.node_count)
+        return self._read(metric, whole, lambda state: state.inside(nodes))
+
+    def _read(self, metric, seeds, read) -> np.ndarray:
+        """``read`` of the metric's coverage state at ``seeds``; benefit minus cost for profit."""
         self._check_metric(metric)
-        whole = frozenset(whole)
-        return np.array([self.marginal(v, whole - {v}, metric) for v in nodes],
-                        dtype=np.float64)
+        if metric == "profit":
+            return self._read("benefit", seeds, read) - self._read("cost", seeds, read)
+        return read(self.coverage_state(metric, seeds))
 
     def chain_increments(self, order, metric: str) -> np.ndarray:
         """f(first i items) - f(first i-1 items) for each position i of ``order``.
@@ -134,12 +133,6 @@ class MarginalEvaluator:
             incs.append(cur - prev)
             prev = cur
         return np.array(incs, dtype=np.float64)
-
-    def coverage_state(self, metric: str, seeds=()) -> CoverageState:
-        """f(S), f(v | S) and f(v | S - v) for a benefit or cost side, kept
-        as nodes enter and leave S."""
-        self._check_kind(metric)
-        return CoverageState(self, metric, seeds)
 
     @staticmethod
     def _check_kind(metric):

@@ -261,9 +261,11 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
 
     Each round adds the free node with the largest marginal profit
     benefit(v | S) - cost(v | S), ties to the smallest id, and the climb
-    stops as soon as that marginal is not positive.  The marginals come from
-    one coverage state per side (``MarginalEvaluator.coverage_state``),
-    updated as S grows; a round is one vectorised argmax over all nodes.
+    stops as soon as that marginal is not positive.  The marginals and each
+    trajectory entry's profit come from one coverage state per side
+    (``MarginalEvaluator.coverage_state``), updated as S grows; a round is
+    one vectorised argmax over all nodes.  The estimate is the last entry's
+    profit, or A*'s when no node enters.
     """
     seeds = set(lat.must_include)
     free = lat.free_nodes
@@ -280,7 +282,8 @@ def greedy(evaluator: MarginalEvaluator, lat: Lattice) -> SelectionResult:
             trajectory.append({"added": v, "marginal": gain,
                                "profit": benefit.value - cost.value})
     result = frozenset(seeds)
-    return SelectionResult("greedy", {}, result, evaluator.profit(result), trajectory)
+    profit = trajectory[-1]["profit"] if trajectory else evaluator.profit(result)
+    return SelectionResult("greedy", {}, result, profit, trajectory)
 
 
 def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int = 3,
@@ -294,17 +297,21 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     picks the cost upper bound (3 or 4), matching the two flavors reported
     by the selection harness.  The chain order is ``make_permutation``'s,
     so the iteration draws nothing; ``seed`` is only recorded in ``params``.
+    Each trajectory entry's profit is read from the two sides' coverage
+    states at the incumbent.
     """
     if gamma_bound_variant not in (3, 4):
         raise DomainError(f"gamma bound variant must be 3 or 4, got {gamma_bound_variant}")
     incumbent = frozenset(lat.must_include)
-    trajectory = [{"seeds": sorted(incumbent), "profit": evaluator.profit(incumbent)}]
+    # both sides' states at the incumbent, moved along with it: the cost
+    # ceiling's per-X half and each trajectory entry's profit
+    benefit, cost = (evaluator.coverage_state(kind, incumbent) for kind in KINDS)
+    trajectory = [{"seeds": sorted(incumbent), "profit": benefit.value - cost.value}]
     # what the bounds take from the lattice alone, computed once per run
     bounds = _Bounds(evaluator, lat)
     inside = bounds.must
     rank = bounds.rank()
     cost_fixed = bounds.fixed("cost", gamma_bound_variant)
-    cost = evaluator.coverage_state("cost", incumbent)  # moved along with the incumbent
     for _ in range(100 * max(1, len(bounds.free))):
         benefit_floor = bounds.lower("benefit", bounds.chain(rank, inside))
         cost_ceiling = bounds.upper(cost, inside, gamma_bound_variant, cost_fixed)
@@ -314,11 +321,12 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
                 f"modmod{gamma_bound_variant - 2}",
                 {"gamma_bound_variant": gamma_bound_variant, "seed": int(seed)},
                 incumbent, trajectory[-1]["profit"], trajectory)
-        cost.remove(bounds.ceiling[inside & ~nxt])
-        cost.add(bounds.ceiling[nxt & ~inside])
+        for state in (benefit, cost):
+            state.remove(bounds.ceiling[inside & ~nxt])
+            state.add(bounds.ceiling[nxt & ~inside])
         inside, incumbent = nxt, bounds.maximizer(nxt)
         trajectory.append({"seeds": bounds.ceiling[nxt].tolist(),
-                           "profit": evaluator.profit(incumbent)})
+                           "profit": benefit.value - cost.value})
     raise InternalError("modular-modular iteration did not converge; "
                         "the evaluator is inconsistent")
 

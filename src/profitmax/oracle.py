@@ -15,7 +15,9 @@ exactly by enumerating all 2^m edge subsets.  That enumeration is the ground
 truth against which every estimator and search property in this package is
 tested, including the shared kernel, so it is deliberately direct and shares
 no code with it: per-world transitive closure, weighted by the world's
-probability.  Size caps keep accidental blowups out.
+probability.  Size caps keep accidental blowups out.  Every query, ``value``
+included, reads the oracle's own coverage state (``_ExactCoverage``), which
+shares no code with the sampler.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .evaluation import MarginalEvaluator
+from .evaluation import MarginalEvaluator, _node_array
 from .graph import WeightedGraph
 from .rng import make_rng
 from .rrsets import _check_count, _reach
@@ -35,6 +37,8 @@ DEFAULT_NODE_CAP = 16
 _MASK_BITS = 63
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+# int64 cells of the (node, world) masks a coverage state weighs at once
+_BLOCK_CELLS = 1 << 21
 
 
 def _check_seeds(g: WeightedGraph, seeds) -> frozenset:
@@ -71,12 +75,36 @@ def simulate_spread(g: WeightedGraph, seeds, runs: int, rng) -> np.ndarray:
     return active
 
 
+def _sum(weights, nodes) -> float:
+    """The weights of ``nodes`` added one after another, in the order given."""
+    total = 0.0
+    for v in nodes:
+        total += float(weights[v])
+    return total
+
+
+def _others(reach, cols, picks) -> np.ndarray:
+    """Per column of ``picks`` (distinct, each one of ``cols``), the OR of the
+    reach masks of the other ``cols``: a prefix pass, then a suffix pass."""
+    slot = {c: j for j, c in enumerate(picks.tolist())}
+    rows = np.zeros((len(picks), reach.shape[1]), dtype=np.int64)
+    for order in (cols.tolist(), cols.tolist()[::-1]):
+        acc = np.zeros(reach.shape[1], dtype=np.int64)
+        for c in order:
+            if c in slot:
+                rows[slot[c]] |= acc
+            acc |= reach[c]
+    return rows
+
+
 class ExactEvaluator(MarginalEvaluator):
     """Exact benefit/cost oracle backed by full live-edge enumeration.
 
     All 2^m worlds are tabulated once (probability, plus a reachability
     bitmask per node incident to an edge); each subsequent query is a few
     vectorized passes over that table, for the one side it asks about.
+    f(S) is the weight of S's isolated nodes, added in ascending order, plus
+    the expected weight of the OR of the other nodes' masks.
 
     Memory grows as 2^m * (#nodes touching edges), which the edge cap keeps
     in check.
@@ -90,22 +118,23 @@ class ExactEvaluator(MarginalEvaluator):
         src, dst, prob = g.edge_arrays()
         m = g.edge_count
         degree = g.out_degree + g.in_degree
-        active_nodes = [v for v in range(g.node_count) if degree[v] > 0]
-        self._active_pos = {v: i for i, v in enumerate(active_nodes)}
+        active_nodes = np.flatnonzero(degree > 0)
         n_act = len(active_nodes)
         if n_act > _MASK_BITS:
             raise CapacityError(
                 f"exact enumeration packs reach sets into {_MASK_BITS}-bit masks; "
                 f"{n_act} nodes touch an edge")
+        # each node's row of the reach table, or -1 for a node on no edge
+        self._column = np.full(g.node_count, -1, dtype=np.int64)
+        self._column[active_nodes] = np.arange(n_act)
 
         world_count = 1 << m
         self._prob = np.empty(world_count, dtype=np.float64)
-        self._reach = np.empty((world_count, n_act), dtype=np.int64) if n_act else None
+        # row i: the reach bitmask of active node i in each world
+        self._reach = np.empty((n_act, world_count), dtype=np.int64)
 
-        if n_act:
-            a_src = np.array([self._active_pos[int(u)] for u in src], dtype=np.int64)
-            a_dst = np.array([self._active_pos[int(v)] for v in dst], dtype=np.int64)
-            powers = (np.int64(1) << np.arange(n_act, dtype=np.int64))
+        a_src, a_dst = self._column[src], self._column[dst]
+        powers = (np.int64(1) << np.arange(n_act, dtype=np.int64))
         chunk = max(1, (1 << 22) // max(1, n_act * n_act))
         for lo in range(0, world_count, chunk):
             hi = min(lo + chunk, world_count)
@@ -124,7 +153,7 @@ class ExactEvaluator(MarginalEvaluator):
                 if np.array_equal(closed, adj):
                     break
                 adj = closed
-            self._reach[lo:hi] = adj @ powers
+            self._reach[:, lo:hi] = (adj @ powers).T
 
         self._tables_b = self._limb_tables(g.benefit, active_nodes)
         self._tables_c = self._limb_tables(g.cost, active_nodes)
@@ -143,30 +172,110 @@ class ExactEvaluator(MarginalEvaluator):
             tables.append(table)
         return tables
 
-    def _mask_weight(self, masks, tables):
-        total = tables[0][masks & _LIMB_MASK] if tables else 0.0
-        for i, table in enumerate(tables[1:], start=1):
-            total = total + table[(masks >> (_LIMB_BITS * i)) & _LIMB_MASK]
-        return total
+    def _expect(self, masks, tables) -> np.ndarray:
+        """Per row of ``masks`` (a node bitmask per world), the expected weight
+        it reaches: one ``prob @ weight`` per row, ``_BLOCK_CELLS`` at a time."""
+        out = np.empty(len(masks))
+        step = max(1, _BLOCK_CELLS // masks.shape[1])
+        for lo in range(0, len(masks), step):
+            part = masks[lo:lo + step]
+            weight = np.zeros(part.shape)
+            for i, table in enumerate(tables):
+                weight += table[(part >> (_LIMB_BITS * i)) & _LIMB_MASK]
+            out[lo:lo + step] = [self._prob @ row for row in weight]
+        return out
 
     def value(self, seeds, metric: str) -> float:
         self._check_metric(metric)
         if metric == "profit":
             return self.value(seeds, "benefit") - self.value(seeds, "cost")
-        weights, tables = ((self.graph.benefit, self._tables_b) if metric == "benefit"
-                           else (self.graph.cost, self._tables_c))
-        total = 0.0
-        active_cols = []
-        for v in _check_seeds(self.graph, seeds):
-            pos = self._active_pos.get(v)
-            if pos is None:
-                total += float(weights[v])
-            else:
-                active_cols.append(pos)
-        if active_cols:
-            union = np.bitwise_or.reduce(self._reach[:, active_cols], axis=1)
-            total += float(self._prob @ self._mask_weight(union, tables))
-        return total
+        return self.coverage_state(metric, seeds).value
+
+    def coverage_state(self, metric: str, seeds=()) -> "_ExactCoverage":
+        self._check_kind(metric)
+        return _ExactCoverage(self, metric, seeds)
+
+
+class _ExactCoverage:
+    """One side's exact f(S), f(v | S) and f(v | S - v) as nodes enter and leave S.
+
+    A read ORs the reach masks of S's nodes into one mask U per world; f(S)
+    is U's expected weight plus the sum of S's isolated nodes.  ``gains``
+    and ``inside`` put each node asked for into S or take it out: into or
+    out of that sum, or ORing its mask into U, or leaving the OR of the
+    others' (prefix and suffix ORs over S's rows).  Each answer is the
+    difference of the two f that ``value`` gives, bit for bit.
+    """
+
+    def __init__(self, ev: ExactEvaluator, kind: str, seeds):
+        self.ev = ev
+        self.weights, self.tables = ((ev.graph.benefit, ev._tables_b) if kind == "benefit"
+                                     else (ev.graph.cost, ev._tables_c))
+        self.on = np.zeros(ev.node_count, dtype=bool)
+        self.add(seeds)
+
+    def add(self, nodes) -> None:
+        self._move(nodes, True)
+
+    def remove(self, nodes) -> None:
+        self._move(nodes, False)
+
+    def _move(self, nodes, enter: bool) -> None:
+        nodes = _check_seeds(self.ev.graph, [nodes] if np.isscalar(nodes) else nodes)
+        self.on[list(nodes)] = enter
+
+    @property
+    def value(self) -> float:
+        isolated, _, union = self._split()
+        return _sum(self.weights, isolated) + float(self.ev._expect(union[None], self.tables)[0])
+
+    @property
+    def gains(self) -> np.ndarray:
+        off = np.flatnonzero(~self.on)
+        value, toggled = self._toggled(off)
+        gains = np.zeros(self.ev.node_count)
+        gains[off] = toggled - value
+        return gains
+
+    def inside(self, nodes) -> np.ndarray:
+        """f(v | S - v) for each of ``nodes``: f(v | S) for those off S."""
+        nodes = _node_array(nodes, self.ev.node_count)
+        value, toggled = self._toggled(nodes)
+        return np.where(self.on[nodes], value - toggled, toggled - value)
+
+    def _split(self):
+        """S's isolated nodes, ascending; its rows of the reach table; and U."""
+        ev = self.ev
+        seeds = self.on.nonzero()[0]
+        col = ev._column[seeds]
+        cols = col[col >= 0]
+        union = np.zeros(ev._reach.shape[1], dtype=np.int64)
+        for c in cols.tolist():
+            union |= ev._reach[c]
+        return seeds[col < 0].tolist(), cols, union
+
+    def _toggled(self, nodes):
+        """f(S), and f of S with each of ``nodes`` put in or taken out."""
+        ev, weights = self.ev, self.weights
+        isolated, cols, union = self._split()
+        alone = _sum(weights, isolated)
+        term = float(ev._expect(union[None], self.tables)[0])
+        out = np.empty(len(nodes))
+        col = ev._column[nodes]
+        for i in np.flatnonzero(col < 0).tolist():
+            out[i] = _sum(weights, sorted(set(isolated) ^ {int(nodes[i])})) + term
+        inner = (col >= 0) & self.on[nodes]
+        if inner.any():
+            picks, back = np.unique(col[inner], return_inverse=True)
+            out[inner] = alone + ev._expect(_others(ev._reach, cols, picks), self.tables)[back]
+        outer = np.flatnonzero((col >= 0) & ~self.on[nodes])
+        step = max(1, _BLOCK_CELLS // len(union))
+        for lo in range(0, len(outer), step):
+            at = outer[lo:lo + step]
+            masks = ev._reach[col[at]]
+            masks |= union
+            out[at] = alone + ev._expect(masks, self.tables)
+        return alone + term, out
 
 
 def exhaustive_optimum(g: WeightedGraph, node_cap: int = DEFAULT_NODE_CAP,

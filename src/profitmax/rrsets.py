@@ -71,7 +71,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .evaluation import KINDS, MarginalEvaluator
+from .evaluation import KINDS, MarginalEvaluator, _node_array, _outside
 from .graph import WeightedGraph, _check_fields, _check_rows, _check_values, _read_json
 from .rng import derive_seed, make_rng
 
@@ -154,23 +154,6 @@ def _check_count(x, name) -> int:
     if x < 1:
         raise DomainError(f"{name} must be at least 1, got {x}")
     return int(x)
-
-
-def _node_array(nodes, node_count) -> np.ndarray:
-    """Node ids as an int64 array; any id outside 0..node_count-1 raises."""
-    if isinstance(nodes, np.ndarray):
-        arr = nodes.astype(np.int64, copy=False)
-    else:
-        count = len(nodes) if hasattr(nodes, "__len__") else -1
-        arr = np.fromiter(nodes, dtype=np.int64, count=count)
-    bad = arr[(arr < 0) | (arr >= node_count)]
-    if bad.size:
-        raise _outside(int(bad[0]), node_count)
-    return arr
-
-
-def _outside(v: int, node_count) -> DomainError:
-    return DomainError(f"node {v} outside 0..{node_count - 1}")
 
 
 def _outside_members(node_count) -> DomainError:
@@ -280,7 +263,7 @@ class RRCollection:
             a, b = ptr.searchsorted(lo, side="right") - 1, ptr.searchsorted(hi)
             starts = ptr[a:b] - lo
             starts[0] = 0
-            ufunc(out[a:b], ufunc.reduceat(values[self.members[lo:hi]], starts), out=out[a:b])
+            ufunc(out[a:b], ufunc.reduceat(values.take(self.members[lo:hi]), starts), out=out[a:b])
         return out
 
     def cover_counts(self, seed_sets) -> np.ndarray:

@@ -327,8 +327,9 @@ class TestModMod:
 
     @pytest.mark.parametrize("variant", [3, 4])
     def test_one_profit_query_per_trajectory_entry(self, monkeypatch, variant):
-        # the converged incumbent is the last trajectory entry, so its
-        # profit is read from there rather than queried again
+        # each trajectory entry's profit is read from the coverage states at
+        # the incumbent, and the converged incumbent is the last entry, so
+        # no profit is queried, yet each is the one profit() gives
         g = random_graph(np.random.default_rng(5), max_nodes=12, max_edges=30)
         est = ProfitEstimator.build(g, 2000, 2000, seed=0)
         calls = []
@@ -336,14 +337,16 @@ class TestModMod:
         monkeypatch.setattr(est, "profit", lambda seeds: calls.append(seeds) or profit(seeds))
         result = modmod(est, trivial_lattice(g.node_count), gamma_bound_variant=variant)
         assert len(result.trajectory) >= 2
-        assert len(calls) == len(result.trajectory)
+        assert calls == []
+        for step in result.trajectory:
+            assert repr(step["profit"]) == repr(profit(step["seeds"]))
         assert result.estimated_profit == profit(result.seeds)
 
     @staticmethod
     def counted_modmod(ev, monkeypatch, variant):
-        """modmod's trajectory length, its batched queries and its value queries."""
+        """modmod's trajectory length, its marginal and chain queries and its value queries."""
         calls, values = [], []
-        for name in ("marginal_many", "marginal_vs_rest", "chain_increments"):
+        for name in ("marginal", "marginal_many", "marginal_vs_rest", "chain_increments"):
             def counted(*args, _query=getattr(ev, name), _name=name):
                 calls.append((_name, args[-1]))
                 return _query(*args)
@@ -366,24 +369,19 @@ class TestModMod:
         # the singletons, the anchor half and the per-X cost half all come
         # from coverage states, so no batched marginal query is asked
         assert calls == rounds * [("chain_increments", "benefit")]
-        # no f(X) cost query for the cost ceiling's base: the only value
-        # queries are the benefit and cost of each trajectory entry's profit
-        assert values == rounds * ["benefit", "cost"]
+        # each trajectory entry's profit comes from the states at the
+        # incumbent, so no value query is asked at all
+        assert values == []
 
-    @pytest.mark.parametrize("variant, anchor, per_x", [
-        (3, "marginal_vs_rest", "marginal_many"),
-        (4, "marginal_many", "marginal_vs_rest"),
-    ])
-    def test_exact_evaluator_asks_per_x_half_each_round(self, monkeypatch, variant, anchor,
-                                                        per_x):
-        # the generic coverage state answers each read with one batched query:
-        # the gains of both sides at the empty set rank the singletons
+    @pytest.mark.parametrize("variant", [3, 4])
+    def test_exact_evaluator_asks_no_marginal_query(self, monkeypatch, variant):
+        # the oracle's own coverage states give the singletons, both halves of
+        # the cost ceiling and every profit; only the benefit floor's chain
+        # increments go through value
         g = random_graph(np.random.default_rng(13), max_nodes=7, max_edges=12)
         rounds, calls, _ = self.counted_modmod(ExactEvaluator(g), monkeypatch, variant)
         assert rounds >= 2
-        assert calls == ([("marginal_many", "benefit"), ("marginal_many", "cost"),
-                          (anchor, "cost")]
-                         + rounds * [("chain_increments", "benefit"), (per_x, "cost")])
+        assert calls == rounds * [("chain_increments", "benefit")]
 
 
 class TestBaselines:

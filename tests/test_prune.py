@@ -182,15 +182,34 @@ class TestEstimatedPruning:
                     after.may_include <= before.may_include
 
 
+class _FlakyState:
+    """A coverage state whose every read is fresh noise."""
+
+    def __init__(self, rng, n):
+        self.rng, self.n = rng, n
+
+    def add(self, nodes):
+        pass
+
+    remove = add
+
+    @property
+    def gains(self):
+        return self.rng.normal(size=self.n)
+
+    def inside(self, nodes):
+        return self.rng.normal(size=len(nodes))
+
+
 class _FlakyEvaluator(MarginalEvaluator):
-    """Returns fresh noise on every call; the pruning loop must notice."""
+    """Answers from noisy coverage states; the pruning loop must notice."""
 
     def __init__(self, n):
         self.node_count = n
         self._rng = np.random.default_rng(0)
 
-    def value(self, seeds, metric):
-        return float(self._rng.normal())
+    def coverage_state(self, metric, seeds=()):
+        return _FlakyState(self._rng, self.node_count)
 
 
 class TestInconsistentEvaluator:
@@ -256,15 +275,15 @@ class TestPruneStates:
         assert lat.may_include == {2, 3}
         assert set(lat.iterations[1].lower_margin) == {1, 2, 3}
 
-    def test_exact_evaluator_asks_four_queries_per_iteration(self, monkeypatch):
+    def test_exact_evaluator_asks_no_marginal_query(self, monkeypatch):
+        # the oracle's own coverage states give every margin
         ev = ExactEvaluator(make_demo_graph())
-        calls = []
-        for name in ("marginal_many", "marginal_vs_rest"):
-            def counted(*args, _query=getattr(ev, name), _name=name):
-                calls.append((_name, args[-1]))
-                return _query(*args)
-            monkeypatch.setattr(ev, name, counted)
+
+        def refused(*args):
+            raise AssertionError("a marginal query was asked")
+
+        for name in ("marginal", "marginal_many", "marginal_vs_rest"):
+            monkeypatch.setattr(ev, name, refused)
         lat = iterative_prune(ev)
-        per_iteration = [("marginal_vs_rest", "benefit"), ("marginal_vs_rest", "cost"),
-                         ("marginal_many", "benefit"), ("marginal_many", "cost")]
-        assert calls == per_iteration * (len(lat.iterations) - 1)
+        assert (lat.must_include, lat.may_include) == ({2}, {0, 1, 2})
+        assert len(lat.iterations) > 2  # pruning moved nodes before it settled

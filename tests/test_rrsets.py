@@ -14,7 +14,7 @@ from profitmax import (CapacityError, DomainError, ExactEvaluator, ParseError,
                        ProfitEstimator, RRCollection, WeightedGraph, chernoff_a,
                        confidence_bounds, generate, load_collection, normalize_weights,
                        sampling_error_limit, save_collection, theta_for_relative_error)
-from profitmax import rrsets
+from profitmax import oracle, rrsets
 from profitmax.evaluation import KINDS, METRICS, MarginalEvaluator
 from profitmax.rng import derive_seed
 from profitmax.rrsets import RRCoverage
@@ -971,7 +971,7 @@ class TestRepeatedSeeds:
 
 
 class TestQueryArrays:
-    """The estimator's vectorised queries against the generic fallbacks."""
+    """The estimator's vectorised queries against ones answered by ``value``."""
 
     NODES = [3, 0, 2]  # unsorted, so alignment with the input order shows
     CALLS = {
@@ -986,24 +986,46 @@ class TestQueryArrays:
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.float64 and out.shape == (len(TestQueryArrays.NODES),)
 
+    @staticmethod
+    def by_values(ev, name, metric):
+        """f(v | {1}), f(v | {0, 1, 2} - v) or the chain's increments, each
+        from value calls: profit marginals as benefit minus cost per node."""
+        if name == "chain_increments":
+            return MarginalEvaluator.chain_increments(ev, TestQueryArrays.NODES, metric)
+        if metric == "profit":
+            return (TestQueryArrays.by_values(ev, name, "benefit")
+                    - TestQueryArrays.by_values(ev, name, "cost"))
+        base = {1} if name == "marginal_many" else {0, 1, 2}
+        return np.array([ev.value(base | {v}, metric) - ev.value(base - {v}, metric)
+                         for v in TestQueryArrays.NODES])
+
     # theta 1088 and 1024 make rho = Upsilon / theta exactly 1/128 on both sides
-    # (8.5 / 1088, 8 / 1024), so every prefix value the chain fallback
-    # subtracts is exact; the marginal queries agree bit for bit at any rho
+    # (8.5 / 1088, 8 / 1024), so every value the references subtract is exact
     @pytest.mark.parametrize("thetas", [(1088, 1024), (500, 700)], ids=["dyadic", "any"])
     @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_fast_path_equals_fallback(self, demo_graph, name, metric, thetas):
         est = ProfitEstimator.build(demo_graph, *thetas, seed=24)
-        call = self.CALLS[name]
-        fast = call(getattr(ProfitEstimator, name), est, metric)
-        slow = call(getattr(MarginalEvaluator, name), est, metric)
+        fast = self.CALLS[name](getattr(ProfitEstimator, name), est, metric)
+        slow = self.by_values(est, name, metric)
         self.check_array(fast)
         self.check_array(slow)
-        if name == "chain_increments" and thetas != (1088, 1024):
-            # the fallback differences rounded prefix values: equal to an ulp or so
+        if thetas != (1088, 1024):
+            # the references difference rounded values: equal to an ulp or so
             assert fast.tolist() == pytest.approx(slow.tolist(), abs=1e-12)
         else:
             assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("evaluator", [ExactEvaluator, lambda g: ProfitEstimator.build(
+        g, 500, 500, seed=28)], ids=["exact", "estimator"])
+    def test_base_node_marginal_is_zero(self, demo_graph, evaluator):
+        # f(v | S) = 0 for v in S in the batched query; the single one refuses it
+        ev = evaluator(demo_graph)
+        for metric in METRICS:
+            out = ev.marginal_many([1, 0, 2], {1, 2}, metric)
+            assert out.tolist() == [0.0, ev.marginal(0, {1, 2}, metric), 0.0]
+            with pytest.raises(DomainError, match="node 1 already in the base set"):
+                ev.marginal(1, {1, 2}, metric)
 
     @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -1196,7 +1218,11 @@ class TestCoverageState:
     answered from scratch."""
 
     @staticmethod
-    def replay(ev, kind, case, ref=None):
+    def replay(ev, kind, case, ref=None, by_values=True):
+        """Replay ``case`` on ``ev``'s state.  Each read is checked against two
+        ``value`` calls per node (unless ``by_values`` is False): bit for bit
+        on the exact evaluator, to an ulp or so on the estimator, whose
+        ``ref`` passes pin its bits."""
         g, seeds, steps, first_read = case
         n = g.node_count
         everyone = np.arange(n)
@@ -1207,23 +1233,33 @@ class TestCoverageState:
                 getattr(state, op)(nodes)
                 ids = {int(nodes)} if np.isscalar(nodes) else {int(v) for v in nodes}
                 S = S | ids if op == "add" else S - ids
-            base = frozenset(S)
-            rest = [v for v in range(n) if v not in S]
+            on = np.isin(everyone, list(S))
             gains = state.gains
             assert gains.dtype == np.float64 and gains.shape == (n,)
-            assert np.array_equal(gains[rest], ev.marginal_many(rest, base, kind))
-            assert not gains[sorted(S)].any()
-            assert state.value == ev.value(base, kind)
+            assert not gains[on].any()
             # before the first read nothing has asked for f(v | S - v)
             inside = state.inside(everyone) if i >= first_read else None
-            if inside is not None:
-                assert np.array_equal(inside, ev.marginal_vs_rest(everyone, base, kind))
-            if ref is not None:  # the estimator against the one-shot passes too
+            if ref is not None:  # the estimator against the one-shot passes
                 rho, b = ev.rho(kind), np.array(sorted(S), dtype=np.int64)
                 assert np.array_equal(gains, rho * ref.coverage(b)[1])
                 assert state.value == rho * ref.coverage(b)[2]
                 if inside is not None:
                     assert np.array_equal(inside, rho * ref.counts_vs_rest(b))
+            if not by_values:
+                continue
+            base = frozenset(S)
+            value = ev.value(base, kind)
+            assert state.value == value
+            # f(S + v) - f(S), zero on S, and f(S) - f(S - v) on S
+            plus = np.array([ev.value(base | {v}, kind) - value for v in range(n)])
+            minus = np.array([value - ev.value(base - {v}, kind) for v in range(n)])
+            for got, want in ((gains, plus), (inside, np.where(on, minus, plus))):
+                if got is None:
+                    continue
+                if ref is None:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert got.tolist() == pytest.approx(want.tolist(), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(case=state_replays(), seed=st.integers(0, 2**32 - 1))
@@ -1232,11 +1268,27 @@ class TestCoverageState:
         exact, est = ExactEvaluator(g), ProfitEstimator.build(g, 200, 200, seed=seed)
         for kind in ("benefit", "cost"):
             self.replay(exact, kind, case)
-            for chunk in (rrsets._CHUNK, 1, 2, 7):
+            coll = est.benefit_rr if kind == "benefit" else est.cost_rr
+            for chunk in (None, 1, 2, 7):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(rrsets, "_CHUNK", chunk)
-                    coll = est.benefit_rr if kind == "benefit" else est.cost_rr
-                    self.replay(est, kind, case, OneShotPasses(coll))
+                    if chunk is not None:
+                        mp.setattr(rrsets, "_CHUNK", chunk)
+                    # value's own chunked passes are pinned elsewhere
+                    self.replay(est, kind, case, OneShotPasses(coll), by_values=chunk is None)
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "row-blocks"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_state_with_isolated_nodes(self, kind, block, monkeypatch):
+        # nodes 0, 4, 5 and 6 lie on no edge; their weights do not add up
+        # exactly, so the order they are summed in shows
+        if block is not None:  # weigh one mask row at a time
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", block)
+        g = WeightedGraph(7, [(1, 2, 0.3), (2, 3, 0.6), (3, 1, 0.45)],
+                          benefit=[0.1, 1.3, 0.7, 2.1, 0.2, 0.3, 1e-17],
+                          cost=[0.7, 0.4, 1.1, 0.6, 0.1, 0.2, 0.3])
+        steps = [("add", [6, 2]), ("remove", 0), ("add", np.array([0, 3, 1])),
+                 ("remove", [4, 2]), ("remove", np.int64(1)), ("add", [5, 4, 2])]
+        self.replay(ExactEvaluator(g), kind, (g, [0, 4, 5], steps, 0))
 
     def test_set_left_with_one_node_of_b_counts_for_it(self):
         # node 3 lies in no set; set 3 holds all of 0, 1, 2
