@@ -233,8 +233,6 @@ def _selection_evaluator(cfg: RunConfig, g_view: WeightedGraph, theta: int,
 
 def _validation_evaluator(cfg: RunConfig, g_view: WeightedGraph, theta: int,
                           norm: bool):
-    if cfg.exact:
-        return ExactEvaluator(g_view)
     vtheta = cfg.validation_theta or theta
     return ProfitEstimator.build(
         g_view, vtheta, vtheta,
@@ -327,7 +325,9 @@ def cmd_select(args) -> int:
     rows = []
     for theta in cfg.thetas():
         evaluator, rr_ms = _selection_evaluator(cfg, g, theta, cfg.normalize)
-        validation = _validation_evaluator(cfg, g, theta, cfg.normalize)
+        # the oracle is deterministic and its queries leave it unchanged
+        validation = (evaluator if cfg.exact
+                      else _validation_evaluator(cfg, g, theta, cfg.normalize))
         lattice = iterative_prune(evaluator) if cfg.prune else trivial_lattice(g.node_count)
         for algo in cfg.algo:
             start = time.perf_counter()

@@ -14,10 +14,10 @@ For small graphs the expectation over live-edge outcomes can be computed
 exactly by enumerating all 2^m edge subsets.  That enumeration is the ground
 truth against which every estimator and search property in this package is
 tested, including the shared kernel, so it is deliberately direct and shares
-no code with it: per-world transitive closure, weighted by the world's
-probability.  Size caps keep accidental blowups out.  Every query, ``value``
-included, reads the oracle's own coverage state (``_ExactCoverage``), which
-shares no code with the sampler.
+no code with it: per-world reach sets grown edge by edge to a live-edge
+fixpoint, weighted by the world's probability.  Size caps keep accidental
+blowups out.  Every query, ``value`` included, reads the oracle's own
+coverage state (``_ExactCoverage``), which shares no code with the sampler.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ class ExactEvaluator(MarginalEvaluator):
     the expected weight of the OR of the other nodes' masks.
 
     Memory grows as 2^m * (#nodes touching edges), which the edge cap keeps
-    in check.
+    in check.  Building the reach table takes rounds of m passes over the 2^m
+    worlds, one per edge; a round that changes no row ends it, so there are
+    at most (longest live path + 1) rounds.
     """
 
     def __init__(self, g: WeightedGraph, edge_cap: int = DEFAULT_EDGE_CAP):
@@ -128,32 +130,23 @@ class ExactEvaluator(MarginalEvaluator):
         self._column = np.full(g.node_count, -1, dtype=np.int64)
         self._column[active_nodes] = np.arange(n_act)
 
-        world_count = 1 << m
-        self._prob = np.empty(world_count, dtype=np.float64)
-        # row i: the reach bitmask of active node i in each world
-        self._reach = np.empty((n_act, world_count), dtype=np.int64)
-
-        a_src, a_dst = self._column[src], self._column[dst]
-        powers = (np.int64(1) << np.arange(n_act, dtype=np.int64))
-        chunk = max(1, (1 << 22) // max(1, n_act * n_act))
-        for lo in range(0, world_count, chunk):
-            hi = min(lo + chunk, world_count)
-            worlds = np.arange(lo, hi, dtype=np.int64)
-            live = ((worlds[:, None] >> np.arange(m, dtype=np.int64)) & 1).astype(bool)
-            self._prob[lo:hi] = np.prod(np.where(live, prob, 1.0 - prob), axis=1)
-            if not n_act:
-                continue
-            adj = np.zeros((hi - lo, n_act, n_act), dtype=bool)
-            adj[:, np.arange(n_act), np.arange(n_act)] = True
-            for k in range(m):
-                adj[live[:, k], a_src[k], a_dst[k]] = True
-            # closure by repeated squaring; path length doubles per round
-            while True:
-                closed = adj | (adj.astype(np.uint8) @ adj.astype(np.uint8) > 0)
-                if np.array_equal(closed, adj):
-                    break
-                adj = closed
-            self._reach[:, lo:hi] = (adj @ powers).T
+        # world w has edge k live iff bit k of w is set
+        worlds = np.arange(1 << m, dtype=np.int64)
+        self._prob = np.ones(len(worlds))
+        for k in range(m):
+            self._prob *= np.where((worlds >> k) & 1, prob[k], 1.0 - prob[k])
+        # row i: the reach bitmask of active node i in each world, grown to the
+        # fixpoint reach(u) = {u} | reach(v) over u's live edges (u, v)
+        self._reach = reach = np.repeat(
+            np.int64(1) << np.arange(n_act, dtype=np.int64)[:, None], len(worlds), axis=1)
+        edges = list(enumerate(zip(self._column[src].tolist(), self._column[dst].tolist())))
+        grew = True
+        while grew:
+            grew = False
+            for k, (u, v) in edges:
+                grown = (reach[v] & -((worlds >> k) & 1)) | reach[u]
+                if not np.array_equal(grown, reach[u]):
+                    reach[u], grew = grown, True
 
         self._tables_b = self._limb_tables(g.benefit, active_nodes)
         self._tables_c = self._limb_tables(g.cost, active_nodes)

@@ -1,13 +1,11 @@
 """Shared fixtures and an independent brute-force oracle.
 
 The oracle here deliberately reimplements exact evaluation from scratch
-(itertools over edge subsets, dict-based BFS) so library results are checked
+(a loop over edge subsets, dict-based DFS) so library results are checked
 against an arithmetic path they do not share.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
@@ -51,30 +49,42 @@ def edgeless_graph(net_weights) -> WeightedGraph:
     return WeightedGraph(len(net_weights), [], benefit=benefit, cost=cost)
 
 
-def brute_evaluate(g: WeightedGraph, seeds):
-    """Exact (benefit, cost) by summing over every live-edge outcome."""
+def live_edge_worlds(g: WeightedGraph):
+    """Yield (w, probability, reach) for every live-edge world w, where bit k
+    of w says edge k is live (the oracle's numbering).  The probability is a
+    product taken edge by edge from 1.0; reach[u] is the set of nodes u
+    reaches over live edges, by DFS."""
     src, dst, prob = g.edge_arrays()
     edges = list(zip(src.tolist(), dst.tolist(), prob.tolist()))
-    seeds = set(seeds)
-    beta = gamma = 0.0
-    for bits in itertools.product((0, 1), repeat=len(edges)):
+    for w in range(1 << len(edges)):
         p = 1.0
-        for live, (_, _, pe) in zip(bits, edges):
-            p *= pe if live else 1.0 - pe
+        adj = {}
+        for k, (u, v, pe) in enumerate(edges):
+            if w >> k & 1:
+                p *= pe
+                adj.setdefault(u, []).append(v)
+            else:
+                p *= 1.0 - pe
+        reach = []
+        for root in range(g.node_count):
+            seen = {root}
+            stack = [root]
+            while stack:
+                for v in adj.get(stack.pop(), ()):
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            reach.append(seen)
+        yield w, p, reach
+
+
+def brute_evaluate(g: WeightedGraph, seeds):
+    """Exact (benefit, cost) by summing over every live-edge outcome."""
+    beta = gamma = 0.0
+    for _, p, reach in live_edge_worlds(g):
         if p == 0.0:
             continue
-        adj = {}
-        for live, (u, v, _) in zip(bits, edges):
-            if live:
-                adj.setdefault(u, []).append(v)
-        active = set(seeds)
-        stack = list(seeds)
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in active:
-                    active.add(v)
-                    stack.append(v)
+        active = set().union(*(reach[s] for s in seeds))
         beta += p * sum(g.benefit[v] for v in active)
         gamma += p * sum(g.cost[v] for v in active)
     return beta, gamma

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import profitmax
+from profitmax import cli
 from profitmax.cli import CSV_COLUMNS, main
 
 DEMO_EDGE_TEXT = "# demo graph\n1 2 0.3\n1 4 0.4\n2 4 0.2\n3 4 0.3\n"
@@ -104,6 +105,23 @@ class TestSelect:
             assert row["guarantee"] == ""
         doc = json.loads((tmp_path / "seeds" / "seeds_greedy_theta640000.json").read_text())
         assert doc["seeds"] == [2, 3]
+
+    def test_exact_builds_one_oracle_per_theta(self, demo_files, tmp_path, monkeypatch):
+        # selection and validation share one deterministic oracle per θ
+        built = []
+
+        class Counting(cli.ExactEvaluator):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ExactEvaluator", Counting)
+        edges, weights = demo_files
+        assert main(["select", "--graph", edges, "--weights", weights, "--exact",
+                     "--theta", "100,200", "--seed", "1",
+                     "--out-dir", str(tmp_path / "seeds"),
+                     "--csv", str(tmp_path / "select.csv")]) == 0
+        assert len(built) == 2
 
     def test_reproducible_modulo_timing(self, demo_files, tmp_path):
         edges, weights = demo_files

@@ -9,8 +9,8 @@ from profitmax import (CapacityError, DomainError, ExactEvaluator, WeightedGraph
 from profitmax import rrsets
 
 from conftest import (DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT, brute_evaluate,
-                      brute_optimum, edgeless_graph, make_demo_graph,
-                      random_graph, random_subset)
+                      brute_optimum, edgeless_graph, live_edge_worlds,
+                      make_demo_graph, random_graph, random_subset)
 
 
 class TestSimulate:
@@ -157,6 +157,34 @@ class TestExactEvaluate:
         # downstream to push to
         g = WeightedGraph(2, [(0, 1, 0.25)], benefit=[0, 0], cost=[0, 4])
         assert ExactEvaluator(g).cost({0}) == pytest.approx(1.0)
+
+
+def _table_graphs():
+    rng = np.random.default_rng(71)
+    graphs = [pytest.param(random_graph(rng, max_nodes=6, max_edges=9), id=f"random-{i}")
+              for i in range(8)]
+    return graphs + [
+        # listed root-first: each relaxation round grows a reach set by one hop
+        pytest.param(WeightedGraph(7, [(i, i + 1, 0.5) for i in range(6)]), id="path"),
+        pytest.param(WeightedGraph(2, [(0, 1, 0.3), (1, 0, 0.6)]), id="2-cycle"),
+        # edges that are never or always live, and node 3 on no edge
+        pytest.param(WeightedGraph(5, [(0, 1, 0.0), (1, 2, 1.0), (2, 0, 0.5), (4, 0, 1.0)]),
+                     id="p0-p1-isolated"),
+        pytest.param(edgeless_graph([1.0, -2.0]), id="edgeless"),
+    ]
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("g", _table_graphs())
+    def test_tables_match_per_world_reference(self, g):
+        ev = ExactEvaluator(g)
+        active = np.flatnonzero(ev._column >= 0)
+        assert ev._reach.shape == (len(active), 1 << g.edge_count)
+        for w, p, reach in live_edge_worlds(g):
+            assert ev._prob[w] == p
+            for u in active.tolist():
+                mask = sum(1 << int(ev._column[v]) for v in reach[u])
+                assert ev._reach[ev._column[u], w] == mask
 
 
 class TestExactMarginal:
