@@ -374,10 +374,9 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _experiment_row(cfg: RunConfig, row_spec, graph: WeightedGraph = None) -> dict:
+def _experiment_row(cfg: RunConfig, row_spec, graph: WeightedGraph) -> dict:
     theta, algo, prune_on, norm_on = row_spec
-    raw = graph if graph is not None else _load_weighted_graph(cfg)
-    g = _graph_view(raw, norm_on)
+    g = _graph_view(graph, norm_on)
     evaluator, rr_ms = _selection_evaluator(cfg, g, theta, norm_on)
     lattice = iterative_prune(evaluator) if prune_on else trivial_lattice(g.node_count)
     start = time.perf_counter()
@@ -402,14 +401,13 @@ def cmd_experiment(args) -> int:
                  for prune_on in (True, False)
                  for norm_on in (True, False)]
     rows = []
-    # bad input ends the run before any row, whatever --jobs is; workers
-    # read the file themselves, since a pickled graph arrives writable
+    # bad input ends the run before any row, whatever --jobs is
     graph = _load_weighted_graph(cfg)
     parallel = cfg.jobs > 1
     with (concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) if parallel
           else contextlib.nullcontext()) as pool:
         # one call per row that returns the row or raises what building it raised
-        calls = [pool.submit(_experiment_row, cfg, rs).result if parallel
+        calls = [pool.submit(_experiment_row, cfg, rs, graph).result if parallel
                  else functools.partial(_experiment_row, cfg, rs, graph) for rs in row_specs]
         errors = []
         for rs, call in zip(row_specs, calls):

@@ -2,12 +2,12 @@
 
 Pruning, seed selection and certification are written against this interface
 so they run unchanged on the exact oracle (small graphs) and on the
-reverse-reachable sampling estimator (any scale).  Subclasses supply
-``value`` and ``coverage_state``, the one incremental query: f(S), f(v | S)
-and f(v | S - v) for one side, kept as nodes enter and leave S.  The
-batched marginal queries read a coverage state at their base set, profit
-as benefit minus cost per node; ``value_many`` and ``chain_increments``
-are loops over ``value`` that subclasses may override with faster paths.
+reverse-reachable sampling estimator (any scale).  A subclass supplies one
+primitive, ``coverage_state``: f(S), f(v | S) and f(v | S - v) for one side,
+kept as nodes enter and leave S.  Every query derives from it: ``value`` and
+the marginals read a coverage state at their base set, profit as benefit
+minus cost, and ``value_many`` and ``chain_increments`` loop over ``value``;
+a subclass may override those three with faster paths.
 
 The batched queries (``marginal_many``, ``marginal_vs_rest`` and
 ``chain_increments``) return float64 arrays aligned with the nodes asked
@@ -46,16 +46,12 @@ def _node_array(nodes, node_count) -> np.ndarray:
 class MarginalEvaluator:
     """Set-function queries over one graph's benefit and cost metrics.
 
-    A subclass supplies ``value`` and ``coverage_state``; ``marginal_many``
-    and ``marginal_vs_rest`` read the coverage state at their base set.
+    A subclass supplies ``coverage_state``; every query reads it at its base set.
     """
 
     node_count: int
 
-    # -- required primitives -----------------------------------------------
-
-    def value(self, seeds, metric: str) -> float:
-        raise NotImplementedError
+    # -- required primitive ------------------------------------------------
 
     def coverage_state(self, metric: str, seeds=()):
         """f(S), f(v | S) and f(v | S - v) for a benefit or cost side, kept
@@ -70,6 +66,9 @@ class MarginalEvaluator:
         raise NotImplementedError
 
     # -- derived queries ---------------------------------------------------
+
+    def value(self, seeds, metric: str) -> float:
+        return self._read(metric, seeds, lambda state: state.value)
 
     def benefit(self, seeds) -> float:
         return self.value(seeds, "benefit")
@@ -90,11 +89,7 @@ class MarginalEvaluator:
         self._check_metric(metric)
         if v in base:
             raise DomainError(f"node {v} already in the base set")
-        if metric == "profit":
-            return (self.marginal(v, base, "benefit")
-                    - self.marginal(v, base, "cost"))
-        base = frozenset(base)
-        return self.value(base | {v}, metric) - self.value(base, metric)
+        return float(self.marginal_many([v], base, metric)[0])
 
     def marginal_many(self, nodes, base, metric: str) -> np.ndarray:
         """f(v | base) for each v in ``nodes``, as a float64 array in their
@@ -111,10 +106,11 @@ class MarginalEvaluator:
         nodes = _node_array(nodes, self.node_count)
         return self._read(metric, whole, lambda state: state.inside(nodes))
 
-    def _read(self, metric, seeds, read) -> np.ndarray:
+    def _read(self, metric, seeds, read):
         """``read`` of the metric's coverage state at ``seeds``; benefit minus cost for profit."""
         self._check_metric(metric)
         if metric == "profit":
+            seeds = _node_array(seeds, self.node_count)  # one pass of an iterator serves both sides
             return self._read("benefit", seeds, read) - self._read("cost", seeds, read)
         return read(self.coverage_state(metric, seeds))
 

@@ -208,6 +208,13 @@ class WeightedGraph:
         view._set_weights(benefit, cost, normalized)
         return view
 
+    def __setstate__(self, state):
+        # pickle and copy rebuild the slots; their arrays stay read-only
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            setattr(self, name, value)
+
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
             return NotImplemented

@@ -16,15 +16,16 @@ truth against which every estimator and search property in this package is
 tested, including the shared kernel, so it is deliberately direct and shares
 no code with it: per-world reach sets grown edge by edge to a live-edge
 fixpoint, weighted by the world's probability.  Size caps keep accidental
-blowups out.  Every query, ``value`` included, reads the oracle's own
-coverage state (``_ExactCoverage``), which shares no code with the sampler.
+blowups out.  The oracle supplies only its own coverage state
+(``_ExactCoverage``), which shares no code with the sampler; every query,
+``value`` included, reads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError
 from .evaluation import MarginalEvaluator, _node_array
 from .graph import WeightedGraph
 from .rng import make_rng
@@ -39,14 +40,6 @@ _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # int64 cells of the (node, world) masks a coverage state weighs at once
 _BLOCK_CELLS = 1 << 21
-
-
-def _check_seeds(g: WeightedGraph, seeds) -> frozenset:
-    seeds = frozenset(int(v) for v in seeds)
-    for v in seeds:
-        if not (0 <= v < g.node_count):
-            raise DomainError(f"seed node {v} outside 0..{g.node_count - 1}")
-    return seeds
 
 
 def _check_edge_cap(g: WeightedGraph, edge_cap: int) -> None:
@@ -67,7 +60,7 @@ def simulate_spread(g: WeightedGraph, seeds, runs: int, rng) -> np.ndarray:
     ``numpy.random.Generator``.
     """
     runs = _check_count(runs, "runs")
-    seeds = np.array(sorted(_check_seeds(g, seeds)), dtype=np.int64)
+    seeds = np.unique(_node_array(seeds, g.node_count))
     sizes, nodes = _reach(np.broadcast_to(seeds, (runs, len(seeds))), make_rng(rng),
                           g.forward_csr())
     active = np.zeros((runs, g.node_count), dtype=bool)
@@ -178,12 +171,6 @@ class ExactEvaluator(MarginalEvaluator):
             out[lo:lo + step] = [self._prob @ row for row in weight]
         return out
 
-    def value(self, seeds, metric: str) -> float:
-        self._check_metric(metric)
-        if metric == "profit":
-            return self.value(seeds, "benefit") - self.value(seeds, "cost")
-        return self.coverage_state(metric, seeds).value
-
     def coverage_state(self, metric: str, seeds=()) -> "_ExactCoverage":
         self._check_kind(metric)
         return _ExactCoverage(self, metric, seeds)
@@ -214,8 +201,8 @@ class _ExactCoverage:
         self._move(nodes, False)
 
     def _move(self, nodes, enter: bool) -> None:
-        nodes = _check_seeds(self.ev.graph, [nodes] if np.isscalar(nodes) else nodes)
-        self.on[list(nodes)] = enter
+        nodes = [nodes] if np.isscalar(nodes) else nodes
+        self.on[_node_array(nodes, self.ev.node_count)] = enter
 
     @property
     def value(self) -> float:

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -287,6 +289,18 @@ class TestGraphValidation:
         t = make_demo_graph().totals()
         assert t.upsilon_b == pytest.approx(8.5)
         assert t.upsilon_c == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_stay_frozen(self, clone):
+        g = make_demo_graph()
+        h = clone(g)
+        assert h == g
+        arrays = [getattr(h, name) for name in WeightedGraph.__slots__]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 13 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            h.benefit[0] = 99.0
 
     def test_with_weights_shares_the_edge_structure(self):
         g = make_demo_graph()

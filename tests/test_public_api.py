@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 import profitmax
-from profitmax import ProfitEstimator, RRCollection
+from profitmax import ExactEvaluator, ProfitEstimator, RRCollection
+from profitmax.evaluation import MarginalEvaluator
 
 
 def test_every_exported_name_resolves():
@@ -38,12 +39,21 @@ def test_runtime_imports_are_stdlib_numpy_or_profitmax():
 
 
 def test_estimator_queries_are_its_own_methods():
-    # the harness wraps these in place on the class, so each must be defined
-    # on ProfitEstimator itself rather than inherited
+    # the harness wraps these in place on the class, so each name must be
+    # bound on ProfitEstimator itself, whether defined there or not
     for method in ("value", "value_many", "marginal", "marginal_many", "marginal_vs_rest",
                    "chain_increments"):
         assert callable(ProfitEstimator.__dict__[method]), method
     assert isinstance(ProfitEstimator.__dict__["build"], classmethod)
+
+
+def test_marginal_queries_have_one_definition():
+    # every marginal query derives from coverage_state in MarginalEvaluator;
+    # the estimator binds those functions, and the oracle defines no query
+    for method in ("marginal", "marginal_many", "marginal_vs_rest"):
+        assert ProfitEstimator.__dict__[method] is MarginalEvaluator.__dict__[method], method
+    for method in ("value", "marginal", "marginal_many", "marginal_vs_rest"):
+        assert method not in ExactEvaluator.__dict__, method
 
 
 def test_certify_module_exposes_mu_bound():

@@ -938,6 +938,18 @@ class TestEstimator:
         with pytest.raises(DomainError, match=f"node {bad} outside 0..3"):
             query(est, bad)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("query", [
+        lambda g, v: ExactEvaluator(g).coverage_state("cost").add(v),
+        lambda g, v: ExactEvaluator(g).coverage_state("benefit", [0]).remove([0, v]),
+        lambda g, v: ExactEvaluator(g).value({0, v}, "profit"),
+        lambda g, v: oracle.simulate_spread(g, {0, v}, 5, rng=1),
+    ], ids=["exact-add", "exact-remove", "exact-value", "simulate_spread"])
+    def test_oracle_node_ids_outside_the_graph_rejected(self, demo_graph, query, bad):
+        # the same check, and the same message, as the estimator's
+        with pytest.raises(DomainError, match=f"^node {bad} outside 0..3$"):
+            query(demo_graph, bad)
+
 
 class TestRepeatedSeeds:
     """``hits`` counts a node listed twice twice, but only whether a set's
@@ -1026,6 +1038,46 @@ class TestQueryArrays:
             assert out.tolist() == [0.0, ev.marginal(0, {1, 2}, metric), 0.0]
             with pytest.raises(DomainError, match="node 1 already in the base set"):
                 ev.marginal(1, {1, 2}, metric)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "estimator"])
+    def test_derived_queries_read_the_coverage_state(self, exact, metric):
+        # the marginal queries are the coverage states' floats, profit as
+        # benefit minus cost per node; on the oracle, marginal is also
+        # f(base + v) - f(base) from two exact values per side
+        rng = np.random.default_rng(70)
+        for instance in range(8):
+            g = random_graph(rng)
+            ev = ExactEvaluator(g) if exact else ProfitEstimator.build(g, 300, 400, seed=instance)
+            base = random_subset(rng, g.node_count)
+            nodes = rng.permutation(g.node_count)
+            sides = [ev.coverage_state(kind, base) for kind in KINDS]
+            if metric == "profit":
+                gains = sides[0].gains[nodes] - sides[1].gains[nodes]
+                inside = sides[0].inside(nodes) - sides[1].inside(nodes)
+            else:
+                side = sides[KINDS.index(metric)]
+                gains, inside = side.gains[nodes], side.inside(nodes)
+            assert ev.marginal_many(nodes, base, metric).tobytes() == gains.tobytes()
+            assert ev.marginal_vs_rest(nodes, base, metric).tobytes() == inside.tobytes()
+            for v in set(range(g.node_count)) - base:
+                marginal = ev.marginal(v, base, metric)
+                assert marginal == ev.marginal_many([v], base, metric)[0]
+                if exact:
+                    diff = {kind: ev.value(base | {v}, kind) - ev.value(base, kind)
+                            for kind in KINDS}
+                    diff["profit"] = diff["benefit"] - diff["cost"]
+                    assert marginal == diff[metric]
+
+    @pytest.mark.parametrize("evaluator", [ExactEvaluator, lambda g: ProfitEstimator.build(
+        g, 500, 500, seed=28)], ids=["exact", "estimator"])
+    def test_profit_reads_a_one_pass_base_once(self, demo_graph, evaluator):
+        # both sides of a profit query see the whole base, even an iterator
+        ev = evaluator(demo_graph)
+        assert ev.value(iter([1, 2]), "profit") == ev.value([1, 2], "profit")
+        for query in (ev.marginal_many, ev.marginal_vs_rest):
+            assert query([0, 3], iter([1, 2]), "profit").tolist() == \
+                query([0, 3], [1, 2], "profit").tolist()
 
     @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
     @pytest.mark.parametrize("name", sorted(CALLS))
