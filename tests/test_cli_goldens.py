@@ -86,8 +86,8 @@ def outputs(tmp) -> dict:
          "--lattice", "lattice.json", "--validation-theta", "5000", "--out", "cert.json"]))
     got["cert.json"] = read("cert.json", tmp)
     for jobs in (1, 2):
-        run(["experiment", *COMMON, "--algo", "greedy,modmod2", "--jobs", str(jobs),
-             "--csv", f"experiment{jobs}.csv"])
+        run(["experiment", *COMMON, "--algo", "greedy,modmod2,highdegree,random",
+             "--jobs", str(jobs), "--csv", f"experiment{jobs}.csv"])
         got[f"experiment{jobs}.csv"] = untimed_csv(read(f"experiment{jobs}.csv", tmp))
     return got
 
