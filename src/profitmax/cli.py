@@ -24,6 +24,7 @@ import concurrent.futures
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -249,6 +250,38 @@ def _run_algorithm(name: str, g_view: WeightedGraph, evaluator, lattice: Lattice
     return k_sweep(name, g_view, evaluator, seed=derive_seed(cfg.seed, "baseline", name))
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised; runs fail in isolation."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: bool,
+                    prune_flags):
+    """(evaluator, runs) of the selection sample drawn once at (theta, norm);
+    a sample that fails to draw raises.
+
+    ``runs[prune_on, algo]`` is (rr_ms, lattice, result, select_ms) of
+    ``algo`` run in ``iterative_prune``'s lattice or in the trivial one, or
+    the exception that pruning or the run raised.
+    """
+    evaluator, rr_ms = _selection_evaluator(cfg, g_view, theta, norm)
+
+    def run(algo, lattice):
+        if isinstance(lattice, Exception):
+            return lattice
+        start = time.perf_counter()
+        result = _run_algorithm(algo, g_view, evaluator, lattice, cfg)
+        return rr_ms, lattice, result, int((time.perf_counter() - start) * 1000)
+
+    lattices = {prune_on: _attempt(iterative_prune, evaluator) if prune_on
+                else trivial_lattice(g_view.node_count) for prune_on in prune_flags}
+    return evaluator, {(prune_on, algo): _attempt(run, algo, lattice)
+                       for prune_on, lattice in lattices.items() for algo in cfg.algo}
+
+
 def _format_float(x) -> str:
     if x is None:
         return ""
@@ -324,15 +357,15 @@ def cmd_select(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for theta in cfg.thetas():
-        evaluator, rr_ms = _selection_evaluator(cfg, g, theta, cfg.normalize)
+        evaluator, runs = _selection_pass(cfg, g, theta, cfg.normalize, (cfg.prune,))
         # the oracle is deterministic and its queries leave it unchanged
         validation = (evaluator if cfg.exact
                       else _validation_evaluator(cfg, g, theta, cfg.normalize))
-        lattice = iterative_prune(evaluator) if cfg.prune else trivial_lattice(g.node_count)
         for algo in cfg.algo:
-            start = time.perf_counter()
-            result = _run_algorithm(algo, g, evaluator, lattice, cfg)
-            select_ms = int((time.perf_counter() - start) * 1000)
+            run = runs[cfg.prune, algo]
+            if isinstance(run, Exception):
+                raise run
+            rr_ms, _, result, select_ms = run
             profit = validation.profit(result.seeds)
             doc = result.to_json_dict(g)
             doc["theta"] = theta
@@ -374,14 +407,24 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _experiment_row(cfg: RunConfig, row_spec, graph: WeightedGraph) -> dict:
+def _experiment_selection(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
+    """The runs of the selection pass at (theta, norm), with and without
+    pruning; a sample that fails to draw fails each run."""
+    theta, norm_on = pass_spec
+    try:
+        return _selection_pass(cfg, _graph_view(graph, norm_on), theta, norm_on,
+                               (True, False))[1]
+    except Exception as exc:
+        return dict.fromkeys(itertools.product((True, False), cfg.algo), exc)
+
+
+def _experiment_row(cfg: RunConfig, graph: WeightedGraph, row_spec, run):
+    """The certified CSV row of one selection run; a failed run's exception as it is."""
+    if isinstance(run, Exception):
+        return run
     theta, algo, prune_on, norm_on = row_spec
+    rr_ms, lattice, result, select_ms = run
     g = _graph_view(graph, norm_on)
-    evaluator, rr_ms = _selection_evaluator(cfg, g, theta, norm_on)
-    lattice = iterative_prune(evaluator) if prune_on else trivial_lattice(g.node_count)
-    start = time.perf_counter()
-    result = _run_algorithm(algo, g, evaluator, lattice, cfg)
-    select_ms = int((time.perf_counter() - start) * 1000)
     # baselines select on the whole graph; their certificate uses the
     # trivial lattice they actually searched
     cert_lattice = lattice if algo in HEURISTICS else trivial_lattice(g.node_count)
@@ -400,22 +443,25 @@ def cmd_experiment(args) -> int:
                  for algo in cfg.algo
                  for prune_on in (True, False)
                  for norm_on in (True, False)]
-    rows = []
+    # the rows at one (theta, norm) share one selection pass
+    pass_specs = list(dict.fromkeys((theta, norm_on) for theta, _, _, norm_on in row_specs))
     # bad input ends the run before any row, whatever --jobs is
     graph = _load_weighted_graph(cfg)
     parallel = cfg.jobs > 1
     with (concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) if parallel
           else contextlib.nullcontext()) as pool:
-        # one call per row that returns the row or raises what building it raised
-        calls = [pool.submit(_experiment_row, cfg, rs, graph).result if parallel
-                 else functools.partial(_experiment_row, cfg, rs, graph) for rs in row_specs]
-        errors = []
-        for rs, call in zip(row_specs, calls):
-            try:
-                rows.append(call())
-            except Exception as exc:  # rows are isolated; record and move on
-                errors.append(exc)
-                rows.append(_failed_row(cfg, rs, exc))
+        # both phases return, in order, results or the exceptions they raised;
+        # each row's certificate is a task of its own
+        run_map = pool.map if parallel else map
+        passes = dict(zip(pass_specs, run_map(
+            functools.partial(_experiment_selection, cfg, graph), pass_specs)))
+        runs = [passes[theta, norm_on][prune_on, algo]
+                for theta, algo, prune_on, norm_on in row_specs]
+        outcomes = list(run_map(functools.partial(_attempt, _experiment_row, cfg, graph),
+                                row_specs, runs))
+    errors = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
+    rows = [_failed_row(cfg, rs, outcome) if isinstance(outcome, Exception) else outcome
+            for rs, outcome in zip(row_specs, outcomes)]
     _write_csv(rows, cfg, cfg.csv)
     if len(errors) < len(rows) or not rows:
         return 0

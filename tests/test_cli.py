@@ -266,6 +266,46 @@ class TestExperiment:
         assert len(read_rows(tmp_path / "exp.csv")) == 4
         assert len(loads) == 1
 
+    def test_one_sample_and_one_prune_per_theta_and_norm(self, demo_files, tmp_path,
+                                                         monkeypatch):
+        # 2 thetas x 2 norms: the 16 rows draw 4 selection samples and prune
+        # each once, whatever the algorithm
+        calls = {"sample": 0, "prune": 0}
+
+        def counted(name, fn):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+        monkeypatch.setattr(cli, "_selection_evaluator",
+                            counted("sample", cli._selection_evaluator))
+        monkeypatch.setattr(cli, "iterative_prune", counted("prune", cli.iterative_prune))
+        edges, weights = demo_files
+        csv = tmp_path / "exp.csv"
+        assert main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", "200,400", "--algo", "greedy,highdegree", "--jobs", "1",
+                     "--seed", "3", "--csv", str(csv)]) == 0
+        assert len(read_rows(csv)) == 16
+        assert calls == {"sample": 4, "prune": 4}
+
+    def test_prune_failure_fails_only_the_pruned_rows(self, demo_files, tmp_path, capsys,
+                                                      monkeypatch):
+        def broken(evaluator):
+            raise profitmax.errors.InternalError("pruning broke")
+
+        monkeypatch.setattr(cli, "iterative_prune", broken)
+        edges, weights = demo_files
+        csv = tmp_path / "exp.csv"
+        assert main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", "200", "--algo", "greedy,highdegree", "--seed", "3",
+                     "--csv", str(csv)]) == 0
+        rows = read_rows(csv)
+        assert [r["prune"] for r in rows] == ["1", "1", "0", "0"] * 2
+        for r in rows:
+            filled = r["profit"] != "" and r["guarantee"] != ""
+            assert filled == (r["prune"] == "0")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4
+        assert all("prune=1" in line and "failed: pruning broke" in line for line in err)
+
     def test_parallel_rows_match_sequential(self, demo_files, tmp_path):
         edges, weights = demo_files
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
