@@ -78,8 +78,11 @@ def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,
     """
     if theta_beta < 1 or theta_gamma < 1:
         raise DomainError("theta counts must be at least 1")
-    if upsilon_b < 0 or upsilon_c < 0:
-        raise DomainError("upsilon totals must be nonnegative")
+    if not (0 <= upsilon_b < math.inf and 0 <= upsilon_c < math.inf):
+        raise DomainError(f"upsilon totals must be finite and nonnegative, "
+                          f"got {upsilon_b} and {upsilon_c}")
+    if not math.isfinite(mu_tilde):
+        raise DomainError(f"mu_tilde must be finite, got {mu_tilde}")
     a = chernoff_a(delta)
     rho_b = upsilon_b / theta_beta
     rho_c = upsilon_c / theta_gamma

@@ -77,6 +77,7 @@ class MarginalEvaluator:
         return self.value(seeds, "cost")
 
     def profit(self, seeds) -> float:
+        seeds = _node_array(seeds, self.node_count)  # one pass of an iterator serves both sides
         return self.value(seeds, "benefit") - self.value(seeds, "cost")
 
     def value_many(self, seed_sets, metric: str) -> np.ndarray:
@@ -87,6 +88,7 @@ class MarginalEvaluator:
     def marginal(self, v, base, metric: str) -> float:
         """f(base + v) - f(base)."""
         self._check_metric(metric)
+        base = _node_array(base, self.node_count)  # the check below must not consume it
         if v in base:
             raise DomainError(f"node {v} already in the base set")
         return float(self.marginal_many([v], base, metric)[0])

@@ -469,10 +469,12 @@ def confidence_bounds(lambda_: float, theta: int, upsilon: float, delta: float):
     and each one-sided bound holds with probability at least 1 - delta/2,
     provided the sets were generated independently of the queried seed set.
     """
+    if theta < 1:
+        raise DomainError("theta must be at least 1")
     if not (0 <= lambda_ <= theta):
         raise DomainError(f"coverage count {lambda_} outside [0, theta={theta}]")
-    if upsilon < 0:
-        raise DomainError("upsilon must be nonnegative")
+    if not 0 <= upsilon < math.inf:
+        raise DomainError(f"upsilon must be finite and nonnegative, got {upsilon}")
     a = chernoff_a(delta)
     scale = upsilon / theta
     root = math.sqrt(lambda_ + 0.25 * a)
@@ -489,8 +491,9 @@ def sampling_error_limit(upsilon: float, value: float, theta: int, delta: float)
     normalization helps: both Upsilon and the metric value shrink, so the
     limit never grows.
     """
-    if upsilon < 0 or value < 0:
-        raise DomainError("upsilon and value must be nonnegative")
+    if not (0 <= upsilon < math.inf and 0 <= value < math.inf):
+        raise DomainError(f"upsilon and value must be finite and nonnegative, "
+                          f"got {upsilon} and {value}")
     if theta < 1:
         raise DomainError("theta must be at least 1")
     return math.sqrt(chernoff_a(delta) * upsilon * value / theta)
@@ -503,11 +506,17 @@ def theta_for_relative_error(upsilon: float, value: float, rel_err: float,
     Inverts the error-limit formula; ``value`` is the smallest metric value
     the estimate must resolve.
     """
-    if rel_err <= 0:
-        raise DomainError("rel_err must be positive")
-    if value <= 0 or upsilon <= 0:
-        raise DomainError("upsilon and value must be positive")
-    return int(math.ceil(chernoff_a(delta) * upsilon / (rel_err ** 2 * value)))
+    if not 0 < rel_err < math.inf:
+        raise DomainError(f"rel_err must be finite and positive, got {rel_err}")
+    if not (0 < upsilon < math.inf and 0 < value < math.inf):
+        raise DomainError(f"upsilon and value must be finite and positive, "
+                          f"got {upsilon} and {value}")
+    # float products overflow to inf and underflow to 0 rather than raise
+    scale = rel_err * rel_err * value
+    count = chernoff_a(delta) * upsilon / scale if scale > 0 else math.inf
+    if not math.isfinite(count):
+        raise DomainError("the sample count is past the float range")
+    return max(1, int(math.ceil(count)))
 
 
 class RRCoverage:

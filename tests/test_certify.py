@@ -152,6 +152,17 @@ class TestEpsilonMu:
         with pytest.raises(DomainError):
             epsilon_mu(11.0, 1000, 1000, 10.0, 0.0, 1e-3)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        # a NaN cap came back as a NaN inflation, and -inf as an infinite one
+        with pytest.raises(DomainError, match="mu_tilde must be finite"):
+            epsilon_mu(mu, 1000, 1000, 10.0, 10.0, 1e-3)
+
+    @pytest.mark.parametrize("totals", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_totals_rejected(self, totals):
+        with pytest.raises(DomainError, match="totals must be finite"):
+            epsilon_mu(1.0, 1000, 1000, *totals, 1e-3)
+
 
 class TestCertify:
     def test_demo_regression(self, demo_graph, demo_setup):

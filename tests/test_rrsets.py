@@ -808,6 +808,18 @@ class TestConfidenceBounds:
         with pytest.raises(DomainError):
             confidence_bounds(11, 10, 1.0, 0.1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0, 1.0, 0.1), "theta must be at least 1"),
+        ((0, -3, 1.0, 0.1), "theta must be at least 1"),
+        ((1, 10, math.nan, 0.1), "upsilon must be finite"),
+        ((1, 10, math.inf, 0.1), "upsilon must be finite"),
+        ((math.nan, 10, 1.0, 0.1), "coverage count nan"),
+    ])
+    def test_degenerate_input_is_a_domain_error(self, args, message):
+        # a zero theta divided by zero and a NaN total came back as NaN bounds
+        with pytest.raises(DomainError, match=message):
+            confidence_bounds(*args)
+
 
 class TestEstimator:
     @pytest.mark.parametrize("metric", ["profit", "bogus"])
@@ -1078,6 +1090,12 @@ class TestQueryArrays:
         for query in (ev.marginal_many, ev.marginal_vs_rest):
             assert query([0, 3], iter([1, 2]), "profit").tolist() == \
                 query([0, 3], [1, 2], "profit").tolist()
+        # profit asks value per side; marginal checks v against the base first
+        assert ev.profit(iter([1, 2])) == ev.profit([1, 2])
+        for metric in METRICS:
+            assert ev.marginal(0, iter([1, 2]), metric) == ev.marginal(0, [1, 2], metric)
+            with pytest.raises(DomainError, match="already in the base set"):
+                ev.marginal(2, iter([1, 2]), metric)
 
     @pytest.mark.parametrize("metric", ["benefit", "cost", "profit"])
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -1153,6 +1171,28 @@ class TestErrorLimitFormulas:
                 norm = (sampling_error_limit(totn.upsilon_b, bn, theta, delta)
                         + sampling_error_limit(totn.upsilon_c, cn, theta, delta))
                 assert norm <= raw + 1e-12
+
+    @pytest.mark.parametrize("upsilon, value", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0)])
+    def test_error_limit_rejects_non_finite_input(self, upsilon, value):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            sampling_error_limit(upsilon, value, 100, 0.1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, 1.0, 0.1, 0.1), "finite and positive"),
+        ((1.0, math.nan, 0.1, 0.1), "finite and positive"),
+        ((1.0, 1.0, math.nan, 0.1), "rel_err must be finite"),
+        ((1.0, 1.0, math.inf, 0.1), "rel_err must be finite"),
+        # finite input whose count leaves the float range
+        ((1e300, 1e-300, 1e-10, 0.1), "past the float range"),
+        ((1.0, 1.0, 1e-200, 0.1), "past the float range"),
+    ])
+    def test_theta_inversion_rejects_degenerate_input(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            theta_for_relative_error(*args)
+
+    def test_theta_inversion_asks_for_at_least_one_sample(self):
+        assert theta_for_relative_error(1.0, 1.0, 1e200, 0.1) == 1
 
     def test_theta_inversion(self):
         upsilon, value, rel, delta = 8.5, 5.88, 0.01, 1e-6
