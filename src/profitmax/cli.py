@@ -260,13 +260,10 @@ def _attempt(fn, *args):
 
 def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: bool,
                     prune_flags):
-    """(evaluator, runs) of the selection sample drawn once at (theta, norm);
-    a sample that fails to draw raises.
-
-    ``runs[prune_on, algo]`` is (rr_ms, lattice, result, select_ms) of
-    ``algo`` run in ``iterative_prune``'s lattice or in the trivial one, or
-    the exception that pruning or the run raised.
-    """
+    """(evaluator, runs) of the selection sample drawn once at (theta, norm),
+    which raises if the draw fails.  ``runs[prune_on, algo]`` is (rr_ms,
+    lattice, result, select_ms) of ``algo`` run in ``iterative_prune``'s
+    lattice or the trivial one, or the exception pruning or the run raised."""
     evaluator, rr_ms = _selection_evaluator(cfg, g_view, theta, norm)
 
     def run(algo, lattice):

@@ -273,7 +273,10 @@ class TestExperiment:
         calls = {"sample": 0, "prune": 0}
 
         def counted(name, fn):
-            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
 
         monkeypatch.setattr(cli, "_selection_evaluator",
                             counted("sample", cli._selection_evaluator))
@@ -305,6 +308,26 @@ class TestExperiment:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 4
         assert all("prune=1" in line and "failed: pruning broke" in line for line in err)
+
+    def test_algorithm_failure_fails_only_its_rows(self, demo_files, tmp_path, capsys,
+                                                   monkeypatch):
+        run_algorithm = cli._run_algorithm
+
+        def broken(name, *args):
+            if name == "highdegree":
+                raise profitmax.errors.InternalError("highdegree broke")
+            return run_algorithm(name, *args)
+
+        monkeypatch.setattr(cli, "_run_algorithm", broken)
+        edges, weights = demo_files
+        csv = tmp_path / "exp.csv"
+        assert main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", "200", "--algo", "greedy,highdegree", "--seed", "3",
+                     "--csv", str(csv)]) == 0
+        rows = read_rows(csv)
+        assert [r["profit"] == "" for r in rows] == [False] * 4 + [True] * 4
+        assert [r["algo"] for r in rows] == ["greedy"] * 4 + ["highdegree"] * 4
+        assert len(capsys.readouterr().err.splitlines()) == 4
 
     def test_parallel_rows_match_sequential(self, demo_files, tmp_path):
         edges, weights = demo_files
