@@ -14,9 +14,8 @@ from .evaluation import MarginalEvaluator
 from .graph import (WeightedGraph, WeightTotals, assign_weights, load_edge_list,
                     load_graph_json, load_weights, normalize_weights,
                     save_edge_list, save_graph_json, save_weights)
-from .optimize import (ModularFunction, SelectionResult, baseline, greedy,
-                       k_sweep, make_permutation, maximize_modular_difference,
-                       modmod, modular_lower, modular_upper, sweep_sizes)
+from .optimize import (ModularBounds, SelectionResult, baseline, greedy, k_sweep,
+                       modmod, sweep_sizes)
 from .oracle import ExactEvaluator, exhaustive_optimum, simulate_spread
 from .prune import Lattice, PruneStep, iterative_prune, trivial_lattice
 from .rrsets import (ProfitEstimator, RRCollection, chernoff_a,
@@ -29,14 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "ConfigError", "DomainError",
     "ExactEvaluator", "InternalError", "Lattice", "MarginalEvaluator",
-    "ModularFunction", "ParseError", "ProfitCertificate", "ProfitEstimator",
+    "ModularBounds", "ParseError", "ProfitCertificate", "ProfitEstimator",
     "ProfitMaxError", "PruneStep", "RRCollection", "SelectionResult",
     "WeightTotals", "WeightedGraph", "assign_weights", "baseline", "certify",
     "chernoff_a", "confidence_bounds", "epsilon_mu", "exhaustive_optimum",
     "generate", "greedy", "iterative_prune", "k_sweep", "load_collection",
-    "load_edge_list", "load_graph_json", "load_weights", "make_permutation",
-    "maximize_modular_difference", "modmod", "modular_lower", "modular_upper",
-    "mu_bound", "normalize_weights", "sampling_error_limit", "save_collection",
+    "load_edge_list", "load_graph_json", "load_weights", "modmod", "mu_bound",
+    "normalize_weights", "sampling_error_limit", "save_collection",
     "save_edge_list", "save_graph_json", "save_weights", "simulate_spread",
     "sweep_sizes", "theta_for_relative_error", "trivial_lattice",
 ]

@@ -27,6 +27,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -444,8 +445,11 @@ def cmd_experiment(args) -> int:
     pass_specs = list(dict.fromkeys((theta, norm_on) for theta, _, _, norm_on in row_specs))
     # bad input ends the run before any row, whatever --jobs is
     graph = _load_weighted_graph(cfg)
-    parallel = cfg.jobs > 1
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) if parallel
+    # the pool forks all its workers at the first task, so no more than there
+    # are rows or CPUs; one worker runs in this process
+    workers = min(cfg.jobs, len(row_specs), os.cpu_count() or 1)
+    parallel = workers > 1
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
           else contextlib.nullcontext()) as pool:
         # both phases return, in order, results or the exceptions they raised;
         # each row's certificate is a task of its own

@@ -11,7 +11,7 @@ Two heuristics search the lattice [A*, B*]:
 Certification pairs the modular bounds the other way around (benefit upper
 bound, cost lower bound) to cap the maximum achievable profit; that cap,
 ``mu_bound``, lives here next to ``modmod``, and both build their bounds on
-one ``_Bounds``: the lattice as arrays aligned with its sorted ceiling.
+one ``ModularBounds``: the lattice as arrays aligned with its sorted ceiling.
 Three reference baselines mirror the usual influence-maximization toolkit:
 random seeds, top degree, and top coverage of the benefit collection.
 """
@@ -30,24 +30,6 @@ from .rng import derive_seed, make_rng
 
 BASELINES = ("random", "highdegree", "benefitmax")
 RANDOM_BASELINE_DRAWS = 10
-
-
-@dataclass(frozen=True)
-class ModularFunction:
-    """Additive set function: value(Y) = base + sum of per_node over Y.
-
-    ``per_node`` is defined on the lattice ceiling it was built for;
-    evaluating outside that domain raises.
-    """
-
-    base: float
-    per_node: dict
-
-    def evaluate(self, seeds) -> float:
-        try:
-            return self.base + sum(self.per_node[v] for v in seeds)
-        except KeyError as missing:
-            raise DomainError(f"node {missing.args[0]} outside the bound's domain") from None
 
 
 @dataclass
@@ -73,20 +55,33 @@ class SelectionResult:
                                for step in self.trajectory]}
 
 
-def _require_lattice_member(X, lat: Lattice, what: str) -> frozenset:
-    X = frozenset(X)
-    if not lat.contains(X):
-        raise DomainError(f"{what} must lie inside the lattice [A*, B*]")
-    return X
+class ModularBounds:
+    """Modular upper and lower bounds of a submodular metric f on the lattice
+    [A*, B*], as float64 arrays aligned with the sorted ceiling B*.
 
+    A bound tight at X is f(X) plus the per-node values ``upper`` or
+    ``lower`` returns, summed over Y, minus theirs summed over X.  The four
+    upper bounds bound f from above on the lattice and agree with f at X.
+    One column of each does not depend on X: ``fixed`` computes it over all
+    of B* from a coverage state at the variant's anchor, and ``upper``
+    overwrites the other column from the metric's coverage state at X:
 
-class _Bounds:
-    """The lattice as arrays aligned with its sorted ceiling B*, and the modular
-    bounds on them.  ``must`` masks A*; ``free`` is B* - A* in the iteration
-    order of ``lat.free_nodes``, at positions ``free_at``.  Building asks the
-    evaluator nothing.  ``rank`` and ``fixed`` read coverage states at the
-    lattice's anchors (empty, V, A* and B*), ``upper`` one at X, and
-    ``lower`` the chain increments."""
+        variant  inside X        outside X       fixed
+        1        f(v | V - v)    f(v | X)        inside
+        2        f(v | X - v)    f(v | empty)    outside
+        3        f(v | B* - v)   f(v | X)        inside
+        4        f(v | X - v)    f(v | A*)       outside (zero on A*)
+
+    Variants 3 and 4 sharpen 1 and 2 by exploiting that only lattice sets
+    matter; they require A* <= X <= B*.  The lower bound takes the
+    increments of f along a chain through A*, then X - A*, then B* - X; the
+    telescoping sum makes it exact at X, and submodularity a lower bound
+    everywhere on the lattice.
+
+    ``must`` masks A*; ``free`` is B* - A* in the iteration order of
+    ``lat.free_nodes``, at positions ``free_at``.  Building asks the
+    evaluator nothing.
+    """
 
     def __init__(self, evaluator: MarginalEvaluator, lat: Lattice):
         self.evaluator, self.lat = evaluator, lat
@@ -97,6 +92,8 @@ class _Bounds:
 
     def mask(self, nodes) -> np.ndarray:
         """Which ceiling entries lie in ``nodes``, a subset of the ceiling."""
+        if not self.lat.may_include.issuperset(nodes):
+            raise DomainError("nodes must lie inside the lattice ceiling B*")
         mask = np.zeros(len(self.ceiling), dtype=bool)
         mask[np.searchsorted(self.ceiling, np.fromiter(nodes, np.int64, len(nodes)))] = True
         return mask
@@ -108,26 +105,33 @@ class _Bounds:
         return np.lexsort((ceiling, -(benefit.gains - cost.gains)[ceiling]))
 
     def chain(self, rank: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        """``rank`` stably split into A*, X - A* and B* - X (``inside`` masks X)."""
+        """``rank`` stably split into A*, X - A* and B* - X (``inside`` masks X).
+        Any order that respects the blocks gives a valid lower bound; ranking
+        promising nodes early makes it tighter away from X."""
         return rank[np.argsort((2 - inside - self.must)[rank], kind="stable")]
 
     def lower(self, metric: str, chain: np.ndarray) -> np.ndarray:
-        """``modular_lower`` along the positions ``chain``."""
+        """The lower bound's per-node values: the increments along ``chain``."""
         per_node = np.empty(len(self.ceiling))
         per_node[chain] = self.evaluator.chain_increments(self.ceiling[chain], metric)
         return per_node
 
     def fixed(self, metric: str, variant: int) -> np.ndarray:
-        """The X-independent half of ``modular_upper``, read from the metric's
-        coverage state at the variant's anchor (zero on A* for variant 4)."""
+        """The X-independent half of upper bound ``variant``, read from the
+        metric's coverage state at the variant's anchor (zero on A* for 4)."""
+        _check_variant(variant)
         evaluator, lat = self.evaluator, self.lat
         anchor = (range(evaluator.node_count), (), lat.may_include, lat.must_include)[variant - 1]
         state = evaluator.coverage_state(metric, anchor)
         return state.inside(self.ceiling) if variant in (1, 3) else state.gains[self.ceiling]
 
     def upper(self, state, inside: np.ndarray, variant: int, fixed: np.ndarray) -> np.ndarray:
-        """``modular_upper`` at X (mask ``inside``) but its base: ``fixed`` plus the
-        per-X half, read from ``state``, the metric's coverage state at X."""
+        """Upper bound ``variant``'s per-node values at X (mask ``inside``):
+        ``fixed`` plus the per-X half, read from ``state``, the metric's
+        coverage state at X."""
+        _check_variant(variant)
+        if variant in (3, 4) and (self.must & ~inside).any():
+            raise DomainError("X must lie inside the lattice [A*, B*]")
         per_node = fixed.copy()
         if variant in (1, 3):
             per_node[~inside] = state.gains[self.ceiling[~inside]]
@@ -143,103 +147,9 @@ class _Bounds:
         return frozenset(chosen)
 
 
-def modular_upper(evaluator: MarginalEvaluator, metric: str, X, variant: int,
-                  lat: Lattice) -> ModularFunction:
-    """Modular upper bound on a submodular metric, tight at X.
-
-    Four variants differ in which base sets anchor the per-node marginals;
-    all bound f from above on the lattice and agree with f at X:
-
-        1: inside X use f(v | V - v),  outside use f(v | X)
-        2: inside X use f(v | X - v),  outside use f(v | empty)
-        3: inside X use f(v | B* - v), outside use f(v | X)
-        4: inside X use f(v | X - v),  outside use f(v | A*)
-
-    Variants 3 and 4 sharpen 1 and 2 by exploiting that only lattice sets
-    matter; they require A* <= X <= B*.
-
-    Half of each bound does not depend on X.  It is computed over all of B*
-    (B* - A* for variant 4, whose A* lies inside every lattice X), and the
-    X-dependent half then overwrites the nodes on its side of X:
-
-        variant  fixed half             per-X half
-        1        f(v | V - v)           f(v | X)      outside X
-        2        f(v | empty)           f(v | X - v)  inside X
-        3        f(v | B* - v)          f(v | X)      outside X
-        4        f(v | A*) on B* - A*   f(v | X - v)  inside X
-
-    The fixed half is a coverage state at the variant's anchor (V, empty, B*
-    or A*), the per-X half and f(X) one at X: gains outside, ``inside``
-    within.  ``modmod`` computes the fixed half once per run and moves the
-    state with X, both on arrays aligned with the sorted ceiling.
-    """
+def _check_variant(variant: int) -> None:
     if variant not in (1, 2, 3, 4):
         raise DomainError(f"unknown modular upper bound variant {variant}")
-    X = frozenset(X)
-    if variant in (3, 4):
-        X = _require_lattice_member(X, lat, "X")
-    elif not X <= lat.may_include:
-        raise DomainError("X must lie inside the lattice ceiling")
-    bounds = _Bounds(evaluator, lat)
-    inside = bounds.mask(X)
-    state = evaluator.coverage_state(metric, X)
-    per_node = bounds.upper(state, inside, variant, bounds.fixed(metric, variant))
-    # Python's sequential sum over the sorted inside nodes; np.sum would round differently
-    return ModularFunction(base=state.value - sum(per_node[inside].tolist()),
-                           per_node=dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
-
-
-def make_permutation(lat: Lattice, X, evaluator: MarginalEvaluator) -> list:
-    """Ordering of B* in blocks A*, X - A*, B* - X.
-
-    Within each block, nodes sort by descending singleton profit (ties by
-    id, for reproducibility), so promising nodes sit early in the chain and
-    collect the larger increments.  Any ordering that respects the blocks
-    yields valid bounds, only their tightness away from X differs.
-    """
-    X = _require_lattice_member(X, lat, "X")
-    bounds = _Bounds(evaluator, lat)
-    return bounds.ceiling[bounds.chain(bounds.rank(), bounds.mask(X))].tolist()
-
-
-def modular_lower(evaluator: MarginalEvaluator, metric: str, X, pi,
-                  lat: Lattice) -> ModularFunction:
-    """Modular lower bound on a submodular metric, tight at X.
-
-    ``pi`` must order all of B* with the nodes of A* first, then X - A*,
-    then B* - X.  Node pi(i) contributes the increment of f along that
-    prefix chain; the telescoping sum makes the bound exact at X, and
-    submodularity makes it a lower bound everywhere on the lattice.
-    """
-    X = _require_lattice_member(X, lat, "X")
-    pi = np.asarray(pi, dtype=np.int64)
-    ceiling = _Bounds(evaluator, lat).ceiling
-    if len(pi) != len(ceiling) or not np.array_equal(np.sort(pi), ceiling):
-        raise DomainError("permutation must cover the lattice ceiling exactly once")
-    pi = pi.tolist()
-    # pi holds each node of B* once, so its first |A*| nodes are A* when all
-    # of them lie in A*, and likewise for X
-    if not (lat.must_include.issuperset(pi[:len(lat.must_include)])
-            and X.issuperset(pi[:len(X)])):
-        raise DomainError("permutation must order A*, then X - A*, then B* - X")
-    return ModularFunction(base=0.0, per_node=dict(zip(
-        pi, evaluator.chain_increments(pi, metric).tolist())))
-
-
-def maximize_modular_difference(pos: ModularFunction, neg: ModularFunction,
-                                lat: Lattice) -> frozenset:
-    """Arg max over the lattice of pos(Y) - neg(Y).
-
-    Both functions are additive, so the maximizer is A* plus every free node
-    whose per-node difference is strictly positive; exact zeros stay out.
-    """
-    bounds = _Bounds(None, lat)
-    diff = np.zeros(len(bounds.ceiling))
-    try:
-        diff[bounds.free_at] = [pos.per_node[v] - neg.per_node[v] for v in bounds.free.tolist()]
-    except KeyError as missing:
-        raise DomainError(f"node {missing.args[0]} outside the bound's domain") from None
-    return bounds.maximizer(diff > 0.0)
 
 
 def _climb(off: np.ndarray, gains_of):
@@ -295,8 +205,9 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     modular difference.  Tightness at X_t forces the true profit never to
     drop; the loop ends when the incumbent repeats.  ``gamma_bound_variant``
     picks the cost upper bound (3 or 4), matching the two flavors reported
-    by the selection harness.  The chain order is ``make_permutation``'s,
-    so the iteration draws nothing; ``seed`` is only recorded in ``params``.
+    by the selection harness.  The benefit floor's chain is
+    ``ModularBounds.chain`` of the profit singleton ranking, so the iteration
+    draws nothing; ``seed`` is only recorded in ``params``.
     Each trajectory entry's profit is read from the two sides' coverage
     states at the incumbent.
     """
@@ -308,7 +219,7 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     benefit, cost = (evaluator.coverage_state(kind, incumbent) for kind in KINDS)
     trajectory = [{"seeds": sorted(incumbent), "profit": benefit.value - cost.value}]
     # what the bounds take from the lattice alone, computed once per run
-    bounds = _Bounds(evaluator, lat)
+    bounds = ModularBounds(evaluator, lat)
     inside = bounds.must
     rank = bounds.rank()
     cost_fixed = bounds.fixed("cost", gamma_bound_variant)
@@ -343,8 +254,10 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     certificate.  Bar the cost floor's chain increments, it reads coverage
     states: at the empty set, at each bound's anchor, and at X for f(X).
     """
-    X = _require_lattice_member(X, lat, "X")
-    bounds = _Bounds(evaluator, lat)
+    X = frozenset(X)
+    if not lat.contains(X):
+        raise DomainError("X must lie inside the lattice [A*, B*]")
+    bounds = ModularBounds(evaluator, lat)
     inside = bounds.mask(X)
     cost_floor = bounds.lower("cost", bounds.chain(bounds.rank(), inside))
     state = evaluator.coverage_state("benefit", X)  # f(X) and both bounds' per-X half
@@ -352,7 +265,8 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     for variant in (3, 4):
         upper = bounds.upper(state, inside, variant, bounds.fixed("benefit", variant))
         best = bounds.maximizer(upper - cost_floor > 0.0)
-        # each bound as ModularFunction.evaluate gives it: summed over best as it iterates
+        # each bound at best: its base plus the per-node values summed in
+        # Python order over best as it iterates; np.sum would round differently
         at = np.searchsorted(bounds.ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))
         caps.append((state.value - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
                     - (0.0 + sum(cost_floor[at].tolist())))

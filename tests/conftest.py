@@ -1,4 +1,5 @@
-"""Shared fixtures and an independent brute-force oracle.
+"""Shared fixtures, an independent brute-force oracle, and the modular bounds
+of ``ModularBounds`` as records that tests evaluate at any seed set.
 
 The oracle here deliberately reimplements exact evaluation from scratch
 (a loop over edge subsets, dict-based DFS) so library results are checked
@@ -7,10 +8,12 @@ against an arithmetic path they do not share.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from profitmax import WeightedGraph
+from profitmax import ModularBounds, WeightedGraph
 
 # the canonical 4-node demo graph: nodes 0..3, four edges, hand-checkable
 DEMO_EDGES = [(0, 1, 0.3), (0, 3, 0.4), (1, 3, 0.2), (2, 3, 0.3)]
@@ -128,3 +131,49 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 7,
 
 def random_subset(rng: np.random.Generator, n: int) -> frozenset:
     return frozenset(int(v) for v in range(n) if rng.random() < 0.5)
+
+
+class Modular(NamedTuple):
+    """A modular bound as a record: its value at Y is ``base`` plus ``per_node``
+    summed in Y's iteration order, which is how ``mu_bound`` sums."""
+
+    base: float
+    per_node: dict
+
+    def at(self, Y) -> float:
+        return self.base + sum(self.per_node[v] for v in Y)
+
+
+def upper_bound(ev, metric: str, X, variant: int, lat) -> Modular:
+    """``ModularBounds`` upper bound ``variant`` on ``metric``, tight at X."""
+    bounds = ModularBounds(ev, lat)
+    inside = bounds.mask(X)
+    state = ev.coverage_state(metric, X)
+    per_node = bounds.upper(state, inside, variant, bounds.fixed(metric, variant))
+    return Modular(state.value - sum(per_node[inside].tolist()),
+                   dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
+
+
+def lower_bound(ev, metric: str, X, lat) -> Modular:
+    """``ModularBounds`` lower bound on ``metric`` along the singleton chain, tight at X."""
+    bounds = ModularBounds(ev, lat)
+    per_node = bounds.lower(metric, bounds.chain(bounds.rank(), bounds.mask(X)))
+    return Modular(0.0, dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
+
+
+def maximizer(pos: Modular, neg: Modular, lat) -> frozenset:
+    """``ModularBounds.maximizer`` of pos - neg over the lattice."""
+    bounds = ModularBounds(None, lat)
+    ceiling = bounds.ceiling.tolist()
+    diff = (np.array([pos.per_node[v] for v in ceiling], dtype=float)
+            - np.array([neg.per_node[v] for v in ceiling], dtype=float))
+    return bounds.maximizer(diff > 0.0)
+
+
+def variant_cap(ev, X, lat, variant: int) -> float:
+    """The profit cap of one benefit ceiling (3 or 4): its largest difference
+    to the cost floor over the lattice."""
+    ceiling = upper_bound(ev, "benefit", X, variant, lat)
+    floor = lower_bound(ev, "cost", X, lat)
+    best = maximizer(ceiling, floor, lat)
+    return ceiling.at(best) - floor.at(best)

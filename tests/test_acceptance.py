@@ -14,15 +14,14 @@ import pytest
 from profitmax import (ExactEvaluator, ProfitEstimator, WeightedGraph,
                        assign_weights, chernoff_a, confidence_bounds,
                        exhaustive_optimum, generate, greedy, iterative_prune,
-                       k_sweep, make_permutation, maximize_modular_difference,
-                       modmod, modular_lower, modular_upper, mu_bound,
-                       normalize_weights, sampling_error_limit)
+                       k_sweep, modmod, mu_bound, normalize_weights,
+                       sampling_error_limit)
 from profitmax.cli import CSV_COLUMNS
 from profitmax.rng import derive_seed
 
 from conftest import (DEMO_LOWER_MARGINS, DEMO_OPTIMUM, DEMO_OPTIMUM_PROFIT,
-                      DEMO_UPPER_MARGINS, make_demo_graph, random_graph,
-                      random_subset)
+                      DEMO_UPPER_MARGINS, lower_bound, make_demo_graph,
+                      random_graph, random_subset, upper_bound, variant_cap)
 
 TOL = 1e-9
 
@@ -96,30 +95,21 @@ def test_criterion_2_fixture_optimization(demo_exact, demo_selections):
               "projection chain -2 < 0 < 1.68 exact")
 
 
-def _variant_cap(ev, X, lat, variant):
-    """The profit cap of one benefit ceiling (3 or 4), built from the public bounds."""
-    ceiling = modular_upper(ev, "benefit", X, variant, lat)
-    floor = modular_lower(ev, "cost", X, make_permutation(lat, X, ev), lat)
-    best = maximize_modular_difference(ceiling, floor, lat)
-    return ceiling.evaluate(best) - floor.evaluate(best)
-
-
 def _check_sandwich(ev, lat, X, subsets, values):
     for metric in ("benefit", "cost"):
-        bounds = {v: modular_upper(ev, metric, X, v, lat) for v in (1, 2, 3, 4)}
-        pi = make_permutation(lat, X, ev)
-        floor = modular_lower(ev, metric, X, pi, lat)
+        bounds = {v: upper_bound(ev, metric, X, v, lat) for v in (1, 2, 3, 4)}
+        floor = lower_bound(ev, metric, X, lat)
         fx = values[(metric, X)]
         for variant in (1, 2, 3, 4):
-            assert abs(bounds[variant].evaluate(X) - fx) <= TOL
-        assert abs(floor.evaluate(X) - fx) <= TOL
+            assert abs(bounds[variant].at(X) - fx) <= TOL
+        assert abs(floor.at(X) - fx) <= TOL
         for Y in subsets:
             f = values[(metric, Y)]
-            assert bounds[1].evaluate(Y) >= bounds[3].evaluate(Y) - TOL
-            assert bounds[3].evaluate(Y) >= f - TOL
-            assert bounds[2].evaluate(Y) >= bounds[4].evaluate(Y) - TOL
-            assert bounds[4].evaluate(Y) >= f - TOL
-            assert floor.evaluate(Y) <= f + TOL
+            assert bounds[1].at(Y) >= bounds[3].at(Y) - TOL
+            assert bounds[3].at(Y) >= f - TOL
+            assert bounds[2].at(Y) >= bounds[4].at(Y) - TOL
+            assert bounds[4].at(Y) >= f - TOL
+            assert floor.at(Y) <= f + TOL
 
 
 def test_criterion_3_theorem_property_suite():
@@ -179,7 +169,7 @@ def test_criterion_3_theorem_property_suite():
                   for Y in set(subsets) | {frozenset(a) for a in anchors}}
         for X in anchors:
             X = frozenset(X)
-            caps = [_variant_cap(ev, X, lat, variant) for variant in (3, 4)]
+            caps = [variant_cap(ev, X, lat, variant) for variant in (3, 4)]
             assert min(caps) >= best_value - TOL
             assert mu_bound(ev, X, lat) == min(caps)
         _check_sandwich(ev, lat, frozenset(anchors[2]), subsets, values)

@@ -339,6 +339,36 @@ class TestExperiment:
         assert main(args + ["--jobs", "2", "--csv", str(par)]) == 0
         assert rows_without_timing(seq) == rows_without_timing(par)
 
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 8), (None, None)])
+    def test_worker_pool_capped_at_rows_and_cpus(self, demo_files, tmp_path, monkeypatch,
+                                                 cpus, workers):
+        # the pool forks every worker at its first task, so --jobs alone must
+        # not size it; a stub pool records its size and maps in this process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        edges, weights = demo_files
+        csv = tmp_path / "exp.csv"
+        assert main(["experiment", "--graph", edges, "--weights", weights,
+                     "--theta", "300,400", "--algo", "greedy", "--jobs", "100000",
+                     "--seed", "5", "--csv", str(csv)]) == 0
+        assert len(read_rows(csv)) == 8
+        assert sizes == ([workers] if workers else [])  # one CPU runs in process
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_row_failures_recorded_and_run_continues(self, tmp_path, capsys, jobs):
         # exact mode on a 21-edge graph exceeds the oracle cap in every row;

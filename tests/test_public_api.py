@@ -18,6 +18,32 @@ def test_every_exported_name_resolves():
         assert getattr(profitmax, name) is not None, name
 
 
+def test_exports_are_pinned():
+    # the package exports exactly these names: ModularBounds is the one
+    # modular-bound builder, and no dict-valued bound helper is left
+    assert sorted(profitmax.__all__) == sorted([
+        "CapacityError", "ConfigError", "DomainError", "ExactEvaluator", "InternalError",
+        "Lattice", "MarginalEvaluator", "ModularBounds", "ParseError", "ProfitCertificate",
+        "ProfitEstimator", "ProfitMaxError", "PruneStep", "RRCollection", "SelectionResult",
+        "WeightTotals", "WeightedGraph", "assign_weights", "baseline", "certify",
+        "chernoff_a", "confidence_bounds", "epsilon_mu", "exhaustive_optimum", "generate",
+        "greedy", "iterative_prune", "k_sweep", "load_collection", "load_edge_list",
+        "load_graph_json", "load_weights", "modmod", "mu_bound", "normalize_weights",
+        "sampling_error_limit", "save_collection", "save_edge_list", "save_graph_json",
+        "save_weights", "simulate_spread", "sweep_sizes", "theta_for_relative_error",
+        "trivial_lattice"])
+
+
+def test_optimize_defines_no_public_helper_beyond_its_exports():
+    optimize = importlib.import_module("profitmax.optimize")
+    assert profitmax.ModularBounds is optimize.ModularBounds
+    defined = {name for name, obj in vars(optimize).items()
+               if not name.startswith("_")
+               and getattr(obj, "__module__", None) == optimize.__name__}
+    assert defined == {"ModularBounds", "SelectionResult", "baseline", "greedy", "k_sweep",
+                       "modmod", "mu_bound", "sweep_sizes"}
+
+
 def test_runtime_imports_are_stdlib_numpy_or_profitmax():
     # numpy is the only runtime dependency: a third-party import that happens
     # to be installed (scipy, say) would otherwise pass unnoticed
