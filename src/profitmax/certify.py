@@ -119,19 +119,27 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
         raise DomainError("validation_thetas must be one count or a pair of counts, "
                           f"got {validation_thetas!r}")
     theta_beta, theta_gamma = (int(t) for t in thetas)
+    validation = ProfitEstimator.build(g, theta_beta, theta_gamma,
+                                       seed=derive_seed(int(seed), "validation"))
+    return _certificate(seeds, validation, (theta_beta, theta_gamma), lat, delta, seed)
 
-    estimator = ProfitEstimator.build(g, theta_beta, theta_gamma,
-                                      seed=derive_seed(int(seed), "validation"))
-    totals = g.totals()
-    lambda_beta, lambda_gamma = estimator.coverage_counts(seeds)
+
+def _certificate(seeds: frozenset, validation: ProfitEstimator, thetas, lat: Lattice,
+                 delta: float, seed: int) -> ProfitCertificate:
+    """The certificate of ``seeds`` on a validation pair drawn independently
+    of them at (theta_beta, theta_gamma) = ``thetas``; a side without weight
+    has no collection, but its theta still enters the error term."""
+    theta_beta, theta_gamma = thetas
+    totals = validation.graph.totals()
+    lambda_beta, lambda_gamma = validation.coverage_counts(seeds)
     beta_lower, beta_upper = confidence_bounds(lambda_beta, theta_beta,
                                                totals.upsilon_b, delta)
     gamma_lower, gamma_upper = confidence_bounds(lambda_gamma, theta_gamma,
                                                  totals.upsilon_c, delta)
-    phi_estimate = (estimator.rho("benefit") * lambda_beta
-                    - estimator.rho("cost") * lambda_gamma)
+    phi_estimate = (validation.rho("benefit") * lambda_beta
+                    - validation.rho("cost") * lambda_gamma)
 
-    mu_estimate = min(mu_bound(estimator, seeds, lat), totals.upsilon_b)
+    mu_estimate = min(mu_bound(validation, seeds, lat), totals.upsilon_b)
     eps = epsilon_mu(mu_estimate, theta_beta, theta_gamma,
                      totals.upsilon_b, totals.upsilon_c, delta)
 
