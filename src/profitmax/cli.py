@@ -33,7 +33,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .certify import certify as certify_seeds
+from .certify import _certificate, certify as certify_seeds
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
 from .graph import (WeightedGraph, _check_values, _data_lines, _read_json,
@@ -405,61 +405,54 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _experiment_selection(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
-    """The runs of the selection pass at (theta, norm), with and without
-    pruning; a sample that fails to draw fails each run."""
+def _experiment_pass(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
+    """The CSV rows of the selection pass at (theta, norm), keyed like its
+    runs, or the exception each row raised.  Every row is certified on one
+    validation pair, which no run selected on; a sample that fails to draw
+    fails every row."""
     theta, norm_on = pass_spec
+    g = _graph_view(graph, norm_on)
     try:
-        return _selection_pass(cfg, _graph_view(graph, norm_on), theta, norm_on,
-                               (True, False))[1]
+        runs = _selection_pass(cfg, g, theta, norm_on, (True, False))[1]
+        validation = _validation_evaluator(cfg, g, theta, norm_on)
     except Exception as exc:
         return dict.fromkeys(itertools.product((True, False), cfg.algo), exc)
-
-
-def _experiment_row(cfg: RunConfig, graph: WeightedGraph, row_spec, run):
-    """The certified CSV row of one selection run; a failed run's exception as it is."""
-    if isinstance(run, Exception):
-        return run
-    theta, algo, prune_on, norm_on = row_spec
-    rr_ms, lattice, result, select_ms = run
-    g = _graph_view(graph, norm_on)
-    # baselines select on the whole graph; their certificate uses the
-    # trivial lattice they actually searched
-    cert_lattice = lattice if algo in HEURISTICS else trivial_lattice(g.node_count)
     vtheta = cfg.validation_theta or theta
-    cert = certify_seeds(result.seeds, g, cert_lattice, vtheta, delta=cfg.delta,
-                         seed=derive_seed(cfg.seed, "experiment", theta, algo,
-                                          int(prune_on), int(norm_on)))
-    return _row(cfg, algo, theta, prune_on, norm_on, len(result.seeds),
-                cert.phi_estimate, cert.guarantee, select_ms, rr_ms)
+
+    def certified(prune_on, algo):
+        run = runs[prune_on, algo]
+        if isinstance(run, Exception):
+            return run
+        rr_ms, lattice, result, select_ms = run
+        # baselines select on the whole graph; their certificate uses the
+        # trivial lattice they actually searched
+        cert_lattice = lattice if algo in HEURISTICS else trivial_lattice(g.node_count)
+        cert = _certificate(result.seeds, validation, (vtheta, vtheta), cert_lattice,
+                            cfg.delta, cfg.seed)
+        return _row(cfg, algo, theta, prune_on, norm_on, len(result.seeds),
+                    cert.phi_estimate, cert.guarantee, select_ms, rr_ms)
+
+    return {key: _attempt(certified, *key) for key in runs}
 
 
 def cmd_experiment(args) -> int:
     cfg = _resolve_config(args)
-    row_specs = [(theta, algo, prune_on, norm_on)
-                 for theta in cfg.thetas()
-                 for algo in cfg.algo
-                 for prune_on in (True, False)
-                 for norm_on in (True, False)]
-    # the rows at one (theta, norm) share one selection pass
+    # (theta, algo, prune_on, norm_on), the CSV's row order
+    row_specs = list(itertools.product(cfg.thetas(), cfg.algo, (True, False), (True, False)))
+    # the rows at one (theta, norm) share one selection pass and validation pair
     pass_specs = list(dict.fromkeys((theta, norm_on) for theta, _, _, norm_on in row_specs))
     # bad input ends the run before any row, whatever --jobs is
     graph = _load_weighted_graph(cfg)
     # the pool forks all its workers at the first task, so no more than there
-    # are rows or CPUs; one worker runs in this process
-    workers = min(cfg.jobs, len(row_specs), os.cpu_count() or 1)
+    # are passes or CPUs; one worker runs in this process
+    workers = min(cfg.jobs, len(pass_specs), os.cpu_count() or 1)
     parallel = workers > 1
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
           else contextlib.nullcontext()) as pool:
-        # both phases return, in order, results or the exceptions they raised;
-        # each row's certificate is a task of its own
-        run_map = pool.map if parallel else map
-        passes = dict(zip(pass_specs, run_map(
-            functools.partial(_experiment_selection, cfg, graph), pass_specs)))
-        runs = [passes[theta, norm_on][prune_on, algo]
+        passes = dict(zip(pass_specs, (pool.map if parallel else map)(
+            functools.partial(_experiment_pass, cfg, graph), pass_specs)))
+    outcomes = [passes[theta, norm_on][prune_on, algo]
                 for theta, algo, prune_on, norm_on in row_specs]
-        outcomes = list(run_map(functools.partial(_attempt, _experiment_row, cfg, graph),
-                                row_specs, runs))
     errors = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
     rows = [_failed_row(cfg, rs, outcome) if isinstance(outcome, Exception) else outcome
             for rs, outcome in zip(row_specs, outcomes)]

@@ -268,26 +268,45 @@ class TestExperiment:
 
     def test_one_sample_and_one_prune_per_theta_and_norm(self, demo_files, tmp_path,
                                                          monkeypatch):
-        # 2 thetas x 2 norms: the 16 rows draw 4 selection samples and prune
-        # each once, whatever the algorithm
-        calls = {"sample": 0, "prune": 0}
+        # 2 thetas x 2 norms: the 16 rows draw 4 selection samples, prune
+        # each once and certify on 4 validation pairs, whatever the algorithm
+        calls = {"sample": 0, "prune": 0, "build": 0}
 
         def counted(name, fn):
-            def call(*args):
+            def call(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return call
 
         monkeypatch.setattr(cli, "_selection_evaluator",
                             counted("sample", cli._selection_evaluator))
         monkeypatch.setattr(cli, "iterative_prune", counted("prune", cli.iterative_prune))
+        monkeypatch.setattr(cli.ProfitEstimator, "build",
+                            counted("build", cli.ProfitEstimator.build))
         edges, weights = demo_files
         csv = tmp_path / "exp.csv"
         assert main(["experiment", "--graph", edges, "--weights", weights,
                      "--theta", "200,400", "--algo", "greedy,highdegree", "--jobs", "1",
                      "--seed", "3", "--csv", str(csv)]) == 0
         assert len(read_rows(csv)) == 16
-        assert calls == {"sample": 4, "prune": 4}
+        assert calls == {"sample": 4, "prune": 4, "build": 8}
+
+    def test_select_profit_matches_experiment(self, demo_files, tmp_path):
+        # both certify on the same validation pair, and a certificate's
+        # estimate is the evaluator's profit on it, so the pruned and
+        # normalized rows agree with select's
+        edges, weights = demo_files
+        common = ["--graph", edges, "--weights", weights, "--theta", "300",
+                  "--algo", "greedy,highdegree", "--seed", "5"]
+        sel, exp = tmp_path / "sel.csv", tmp_path / "exp.csv"
+        assert main(["select", *common, "--out-dir", str(tmp_path / "seeds"),
+                     "--csv", str(sel)]) == 0
+        assert main(["experiment", *common, "--csv", str(exp)]) == 0
+        selected = {r["algo"]: r["profit"] for r in read_rows(sel)}
+        certified = {r["algo"]: r["profit"] for r in read_rows(exp)
+                     if r["prune"] == r["norm"] == "1"}
+        assert selected == certified
+        assert sorted(selected) == ["greedy", "highdegree"]
 
     def test_prune_failure_fails_only_the_pruned_rows(self, demo_files, tmp_path, capsys,
                                                       monkeypatch):
@@ -339,11 +358,12 @@ class TestExperiment:
         assert main(args + ["--jobs", "2", "--csv", str(par)]) == 0
         assert rows_without_timing(seq) == rows_without_timing(par)
 
-    @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 8), (None, None)])
+    @pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 4), (None, None)])
     def test_worker_pool_capped_at_rows_and_cpus(self, demo_files, tmp_path, monkeypatch,
                                                  cpus, workers):
         # the pool forks every worker at its first task, so --jobs alone must
-        # not size it; a stub pool records its size and maps in this process
+        # not size it: 2 thetas x 2 norms give 4 selection passes, one task
+        # each; a stub pool records its size and maps in this process
         sizes = []
 
         class InlinePool:
