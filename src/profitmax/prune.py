@@ -125,7 +125,7 @@ def trivial_lattice(node_count: int) -> Lattice:
                    iterations=[PruneStep(frozenset(), universe)])
 
 
-def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
+def iterative_prune(evaluator: MarginalEvaluator) -> Lattice:
     """Shrink the search space to a fixpoint lattice.
 
     Per side (benefit, cost) the evaluator keeps two coverage states: one
@@ -137,14 +137,12 @@ def iterative_prune(evaluator: MarginalEvaluator, nodes=None) -> Lattice:
     reported as an InternalError rather than silently clamped: it means the
     sample size is too small to prune with.
     """
-    if nodes is None:
-        nodes = range(evaluator.node_count)
     must = frozenset()
-    may = frozenset(int(v) for v in nodes)
+    may = frozenset(range(evaluator.node_count))
     steps = [PruneStep(must, may)]
     at_a = {kind: evaluator.coverage_state(kind) for kind in KINDS}
     at_b = {kind: evaluator.coverage_state(kind, may) for kind in KINDS}
-    # each non-final iteration moves at least one node, so |nodes| + 1
+    # each non-final iteration moves at least one node, so n + 1
     # passes suffice for any consistent evaluator
     for _ in range(len(may) + 1):
         undecided = sorted(may - must)
