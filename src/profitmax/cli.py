@@ -408,8 +408,8 @@ def cmd_certify(args) -> int:
 def _experiment_pass(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
     """The CSV rows of the selection pass at (theta, norm), keyed like its
     runs, or the exception each row raised.  Every row is certified on one
-    validation pair, which no run selected on; a sample that fails to draw
-    fails every row."""
+    validation pair, which no run selected on; a selection sample or pair
+    that fails to draw fails every row."""
     theta, norm_on = pass_spec
     g = _graph_view(graph, norm_on)
     try:

@@ -292,9 +292,9 @@ class TestExperiment:
         assert calls == {"sample": 4, "prune": 4, "build": 8}
 
     def test_select_profit_matches_experiment(self, demo_files, tmp_path):
-        # both certify on the same validation pair, and a certificate's
-        # estimate is the evaluator's profit on it, so the pruned and
-        # normalized rows agree with select's
+        # select's profit is read from the validation pair that experiment
+        # certifies the pass on, and a certificate's estimate is that
+        # evaluator's profit, so the pruned, normalized rows agree
         edges, weights = demo_files
         common = ["--graph", edges, "--weights", weights, "--theta", "300",
                   "--algo", "greedy,highdegree", "--seed", "5"]
