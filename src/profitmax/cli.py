@@ -92,6 +92,10 @@ class RunConfig:
             raise ConfigError(f"field 'r': must be finite and positive, got {self.r}")
         if self.jobs < 1:
             raise ConfigError(f"field 'jobs': must be at least 1, got {self.jobs}")
+        if not self.algo:
+            raise ConfigError("field 'algo': the algorithm list is empty")
+        if len(set(self.algo)) < len(self.algo):
+            raise ConfigError(f"field 'algo': an algorithm is repeated in {self.algo}")
         for name in self.algo:
             if name not in ALGORITHMS:
                 raise ConfigError(f"field 'algo': unknown algorithm {name!r}; "
@@ -259,12 +263,19 @@ def _attempt(fn, *args):
         return exc
 
 
+def _run_key(algo: str, prune_on: bool):
+    """(whether ``algo`` searches ``iterative_prune``'s lattice, algo): a
+    heuristic does as its prune flag says; a baseline never does."""
+    return prune_on and algo in HEURISTICS, algo
+
+
 def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: bool,
                     prune_flags):
     """(evaluator, runs) of the selection sample drawn once at (theta, norm),
-    which raises if the draw fails.  ``runs[prune_on, algo]`` is (rr_ms,
-    lattice, result, select_ms) of ``algo`` run in ``iterative_prune``'s
-    lattice or the trivial one, or the exception pruning or the run raised."""
+    which raises if the draw fails.  ``runs[_run_key(algo, prune_on)]`` is
+    (rr_ms, lattice, result, select_ms) of ``algo`` run in the lattice it
+    searches, or the exception pruning or the run raised; each distinct run
+    is made once, and pruning only when some run searches its lattice."""
     evaluator, rr_ms = _selection_evaluator(cfg, g_view, theta, norm)
 
     def run(algo, lattice):
@@ -274,10 +285,12 @@ def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: boo
         result = _run_algorithm(algo, g_view, evaluator, lattice, cfg)
         return rr_ms, lattice, result, int((time.perf_counter() - start) * 1000)
 
-    lattices = {prune_on: _attempt(iterative_prune, evaluator) if prune_on
-                else trivial_lattice(g_view.node_count) for prune_on in prune_flags}
-    return evaluator, {(prune_on, algo): _attempt(run, algo, lattice)
-                       for prune_on, lattice in lattices.items() for algo in cfg.algo}
+    keys = dict.fromkeys(_run_key(algo, prune_on)
+                         for prune_on in prune_flags for algo in cfg.algo)
+    lattices = {pruned: _attempt(iterative_prune, evaluator) if pruned
+                else trivial_lattice(g_view.node_count) for pruned in {p for p, _ in keys}}
+    return evaluator, {(pruned, algo): _attempt(run, algo, lattices[pruned])
+                       for pruned, algo in keys}
 
 
 def _format_float(x) -> str:
@@ -296,6 +309,12 @@ def _write_csv(rows, cfg: RunConfig, path) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_json(path, doc: dict, cfg: RunConfig, **extra) -> None:
+    """Write ``doc`` with the resolved configuration, its hash and ``extra``."""
+    doc.update(config=asdict(cfg), config_hash=cfg.config_hash(), **extra)
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def _row(cfg: RunConfig, algo: str, theta: int, prune_on: bool, norm_on: bool,
@@ -339,11 +358,7 @@ def cmd_prune(args) -> int:
     print(f"{n},{len(lattice.must_include)},{len(lattice.may_include)},"
           f"{free},{lattice.reduction(n) * 100:.1f}%")
     if cfg.out:
-        doc = lattice.to_json_dict(g)
-        doc["config"] = asdict(cfg)
-        doc["config_hash"] = cfg.config_hash()
-        doc["seed"] = cfg.seed
-        Path(cfg.out).write_text(json.dumps(doc), encoding="utf-8")
+        _write_json(cfg.out, lattice.to_json_dict(g), cfg, seed=cfg.seed)
     return 0
 
 
@@ -360,19 +375,14 @@ def cmd_select(args) -> int:
         validation = (evaluator if cfg.exact
                       else _validation_evaluator(cfg, g, theta, cfg.normalize))
         for algo in cfg.algo:
-            run = runs[cfg.prune, algo]
+            run = runs[_run_key(algo, cfg.prune)]
             if isinstance(run, Exception):
                 raise run
             rr_ms, _, result, select_ms = run
             profit = validation.profit(result.seeds)
-            doc = result.to_json_dict(g)
-            doc["theta"] = theta
-            doc["config"] = asdict(cfg)
-            doc["config_hash"] = cfg.config_hash()
-            doc["seed"] = cfg.seed
-            doc["validation_profit"] = profit
-            (out_dir / f"seeds_{algo}_theta{theta}.json").write_text(
-                json.dumps(doc), encoding="utf-8")
+            _write_json(out_dir / f"seeds_{algo}_theta{theta}.json",
+                        {**result.to_json_dict(g), "theta": theta}, cfg,
+                        seed=cfg.seed, validation_profit=profit)
             rows.append(_row(cfg, algo, theta, cfg.prune, cfg.normalize,
                              len(result.seeds), profit, None, select_ms, rr_ms))
     _write_csv(rows, cfg, cfg.csv)
@@ -395,10 +405,7 @@ def cmd_certify(args) -> int:
                          seed=derive_seed(cfg.seed, "certify"))
     print(cert.summary_line())
     if cfg.out:
-        doc = cert.to_json_dict()
-        doc["config"] = asdict(cfg)
-        doc["config_hash"] = cfg.config_hash()
-        Path(cfg.out).write_text(json.dumps(doc), encoding="utf-8")
+        _write_json(cfg.out, cert.to_json_dict(), cfg)
     rows = [_row(cfg, algo, theta, cfg.lattice is not None, cfg.normalize,
                  len(seeds), cert.phi_estimate, cert.guarantee, 0, 0)]
     _write_csv(rows, cfg, cfg.csv)
@@ -406,33 +413,26 @@ def cmd_certify(args) -> int:
 
 
 def _experiment_pass(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
-    """The CSV rows of the selection pass at (theta, norm), keyed like its
-    runs, or the exception each row raised.  Every row is certified on one
-    validation pair, which no run selected on; a selection sample or pair
-    that fails to draw fails every row."""
+    """The certified runs of the selection pass at (theta, norm), keyed like
+    its runs: each (seeds_count, profit, guarantee, select_ms, rr_ms), or the
+    exception the run raised.  Each run is certified once, in the lattice it
+    searched, on one validation pair that no run selected on; raises if the
+    selection sample or the pair fails to draw."""
     theta, norm_on = pass_spec
     g = _graph_view(graph, norm_on)
-    try:
-        runs = _selection_pass(cfg, g, theta, norm_on, (True, False))[1]
-        validation = _validation_evaluator(cfg, g, theta, norm_on)
-    except Exception as exc:
-        return dict.fromkeys(itertools.product((True, False), cfg.algo), exc)
+    runs = _selection_pass(cfg, g, theta, norm_on, (True, False))[1]
+    validation = _validation_evaluator(cfg, g, theta, norm_on)
     vtheta = cfg.validation_theta or theta
 
-    def certified(prune_on, algo):
-        run = runs[prune_on, algo]
+    def certified(run):
         if isinstance(run, Exception):
             return run
         rr_ms, lattice, result, select_ms = run
-        # baselines select on the whole graph; their certificate uses the
-        # trivial lattice they actually searched
-        cert_lattice = lattice if algo in HEURISTICS else trivial_lattice(g.node_count)
-        cert = _certificate(result.seeds, validation, (vtheta, vtheta), cert_lattice,
+        cert = _certificate(result.seeds, validation, (vtheta, vtheta), lattice,
                             cfg.delta, cfg.seed)
-        return _row(cfg, algo, theta, prune_on, norm_on, len(result.seeds),
-                    cert.phi_estimate, cert.guarantee, select_ms, rr_ms)
+        return len(result.seeds), cert.phi_estimate, cert.guarantee, select_ms, rr_ms
 
-    return {key: _attempt(certified, *key) for key in runs}
+    return {key: _attempt(certified, run) for key, run in runs.items()}
 
 
 def cmd_experiment(args) -> int:
@@ -450,25 +450,24 @@ def cmd_experiment(args) -> int:
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
           else contextlib.nullcontext()) as pool:
         passes = dict(zip(pass_specs, (pool.map if parallel else map)(
-            functools.partial(_experiment_pass, cfg, graph), pass_specs)))
-    outcomes = [passes[theta, norm_on][prune_on, algo]
-                for theta, algo, prune_on, norm_on in row_specs]
-    errors = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
-    rows = [_failed_row(cfg, rs, outcome) if isinstance(outcome, Exception) else outcome
-            for rs, outcome in zip(row_specs, outcomes)]
+            functools.partial(_attempt, _experiment_pass, cfg, graph), pass_specs)))
+    rows, errors = [], []
+    for theta, algo, prune_on, norm_on in row_specs:
+        # a pass whose sample or pair fails to draw fails all its rows
+        runs = passes[theta, norm_on]
+        outcome = runs if isinstance(runs, Exception) else runs[_run_key(algo, prune_on)]
+        if isinstance(outcome, Exception):
+            errors.append(outcome)
+            print(f"row (theta={theta}, algo={algo}, prune={int(prune_on)}, "
+                  f"norm={int(norm_on)}) failed: {outcome}", file=sys.stderr)
+            outcome = 0, None, None, 0, 0
+        rows.append(_row(cfg, algo, theta, prune_on, norm_on, *outcome))
     _write_csv(rows, cfg, cfg.csv)
     if len(errors) < len(rows) or not rows:
         return 0
     # no row succeeded: exit as the first row's error would have
     failure = _failure(errors[0])
     return failure[0] if failure else 1
-
-
-def _failed_row(cfg: RunConfig, row_spec, exc: Exception) -> dict:
-    theta, algo, prune_on, norm_on = row_spec
-    print(f"row (theta={theta}, algo={algo}, prune={int(prune_on)}, "
-          f"norm={int(norm_on)}) failed: {exc}", file=sys.stderr)
-    return _row(cfg, algo, theta, prune_on, norm_on, 0, None, None, 0, 0)
 
 
 # the exit code and stderr label of each documented error

@@ -291,6 +291,36 @@ class TestExperiment:
         assert len(read_rows(csv)) == 16
         assert calls == {"sample": 4, "prune": 4, "build": 8}
 
+    @pytest.mark.parametrize("command, algos, rows, expected", [
+        ("experiment", "greedy,highdegree", 16, {"run": 12, "certify": 12, "prune": 4}),
+        ("experiment", "highdegree", 8, {"run": 4, "certify": 4, "prune": 0}),
+        ("select", "highdegree", 2, {"run": 2, "certify": 0, "prune": 0}),
+    ], ids=["experiment-mixed", "experiment-baseline", "select-baseline"])
+    def test_each_selection_runs_and_is_certified_once(self, demo_files, tmp_path,
+                                                       monkeypatch, command, algos, rows,
+                                                       expected):
+        # per (theta, norm) pass a heuristic runs in the pruned and in the
+        # trivial lattice, a baseline once in the trivial one; pruning only
+        # serves a heuristic's pruned run
+        calls = dict.fromkeys(expected, 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "_run_algorithm", counted("run", cli._run_algorithm))
+        monkeypatch.setattr(cli, "_certificate", counted("certify", cli._certificate))
+        monkeypatch.setattr(cli, "iterative_prune", counted("prune", cli.iterative_prune))
+        edges, weights = demo_files
+        csv = tmp_path / "out.csv"
+        assert main([command, "--graph", edges, "--weights", weights, "--theta", "200,400",
+                     "--algo", algos, "--jobs", "1", "--seed", "3",
+                     "--out-dir", str(tmp_path / "seeds"), "--csv", str(csv)]) == 0
+        assert len(read_rows(csv)) == rows
+        assert calls == expected
+
     def test_select_profit_matches_experiment(self, demo_files, tmp_path):
         # select's profit is read from the validation pair that experiment
         # certifies the pass on, and a certificate's estimate is that
@@ -310,6 +340,8 @@ class TestExperiment:
 
     def test_prune_failure_fails_only_the_pruned_rows(self, demo_files, tmp_path, capsys,
                                                       monkeypatch):
+        # a baseline never searches the pruned lattice, so only the
+        # heuristic's prune=1 rows fail
         def broken(evaluator):
             raise profitmax.errors.InternalError("pruning broke")
 
@@ -323,10 +355,11 @@ class TestExperiment:
         assert [r["prune"] for r in rows] == ["1", "1", "0", "0"] * 2
         for r in rows:
             filled = r["profit"] != "" and r["guarantee"] != ""
-            assert filled == (r["prune"] == "0")
+            assert filled == (r["algo"] == "highdegree" or r["prune"] == "0")
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 4
-        assert all("prune=1" in line and "failed: pruning broke" in line for line in err)
+        assert len(err) == 2
+        assert all("algo=greedy, prune=1" in line and "failed: pruning broke" in line
+                   for line in err)
 
     def test_algorithm_failure_fails_only_its_rows(self, demo_files, tmp_path, capsys,
                                                    monkeypatch):
@@ -582,6 +615,29 @@ class TestExitCodes:
         edges, _ = demo_files
         assert main(["prune", "--graph", edges, arg, "--seed", "1"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["select", "experiment"])
+    @pytest.mark.parametrize("flag, line, message", [
+        (",", "algo = ", "field 'algo': the algorithm list is empty"),
+        ("greedy,greedy", "algo = greedy greedy",
+         "field 'algo': an algorithm is repeated in ['greedy', 'greedy']"),
+    ], ids=["empty", "repeated"])
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_empty_or_repeated_algo_is_config_error(self, demo_files, tmp_path, capsys,
+                                                    command, flag, line, message, via):
+        edges, weights = demo_files
+        csv = tmp_path / "out.csv"
+        args = [command, "--graph", edges, "--weights", weights, "--theta", "200",
+                "--seed", "1", "--out-dir", str(tmp_path / "seeds"), "--csv", str(csv)]
+        if via == "flag":
+            args += ["--algo", flag]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(line + "\n", encoding="utf-8")
+            args += ["--config", str(config)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not csv.exists()
 
     def test_unallocatable_theta_is_capacity_error(self, demo_files, capsys):
         # 2^40 * 10000 sets: past the 2^31 - 1 set ids, refused before any root is drawn
