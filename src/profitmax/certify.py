@@ -10,8 +10,8 @@ generated fresh and independently of how S was selected:
   the true profit of S;
 * a modular cap mu on the maximum achievable profit: an upper bound on the
   benefit minus a lower bound on the cost, both tight at S, maximized in
-  closed form over the lattice (``mu_bound``, defined with the other modular
-  bounds in ``profitmax.optimize``);
+  closed form over every seed set (``mu_bound`` in the trivial lattice,
+  defined with the other modular bounds in ``profitmax.optimize``);
 * a sampling-error inflation eps(mu) accounting for mu itself being
   estimated from samples.
 
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from .errors import DomainError
 from .graph import WeightedGraph
 from .optimize import mu_bound
-from .prune import Lattice
+from .prune import trivial_lattice
 from .rng import derive_seed
 from .rrsets import ProfitEstimator, _is_count, chernoff_a, confidence_bounds
 
@@ -95,7 +95,7 @@ def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,
             + rho_b * math.sqrt(a * (theta_beta + 0.25 * a)))
 
 
-def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
+def certify(seeds, g: WeightedGraph, lat, validation_thetas,
             delta: float = 1e-6, seed: int = 0) -> ProfitCertificate:
     """Certify a seed set on fresh validation collections.
 
@@ -107,12 +107,15 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
     additionally capped at the total benefit weight: no estimated profit can
     exceed that, so the cap stays valid while the error term stays in its
     domain even when the modular construction overshoots.
+
+    ``lat`` is ignored: the cap is taken over every seed set, because a
+    lattice pruned on the selection samples need not hold the optimum of
+    the validation estimate.  It stays a positional argument only until the
+    benchmark's caller drops it.
     """
     if not (0.0 < float(delta) < 1.0):
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     seeds = frozenset(int(v) for v in seeds)
-    if not lat.contains(seeds):
-        raise DomainError("certified seed set must lie inside the lattice")
     thetas = (validation_thetas if isinstance(validation_thetas, (tuple, list))
               else (validation_thetas, validation_thetas))
     if len(thetas) != 2 or not all(map(_is_count, thetas)):
@@ -121,14 +124,16 @@ def certify(seeds, g: WeightedGraph, lat: Lattice, validation_thetas,
     theta_beta, theta_gamma = (int(t) for t in thetas)
     validation = ProfitEstimator.build(g, theta_beta, theta_gamma,
                                        seed=derive_seed(int(seed), "validation"))
-    return _certificate(seeds, validation, (theta_beta, theta_gamma), lat, delta, seed)
+    return _certificate(seeds, validation, (theta_beta, theta_gamma), delta, seed)
 
 
-def _certificate(seeds: frozenset, validation: ProfitEstimator, thetas, lat: Lattice,
+def _certificate(seeds: frozenset, validation: ProfitEstimator, thetas,
                  delta: float, seed: int) -> ProfitCertificate:
     """The certificate of ``seeds`` on a validation pair drawn independently
     of them at (theta_beta, theta_gamma) = ``thetas``; a side without weight
-    has no collection, but its theta still enters the error term."""
+    has no collection, but its theta still enters the error term.  The cap
+    is taken in the trivial lattice, so it covers the validation estimate's
+    best profit over all seed sets."""
     theta_beta, theta_gamma = thetas
     totals = validation.graph.totals()
     lambda_beta, lambda_gamma = validation.coverage_counts(seeds)
@@ -139,7 +144,8 @@ def _certificate(seeds: frozenset, validation: ProfitEstimator, thetas, lat: Lat
     phi_estimate = (validation.rho("benefit") * lambda_beta
                     - validation.rho("cost") * lambda_gamma)
 
-    mu_estimate = min(mu_bound(validation, seeds, lat), totals.upsilon_b)
+    everything = trivial_lattice(validation.node_count)
+    mu_estimate = min(mu_bound(validation, seeds, everything), totals.upsilon_b)
     eps = epsilon_mu(mu_estimate, theta_beta, theta_gamma,
                      totals.upsilon_b, totals.upsilon_c, delta)
 

@@ -33,7 +33,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .certify import _certificate, certify as certify_seeds
+from .certify import _certificate
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
 from .graph import (WeightedGraph, _check_values, _data_lines, _read_json,
@@ -75,7 +75,6 @@ class RunConfig:
     out: str = None
     out_dir: str = "."
     csv: str = None
-    lattice: str = None
     seeds: str = None
 
     def thetas(self) -> list:
@@ -112,8 +111,14 @@ class RunConfig:
             raise ConfigError("field 'validation_theta': must be at least 1")
 
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        """A hash of the fields that decide the outputs' contents: not the
+        output locations, nor ``jobs``, which changes no output."""
+        fields = {key: value for key, value in asdict(self).items() if key not in _UNHASHED}
+        payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+_UNHASHED = ("jobs", "out", "out_dir", "csv")
 
 
 # -- configuration resolution ----------------------------------------------
@@ -145,7 +150,6 @@ _OPTIONS = {
     "out": (str, "output file"),
     "out_dir": (str, "directory for seeds files"),
     "csv": (str, "CSV output file (default stdout)"),
-    "lattice": (str, "lattice JSON produced by prune"),
     "seeds": (str, "seeds JSON produced by select"),
 }
 
@@ -193,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value file of the same options; "
                                         "flags override it")
         for key, (parse, text) in _OPTIONS.items():
-            if command == "certify" or key not in ("lattice", "seeds"):
+            if command == "certify" or key != "seeds":
                 p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse,
                                help=text)
         # a switch stores its value under its field, None when not given
@@ -273,9 +277,9 @@ def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: boo
                     prune_flags):
     """(evaluator, runs) of the selection sample drawn once at (theta, norm),
     which raises if the draw fails.  ``runs[_run_key(algo, prune_on)]`` is
-    (rr_ms, lattice, result, select_ms) of ``algo`` run in the lattice it
-    searches, or the exception pruning or the run raised; each distinct run
-    is made once, and pruning only when some run searches its lattice."""
+    (rr_ms, result, select_ms) of ``algo`` run in the lattice it searches,
+    or the exception pruning or the run raised; each distinct run is made
+    once, and pruning only when some run searches its lattice."""
     evaluator, rr_ms = _selection_evaluator(cfg, g_view, theta, norm)
 
     def run(algo, lattice):
@@ -283,7 +287,7 @@ def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: boo
             return lattice
         start = time.perf_counter()
         result = _run_algorithm(algo, g_view, evaluator, lattice, cfg)
-        return rr_ms, lattice, result, int((time.perf_counter() - start) * 1000)
+        return rr_ms, result, int((time.perf_counter() - start) * 1000)
 
     keys = dict.fromkeys(_run_key(algo, prune_on)
                          for prune_on in prune_flags for algo in cfg.algo)
@@ -378,7 +382,7 @@ def cmd_select(args) -> int:
             run = runs[_run_key(algo, cfg.prune)]
             if isinstance(run, Exception):
                 raise run
-            rr_ms, _, result, select_ms = run
+            rr_ms, result, select_ms = run
             profit = validation.profit(result.seeds)
             _write_json(out_dir / f"seeds_{algo}_theta{theta}.json",
                         {**result.to_json_dict(g), "theta": theta}, cfg,
@@ -398,15 +402,15 @@ def cmd_certify(args) -> int:
     seeds, algo = _read_json(cfg.seeds, lambda doc: (
         frozenset(g.internal_id(v) for v in _check_values(doc["seeds"], "seed")),
         doc.get("algorithm", "unknown")))
-    lattice = (_read_json(cfg.lattice, lambda doc: Lattice.from_json_dict(doc, g))
-               if cfg.lattice else trivial_lattice(g.node_count))
-    theta = cfg.validation_theta or cfg.thetas()[0]
-    cert = certify_seeds(seeds, g, lattice, theta, delta=cfg.delta,
-                         seed=derive_seed(cfg.seed, "certify"))
+    theta = cfg.thetas()[0]
+    # the validation pair that select and experiment draw at this theta
+    validation = _validation_evaluator(cfg, g, theta, cfg.normalize)
+    vtheta = cfg.validation_theta or theta
+    cert = _certificate(seeds, validation, (vtheta, vtheta), cfg.delta, cfg.seed)
     print(cert.summary_line())
     if cfg.out:
         _write_json(cfg.out, cert.to_json_dict(), cfg)
-    rows = [_row(cfg, algo, theta, cfg.lattice is not None, cfg.normalize,
+    rows = [_row(cfg, algo, vtheta, cfg.prune, cfg.normalize,
                  len(seeds), cert.phi_estimate, cert.guarantee, 0, 0)]
     _write_csv(rows, cfg, cfg.csv)
     return 0
@@ -415,9 +419,9 @@ def cmd_certify(args) -> int:
 def _experiment_pass(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
     """The certified runs of the selection pass at (theta, norm), keyed like
     its runs: each (seeds_count, profit, guarantee, select_ms, rr_ms), or the
-    exception the run raised.  Each run is certified once, in the lattice it
-    searched, on one validation pair that no run selected on; raises if the
-    selection sample or the pair fails to draw."""
+    exception the run raised.  Each run is certified once, on one validation
+    pair that no run selected on; raises if the selection sample or the pair
+    fails to draw."""
     theta, norm_on = pass_spec
     g = _graph_view(graph, norm_on)
     runs = _selection_pass(cfg, g, theta, norm_on, (True, False))[1]
@@ -427,9 +431,8 @@ def _experiment_pass(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
     def certified(run):
         if isinstance(run, Exception):
             return run
-        rr_ms, lattice, result, select_ms = run
-        cert = _certificate(result.seeds, validation, (vtheta, vtheta), lattice,
-                            cfg.delta, cfg.seed)
+        rr_ms, result, select_ms = run
+        cert = _certificate(result.seeds, validation, (vtheta, vtheta), cfg.delta, cfg.seed)
         return len(result.seeds), cert.phi_estimate, cert.guarantee, select_ms, rr_ms
 
     return {key: _attempt(certified, run) for key, run in runs.items()}

@@ -78,17 +78,13 @@ class ModularBounds:
     telescoping sum makes it exact at X, and submodularity a lower bound
     everywhere on the lattice.
 
-    ``must`` masks A*; ``free`` is B* - A* in the iteration order of
-    ``lat.free_nodes``, at positions ``free_at``.  Building asks the
-    evaluator nothing.
+    ``must`` masks A*.  Building asks the evaluator nothing.
     """
 
     def __init__(self, evaluator: MarginalEvaluator, lat: Lattice):
         self.evaluator, self.lat = evaluator, lat
         self.ceiling = np.sort(np.fromiter(lat.may_include, np.int64, len(lat.may_include)))
         self.must = self.mask(lat.must_include)
-        self.free = np.fromiter(lat.free_nodes, np.int64, len(lat.free_nodes))
-        self.free_at = np.searchsorted(self.ceiling, self.free)
 
     def mask(self, nodes) -> np.ndarray:
         """Which ceiling entries lie in ``nodes``, a subset of the ceiling."""
@@ -140,11 +136,8 @@ class ModularBounds:
         return per_node
 
     def maximizer(self, keep: np.ndarray) -> frozenset:
-        """A*, then the free nodes ``keep`` marks in ``free`` order: the seed
-        set's iteration order, which ``mu_bound`` sums in."""
-        chosen = set(self.lat.must_include)
-        chosen.update(self.free[keep[self.free_at]].tolist())
-        return frozenset(chosen)
+        """A* and the ceiling entries ``keep`` marks."""
+        return frozenset(self.ceiling[self.must | keep].tolist())
 
 
 def _check_variant(variant: int) -> None:
@@ -223,7 +216,7 @@ def modmod(evaluator: MarginalEvaluator, lat: Lattice, gamma_bound_variant: int 
     inside = bounds.must
     rank = bounds.rank()
     cost_fixed = bounds.fixed("cost", gamma_bound_variant)
-    for _ in range(100 * max(1, len(bounds.free))):
+    for _ in range(100 * max(1, len(lat.free_nodes))):
         benefit_floor = bounds.lower("benefit", bounds.chain(rank, inside))
         cost_ceiling = bounds.upper(cost, inside, gamma_bound_variant, cost_fixed)
         nxt = bounds.must | (benefit_floor - cost_ceiling > 0.0)  # their difference's maximizer
@@ -264,12 +257,10 @@ def mu_bound(evaluator: MarginalEvaluator, X, lat: Lattice) -> float:
     caps = []
     for variant in (3, 4):
         upper = bounds.upper(state, inside, variant, bounds.fixed("benefit", variant))
-        best = bounds.maximizer(upper - cost_floor > 0.0)
-        # each bound at best: its base plus the per-node values summed in
-        # Python order over best as it iterates; np.sum would round differently
-        at = np.searchsorted(bounds.ceiling, np.fromiter(best, dtype=np.int64, count=len(best)))
-        caps.append((state.value - sum(upper[inside].tolist()) + sum(upper[at].tolist()))
-                    - (0.0 + sum(cost_floor[at].tolist())))
+        best = bounds.must | (upper - cost_floor > 0.0)  # the difference's maximizer
+        # each bound at best: its base plus its per-node values summed over best
+        caps.append(float(state.value - upper[inside].sum() + upper[best].sum()
+                          - cost_floor[best].sum()))
     return min(caps)
 
 

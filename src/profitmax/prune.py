@@ -18,15 +18,12 @@ outside.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InternalError
 from .evaluation import KINDS, MarginalEvaluator
-from .graph import _check_values
 
 
 @dataclass(frozen=True)
@@ -87,35 +84,6 @@ class Lattice:
                 for step in self.iterations
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, g=None) -> "Lattice":
-        conv = (lambda v: g.internal_id(v)) if g is not None else int
-
-        def nodes(doc, key):
-            return frozenset(conv(v) for v in _check_values(doc[key], key))
-
-        def margin(step, key):
-            if not isinstance(step[key], dict):
-                raise TypeError(f"{key} is not a JSON object")
-            for v, x in step[key].items():
-                # the decimal ids and finite numbers that to_json_dict writes
-                if not re.fullmatch(r"-?[1-9][0-9]*|0", v):
-                    raise ValueError(f"{key} key {v!r} is not a decimal node id")
-                if not (type(x) is int or type(x) is float and math.isfinite(x)):
-                    raise ValueError(f"{key} value {x!r} is not a finite number")
-            return {conv(int(v)): x for v, x in step[key].items()}
-
-        steps = [
-            PruneStep(
-                must_include=nodes(step, "must_include"),
-                may_include=nodes(step, "may_include"),
-                lower_margin=margin(step, "lower_margin"),
-                upper_margin=margin(step, "upper_margin"),
-            )
-            for step in d.get("iterations", [])
-        ]
-        return cls(nodes(d, "must_include"), nodes(d, "may_include"), iterations=steps)
 
 
 def trivial_lattice(node_count: int) -> Lattice:

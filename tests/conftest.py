@@ -135,13 +135,13 @@ def random_subset(rng: np.random.Generator, n: int) -> frozenset:
 
 class Modular(NamedTuple):
     """A modular bound as a record: its value at Y is ``base`` plus ``per_node``
-    summed in Y's iteration order, which is how ``mu_bound`` sums."""
+    summed by numpy over Y in ascending order, which is how ``mu_bound`` sums."""
 
     base: float
     per_node: dict
 
     def at(self, Y) -> float:
-        return self.base + sum(self.per_node[v] for v in Y)
+        return float(self.base + np.array([self.per_node[v] for v in sorted(Y)]).sum())
 
 
 def upper_bound(ev, metric: str, X, variant: int, lat) -> Modular:
@@ -150,7 +150,7 @@ def upper_bound(ev, metric: str, X, variant: int, lat) -> Modular:
     inside = bounds.mask(X)
     state = ev.coverage_state(metric, X)
     per_node = bounds.upper(state, inside, variant, bounds.fixed(metric, variant))
-    return Modular(state.value - sum(per_node[inside].tolist()),
+    return Modular(float(state.value - per_node[inside].sum()),
                    dict(zip(bounds.ceiling.tolist(), per_node.tolist())))
 
 

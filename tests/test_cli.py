@@ -13,10 +13,6 @@ from profitmax.cli import CSV_COLUMNS, main
 
 DEMO_EDGE_TEXT = "# demo graph\n1 2 0.3\n1 4 0.4\n2 4 0.2\n3 4 0.3\n"
 DEMO_WEIGHT_TEXT = "1 1.5 1\n2 2 1\n3 3 1\n4 2 5\n"
-# a lattice document with one pruning step; its lower margin is the %s placeholder
-LATTICE_WITH_MARGIN = ('{"must_include": [], "may_include": [2, 3], "iterations": '
-                       '[{"must_include": [], "may_include": [2, 3], "lower_margin": %s, '
-                       '"upper_margin": {}}]}')
 
 
 @pytest.fixture
@@ -142,9 +138,6 @@ class TestSelect:
 class TestCertify:
     def test_pipeline(self, demo_files, tmp_path, capsys):
         edges, weights = demo_files
-        lattice = tmp_path / "lattice.json"
-        main(["prune", "--graph", edges, "--weights", weights, "--exact",
-              "--no-norm", "--seed", "1", "--out", str(lattice)])
         main(["select", "--graph", edges, "--weights", weights, "--exact",
               "--no-norm", "--algo", "greedy", "--seed", "1",
               "--out-dir", str(tmp_path)])
@@ -153,8 +146,7 @@ class TestCertify:
         cert_csv = tmp_path / "cert.csv"
         code = main(["certify", "--graph", edges, "--weights", weights,
                      "--no-norm", "--seeds",
-                     str(tmp_path / "seeds_greedy_theta640000.json"),
-                     "--lattice", str(lattice), "--theta", "50000",
+                     str(tmp_path / "seeds_greedy_theta640000.json"), "--theta", "50000",
                      "--delta", "0.001", "--seed", "1",
                      "--out", str(cert_json), "--csv", str(cert_csv)])
         assert code == 0
@@ -174,59 +166,61 @@ class TestCertify:
                      "--seeds", str(tmp_path / "absent.json"),
                      "--seed", "1"]) == 3
 
-    @pytest.mark.parametrize("seeds_text, lattice_text, expected", [
-        ('{"seeds": [2, 3', None, "seeds.json:1: "),
-        ('{"algorithm": "greedy"}', None, "seeds.json: missing key 'seeds'"),
-        ('{"seeds": [2, 3]}', '{"must_include": [3]}', "lattice.json: missing key 'may_include'"),
-        ('{"seeds": [2, 3]}', '{"must_include": [1], "may_include": [2]}',
-         "lattice.json: lattice requires must_include to be a subset of may_include"),
-        ('[2, 3]', None, "seeds.json: malformed document: not a JSON object"),
-        ('{"seeds": [2, 3]}', '[2, 3]', "lattice.json: malformed document: not a JSON object"),
-        ('{"seeds": [2, 3]}', '{"must_include": [], "may_include": [2, 3], "iterations": '
-         '[{"must_include": [], "may_include": [2, 3], "lower_margin": [], "upper_margin": {}}]}',
-         "lattice.json: malformed document: lower_margin is not a JSON object"),
-        ('{"seeds": [2, 3]}', '{"must_include": [], "may_include": [2, 3], "iterations": '
-         '[{"must_include": [], "may_include": [2, 3], "lower_margin": {}, "upper_margin": 1}]}',
-         "lattice.json: malformed document: upper_margin is not a JSON object"),
-        ('{"seeds": [1.5]}', None, "seeds.json: malformed document: seed 1.5 is not an integer"),
-        ('{"seeds": [true]}', None, "seeds.json: malformed document: seed True is not an integer"),
-        ('{"seeds": ["2"]}', None, "seeds.json: malformed document: seed '2' is not an integer"),
-        ('{"seeds": [2]}', '{"must_include": [0.5], "may_include": [1, 2]}',
-         "lattice.json: malformed document: must_include 0.5 is not an integer"),
-        ('{"seeds": [2]}', '{"must_include": [], "may_include": [2], "iterations": '
-         '[{"must_include": [], "may_include": ["2"], "lower_margin": {}, "upper_margin": {}}]}',
-         "lattice.json: malformed document: may_include '2' is not an integer"),
-        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"0_3": "x"}',
-         "lattice.json: malformed document: lower_margin key '0_3' is not a decimal node id"),
-        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{" 3": 0.5}',
-         "lattice.json: malformed document: lower_margin key ' 3' is not a decimal node id"),
-        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"03": 0.5}',
-         "lattice.json: malformed document: lower_margin key '03' is not a decimal node id"),
-        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"3": "x"}',
-         "lattice.json: malformed document: lower_margin value 'x' is not a finite number"),
-        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"3": true}',
-         "lattice.json: malformed document: lower_margin value True is not a finite number"),
-        ('{"seeds": [2, 3]}', LATTICE_WITH_MARGIN % '{"3": NaN}',
-         "lattice.json: malformed document: lower_margin value nan is not a finite number"),
-    ], ids=["truncated-seeds", "no-seeds-key", "no-may-include-key", "floor-outside-ceiling",
-            "seeds-not-an-object", "lattice-not-an-object", "lower-margin-not-an-object",
-            "upper-margin-not-an-object", "float-seed", "bool-seed", "string-seed",
-            "float-floor-node", "string-step-node", "margin-key-not-an-id",
-            "margin-key-padded", "margin-key-leading-zero", "margin-value-string",
-            "margin-value-bool", "margin-value-nan"])
+    @pytest.mark.parametrize("seeds_text, expected", [
+        ('{"seeds": [2, 3', "seeds.json:1: "),
+        ('{"algorithm": "greedy"}', "seeds.json: missing key 'seeds'"),
+        ('[2, 3]', "seeds.json: malformed document: not a JSON object"),
+        ('{"seeds": [1.5]}', "seeds.json: malformed document: seed 1.5 is not an integer"),
+        ('{"seeds": [true]}', "seeds.json: malformed document: seed True is not an integer"),
+        ('{"seeds": ["2"]}', "seeds.json: malformed document: seed '2' is not an integer"),
+    ], ids=["truncated-seeds", "no-seeds-key", "seeds-not-an-object", "float-seed",
+            "bool-seed", "string-seed"])
     def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
-                                           seeds_text, lattice_text, expected):
+                                           seeds_text, expected):
         edges, weights = demo_files
         seeds = tmp_path / "seeds.json"
         seeds.write_text(seeds_text, encoding="utf-8")
+        assert main(["certify", "--graph", edges, "--weights", weights, "--seeds", str(seeds),
+                     "--theta", "100", "--seed", "1"]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_lattice_input_is_gone(self, demo_files, tmp_path, capsys):
+        # the cap is taken over every seed set, so certify reads no lattice
+        edges, weights = demo_files
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text('{"seeds": [2]}', encoding="utf-8")
         args = ["certify", "--graph", edges, "--weights", weights, "--seeds", str(seeds),
                 "--theta", "100", "--seed", "1"]
-        if lattice_text is not None:
-            lattice = tmp_path / "lattice.json"
-            lattice.write_text(lattice_text, encoding="utf-8")
-            args += ["--lattice", str(lattice)]
-        assert main(args) == 2
-        assert expected in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--lattice", "x"])
+        assert info.value.code == 2
+        config = tmp_path / "run.cfg"
+        config.write_text("lattice = x\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(args + ["--config", str(config)]) == 2
+        assert f"{config}:1: unknown key 'lattice'" in capsys.readouterr().err
+
+    def test_certificate_matches_experiment(self, demo_files, tmp_path, monkeypatch):
+        # certify draws the validation pair that experiment certifies its
+        # pass on, so it reproduces the pruned, normalized row's certificate
+        edges, weights = demo_files
+        common = ["--graph", edges, "--weights", weights, "--theta", "4000", "--seed", "5"]
+        assert main(["select", *common, "--out-dir", str(tmp_path)]) == 0
+        cert_json, cert_csv, exp = (tmp_path / name for name in ("cert.json", "cert.csv",
+                                                                  "exp.csv"))
+        assert main(["certify", *common, "--seeds",
+                     str(tmp_path / "seeds_greedy_theta4000.json"),
+                     "--out", str(cert_json), "--csv", str(cert_csv)]) == 0
+        issued = []
+        certificate = cli._certificate
+        monkeypatch.setattr(cli, "_certificate",
+                            lambda *args: issued.append(certificate(*args)) or issued[-1])
+        assert main(["experiment", *common, "--jobs", "1", "--csv", str(exp)]) == 0
+        row = next(r for r in rows_without_timing(exp) if r["prune"] == r["norm"] == "1")
+        assert rows_without_timing(cert_csv) == [row]
+        fields = {key: value for key, value in json.loads(cert_json.read_text()).items()
+                  if key not in ("config", "config_hash")}
+        assert fields in [cert.to_json_dict() for cert in issued]
 
 
 class TestExperiment:
@@ -544,6 +538,14 @@ class TestConfigFile:
         config.write_text(f"# header\n{line}\n", encoding="utf-8")
         assert main(["prune", "--config", str(config), "--graph", edges]) == 2
         assert f"{config}:2: unknown key" in capsys.readouterr().err
+
+    def test_hash_ignores_output_locations_and_jobs(self):
+        # they change no output, so two runs that write the same rows carry
+        # the same header; the embedded config still records them
+        base = cli.RunConfig(graph="g.edges")
+        moved = cli.RunConfig(graph="g.edges", jobs=2, out="o.json", out_dir="d", csv="x.csv")
+        assert base.config_hash() == moved.config_hash()
+        assert base.config_hash() != cli.RunConfig(graph="g.edges", seed=1).config_hash()
 
     @pytest.mark.parametrize("line", ["seed = abc", "theta = 100, x", "delta = small",
                                       "validation_theta = 1.5", "theta_exp = 2 y",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,12 +223,20 @@ class TestInconsistentEvaluator:
 
 class TestLatticeSerialization:
     def test_json_round_trip_with_external_ids(self, demo_graph, demo_lattice):
-        doc = demo_lattice.to_json_dict(demo_graph)
-        back = Lattice.from_json_dict(doc, demo_graph)
-        assert back.must_include == demo_lattice.must_include
-        assert back.may_include == demo_lattice.may_include
-        margins = back.iterations[1].lower_margin
-        assert margins[0] == pytest.approx(-1.98, abs=1e-9)
+        # the document prune --out writes: external ids, sorted, and the
+        # margins of each step keyed by the external id as text
+        doc = json.loads(json.dumps(demo_lattice.to_json_dict(demo_graph)))
+        ids = sorted(demo_graph.external_id(v) for v in demo_lattice.may_include)
+        assert doc["must_include"] == [demo_graph.external_id(v)
+                                       for v in sorted(demo_lattice.must_include)]
+        assert doc["may_include"] == ids
+        assert len(doc["iterations"]) == len(demo_lattice.iterations)
+        # the first pass weighs every node
+        step = doc["iterations"][1]
+        every = [str(demo_graph.external_id(v)) for v in range(demo_graph.node_count)]
+        assert list(step["lower_margin"]) == list(step["upper_margin"]) == every
+        assert step["lower_margin"][str(demo_graph.external_id(0))] == pytest.approx(-1.98,
+                                                                                      abs=1e-9)
 
     def test_floor_inside_ceiling_enforced(self):
         with pytest.raises(DomainError):
