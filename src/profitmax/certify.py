@@ -110,8 +110,8 @@ def certify(seeds, g: WeightedGraph, lat, validation_thetas,
 
     ``lat`` is ignored: the cap is taken over every seed set, because a
     lattice pruned on the selection samples need not hold the optimum of
-    the validation estimate.  It stays a positional argument only until the
-    benchmark's caller drops it.
+    the validation estimate.  It stays positional because the benchmark
+    harness still passes one; ROADMAP item 14 removes it.
     """
     if not (0.0 < float(delta) < 1.0):
         raise DomainError(f"delta must lie in (0,1), got {delta}")

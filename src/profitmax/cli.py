@@ -50,6 +50,8 @@ CSV_COLUMNS = ("dataset", "algo", "theta", "prune", "norm", "seeds_count",
 CSV_VERSION = "v1"
 HEURISTICS = ("greedy", "modmod1", "modmod2")
 ALGORITHMS = HEURISTICS + BASELINES
+# RunConfig fields that change no output, left out of its hash
+_UNHASHED = ("jobs", "out", "out_dir", "csv")
 
 
 @dataclass
@@ -111,14 +113,10 @@ class RunConfig:
             raise ConfigError("field 'validation_theta': must be at least 1")
 
     def config_hash(self) -> str:
-        """A hash of the fields that decide the outputs' contents: not the
-        output locations, nor ``jobs``, which changes no output."""
+        """A hash of the fields that decide the outputs: all but ``_UNHASHED``."""
         fields = {key: value for key, value in asdict(self).items() if key not in _UNHASHED}
         payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
-_UNHASHED = ("jobs", "out", "out_dir", "csv")
 
 
 # -- configuration resolution ----------------------------------------------

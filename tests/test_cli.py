@@ -213,8 +213,12 @@ class TestCertify:
                      "--out", str(cert_json), "--csv", str(cert_csv)]) == 0
         issued = []
         certificate = cli._certificate
-        monkeypatch.setattr(cli, "_certificate",
-                            lambda *args: issued.append(certificate(*args)) or issued[-1])
+
+        def recorded(*args):
+            issued.append(certificate(*args))
+            return issued[-1]
+
+        monkeypatch.setattr(cli, "_certificate", recorded)
         assert main(["experiment", *common, "--jobs", "1", "--csv", str(exp)]) == 0
         row = next(r for r in rows_without_timing(exp) if r["prune"] == r["norm"] == "1")
         assert rows_without_timing(cert_csv) == [row]
