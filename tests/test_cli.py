@@ -211,12 +211,12 @@ class TestCertify:
         assert main(["certify", *common, "--seeds",
                      str(tmp_path / "seeds_greedy_theta4000.json"),
                      "--out", str(cert_json), "--csv", str(cert_csv)]) == 0
-        issued = []
+        certificates = []
         certificate = cli._certificate
 
         def recorded(*args):
-            issued.append(certificate(*args))
-            return issued[-1]
+            certificates.append(certificate(*args))
+            return certificates[-1]
 
         monkeypatch.setattr(cli, "_certificate", recorded)
         assert main(["experiment", *common, "--jobs", "1", "--csv", str(exp)]) == 0
@@ -224,7 +224,7 @@ class TestCertify:
         assert rows_without_timing(cert_csv) == [row]
         fields = {key: value for key, value in json.loads(cert_json.read_text()).items()
                   if key not in ("config", "config_hash")}
-        assert fields in [cert.to_json_dict() for cert in issued]
+        assert fields in [cert.to_json_dict() for cert in certificates]
 
 
 class TestExperiment:
