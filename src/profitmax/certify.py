@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
-from .graph import WeightedGraph
 from .optimize import mu_bound
 from .prune import trivial_lattice
 from .rng import derive_seed
@@ -95,46 +94,36 @@ def epsilon_mu(mu_tilde: float, theta_beta: int, theta_gamma: int,
             + rho_b * math.sqrt(a * (theta_beta + 0.25 * a)))
 
 
-def certify(seeds, g: WeightedGraph, lat, validation_thetas,
-            delta: float = 1e-6, seed: int = 0) -> ProfitCertificate:
-    """Certify a seed set on fresh validation collections.
+def certify(seeds, validation, *old_form, delta: float = 1e-6,
+            seed: int = 0) -> ProfitCertificate:
+    """Certify a seed set on a validation estimator.
 
-    ``validation_thetas`` is one count for both collections or a
-    (theta_beta, theta_gamma) pair.  The collections are generated from a
-    seed derived for validation only, never reusing selection samples: the
-    concentration bounds require independence from how S was chosen.  The
-    cap uses the tighter of its two variants, anchored at S itself, and is
-    additionally capped at the total benefit weight: no estimated profit can
-    exceed that, so the cap stays valid while the error term stays in its
-    domain even when the modular construction overshoots.
+    ``validation`` is a ``ProfitEstimator`` on samples drawn independently
+    of how S was chosen, as the concentration bounds require; its recorded
+    ``thetas`` enter the bounds, the theta of a side without weight too, so
+    build it with ``ProfitEstimator.build``.  The cap, anchored at S, is
+    taken over every seed set and capped at the total benefit weight, which
+    keeps the error term in its domain.  ``seed`` is only recorded.
 
-    ``lat`` is ignored: the cap is taken over every seed set, because a
-    lattice pruned on the selection samples need not hold the optimum of
-    the validation estimate.  It stays positional because the benchmark
-    harness still passes one; ROADMAP item 14 removes it.
+    The old form ``certify(seeds, g, lat, validation_thetas, ...)`` draws the
+    pair at ``derive_seed(seed, "validation")`` and ignores ``lat``; it stays
+    only for the benchmark harness, until ROADMAP item 14 removes it.
     """
     if not (0.0 < float(delta) < 1.0):
         raise DomainError(f"delta must lie in (0,1), got {delta}")
+    if old_form:
+        _, thetas = old_form
+        pair = thetas if isinstance(thetas, (tuple, list)) else (thetas, thetas)
+        if len(pair) != 2 or not all(map(_is_count, pair)):
+            raise DomainError("validation_thetas must be one count or a pair of counts, "
+                              f"got {thetas!r}")
+        validation = ProfitEstimator.build(validation, *pair,
+                                           seed=derive_seed(int(seed), "validation"))
+    if not (isinstance(validation, ProfitEstimator) and None not in validation.thetas):
+        raise DomainError("certify needs a ProfitEstimator that records both thetas, as "
+                          f"ProfitEstimator.build does; got {type(validation).__name__}")
     seeds = frozenset(int(v) for v in seeds)
-    thetas = (validation_thetas if isinstance(validation_thetas, (tuple, list))
-              else (validation_thetas, validation_thetas))
-    if len(thetas) != 2 or not all(map(_is_count, thetas)):
-        raise DomainError("validation_thetas must be one count or a pair of counts, "
-                          f"got {validation_thetas!r}")
-    theta_beta, theta_gamma = (int(t) for t in thetas)
-    validation = ProfitEstimator.build(g, theta_beta, theta_gamma,
-                                       seed=derive_seed(int(seed), "validation"))
-    return _certificate(seeds, validation, (theta_beta, theta_gamma), delta, seed)
-
-
-def _certificate(seeds: frozenset, validation: ProfitEstimator, thetas,
-                 delta: float, seed: int) -> ProfitCertificate:
-    """The certificate of ``seeds`` on a validation pair drawn independently
-    of them at (theta_beta, theta_gamma) = ``thetas``; a side without weight
-    has no collection, but its theta still enters the error term.  The cap
-    is taken in the trivial lattice, so it covers the validation estimate's
-    best profit over all seed sets."""
-    theta_beta, theta_gamma = thetas
+    theta_beta, theta_gamma = validation.thetas
     totals = validation.graph.totals()
     lambda_beta, lambda_gamma = validation.coverage_counts(seeds)
     beta_lower, beta_upper = confidence_bounds(lambda_beta, theta_beta,

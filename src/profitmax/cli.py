@@ -33,14 +33,14 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .certify import _certificate
+from .certify import certify
 from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError)
 from .graph import (WeightedGraph, _check_values, _data_lines, _read_json,
                     assign_weights, load_edge_list, normalize_weights, save_weights)
-from .optimize import BASELINES, SelectionResult, greedy, k_sweep, modmod
+from .optimize import ALGORITHMS, BASELINES, select
 from .oracle import ExactEvaluator
-from .prune import Lattice, iterative_prune, trivial_lattice
+from .prune import iterative_prune, trivial_lattice
 from .rng import derive_seed
 from .rrsets import ProfitEstimator
 
@@ -48,8 +48,6 @@ THETA_BASE = 10_000
 CSV_COLUMNS = ("dataset", "algo", "theta", "prune", "norm", "seeds_count",
                "profit", "guarantee", "time_select_ms", "time_rr_ms", "seed")
 CSV_VERSION = "v1"
-HEURISTICS = ("greedy", "modmod1", "modmod2")
-ALGORITHMS = HEURISTICS + BASELINES
 # RunConfig fields that change no output, left out of its hash
 _UNHASHED = ("jobs", "out", "out_dir", "csv")
 
@@ -240,21 +238,12 @@ def _selection_evaluator(cfg: RunConfig, g_view: WeightedGraph, theta: int,
 
 
 def _validation_evaluator(cfg: RunConfig, g_view: WeightedGraph, theta: int,
-                          norm: bool):
+                          norm: bool) -> ProfitEstimator:
+    """The pass's validation pair, at ``--validation-theta`` or else theta."""
     vtheta = cfg.validation_theta or theta
     return ProfitEstimator.build(
         g_view, vtheta, vtheta,
         seed=derive_seed(cfg.seed, "cli-validation", vtheta, int(norm)))
-
-
-def _run_algorithm(name: str, g_view: WeightedGraph, evaluator, lattice: Lattice,
-                   cfg: RunConfig) -> SelectionResult:
-    if name == "greedy":
-        return greedy(evaluator, lattice)
-    if name in ("modmod1", "modmod2"):
-        return modmod(evaluator, lattice, gamma_bound_variant=3 if name == "modmod1" else 4,
-                      seed=derive_seed(cfg.seed, name))
-    return k_sweep(name, g_view, evaluator, seed=derive_seed(cfg.seed, "baseline", name))
 
 
 def _attempt(fn, *args):
@@ -268,7 +257,7 @@ def _attempt(fn, *args):
 def _run_key(algo: str, prune_on: bool):
     """(whether ``algo`` searches ``iterative_prune``'s lattice, algo): a
     heuristic does as its prune flag says; a baseline never does."""
-    return prune_on and algo in HEURISTICS, algo
+    return prune_on and algo not in BASELINES, algo
 
 
 def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: bool,
@@ -284,7 +273,7 @@ def _selection_pass(cfg: RunConfig, g_view: WeightedGraph, theta: int, norm: boo
         if isinstance(lattice, Exception):
             return lattice
         start = time.perf_counter()
-        result = _run_algorithm(algo, g_view, evaluator, lattice, cfg)
+        result = select(algo, g_view, evaluator, lattice, cfg.seed)
         return rr_ms, result, int((time.perf_counter() - start) * 1000)
 
     keys = dict.fromkeys(_run_key(algo, prune_on)
@@ -403,12 +392,11 @@ def cmd_certify(args) -> int:
     theta = cfg.thetas()[0]
     # the validation pair that select and experiment draw at this theta
     validation = _validation_evaluator(cfg, g, theta, cfg.normalize)
-    vtheta = cfg.validation_theta or theta
-    cert = _certificate(seeds, validation, (vtheta, vtheta), cfg.delta, cfg.seed)
+    cert = certify(seeds, validation, delta=cfg.delta, seed=cfg.seed)
     print(cert.summary_line())
     if cfg.out:
         _write_json(cfg.out, cert.to_json_dict(), cfg)
-    rows = [_row(cfg, algo, vtheta, cfg.prune, cfg.normalize,
+    rows = [_row(cfg, algo, validation.thetas[0], cfg.prune, cfg.normalize,
                  len(seeds), cert.phi_estimate, cert.guarantee, 0, 0)]
     _write_csv(rows, cfg, cfg.csv)
     return 0
@@ -424,13 +412,12 @@ def _experiment_pass(cfg: RunConfig, graph: WeightedGraph, pass_spec) -> dict:
     g = _graph_view(graph, norm_on)
     runs = _selection_pass(cfg, g, theta, norm_on, (True, False))[1]
     validation = _validation_evaluator(cfg, g, theta, norm_on)
-    vtheta = cfg.validation_theta or theta
 
     def certified(run):
         if isinstance(run, Exception):
             return run
         rr_ms, result, select_ms = run
-        cert = _certificate(result.seeds, validation, (vtheta, vtheta), cfg.delta, cfg.seed)
+        cert = certify(result.seeds, validation, delta=cfg.delta, seed=cfg.seed)
         return len(result.seeds), cert.phi_estimate, cert.guarantee, select_ms, rr_ms
 
     return {key: _attempt(certified, run) for key, run in runs.items()}

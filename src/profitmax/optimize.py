@@ -29,6 +29,7 @@ from .prune import Lattice
 from .rng import derive_seed, make_rng
 
 BASELINES = ("random", "highdegree", "benefitmax")
+ALGORITHMS = ("greedy", "modmod1", "modmod2") + BASELINES
 RANDOM_BASELINE_DRAWS = 10
 
 
@@ -380,3 +381,19 @@ def k_sweep(kind: str, g: WeightedGraph, evaluator: MarginalEvaluator,
     best.params = dict(best.params, swept=[{"k": k, "profit": result.estimated_profit}
                                            for k, result in zip(sizes, results)])
     return best
+
+
+def select(name: str, g: WeightedGraph, evaluator: MarginalEvaluator, lat: Lattice,
+           seed: int = 0) -> SelectionResult:
+    """The selection of ``name``, one of ``ALGORITHMS``: greedy and modmod1/2
+    (modmod at cost bound variant 3 or 4) search ``lat``; a baseline sweeps k
+    over the whole graph.  modmod records ``derive_seed(seed, name)``, and a
+    baseline draws from ``derive_seed(seed, "baseline", name)``."""
+    if name not in ALGORITHMS:
+        raise DomainError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    if name == "greedy":
+        return greedy(evaluator, lat)
+    if name in ("modmod1", "modmod2"):
+        return modmod(evaluator, lat, gamma_bound_variant=3 if name == "modmod1" else 4,
+                      seed=derive_seed(seed, name))
+    return k_sweep(name, g, evaluator, seed=derive_seed(seed, "baseline", name))

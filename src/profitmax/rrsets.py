@@ -617,8 +617,10 @@ class ProfitEstimator(MarginalEvaluator):
 
     A weight kind whose total is zero needs no samples; its collection slot
     is None or an empty collection, and every estimate on that side is
-    exactly zero; a side with weight needs a set.  It overrides only ``value``,
-    ``value_many`` and ``chain_increments``, as count passes over the CSR arrays.
+    exactly zero; a side with weight needs a set.  ``thetas`` holds each
+    side's set count; ``build`` records the count asked for, and otherwise a
+    side without sets has None.  It overrides only ``value``, ``value_many``
+    and ``chain_increments``, as count passes over the CSR arrays.
     """
 
     def __init__(self, benefit_rr, cost_rr, graph: WeightedGraph):
@@ -632,6 +634,7 @@ class ProfitEstimator(MarginalEvaluator):
         # a side without samples is queried as an empty collection
         self._colls = {kind: coll or RRCollection(kind, self.node_count, 0.0, 0, [])
                        for kind, coll in zip(KINDS, (benefit_rr, cost_rr))}
+        self.thetas = tuple(self._colls[kind].theta or None for kind in KINDS)
 
     @staticmethod
     def _validate_side(coll, kind, upsilon, graph):
@@ -652,13 +655,17 @@ class ProfitEstimator(MarginalEvaluator):
     @classmethod
     def build(cls, g: WeightedGraph, theta_beta: int, theta_gamma: int,
               seed: int) -> "ProfitEstimator":
-        """Generate both collections from one master seed."""
+        """Generate both collections from one master seed; a side without
+        weight draws none but keeps its theta, which a certificate needs."""
         totals = g.totals()
-        benefit_rr = (generate(g, "benefit", theta_beta, derive_seed(seed, "benefit"))
+        thetas = _check_count(theta_beta, "theta"), _check_count(theta_gamma, "theta")
+        benefit_rr = (generate(g, "benefit", thetas[0], derive_seed(seed, "benefit"))
                       if totals.upsilon_b > 0 else None)
-        cost_rr = (generate(g, "cost", theta_gamma, derive_seed(seed, "cost"))
+        cost_rr = (generate(g, "cost", thetas[1], derive_seed(seed, "cost"))
                    if totals.upsilon_c > 0 else None)
-        return cls(benefit_rr, cost_rr, g)
+        est = cls(benefit_rr, cost_rr, g)
+        est.thetas = thetas
+        return est
 
     def rho(self, metric) -> float:
         """Scale factor Upsilon / theta converting counts to weight units."""

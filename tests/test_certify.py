@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from profitmax import (DomainError, ExactEvaluator, ProfitEstimator, WeightedGraph,
-                       certify, chernoff_a, epsilon_mu, exhaustive_optimum, greedy,
-                       iterative_prune, mu_bound, trivial_lattice)
+                       certify, chernoff_a, epsilon_mu, exhaustive_optimum, generate,
+                       greedy, iterative_prune, mu_bound, trivial_lattice)
 
 from profitmax.rng import derive_seed
 
@@ -341,3 +341,37 @@ class TestCertify:
         assert floor_ok >= 0.9 * runs
         assert cap_ok >= 0.9 * runs
         assert ratio_ok >= 1
+
+
+class TestValidationEstimator:
+    @pytest.mark.parametrize("case", range(8))
+    def test_prebuilt_pair_gives_the_old_form_certificate(self, case):
+        # certifying on the pair the old form draws gives its certificate
+        # field for field; case 0 has zero total cost, so the estimator holds
+        # no cost collection, yet records and certifies with theta_gamma
+        rng = np.random.default_rng(500 + case)
+        g = random_graph(rng)
+        if case == 0:
+            g = g.with_weights(g.benefit, np.zeros(g.node_count))
+        seeds = random_subset(rng, g.node_count)
+        thetas = tuple(int(t) for t in rng.integers(50, 3000, size=2))
+        delta, seed = float(rng.choice([1e-6, 1e-3, 0.05])), int(rng.integers(0, 1 << 30))
+        validation = ProfitEstimator.build(g, *thetas, seed=derive_seed(seed, "validation"))
+        assert validation.thetas == thetas
+        assert (validation.cost_rr is None) == (case == 0)
+        new = certify(seeds, validation, delta=delta, seed=seed)
+        old = certify(seeds, g, trivial_lattice(g.node_count), thetas, delta=delta, seed=seed)
+        assert {k: repr(v) for k, v in new.to_json_dict().items()} == \
+            {k: repr(v) for k, v in old.to_json_dict().items()}
+
+    def test_exact_evaluator_refused(self, demo_graph):
+        with pytest.raises(DomainError, match="got ExactEvaluator"):
+            certify({1, 2}, ExactEvaluator(demo_graph), delta=0.1, seed=1)
+
+    def test_weightless_side_without_theta_refused(self):
+        # built from collections, a side without weight has no count to certify with
+        g = WeightedGraph(3, [(0, 1, 0.5)], benefit=[1.0, 2.0, 0.5], cost=[0.0] * 3)
+        validation = ProfitEstimator(generate(g, "benefit", 200, seed=1), None, g)
+        assert validation.thetas == (200, None)
+        with pytest.raises(DomainError, match="records both thetas"):
+            certify({0}, validation, delta=0.1, seed=1)

@@ -212,13 +212,13 @@ class TestCertify:
                      str(tmp_path / "seeds_greedy_theta4000.json"),
                      "--out", str(cert_json), "--csv", str(cert_csv)]) == 0
         certificates = []
-        certificate = cli._certificate
+        certificate = cli.certify
 
-        def recorded(*args):
-            certificates.append(certificate(*args))
+        def recorded(*args, **kwargs):
+            certificates.append(certificate(*args, **kwargs))
             return certificates[-1]
 
-        monkeypatch.setattr(cli, "_certificate", recorded)
+        monkeypatch.setattr(cli, "certify", recorded)
         assert main(["experiment", *common, "--jobs", "1", "--csv", str(exp)]) == 0
         row = next(r for r in rows_without_timing(exp) if r["prune"] == r["norm"] == "1")
         assert rows_without_timing(cert_csv) == [row]
@@ -308,8 +308,8 @@ class TestExperiment:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(cli, "_run_algorithm", counted("run", cli._run_algorithm))
-        monkeypatch.setattr(cli, "_certificate", counted("certify", cli._certificate))
+        monkeypatch.setattr(cli, "select", counted("run", cli.select))
+        monkeypatch.setattr(cli, "certify", counted("certify", cli.certify))
         monkeypatch.setattr(cli, "iterative_prune", counted("prune", cli.iterative_prune))
         edges, weights = demo_files
         csv = tmp_path / "out.csv"
@@ -361,14 +361,14 @@ class TestExperiment:
 
     def test_algorithm_failure_fails_only_its_rows(self, demo_files, tmp_path, capsys,
                                                    monkeypatch):
-        run_algorithm = cli._run_algorithm
+        select = cli.select
 
         def broken(name, *args):
             if name == "highdegree":
                 raise profitmax.errors.InternalError("highdegree broke")
-            return run_algorithm(name, *args)
+            return select(name, *args)
 
-        monkeypatch.setattr(cli, "_run_algorithm", broken)
+        monkeypatch.setattr(cli, "select", broken)
         edges, weights = demo_files
         csv = tmp_path / "exp.csv"
         assert main(["experiment", "--graph", edges, "--weights", weights,

@@ -9,7 +9,8 @@ from profitmax import (DomainError, ExactEvaluator, Lattice, ModularBounds,
                        trivial_lattice)
 from profitmax.graph import WeightedGraph
 from profitmax.evaluation import KINDS
-from profitmax.optimize import BASELINES, RANDOM_BASELINE_DRAWS, _benefitmax, _random
+from profitmax.optimize import (ALGORITHMS, BASELINES, RANDOM_BASELINE_DRAWS, _benefitmax,
+                                _random, select)
 from profitmax.rng import derive_seed, make_rng
 from profitmax.rrsets import RRCollection, RRCoverage
 
@@ -456,6 +457,31 @@ class TestKSweep:
             monkeypatch.setattr(est, name, counted)
         k_sweep(kind, g, est, seed=0)
         assert calls == [("value_many", "profit")]
+
+
+class TestSelect:
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_dispatches_with_the_cli_seed_labels(self, name):
+        # each name runs its selector on the lattice, a baseline on the whole
+        # graph, with the seed labels the CLI has always used
+        g = random_graph(np.random.default_rng(41), max_nodes=12, max_edges=30)
+        est = ProfitEstimator.build(g, 1500, 1500, seed=2)
+        lat = iterative_prune(est)
+        expected = {
+            "greedy": lambda: greedy(est, lat),
+            "modmod1": lambda: modmod(est, lat, 3, seed=derive_seed(7, "modmod1")),
+            "modmod2": lambda: modmod(est, lat, 4, seed=derive_seed(7, "modmod2")),
+        }.get(name, lambda: k_sweep(name, g, est, seed=derive_seed(7, "baseline", name)))()
+        assert select(name, g, est, lat, 7) == expected
+
+    def test_names_heuristics_then_baselines(self):
+        assert ALGORITHMS == ("greedy", "modmod1", "modmod2") + BASELINES
+
+    @pytest.mark.parametrize("name", ["Greedy", "modmod3", "", "baseline"])
+    def test_unknown_name_refused(self, demo_graph, name):
+        ev = ExactEvaluator(demo_graph)
+        with pytest.raises(DomainError, match=f"unknown algorithm {name!r}"):
+            select(name, demo_graph, ev, trivial_lattice(demo_graph.node_count), 0)
 
 
 class TestDirectionalSmallGraphs:

@@ -41,7 +41,20 @@ def test_optimize_defines_no_public_helper_beyond_its_exports():
                if not name.startswith("_")
                and getattr(obj, "__module__", None) == optimize.__name__}
     assert defined == {"ModularBounds", "SelectionResult", "baseline", "greedy", "k_sweep",
-                       "modmod", "mu_bound", "sweep_sizes"}
+                       "modmod", "mu_bound", "select", "sweep_sizes"}
+
+
+def test_cli_imports_no_private_certify_or_optimize_name():
+    # the CLI selects and certifies through the library's public calls
+    tree = ast.parse((Path(profitmax.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    # relative (``from .certify``) or absolute (``from profitmax.certify``)
+    imported = [(module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (module := (node.module or "").removeprefix("profitmax.")) in
+                ("certify", "optimize")
+                for alias in node.names]
+    assert {module for module, _ in imported} == {"certify", "optimize"}
+    assert [name for _, name in imported if name.startswith("_")] == []
 
 
 def test_runtime_imports_are_stdlib_numpy_or_profitmax():
