@@ -396,7 +396,7 @@ def cmd_certify(args) -> int:
     print(cert.summary_line())
     if cfg.out:
         _write_json(cfg.out, cert.to_json_dict(), cfg)
-    rows = [_row(cfg, algo, validation.thetas[0], cfg.prune, cfg.normalize,
+    rows = [_row(cfg, algo, theta, cfg.prune, cfg.normalize,
                  len(seeds), cert.phi_estimate, cert.guarantee, 0, 0)]
     _write_csv(rows, cfg, cfg.csv)
     return 0

@@ -201,10 +201,21 @@ class TestCertify:
         assert f"{config}:1: unknown key 'lattice'" in capsys.readouterr().err
 
     def test_certificate_matches_experiment(self, demo_files, tmp_path, monkeypatch):
+        self.check_certificate_matches_experiment(demo_files, tmp_path, monkeypatch, [])
+
+    def test_certificate_matches_experiment_at_validation_theta(self, demo_files, tmp_path,
+                                                                monkeypatch):
+        # the row's theta cell is the selection theta, as in experiment's row
+        self.check_certificate_matches_experiment(demo_files, tmp_path, monkeypatch,
+                                                  ["--validation-theta", "5000"])
+
+    @staticmethod
+    def check_certificate_matches_experiment(demo_files, tmp_path, monkeypatch, extra):
         # certify draws the validation pair that experiment certifies its
         # pass on, so it reproduces the pruned, normalized row's certificate
         edges, weights = demo_files
-        common = ["--graph", edges, "--weights", weights, "--theta", "4000", "--seed", "5"]
+        common = ["--graph", edges, "--weights", weights, "--theta", "4000", "--seed", "5",
+                  *extra]
         assert main(["select", *common, "--out-dir", str(tmp_path)]) == 0
         cert_json, cert_csv, exp = (tmp_path / name for name in ("cert.json", "cert.csv",
                                                                   "exp.csv"))
