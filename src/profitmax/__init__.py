@@ -12,15 +12,13 @@ from .errors import (CapacityError, ConfigError, DomainError, InternalError,
                      ParseError, ProfitMaxError)
 from .evaluation import MarginalEvaluator
 from .graph import (WeightedGraph, WeightTotals, assign_weights, load_edge_list,
-                    load_graph_json, load_weights, normalize_weights,
-                    save_edge_list, save_graph_json, save_weights)
+                    load_weights, normalize_weights, save_edge_list, save_weights)
 from .optimize import (ModularBounds, SelectionResult, baseline, greedy, k_sweep,
                        modmod, sweep_sizes)
 from .oracle import ExactEvaluator, exhaustive_optimum, simulate_spread
 from .prune import Lattice, PruneStep, iterative_prune, trivial_lattice
 from .rrsets import (ProfitEstimator, RRCollection, chernoff_a,
-                     confidence_bounds, generate, load_collection,
-                     sampling_error_limit, save_collection,
+                     confidence_bounds, generate, sampling_error_limit,
                      theta_for_relative_error)
 
 __version__ = "0.1.0"
@@ -32,9 +30,8 @@ __all__ = [
     "ProfitMaxError", "PruneStep", "RRCollection", "SelectionResult",
     "WeightTotals", "WeightedGraph", "assign_weights", "baseline", "certify",
     "chernoff_a", "confidence_bounds", "epsilon_mu", "exhaustive_optimum",
-    "generate", "greedy", "iterative_prune", "k_sweep", "load_collection",
-    "load_edge_list", "load_graph_json", "load_weights", "modmod", "mu_bound",
-    "normalize_weights", "sampling_error_limit", "save_collection",
-    "save_edge_list", "save_graph_json", "save_weights", "simulate_spread",
+    "generate", "greedy", "iterative_prune", "k_sweep", "load_edge_list",
+    "load_weights", "modmod", "mu_bound", "normalize_weights",
+    "sampling_error_limit", "save_edge_list", "save_weights", "simulate_spread",
     "sweep_sizes", "theta_for_relative_error", "trivial_lattice",
 ]

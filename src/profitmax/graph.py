@@ -231,33 +231,6 @@ class WeightedGraph:
         return (f"WeightedGraph(n={self._n}, m={self.edge_count}, "
                 f"normalized={self._normalized})")
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "node_count": self._n,
-            "normalized": self._normalized,
-            "external_ids": self._external_ids,
-            "edges": [[int(u), int(v), float(p)] for u, v, p in
-                      zip(self._src, self._dst, self._prob)],
-            "benefit": self._benefit.tolist(),
-            "cost": self._cost.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WeightedGraph":
-        _check_fields(d, ("node_count",))
-        _check_fields(d, ("normalized",), "a boolean")
-        _check_fields(d, ("edges", "external_ids", "benefit", "cost"), "a list")
-        _check_rows(d["edges"], "edge", "a list [u, v, p]", size=3)
-        _check_values((x for edge in d["edges"] for x in edge[:2]), "edge endpoint")
-        _check_values((x for edge in d["edges"] for x in edge[2:]), "edge probability", "a number")
-        _check_values(d["external_ids"], "external id")
-        for key in ("benefit", "cost"):
-            _check_values(d[key], f"{key} weight", "a number")
-        return cls(d["node_count"], d["edges"], d["benefit"], d["cost"],
-                   external_ids=d["external_ids"], normalized=d["normalized"])
-
 
 # -- loading and saving ---------------------------------------------------
 
@@ -339,20 +312,6 @@ def _check_values(values, what: str, kind: str = "an integer"):
         if type(v) not in types:
             raise ValueError(f"{what} {v!r} is not {kind}")
     return values
-
-
-def _check_rows(rows, what: str, shape: str, size=None) -> None:
-    """Raise ValueError unless each of ``rows`` is a JSON list, of ``size``
-    entries when given; the error names the first that is not by its index."""
-    for i, row in enumerate(rows):
-        if type(row) is not list or (size is not None and len(row) != size):
-            raise ValueError(f"{what} {i} is not {shape}")
-
-
-def _check_fields(doc, keys, kind: str = "an integer") -> None:
-    """Raise ValueError unless ``doc[key]`` is a JSON value of ``kind`` for every key."""
-    for key in keys:
-        _check_values((doc[key],), key, kind)
 
 
 def _read_json(path, read):
@@ -626,12 +585,3 @@ def normalize_weights(g: WeightedGraph) -> WeightedGraph:
         return g
     w = g.net_weight
     return g.with_weights(np.maximum(w, 0.0), np.maximum(-w, 0.0), normalized=True)
-
-
-def save_graph_json(g: WeightedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(g.to_json_dict(), fh)
-
-
-def load_graph_json(path) -> WeightedGraph:
-    return _read_json(path, WeightedGraph.from_json_dict)

@@ -63,8 +63,6 @@ its members ascending: estimates count which sets a seed set meets, not where.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 from numbers import Integral
 
@@ -72,7 +70,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .evaluation import KINDS, MarginalEvaluator, _node_array, _outside
-from .graph import WeightedGraph, _check_fields, _check_rows, _check_values, _read_json
+from .graph import WeightedGraph
 from .rng import derive_seed, make_rng
 
 # bytes of the (set, node) visited bitmap that one batch of sets may use
@@ -304,31 +302,6 @@ class RRCollection:
         first[order[::-1]] = np.arange(len(order), dtype=rank)[::-1]
         reached = self._per_set(np.minimum, first, np.full(self.theta, len(order), dtype=rank))
         return np.bincount(reached, minlength=len(order) + 1)[:len(order)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "node_count": self.node_count,
-            "total_weight": self.total_weight,
-            "seed": self.seed,
-            "theta": self.theta,
-            "sets": [s.tolist() for s in self.sets],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RRCollection":
-        args = {key: d[key] for key in ("kind", "node_count", "total_weight", "seed", "sets")}
-        _check_fields(d, ("node_count", "seed", "theta"))
-        _check_fields(d, ("total_weight",), "a number")
-        _check_fields(d, ("sets",), "a list")
-        _check_rows(args["sets"], "RR set", "a list of node ids")
-        if not math.isfinite(d["total_weight"]):
-            raise ValueError(f"total_weight {d['total_weight']!r} is not finite")
-        _check_values(itertools.chain.from_iterable(args["sets"]), "RR set member")
-        c = cls(**args)
-        if c.theta != d["theta"]:
-            raise DomainError("collection theta does not match its sets")
-        return c
 
 
 def _reach(starts, rng, csr):
@@ -710,12 +683,3 @@ class ProfitEstimator(MarginalEvaluator):
         """(Lambda_beta, Lambda_gamma): how many sets of each side the seed set covers."""
         seeds = _node_array(seeds, self.node_count)
         return tuple(int(np.count_nonzero(self._colls[kind].hits(seeds))) for kind in KINDS)
-
-
-def save_collection(coll: RRCollection, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coll.to_json_dict(), fh)
-
-
-def load_collection(path) -> RRCollection:
-    return _read_json(path, RRCollection.from_json_dict)

@@ -173,8 +173,10 @@ class TestCertify:
         ('{"seeds": [1.5]}', "seeds.json: malformed document: seed 1.5 is not an integer"),
         ('{"seeds": [true]}', "seeds.json: malformed document: seed True is not an integer"),
         ('{"seeds": ["2"]}', "seeds.json: malformed document: seed '2' is not an integer"),
+        ('{"seeds": 5}', "seeds.json: malformed document:"),
+        ('{"seeds": [99]}', "seeds.json: unknown external node id 99"),
     ], ids=["truncated-seeds", "no-seeds-key", "seeds-not-an-object", "float-seed",
-            "bool-seed", "string-seed"])
+            "bool-seed", "string-seed", "number-seeds", "unknown-seed"])
     def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
                                            seeds_text, expected):
         edges, weights = demo_files

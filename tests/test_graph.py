@@ -1,5 +1,4 @@
 import copy
-import json
 import math
 import pickle
 import re
@@ -10,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profitmax import (DomainError, ParseError, WeightedGraph, assign_weights,
-                       load_edge_list, load_graph_json, load_weights,
-                       normalize_weights, save_edge_list, save_graph_json,
-                       save_weights)
+                       load_edge_list, load_weights, normalize_weights,
+                       save_edge_list, save_weights)
 from profitmax.graph import _edge_graph, _edge_lines, _loadtxt_columns
 from profitmax.oracle import ExactEvaluator
 
@@ -456,61 +454,6 @@ class TestRoundTrips:
         assert g2.benefit.tolist() == g.benefit.tolist()
         assert g2.cost.tolist() == g.cost.tolist()
 
-    def test_graph_json_round_trip(self, tmp_path):
-        g = normalize_weights(make_demo_graph())
-        path = tmp_path / "g.json"
-        save_graph_json(g, path)
-        assert load_graph_json(str(path)) == g
-
-    @pytest.mark.parametrize("damage, message", [
-        (lambda text: text[:len(text) // 2], r"g\.json:1: "),
-        (lambda text: text.replace('"benefit"', '"profit"'), "missing key 'benefit'"),
-        (lambda text: text.replace("[0, 1, 0.3]", "[0.6, 1.2, 0.3]"),
-         r"g\.json: .*edge endpoint 0\.6 is not an integer"),
-        (lambda text: text.replace("[0, 1, 0.3]", '[0, 1, "0.5"]'),
-         r"g\.json: .*edge probability '0\.5' is not a number"),
-        (lambda text: text.replace("[0, 1, 0.3]", "[0, 1, true]"),
-         r"g\.json: .*edge probability True is not a number"),
-        (lambda text: text.replace("[0, 1, 0.3]", f"[0, 1, {10**400}]"),
-         r"g\.json: .*int too large to convert to float"),
-        (lambda text: text.replace('"benefit": [1.5,', '"benefit": ["1.5",'),
-         r"g\.json: .*benefit weight '1\.5' is not a number"),
-        (lambda text: text.replace('"cost": [1.0,', '"cost": [false,'),
-         r"g\.json: .*cost weight False is not a number"),
-        (lambda text: text.replace('"benefit": [1.5, 2.0, 3.0, 2.0]', '"benefit": null'),
-         r"g\.json: .*benefit None is not a list"),
-        (lambda text: text.replace('"normalized": false', '"normalized": "no"'),
-         r"g\.json: .*normalized 'no' is not a boolean"),
-        (lambda text: text.replace("[1, 3, 0.2]", "[1, 3]"),
-         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
-        (lambda text: text.replace("[1, 3, 0.2]", "[1, 3, 0.2, 1]"),
-         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
-        (lambda text: text.replace("[1, 3, 0.2]", "7"),
-         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
-        (lambda text: text.replace("[1, 3, 0.2]", '"ab"'),
-         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
-        (lambda text: text.replace("[1, 3, 0.2]", '{"u": 1, "v": 3, "p": 0.2}'),
-         r"g\.json: .*edge 2 is not a list \[u, v, p\]"),
-    ], ids=["truncated", "missing-key", "float-id", "string-probability", "bool-probability",
-            "huge-probability", "string-weight", "bool-weight", "null-benefit",
-            "string-normalized", "two-entry-edge", "four-entry-edge", "number-edge",
-            "string-edge", "object-edge"])
-    def test_malformed_graph_json_is_parse_error(self, tmp_path, damage, message):
-        path = tmp_path / "g.json"
-        save_graph_json(make_demo_graph(), path)
-        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
-        with pytest.raises(ParseError, match=message):
-            load_graph_json(str(path))
-
-    def test_float_node_count_is_parse_error(self, tmp_path):
-        path = tmp_path / "g.json"
-        save_graph_json(make_demo_graph(), path)
-        text = path.read_text(encoding="utf-8")
-        assert '"node_count": 4,' in text
-        path.write_text(text.replace('"node_count": 4,', '"node_count": 4.9,'), encoding="utf-8")
-        with pytest.raises(ParseError, match=r"g\.json: .*node_count 4\.9 is not an integer"):
-            load_graph_json(str(path))
-
     def test_full_load_save_load(self, tmp_path):
         g = make_demo_graph()
         epath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"
@@ -518,32 +461,3 @@ class TestRoundTrips:
         save_weights(g, wpath)
         g2 = load_weights(load_edge_list(str(epath)), str(wpath))
         assert g2 == WeightedGraph(4, DEMO_EDGES, DEMO_BENEFIT, DEMO_COST)
-
-
-class TestGraphJsonDomainErrors:
-    """Invariants the graph constructor checks come back naming the file."""
-
-    @pytest.mark.parametrize("damage, message", [
-        (lambda edges: edges.append([1, 1, 0.5]), "self-loop on node 1 is not allowed"),
-        (lambda edges: edges.append(list(edges[0])), "duplicate parallel edge"),
-        (lambda edges: edges[0].__setitem__(2, 1.5), r"probability 1\.5 outside \[0,1\]"),
-        (lambda edges: edges[0].__setitem__(1, 9), r"references a node outside 0\.\.3"),
-    ], ids=["self-loop", "duplicate-edge", "probability", "endpoint"])
-    def test_error_starts_with_path(self, tmp_path, damage, message):
-        path = tmp_path / "g.json"
-        save_graph_json(make_demo_graph(), path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        damage(doc["edges"])
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: .*{message}"):
-            load_graph_json(str(path))
-
-    @pytest.mark.parametrize("bad", [2**64, -5])
-    def test_external_id_outside_int64_names_the_path(self, tmp_path, bad):
-        path = tmp_path / "g.json"
-        save_graph_json(make_demo_graph(), path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["external_ids"][1] = bad
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: external id {bad} "):
-            load_graph_json(str(path))

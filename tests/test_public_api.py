@@ -27,11 +27,10 @@ def test_exports_are_pinned():
         "ProfitEstimator", "ProfitMaxError", "PruneStep", "RRCollection", "SelectionResult",
         "WeightTotals", "WeightedGraph", "assign_weights", "baseline", "certify",
         "chernoff_a", "confidence_bounds", "epsilon_mu", "exhaustive_optimum", "generate",
-        "greedy", "iterative_prune", "k_sweep", "load_collection", "load_edge_list",
-        "load_graph_json", "load_weights", "modmod", "mu_bound", "normalize_weights",
-        "sampling_error_limit", "save_collection", "save_edge_list", "save_graph_json",
-        "save_weights", "simulate_spread", "sweep_sizes", "theta_for_relative_error",
-        "trivial_lattice"])
+        "greedy", "iterative_prune", "k_sweep", "load_edge_list", "load_weights",
+        "modmod", "mu_bound", "normalize_weights", "sampling_error_limit",
+        "save_edge_list", "save_weights", "simulate_spread", "sweep_sizes",
+        "theta_for_relative_error", "trivial_lattice"])
 
 
 def test_optimize_defines_no_public_helper_beyond_its_exports():

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import math
 import re
 import tracemalloc
@@ -10,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitmax import (CapacityError, DomainError, ExactEvaluator, ParseError,
+from profitmax import (CapacityError, DomainError, ExactEvaluator,
                        ProfitEstimator, RRCollection, WeightedGraph, chernoff_a,
-                       confidence_bounds, generate, load_collection, normalize_weights,
-                       sampling_error_limit, save_collection, theta_for_relative_error)
+                       confidence_bounds, generate, normalize_weights,
+                       sampling_error_limit, theta_for_relative_error)
 from profitmax import oracle, rrsets
 from profitmax.evaluation import KINDS, METRICS, MarginalEvaluator
 from profitmax.rng import derive_seed
@@ -295,18 +294,18 @@ class TestGenerate:
         assert_index_matches_loop(coll)
         assert not any(a.flags.writeable for a in (*coll.sets, *coll.index))
 
-    @pytest.mark.parametrize("sets", [[[0, 2]], [[-1]], [[0], []], [[1, 0, 0], [1]],
-                                      [[2**40]], [[0, 2**31]], [[0, 2**64]]])
-    def test_malformed_sets_rejected(self, sets):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("sets, message", [
+        ([[0, 2]], r"^RR set members must lie in 0\.\.1$"),
+        ([[-1]], r"^RR set members must lie in 0\.\.1$"),
+        ([[0], []], "^RR set 1 is empty$"),
+        ([[1, 0, 0], [1]], "^RR set 0 repeats a node$"),
+        ([[2**40]], r"^RR set members must lie in 0\.\.1$"),
+        ([[0, 2**31]], r"^RR set members must lie in 0\.\.1$"),
+        ([[0, 2**64]], r"^RR set members must lie in 0\.\.1$"),
+    ], ids=[f"sets{i}" for i in range(7)])
+    def test_malformed_sets_rejected(self, sets, message):
+        with pytest.raises(DomainError, match=message):
             collection_from_sets(sets, node_count=2)
-
-    def test_loaded_repeated_member_rejected(self, tmp_path):
-        path = tmp_path / "rr.json"
-        path.write_text(json.dumps({"kind": "benefit", "node_count": 3, "total_weight": 1.0,
-                                    "seed": 0, "theta": 3, "sets": [[0], [2], [1, 2, 1]]}))
-        with pytest.raises(DomainError, match="RR set 2 repeats a node"):
-            load_collection(str(path))
 
     def test_reverse_reachability_semantics(self):
         # sure chain 0 -> 1 -> 2: an RR set rooted at 2 contains everything
@@ -599,15 +598,13 @@ class TestStoreWidths:
         (lambda: wide_graph(2**16), 300, np.int32, np.uint16),
         (make_demo_graph, 2**16, np.uint16, np.int32),
     ], ids=["uint16", "n-2**16", "theta-2**16"])
-    def test_store_layout(self, graph, theta, member_dtype, set_dtype, tmp_path):
-        # sampled, built from lists, and saved then loaded: one width rule,
-        # four read-only arrays, the same bytes
+    def test_store_layout(self, graph, theta, member_dtype, set_dtype):
+        # sampled and built from lists: one width rule, four read-only
+        # arrays, the same bytes
         sampled = generate(graph(), "benefit", theta, seed=5)
         listed = RRCollection("benefit", sampled.node_count, sampled.total_weight,
                               sampled.seed, sampled.sets)
-        save_collection(sampled, str(tmp_path / "rr.json"))
-        loaded = load_collection(str(tmp_path / "rr.json"))
-        for coll in (sampled, listed, loaded):
+        for coll in (sampled, listed):
             arrays = (coll.set_ptr, coll.members, coll.node_ptr, coll.set_ids)
             assert [a.dtype for a in arrays] == [np.int64, member_dtype, np.int64, set_dtype]
             assert not any(a.flags.writeable for a in arrays)
@@ -1199,89 +1196,6 @@ class TestErrorLimitFormulas:
         theta = theta_for_relative_error(upsilon, value, rel, delta)
         assert sampling_error_limit(upsilon, value, theta, delta) <= rel * value
         assert sampling_error_limit(upsilon, value, theta - 1, delta) > rel * value
-
-
-# a collection document whose total_weight is the JSON text filled in for %s
-WEIGHT_DOC = ('{"kind": "benefit", "node_count": 2, "total_weight": %s, "seed": 0, "theta": 2,'
-              ' "sets": [[0], [1]]}')
-
-# a collection document whose sets are the JSON text filled in for %s
-SETS_DOC = ('{"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0, "theta": 2,'
-            ' "sets": %s}')
-
-
-class TestSerialization:
-    def test_round_trip(self, demo_graph, tmp_path):
-        coll = generate(demo_graph, "cost", 300, seed=19)
-        path = tmp_path / "rr.json"
-        save_collection(coll, path)
-        loaded = load_collection(str(path))
-        assert loaded.kind == coll.kind
-        assert loaded.theta == coll.theta
-        assert loaded.total_weight == coll.total_weight
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.sets, coll.sets))
-        assert_index_matches_loop(loaded)
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"kind": "benefit", "node_count": 2, "sets": [[0], [1', r"rr\.json:1: "),
-        ('{"kind": "benefit", "node_count": 2}', "missing key 'total_weight'"),
-        ('{"kind": "benefit", "node_count": 3, "total_weight": 1.0, "seed": 0, "theta": 2,'
-         ' "sets": [[0.9], [2.7]]}', r"rr\.json: .*RR set member 0\.9 is not an integer"),
-        (WEIGHT_DOC % '"3.0"', r"rr\.json: .*total_weight '3\.0' is not a number"),
-        (WEIGHT_DOC % "true", r"rr\.json: .*total_weight True is not a number"),
-        (WEIGHT_DOC % "null", r"rr\.json: .*total_weight None is not a number"),
-        (WEIGHT_DOC % "Infinity", r"rr\.json: .*total_weight inf is not finite"),
-        (WEIGHT_DOC % "NaN", r"rr\.json: .*total_weight nan is not finite"),
-        (SETS_DOC % "[[0, 1], 2]", r"rr\.json: .*RR set 1 is not a list of node ids"),
-        (SETS_DOC % '[[0], "1"]', r"rr\.json: .*RR set 1 is not a list of node ids"),
-        (SETS_DOC % '{"a": 1}', r"rr\.json: .*sets \{'a': 1\} is not a list"),
-        (SETS_DOC % "3", r"rr\.json: .*sets 3 is not a list"),
-    ], ids=["truncated", "missing-key", "float-id", "string-weight", "bool-weight",
-            "null-weight", "infinite-weight", "nan-weight", "number-set", "string-set",
-            "object-sets", "number-sets"])
-    def test_malformed_document_is_parse_error(self, tmp_path, text, message):
-        path = tmp_path / "rr.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=message):
-            load_collection(str(path))
-
-    @pytest.mark.parametrize("field, value", [("node_count", 2.9), ("seed", 0.5),
-                                              ("theta", 2.0)])
-    def test_float_count_is_parse_error(self, tmp_path, field, value):
-        doc = {"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0,
-               "theta": 2, "sets": [[0], [1]], field: value}
-        path = tmp_path / "rr.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ParseError, match=rf"rr\.json: .*{field} {value} is not an integer"):
-            load_collection(str(path))
-
-    def test_estimator_from_loaded_collections(self, demo_graph, tmp_path):
-        b = generate(demo_graph, "benefit", 400, seed=derive_seed(20, "benefit"))
-        c = generate(demo_graph, "cost", 400, seed=derive_seed(20, "cost"))
-        save_collection(b, tmp_path / "b.json")
-        save_collection(c, tmp_path / "c.json")
-        est = ProfitEstimator(load_collection(str(tmp_path / "b.json")),
-                              load_collection(str(tmp_path / "c.json")), demo_graph)
-        direct = ProfitEstimator.build(demo_graph, 400, 400, seed=20)
-        assert estimates(est, {1, 2}) == estimates(direct, {1, 2})
-
-
-class TestCollectionJsonDomainErrors:
-    """Invariants the collection constructor checks come back naming the file."""
-
-    @pytest.mark.parametrize("doc, message", [
-        ({"theta": 3, "sets": [[0], [1]]}, "collection theta does not match its sets"),
-        ({"theta": 2, "sets": [[0], []]}, "RR set 1 is empty"),
-        ({"theta": 2, "sets": [[0], [2]]}, r"RR set members must lie in 0\.\.1"),
-        ({"theta": 1, "sets": [[2**40]]}, r"RR set members must lie in 0\.\.1"),
-        ({"theta": 1, "sets": [[0, 2**31]]}, r"RR set members must lie in 0\.\.1"),
-    ], ids=["theta", "empty-set", "member-range", "member-2**40", "member-2**31"])
-    def test_error_starts_with_path(self, tmp_path, doc, message):
-        path = tmp_path / "rr.json"
-        doc = dict({"kind": "benefit", "node_count": 2, "total_weight": 1.0, "seed": 0}, **doc)
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}: {message}"):
-            load_collection(str(path))
 
 
 @st.composite
