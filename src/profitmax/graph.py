@@ -319,17 +319,20 @@ def _read_json(path, read):
 
     A ``DomainError`` that ``read`` raises keeps its type and gains the path.
     """
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise ParseError(f"{path}: malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: malformed document: not a JSON object")
     try:
         return read(doc)
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge JSON int
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed document: {exc}") from None
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None

@@ -16,7 +16,8 @@ pruning and selection loops terminate.
 A collection is one CSR store: the members of all sets in one flat array
 with per-set offsets, and the inverted index (the sets containing each
 node) built from it by one sort of packed (member, set) keys, member *
-theta + set.  One rule (``_key_dtype``) gives each packed array the
+theta + set, whose per-node offsets are a search of the sorted keys for
+each v * theta.  One rule (``_key_dtype``) gives each packed array the
 narrowest width that holds its bound: uint16 below 2**16, int32 below
 2**31 (``INT32_KEYS``), else int64.  Members take the width of n, set ids
 that of theta, and the keys, filled and sorted in place in one array, that
@@ -56,9 +57,11 @@ edges differ in probability, tested against the edge's own), so the coins,
 and every set, are those of one test per edge.  A level's live (set, node)
 keys are sorted in place, and one mask then drops both the keys a set has
 already reached (a bitmap over the batch's sets and the nodes) and the
-repeats of a key, leaving the next frontier ascending and distinct.  A
-batch ends with one sort of all its (set, node) keys, so a sampled set lists
-its members ascending: estimates count which sets a seed set meets, not where.
+repeats of a key, leaving the next frontier ascending and distinct.  Each
+key carries its set's offset set * n alongside, so a level divides nothing.
+A batch ends with one sort of all its (set, node) keys, so a sampled set
+lists its members ascending (estimates count which sets a seed set meets,
+not where), and one division by n splits the keys into sets and nodes.
 """
 
 from __future__ import annotations
@@ -220,8 +223,6 @@ class RRCollection:
             raise _outside_members(self.node_count)
         members = members.astype(_key_dtype(self.node_count), copy=False)
         self.set_ptr, self.members = set_ptr, members
-        self.node_ptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(members, minlength=self.node_count), out=self.node_ptr[1:])
         # sorted (member, set) keys list each node's set ids ascending
         width = max(self.theta, 1)
         dtype = _key_dtype(self.node_count * width)
@@ -232,6 +233,9 @@ class RRCollection:
         twice = np.flatnonzero(keys[1:] == keys[:-1])
         if twice.size:
             raise DomainError(f"RR set {int(keys[twice[0]]) % width} repeats a node")
+        # node v's keys start at the first key of at least v * width; needles
+        # of the keys' dtype, as others make searchsorted copy the keys
+        self.node_ptr = keys.searchsorted(np.arange(self.node_count + 1, dtype=dtype) * width)
         keys -= _floor_to(keys, width)
         self.set_ids = keys.astype(_key_dtype(self.theta), copy=False)
         for arr in (self.set_ptr, self.members, self.node_ptr, self.set_ids):
@@ -314,9 +318,12 @@ def _reach(starts, rng, csr):
     ones kept as ``set * n + node`` keys and sorted in place, then one mask
     keeps the keys that the batch's bitmap ``fresh`` marks as not yet
     reached and that differ from the key before them, so the next frontier
-    is the new keys, ascending and distinct.  One in-place sort of the
-    batch's keys, as int32, then lists each set's members ascending.
-    ``members`` holds the sets one after another, at the width
+    is the new keys, ascending and distinct.  ``base`` holds each frontier
+    key's ``set * n``, carried from level to level with the keys, so a
+    member's node is its key minus its base and no level divides.  One
+    in-place sort of the batch's keys, as int32, then lists each set's
+    members ascending, and one division by n splits the keys into sets and
+    nodes.  ``members`` holds the sets one after another, at the width
     ``_key_dtype`` gives n, and ``sizes`` counts each set's members.  When
     a batch takes the members past ``MEMBER_BUDGET``, ``CapacityError``;
     batches depend on the inputs alone, so a call that fails always fails
@@ -324,10 +331,13 @@ def _reach(starts, rng, csr):
 
     A level draws its coins in one call, in edge order, and compares them
     with ``top``, each member's largest edge probability; only the coins
-    under it have their edge located, and, when some row mixes
-    probabilities (``mixed``), tested against their own edge's.  As
+    under it have their edge located, through their member (read from the
+    members' indices, each repeated by its degree), and, when some row
+    mixes probabilities (``mixed``), tested against their own edge's.  As
     ``prob <= top``, an edge is live exactly when its coin is below its
-    probability, and the draws are those of one test per edge.
+    probability, and the draws are those of one test per edge.  The
+    frontier order and the batch split fix which coin each edge draws, so
+    any change to either changes the sets' bytes.
     """
     ptr, nbr, prob = csr
     n = len(ptr) - 1
@@ -346,30 +356,33 @@ def _reach(starts, rng, csr):
     count = 0
     for lo in range(0, len(starts), batch):
         part = starts[lo:lo + batch]
-        frontier = (np.arange(len(part), dtype=np.int64)[:, None] * n + part).ravel()
+        # base[i] = set * n of frontier[i]
+        base = np.arange(len(part)).repeat(part.shape[1]) * n
+        frontier = base + part.ravel()
         fresh[frontier] = False
         levels = [frontier]
         while frontier.size:
-            base = _floor_to(frontier, n)
             nodes = frontier - base
             degree = degrees[nodes]
             ends = degree.cumsum()
             coins = rng.random(ends[-1])
             cand = (coins < top[nodes].repeat(degree)).nonzero()[0]
             # the coin at i belongs to the member whose edges span i
-            owner = ends.searchsorted(cand, side="right")
+            owner = np.arange(len(nodes)).repeat(degree)[cand]
             pos = (row_ends[nodes] - ends)[owner]
             pos += cand
             if mixed:
                 live = coins[cand] < prob[pos]
                 owner, pos = owner[live], pos[live]
-            keys = base[owner]
-            keys += nbr[pos]
-            # one sort, then one mask drops both reached and repeated keys
+            base = base[owner]
+            keys = nbr[pos] + base
+            # one sort, then one mask drops both reached and repeated keys;
+            # base ascends, so the sort moves keys only within one set's
+            # block and base stays aligned with them
             keys.sort()
             keep = fresh[keys]
             keep[1:] &= keys[1:] != keys[:-1]
-            frontier = keys[keep]
+            frontier, base = keys[keep], base[keep]
             fresh[frontier] = False
             levels.append(frontier)
         # set * n + node < len(part) * n <= max(VISITED_BUDGET, n): int32 keys
@@ -377,8 +390,11 @@ def _reach(starts, rng, csr):
         del levels
         fresh[keys] = True
         keys.sort()
-        sizes.append(np.bincount(keys // n, minlength=len(part)))
-        keys -= _floor_to(keys, n)
+        sets = keys // n
+        sizes.append(np.bincount(sets, minlength=len(part)))
+        sets *= n
+        keys -= sets
+        del sets
         members.append(keys.astype(_key_dtype(n), copy=False))
         del keys
         count += len(members[-1])

@@ -175,8 +175,9 @@ class TestCertify:
         ('{"seeds": ["2"]}', "seeds.json: malformed document: seed '2' is not an integer"),
         ('{"seeds": 5}', "seeds.json: malformed document:"),
         ('{"seeds": [99]}', "seeds.json: unknown external node id 99"),
+        ('{"seeds": [' + "1" * 5000 + ']}', "seeds.json: malformed document:"),
     ], ids=["truncated-seeds", "no-seeds-key", "seeds-not-an-object", "float-seed",
-            "bool-seed", "string-seed", "number-seeds", "unknown-seed"])
+            "bool-seed", "string-seed", "number-seeds", "unknown-seed", "huge-int-seed"])
     def test_malformed_json_is_input_error(self, demo_files, tmp_path, capsys,
                                            seeds_text, expected):
         edges, weights = demo_files
