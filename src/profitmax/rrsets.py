@@ -50,18 +50,21 @@ which of the 64 seed sets cover it (``RRCollection.cover_counts``).
 
 Sampling is batch-frontier: the sets of a batch grow together, one BFS level
 per numpy pass (see ``generate``), all from one generator derived from
-(seed, kind).  Every edge of every new member gets one coin, but a coin is
-first compared with the largest edge probability of its member, and only
-the coins under that ceiling have their edge located (and, when some node's
-edges differ in probability, tested against the edge's own), so the coins,
-and every set, are those of one test per edge.  A level's live (set, node)
-keys are sorted in place, and one mask then drops both the keys a set has
-already reached (a bitmap over the batch's sets and the nodes) and the
-repeats of a key, leaving the next frontier ascending and distinct.  Each
-key carries its set's offset set * n alongside, so a level divides nothing.
-A batch ends with one sort of all its (set, node) keys, so a sampled set
-lists its members ascending (estimates count which sets a seed set meets,
-not where), and one division by n splits the keys into sets and nodes.
+(seed, kind).  The roots come first, the draws of ``Generator.choice`` over
+the weights searched in ascending order (``_roots``).  Every edge of every
+new member gets one coin, but a coin is first compared with the largest
+edge probability of its member, and only the coins under that ceiling have
+their edge located (and, when some node's edges differ in probability,
+tested against the edge's own), so the coins, and every set, are those of
+one test per edge.  A level's live (set, node) keys are sorted in place,
+and one mask then drops both the keys a set has already reached (a bitmap
+over the batch's sets and the nodes) and the repeats of a key, leaving the
+next frontier ascending and distinct.  Each key carries its set's offset
+set * n alongside, so a level divides nothing.  A batch ends by resetting
+the bitmap from its keys, unless it is the last, then with one sort of all
+its (set, node) keys, so a sampled set lists its members ascending
+(estimates count which sets a seed set meets, not where), and one division
+by n splits the keys into sets and nodes.
 """
 
 from __future__ import annotations
@@ -320,14 +323,16 @@ def _reach(starts, rng, csr):
     reached and that differ from the key before them, so the next frontier
     is the new keys, ascending and distinct.  ``base`` holds each frontier
     key's ``set * n``, carried from level to level with the keys, so a
-    member's node is its key minus its base and no level divides.  One
-    in-place sort of the batch's keys, as int32, then lists each set's
-    members ascending, and one division by n splits the keys into sets and
-    nodes.  ``members`` holds the sets one after another, at the width
-    ``_key_dtype`` gives n, and ``sizes`` counts each set's members.  When
-    a batch takes the members past ``MEMBER_BUDGET``, ``CapacityError``;
-    batches depend on the inputs alone, so a call that fails always fails
-    at the same batch.
+    member's node is its key minus its base and no level divides.  The
+    batch's keys, joined at int64, reset ``fresh`` for the next batch (not
+    after the last, whose bitmap is not read again; int32 keys would make
+    the reset copy them to intp), and one in-place sort of them, cast to
+    int32, then lists each set's members ascending, and one division by n
+    splits the keys into sets and nodes.  ``members`` holds the sets one
+    after another, at the width ``_key_dtype`` gives n, and ``sizes``
+    counts each set's members.  When a batch takes the members past
+    ``MEMBER_BUDGET``, ``CapacityError``; batches depend on the inputs
+    alone, so a call that fails always fails at the same batch.
 
     A level draws its coins in one call, in edge order, and compares them
     with ``top``, each member's largest edge probability; only the coins
@@ -385,10 +390,12 @@ def _reach(starts, rng, csr):
             frontier, base = keys[keep], base[keep]
             fresh[frontier] = False
             levels.append(frontier)
-        # set * n + node < len(part) * n <= max(VISITED_BUDGET, n): int32 keys
-        keys = np.concatenate(levels, dtype=np.int32)
+        keys = np.concatenate(levels)
         del levels
-        fresh[keys] = True
+        if lo + batch < len(starts):  # the last batch's bitmap is not read again
+            fresh[keys] = True
+        # set * n + node < len(part) * n <= max(VISITED_BUDGET, n): int32 keys
+        keys = keys.astype(np.int32)
         keys.sort()
         sets = keys // n
         sizes.append(np.bincount(sets, minlength=len(part)))
@@ -404,6 +411,25 @@ def _reach(starts, rng, csr):
                                 f"(mean size {count / done:.1f}), past the member budget "
                                 f"of {MEMBER_BUDGET}")
     return np.concatenate(sizes), np.concatenate(members)
+
+
+def _roots(rng, p, theta) -> np.ndarray:
+    """``rng.choice(len(p), size=theta, p=p)``, leaving ``rng`` as it leaves it.
+
+    The draws and the CDF are choice's, and so is the search with
+    side="right", which no zero-weight node wins; the draws are searched in
+    ascending order, through one argsort, and scattered back, as numpy
+    starts the search of an ascending needle where the one before it ended.
+    ``p`` must be nonnegative and sum to 1, which choice checks and this
+    does not.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    draws = rng.random(theta)
+    order = draws.argsort()
+    roots = np.empty(theta, dtype=np.intp)
+    roots[order] = cdf.searchsorted(draws[order], side="right")
+    return roots
 
 
 def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection:
@@ -428,8 +454,7 @@ def generate(g: WeightedGraph, kind: str, theta: int, seed: int) -> RRCollection
     n = g.node_count
     seed = int(seed)
     rng = make_rng(derive_seed(seed, "rr", kind))
-    # choice searches the CDF of p with side="right", so zero-weight nodes never root
-    roots = rng.choice(n, size=theta, p=weights / total)
+    roots = _roots(rng, weights / total, theta)
     try:
         sizes, members = _reach(roots[:, None], rng, g.reverse_csr())
     except CapacityError as exc:
@@ -511,8 +536,10 @@ def theta_for_relative_error(upsilon: float, value: float, rel_err: float,
 class RRCoverage:
     """Coverage of one RR collection by a seed set S that nodes enter and leave.
 
-    ``hits[s]`` counts the nodes of S that set s holds; an update moves it by
-    the index rows of the nodes that enter or leave.  ``zero[v]`` counts the
+    ``hits[s]`` counts the nodes of S that set s holds, tallied from S's index
+    rows, or, when S holds more than half the nodes, as the size of s less
+    the hits of the nodes off S (none at S = V); an update moves it by the
+    index rows of the nodes that enter or leave.  ``zero[v]`` counts the
     sets of v that hold none, so ``gains`` (rho times it) is f(v | S), zero
     on S, and ``one[v]``, for v in S, the sets whose one node of S is v, so
     ``inside`` is f(v | S - v).  Each is counted from ``hits`` when first
@@ -526,7 +553,10 @@ class RRCoverage:
         seeds = _distinct(seeds)
         self.on = np.zeros(coll.node_count, dtype=bool)
         self.on[seeds] = True
-        self.hits = coll.hits(seeds)
+        if 2 * len(seeds) > coll.node_count:  # tally the fewer index rows, those off S
+            self.hits = np.diff(coll.set_ptr) - coll.hits(np.flatnonzero(~self.on))
+        else:
+            self.hits = coll.hits(seeds)
         self.count = int(np.count_nonzero(self.hits))
         self.zero = self.one = None
 

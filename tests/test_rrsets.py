@@ -260,6 +260,21 @@ class TestGenerate:
         # normalized cost weights are (0, 0, 0, 3): every cost root is node 3
         assert set(sampled_roots(gn, "cost", 2000, seed=5).tolist()) == {3}
 
+    @pytest.mark.parametrize("weights", [
+        np.ones(100),
+        np.array([0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.5, 0.0, 0.0]),
+        np.array([1e-300, 5.0, 1e-300, 1.0]),
+        np.array([2.0]),
+        np.random.default_rng(9).random(50_000) ** 8,
+    ], ids=["uniform", "zeros-start-end-inside", "tiny-beside-heavy", "single", "skewed"])
+    def test_root_draw_equals_generator_choice(self, weights):
+        p = weights / weights.sum()
+        ours, theirs = np.random.default_rng(13), np.random.default_rng(13)
+        roots = rrsets._roots(ours, p, 8000)
+        assert np.array_equal(roots, theirs.choice(len(p), size=8000, p=p))
+        # both generators go on from the same state
+        assert ours.random() == theirs.random()
+
     def test_deterministic_per_seed(self, demo_graph):
         a = generate(demo_graph, "benefit", 1000, seed=42)
         b = generate(demo_graph, "benefit", 1000, seed=42)
@@ -1215,8 +1230,12 @@ def state_replays(draw):
     node_lists = st.lists(node, max_size=n)
     nodes = st.one_of(node, node.map(np.int64), node_lists,
                       node_lists.map(lambda v: np.array(v, dtype=np.int64)))
+    # a state past half the nodes counts its hits from the nodes off S
+    sizes = st.sampled_from([n, n - 1, n // 2, n // 2 + 1])
+    seeds = st.one_of(node_lists, sizes.flatmap(
+        lambda k: st.permutations(range(n)).map(lambda order: order[:k])))
     steps = draw(st.lists(st.tuples(st.sampled_from(["add", "remove"]), nodes), max_size=8))
-    return g, draw(node_lists), steps, draw(st.integers(0, len(steps)))
+    return g, draw(seeds), steps, draw(st.integers(0, len(steps)))
 
 
 class TestCoverageState:
